@@ -21,14 +21,13 @@ import numpy as np
 
 from .errors import TrainingError, UnsupportedCriterionError, UsageError
 from .numerics.adam import AdamState, adam_step
-from .numerics.logspace import log_mean_exp
+from .numerics.logspace import LOG_2PI, log_mean_exp
 from .numerics.nets import DriftNet, drift_forward
 from .numerics.rng import RngStream
 from .numerics.tape import Tape, Var
 from .targets.base import TargetDensity
 from .targets.gaussian import DiagonalGaussian
 
-LOG_2PI = math.log(2.0 * math.pi)
 LANGEVIN_METHODS = ("ula", "mcd", "cmcd")
 ALL_METHODS = ("ula", "mcd", "cmcd", "dds", "pis", "dis", "gbs")
 

@@ -1,8 +1,12 @@
 """Stable log-space reductions used by every weight computation."""
 
+import math
+
 import numpy as np
 
 from ..errors import UsageError
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def log_sum_exp(values, axis=None):

@@ -1,10 +1,24 @@
-"""Target density interface: unnormalized log-density, score, and extras."""
+"""Target density interface: unnormalized log-density, score, and extras.
+
+Target contract.  A target supplies two batch callables over (n, d) float
+arrays of finite points:
+
+- `log_unnorm(x) -> (n,)`: log gamma(x), the value alone;
+- `log_unnorm_and_grad(x) -> ((n,), (n, d))`: the value and the score
+  grad log gamma(x) from one pass, so that both share the work they have in
+  common (difference tensors, logits, mixture responsibilities).
+
+Both must return the same value.  `score_hvp(x, v) -> (n, d)`, when present,
+is the Hessian-vector product of log gamma at x; it lets the score take part
+in reverse-mode training.  The callables may assume 2-D input; the public
+methods of `TargetDensity` check shape and finiteness and count one NFE per
+point per call.
+"""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -12,23 +26,23 @@ from ..errors import UsageError
 
 
 class NfeCounter:
-    """Thread-safe count of target queries (one per point per fused call)."""
+    """Count of target queries (one per point per fused call).
+
+    Samplers query targets from one thread, so the counter takes no lock.
+    """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._value = 0
 
     def add(self, n: int):
-        with self._lock:
-            self._value += int(n)
+        self._value += int(n)
 
     @property
     def value(self) -> int:
         return self._value
 
     def reset(self):
-        with self._lock:
-            self._value = 0
+        self._value = 0
 
 
 @dataclass
@@ -44,20 +58,26 @@ class ModeModel:
 class TargetDensity:
     """Unnormalized density gamma with analytic score; batch-first evaluation.
 
-    `log_unnorm` and `grad_log_unnorm` take (n, d) arrays.  `score_hvp`, when
-    present, maps (x, v) to the Hessian-vector product of log gamma at x and
-    lets the score participate in reverse-mode training.
+    See the module docstring for the contract of `log_unnorm`,
+    `log_unnorm_and_grad` and `score_hvp`.  `grad_log_unnorm` is not a
+    constructor argument: it is the score-only view of `log_unnorm_and_grad`
+    that `grad` calls, kept as an attribute so instrumentation can wrap it.
     """
 
     dim: int
     log_unnorm: Callable[[np.ndarray], np.ndarray]
-    grad_log_unnorm: Callable[[np.ndarray], np.ndarray]
+    log_unnorm_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     true_log_z: Optional[float] = None
     exact_sampler: Optional[Callable] = None  # (RngStream, n) -> (n, d)
     mode_model: Optional[ModeModel] = None
     score_hvp: Optional[Callable] = None  # (x, v) -> (n, d)
     name: str = ""
     nfe: NfeCounter = field(default_factory=NfeCounter)
+    grad_log_unnorm: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False,
+                                                                compare=False)
+
+    def __post_init__(self):
+        self.grad_log_unnorm = lambda x: self.log_unnorm_and_grad(x)[1]
 
     def _batch(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -82,19 +102,10 @@ class TargetDensity:
         return out[0] if np.ndim(x) == 1 else out
 
     def logdensity_and_grad(self, x):
-        """Fused value+gradient; counts a single query per point."""
+        """Fused value+gradient from one `log_unnorm_and_grad` pass; one NFE per point."""
         xb = self._batch(x)
         self.nfe.add(len(xb))
-        vals = self.log_unnorm(xb)
-        grads = self.grad_log_unnorm(xb)
+        vals, grads = self.log_unnorm_and_grad(xb)
         if np.ndim(x) == 1:
             return vals[0], grads[0]
         return vals, grads
-
-
-def target_logdensity_and_grad(target: TargetDensity, x):
-    """(log gamma(x), grad log gamma(x)) for a single point; one NFE."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise UsageError("target_logdensity_and_grad expects a single point")
-    return target.logdensity_and_grad(x)

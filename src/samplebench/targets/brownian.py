@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..numerics.logspace import LOG_2PI
 from ..numerics.rng import RngStream
 from .base import TargetDensity
 
-LOG_2PI = np.log(2.0 * np.pi)
 N_STATES = 30
 OBS_INDICES = np.array(sorted(set(range(1, 11)) | set(range(20, 31)))) - 1  # 0-based
 PRIOR_SCALE = 2.0
@@ -34,42 +34,41 @@ def make_brownian_target(observation_seed: int = 11) -> TargetDensity:
     y = _simulate_observations(observation_seed)
     n_obs = len(OBS_INDICES)
 
-    def unpack(theta):
+    def parts(theta):
+        """Log-scales, squared increment and residual sums, and inverse variances."""
         theta = np.atleast_2d(theta)
-        return theta[:, 0], theta[:, 1], theta[:, 2:]
-
-    def log_unnorm(theta):
-        u_inn, u_obs, x = unpack(theta)
-        prior = -0.5 * (u_inn**2 + u_obs**2) / PRIOR_SCALE**2 - LOG_2PI - 2 * np.log(PRIOR_SCALE)
-        inc = np.diff(np.concatenate([np.zeros((len(x), 1)), x], axis=1), axis=1)
-        chain = -0.5 * np.sum(inc**2, axis=1) * np.exp(-2 * u_inn) - N_STATES * (
-            0.5 * LOG_2PI + u_inn
-        )
+        u_inn, u_obs, x = theta[:, 0], theta[:, 1], theta[:, 2:]
+        inc = np.diff(x, axis=1, prepend=0.0)
         resid = x[:, OBS_INDICES] - y
-        like = -0.5 * np.sum(resid**2, axis=1) * np.exp(-2 * u_obs) - n_obs * (
-            0.5 * LOG_2PI + u_obs
-        )
+        return u_inn, u_obs, inc, resid, np.exp(-2 * u_inn), np.exp(-2 * u_obs)
+
+    def value(u_inn, u_obs, inc_sq, resid_sq, inv_inn, inv_obs):
+        prior = -0.5 * (u_inn**2 + u_obs**2) / PRIOR_SCALE**2 - LOG_2PI - 2 * np.log(PRIOR_SCALE)
+        chain = -0.5 * inc_sq * inv_inn - N_STATES * (0.5 * LOG_2PI + u_inn)
+        like = -0.5 * resid_sq * inv_obs - n_obs * (0.5 * LOG_2PI + u_obs)
         return prior + chain + like
 
-    def grad(theta):
-        u_inn, u_obs, x = unpack(theta)
-        out = np.empty_like(np.atleast_2d(theta))
-        inc = np.diff(np.concatenate([np.zeros((len(x), 1)), x], axis=1), axis=1)
-        resid = x[:, OBS_INDICES] - y
-        inv_inn = np.exp(-2 * u_inn)
-        inv_obs = np.exp(-2 * u_obs)
-        out[:, 0] = -u_inn / PRIOR_SCALE**2 + np.sum(inc**2, axis=1) * inv_inn - N_STATES
-        out[:, 1] = -u_obs / PRIOR_SCALE**2 + np.sum(resid**2, axis=1) * inv_obs - n_obs
-        gx = np.zeros_like(x)
-        gx -= inc * inv_inn[:, None]
+    def log_unnorm(theta):
+        u_inn, u_obs, inc, resid, inv_inn, inv_obs = parts(theta)
+        return value(u_inn, u_obs, np.sum(inc**2, axis=1), np.sum(resid**2, axis=1),
+                     inv_inn, inv_obs)
+
+    def log_unnorm_and_grad(theta):
+        u_inn, u_obs, inc, resid, inv_inn, inv_obs = parts(theta)
+        inc_sq = np.sum(inc**2, axis=1)
+        resid_sq = np.sum(resid**2, axis=1)
+        out = np.empty((len(inc), N_STATES + 2))
+        out[:, 0] = -u_inn / PRIOR_SCALE**2 + inc_sq * inv_inn - N_STATES
+        out[:, 1] = -u_obs / PRIOR_SCALE**2 + resid_sq * inv_obs - n_obs
+        gx = -inc * inv_inn[:, None]
         gx[:, :-1] += inc[:, 1:] * inv_inn[:, None]
         gx[:, OBS_INDICES] -= resid * inv_obs[:, None]
         out[:, 2:] = gx
-        return out
+        return value(u_inn, u_obs, inc_sq, resid_sq, inv_inn, inv_obs), out
 
     return TargetDensity(
         dim=N_STATES + 2,
         log_unnorm=log_unnorm,
-        grad_log_unnorm=grad,
+        log_unnorm_and_grad=log_unnorm_and_grad,
         name="brownian_d32",
     )

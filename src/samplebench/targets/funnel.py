@@ -4,30 +4,32 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..numerics.logspace import LOG_2PI
 from .base import TargetDensity
-
-LOG_2PI = np.log(2.0 * np.pi)
 
 
 def make_funnel_target(dim: int = 10, sigma_f_sq: float = 9.0) -> TargetDensity:
     k = dim - 1  # number of funnel coordinates
 
-    def log_unnorm(x):
-        x = np.atleast_2d(x)
-        x1 = x[:, 0]
-        rest = x[:, 1:]
+    def value(x1, rest_sq, inv_var):
         lead = -0.5 * (LOG_2PI + np.log(sigma_f_sq)) - 0.5 * x1**2 / sigma_f_sq
-        rest_term = -0.5 * k * (LOG_2PI + x1) - 0.5 * np.sum(rest**2, axis=1) * np.exp(-x1)
+        rest_term = -0.5 * k * (LOG_2PI + x1) - 0.5 * rest_sq * inv_var
         return lead + rest_term
 
-    def grad(x):
+    def log_unnorm(x):
+        x = np.atleast_2d(x)
+        return value(x[:, 0], np.sum(x[:, 1:] ** 2, axis=1), np.exp(-x[:, 0]))
+
+    def log_unnorm_and_grad(x):
         x = np.atleast_2d(x)
         x1 = x[:, 0]
         rest = x[:, 1:]
-        out = np.empty_like(x)
-        out[:, 0] = -x1 / sigma_f_sq - 0.5 * k + 0.5 * np.sum(rest**2, axis=1) * np.exp(-x1)
-        out[:, 1:] = -rest * np.exp(-x1)[:, None]
-        return out
+        rest_sq = np.sum(rest**2, axis=1)
+        inv_var = np.exp(-x1)
+        grad = np.empty_like(x)
+        grad[:, 0] = -x1 / sigma_f_sq - 0.5 * k + 0.5 * rest_sq * inv_var
+        grad[:, 1:] = -rest * inv_var[:, None]
+        return value(x1, rest_sq, inv_var), grad
 
     def sampler(rng, n):
         x1 = np.sqrt(sigma_f_sq) * rng.normal(n)
@@ -37,7 +39,7 @@ def make_funnel_target(dim: int = 10, sigma_f_sq: float = 9.0) -> TargetDensity:
     return TargetDensity(
         dim=dim,
         log_unnorm=log_unnorm,
-        grad_log_unnorm=grad,
+        log_unnorm_and_grad=log_unnorm_and_grad,
         true_log_z=0.0,
         exact_sampler=sampler,
         name=f"funnel_d{dim}",

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..numerics.logspace import LOG_2PI
 from .base import TargetDensity
-
-LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -53,8 +52,8 @@ def make_gaussian_target(dim: int, scale: float = 1.0, mean: float = 0.0) -> Tar
 
     return TargetDensity(
         dim=dim,
-        log_unnorm=lambda x: dist.log_density(x),
-        grad_log_unnorm=lambda x: dist.grad_log_density(x),
+        log_unnorm=dist.log_density,
+        log_unnorm_and_grad=lambda x: (dist.log_density(x), dist.grad_log_density(x)),
         true_log_z=0.0,
         exact_sampler=lambda rng, n: dist.sample(rng, n),
         score_hvp=hvp,
@@ -70,14 +69,14 @@ def make_unnormalized_gaussian_target(dim: int, scale: float = 1.0) -> TargetDen
     def log_unnorm(x):
         return -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=-1) / var
 
-    def grad(x):
-        return -np.atleast_2d(x) / var
+    def log_unnorm_and_grad(x):
+        return log_unnorm(x), -np.atleast_2d(x) / var
 
     dist = DiagonalGaussian.isotropic(dim, scale)
     return TargetDensity(
         dim=dim,
         log_unnorm=log_unnorm,
-        grad_log_unnorm=grad,
+        log_unnorm_and_grad=log_unnorm_and_grad,
         true_log_z=log_z,
         exact_sampler=lambda rng, n: dist.sample(rng, n),
         score_hvp=lambda x, v: -v / var,

@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import IngestionError
+from ..numerics.logspace import LOG_2PI
 from .base import TargetDensity
-
-LOG_2PI = np.log(2.0 * np.pi)
 
 
 def _read_csv(csv_path):
@@ -61,18 +60,21 @@ def load_regression_target(csv_path, prior_scale: float = 1.0, add_bias: bool = 
     dim = u.shape[1]
     var_w = float(prior_scale) ** 2
 
-    def log_unnorm(x):
-        x = np.atleast_2d(x)
-        logits = x @ u.T  # (n_points, n_data)
+    def value(x, logits):  # logits = x @ u.T, (n_points, n_data)
         # y*log(sig) + (1-y)*log(1-sig) = -softplus(-logit) - (1-y)*logit, stably
         loglik = -np.logaddexp(0.0, -logits) - (1.0 - labels) * logits
         prior = -0.5 * np.sum(x**2, axis=1) / var_w - 0.5 * dim * (LOG_2PI + np.log(var_w))
         return prior + loglik.sum(axis=1)
 
-    def grad(x):
+    def log_unnorm(x):
         x = np.atleast_2d(x)
-        sig = 1.0 / (1.0 + np.exp(-(x @ u.T)))
-        return -x / var_w + (labels - sig) @ u
+        return value(x, x @ u.T)
+
+    def log_unnorm_and_grad(x):
+        x = np.atleast_2d(x)
+        logits = x @ u.T
+        sig = 1.0 / (1.0 + np.exp(-logits))
+        return value(x, logits), -x / var_w + (labels - sig) @ u
 
     def hvp(x, v):
         x = np.atleast_2d(x)
@@ -83,7 +85,7 @@ def load_regression_target(csv_path, prior_scale: float = 1.0, add_bias: bool = 
     return TargetDensity(
         dim=dim,
         log_unnorm=log_unnorm,
-        grad_log_unnorm=grad,
+        log_unnorm_and_grad=log_unnorm_and_grad,
         score_hvp=hvp,
         name=f"logistic_{Path(csv_path).stem}_d{dim}",
     )

@@ -3,6 +3,10 @@
 Components have uniform weights 1/K and means drawn i.i.d. per coordinate from
 a uniform range, so the mixture is normalized (log Z = 0) and admits an exact
 sampler.  Mode descriptors assign each point to the argmax-density component.
+
+Gaussian-mixture values, scores and HVPs are computed by matmul through the
+expansion |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2; Student-t mixtures have no such
+expansion and share one (n, K, d) offset tensor between value and score.
 """
 
 from __future__ import annotations
@@ -11,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..numerics.logspace import LOG_2PI
 from ..numerics.rng import RngStream
 from .base import ModeModel, TargetDensity
 
-LOG_2PI = np.log(2.0 * np.pi)
+T2_LOG_NORM = -np.log(2.0 * np.sqrt(2.0))  # log of the t_2 density at its mode
 
 
 @dataclass
@@ -32,51 +37,69 @@ class MixtureSpec:
 
 
 def _component_logdensities(spec: MixtureSpec, means: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of normalized per-component log-densities."""
+    """(n, K) matrix of normalized per-component log-densities, from (n, K, d) offsets."""
     diff = x[:, None, :] - means[None, :, :]  # (n, K, d)
     if spec.kind == "gaussian":
         return -0.5 * np.sum(diff**2, axis=-1) - 0.5 * spec.dim * LOG_2PI
-    if spec.kind == "student_t2":
-        # product of independent univariate t_2 per coordinate
-        log_norm = -np.log(2.0 * np.sqrt(2.0))
-        return np.sum(log_norm - 1.5 * np.log1p(diff**2 / 2.0), axis=-1)
-    raise ValueError(f"unknown mixture kind {spec.kind!r}")
+    return _t2_logdensities(diff**2)
+
+
+def _t2_logdensities(diff_sq: np.ndarray) -> np.ndarray:
+    """Products of independent univariate t_2 densities, from squared offsets (n, K, d)."""
+    return np.sum(T2_LOG_NORM - 1.5 * np.log1p(diff_sq / 2.0), axis=-1)
+
+
+def _log_sum_and_resp(comp: np.ndarray):
+    """Row log-sum-exp of (n, K) log-terms and the softmax responsibilities."""
+    m = comp.max(axis=1, keepdims=True)
+    w = np.exp(comp - m)
+    total = w.sum(axis=1, keepdims=True)
+    return np.log(total[:, 0]) + m[:, 0], w / total
 
 
 def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
+    if spec.kind not in ("gaussian", "student_t2"):
+        raise ValueError(f"unknown mixture kind {spec.kind!r}")
     means = spec.draw_means()
     k = spec.n_components
     log_k = np.log(k)
-
-    def log_unnorm(x):
-        comp = _component_logdensities(spec, means, np.atleast_2d(x))
-        m = comp.max(axis=1, keepdims=True)
-        return (np.log(np.exp(comp - m).sum(axis=1)) + m[:, 0]) - log_k
-
-    def grad(x):
-        x = np.atleast_2d(x)
-        comp = _component_logdensities(spec, means, x)
-        w = np.exp(comp - comp.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)  # (n, K) responsibilities
-        diff = means[None, :, :] - x[:, None, :]
-        if spec.kind == "gaussian":
-            comp_grad = diff  # d/dx log N(x|mu, I) = mu - x
-        else:
-            comp_grad = -3.0 * (-diff) / (2.0 + diff**2)  # t_2: -3u/(2+u^2), u = x - mu
-        return np.einsum("nk,nkd->nd", w, comp_grad)
-
     hvp = None
+
     if spec.kind == "gaussian":
+        # log N(x | mu_k, I) = x.mu_k - |mu_k|^2/2 - |x|^2/2 - d log(2 pi)/2: the
+        # first two terms decide the responsibilities and come from one matmul
+        half_sq_means = 0.5 * np.sum(means**2, axis=1)
+        offset = 0.5 * spec.dim * LOG_2PI + log_k
+
+        def log_unnorm(x):
+            x = np.atleast_2d(x)
+            lse, _ = _log_sum_and_resp(x @ means.T - half_sq_means)
+            return lse - 0.5 * np.sum(x * x, axis=1) - offset
+
+        def log_unnorm_and_grad(x):
+            x = np.atleast_2d(x)
+            lse, r = _log_sum_and_resp(x @ means.T - half_sq_means)
+            return lse - 0.5 * np.sum(x * x, axis=1) - offset, r @ means - x
 
         def hvp(x, v):
+            # Hessian of log gamma = Cov_r(mu) - I, applied as E_r[mu mu^T] v - m m^T v - v
             x = np.atleast_2d(x)
-            comp = _component_logdensities(spec, means, x)
-            w = np.exp(comp - comp.max(axis=1, keepdims=True))
-            w /= w.sum(axis=1, keepdims=True)
-            diff = means[None, :, :] - x[:, None, :]  # (n, K, d)
-            g = np.einsum("nk,nkd->nd", w, diff)
-            dv = np.einsum("nkd,nd->nk", diff, v)
-            return np.einsum("nk,nkd->nd", w * dv, diff) - g * np.sum(g * v, axis=-1, keepdims=True) - v
+            _, r = _log_sum_and_resp(x @ means.T - half_sq_means)
+            m = r @ means
+            return (r * (v @ means.T)) @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
+
+    else:
+
+        def log_unnorm(x):
+            lse, _ = _log_sum_and_resp(_component_logdensities(spec, means, np.atleast_2d(x)))
+            return lse - log_k
+
+        def log_unnorm_and_grad(x):
+            diff = np.atleast_2d(x)[:, None, :] - means[None, :, :]  # (n, K, d)
+            diff_sq = diff**2
+            lse, r = _log_sum_and_resp(_t2_logdensities(diff_sq))
+            # d/dx log t_2 per coordinate: -3u/(2+u^2), u = x - mu
+            return lse - log_k, np.einsum("nk,nkd->nd", r, -3.0 * diff / (2.0 + diff_sq))
 
     def sampler(rng: RngStream, n: int):
         comps = rng.integers(k, size=n)
@@ -96,25 +119,13 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
     return TargetDensity(
         dim=spec.dim,
         log_unnorm=log_unnorm,
-        grad_log_unnorm=grad,
+        log_unnorm_and_grad=log_unnorm_and_grad,
         true_log_z=0.0,
         exact_sampler=sampler,
         mode_model=ModeModel(k, mode_probs, np.full(k, 1.0 / k)),
         score_hvp=hvp,
         name=f"{'mog' if spec.kind == 'gaussian' else 'mos'}_d{spec.dim}_k{k}",
     )
-
-
-def mode_assign(spec: MixtureSpec, x):
-    """Argmax-density component index and its one-hot descriptor row."""
-    means = spec.draw_means()
-    comp = _component_logdensities(spec, means, np.atleast_2d(np.asarray(x, dtype=float)))
-    idx = np.argmax(comp, axis=1)
-    one_hot = np.zeros((len(idx), spec.n_components))
-    one_hot[np.arange(len(idx)), idx] = 1.0
-    if np.ndim(x) == 1:
-        return int(idx[0]), one_hot[0]
-    return idx, one_hot
 
 
 def make_mog_target(dim: int, n_components: int = 40, seed: int = 12) -> TargetDensity:

@@ -9,10 +9,11 @@ import numpy as np
 
 from .errors import TrainingError, UsageError
 from .numerics.adam import AdamState, adam_step
+from .numerics.logspace import LOG_2PI
 from .numerics.rng import RngStream
 from .numerics.tape import Tape
 from .targets.base import TargetDensity
-from .targets.gaussian import LOG_2PI, DiagonalGaussian
+from .targets.gaussian import DiagonalGaussian
 
 
 @dataclass

@@ -121,7 +121,7 @@ def test_t1_collapse_matches_direct_densities():
     f_mean = x0 + score0 * var
     eps1 = rng2.normal((64, 1))
     x1 = f_mean + math.sqrt(var) * eps1
-    score1 = target.grad_log_unnorm(x1)  # beta_1 = 1: target score
+    _, score1 = target.log_unnorm_and_grad(x1)  # beta_1 = 1: target score
     b_mean = x1 + score1 * var
     lw = (
         target.log_unnorm(x1)
@@ -305,7 +305,7 @@ def test_training_divergence_aborts():
     spec = make_spec("mcd", dim=1, n_steps=2, guidance=True, seed=23)
     bad = make_gaussian_target(1)
     bad.log_unnorm = lambda x: np.full(len(np.atleast_2d(x)), np.nan)
-    bad.grad_log_unnorm = lambda x: np.zeros_like(np.atleast_2d(x))
+    bad.log_unnorm_and_grad = lambda x: (bad.log_unnorm(x), np.zeros_like(np.atleast_2d(x)))
     bad.score_hvp = lambda x, v: np.zeros_like(v)
     with pytest.raises(TrainingError):
         train_diffusion(spec, bad, "elbo", 10, 8, RngStream(24, 0))

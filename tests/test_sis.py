@@ -128,7 +128,7 @@ def test_smc_degenerate_weights_error():
     target = make_gaussian_target(1)
     bad = make_gaussian_target(1)
     bad.log_unnorm = lambda x: np.full(len(np.atleast_2d(x)), -np.inf)
-    bad.grad_log_unnorm = lambda x: np.zeros_like(np.atleast_2d(x))
+    bad.log_unnorm_and_grad = lambda x: (bad.log_unnorm(x), np.zeros_like(np.atleast_2d(x)))
     path = AnnealedPath.linear(DiagonalGaussian.isotropic(1), bad, 4)
     with pytest.raises(DegenerateWeightsError) as err:
         smc_run(path, hmc_cfg(), 16, RngStream(9, 0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from samplebench.errors import IngestionError, UsageError
+from samplebench.harness.registry import DEFAULT_SIGMA0
 from samplebench.numerics import RngStream
 from samplebench.targets import (
     MixtureSpec,
@@ -14,8 +15,6 @@ from samplebench.targets import (
     make_mog_target,
     make_mos_target,
     load_regression_target,
-    mode_assign,
-    target_logdensity_and_grad,
 )
 
 LOG_2PI = math.log(2 * math.pi)
@@ -60,7 +59,7 @@ def test_gradients_match_finite_differences_at_50_points(factory, dim, scale):
 def test_fused_call_counts_one_nfe_per_point():
     t = make_gaussian_target(2)
     t.nfe.reset()
-    target_logdensity_and_grad(t, np.zeros(2))
+    t.logdensity_and_grad(np.zeros(2))
     assert t.nfe.value == 1
     t.log_density(np.zeros((7, 2)))
     assert t.nfe.value == 8
@@ -75,7 +74,7 @@ def test_nonfinite_point_rejected():
 def test_standard_gaussian_score_is_minus_x():
     t = make_gaussian_target(4)
     x = np.array([0.5, -1.0, 2.0, 0.0])
-    _, g = target_logdensity_and_grad(t, x)
+    _, g = t.logdensity_and_grad(x)
     np.testing.assert_allclose(g, -x, atol=1e-12)
 
 
@@ -166,7 +165,8 @@ def test_mode_assign_tie_breaks_low_index():
     spec = MixtureSpec(2, 1, "gaussian", -10, 10, seed=0)
     means = spec.draw_means()
     midpoint = means.mean(axis=0)
-    idx, one_hot = mode_assign(spec, midpoint)
+    one_hot = make_mixture_target(spec).mode_model.prob(midpoint)[0]
+    idx = int(np.argmax(one_hot))
     assert idx == 0
     np.testing.assert_array_equal(one_hot, [1.0, 0.0])
 
@@ -176,7 +176,7 @@ def test_mode_assign_nearest_mean_for_equal_isotropic():
     means = spec.draw_means()
     rng = RngStream(8, 0)
     x = rng.uniform(-40, 40, (200, 2))
-    idx, _ = mode_assign(spec, x)
+    idx = np.argmax(make_mixture_target(spec).mode_model.prob(x), axis=1)
     nearest = np.argmin(np.linalg.norm(x[:, None, :] - means[None], axis=-1), axis=1)
     np.testing.assert_array_equal(idx, nearest)
 
@@ -195,6 +195,48 @@ def test_mode_self_consistency_on_separated_modes():
         samples = means[k] + rng.normal((500, 2))
         idx = np.argmax(t.mode_model.prob(samples), axis=1)
         assert np.mean(idx == k) >= 0.95
+
+
+def _mog_direct(means, x, v):
+    """Value, score and HVP of the uniform MoG from the (n, K, d) offset tensor."""
+    diff = means[None, :, :] - x[:, None, :]
+    comp = -0.5 * np.sum(diff**2, axis=-1) - 0.5 * x.shape[1] * LOG_2PI
+    w = np.exp(comp - comp.max(axis=1, keepdims=True))
+    value = np.log(w.sum(axis=1)) + comp.max(axis=1) - math.log(len(means))
+    r = w / w.sum(axis=1, keepdims=True)
+    score = np.einsum("nk,nkd->nd", r, diff)
+    dv = np.einsum("nkd,nd->nk", diff, v)
+    hvp = np.einsum("nk,nkd->nd", r * dv, diff) - score * np.sum(score * v, axis=1)[:, None] - v
+    return value, score, hvp
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+def test_mog_expansion_matches_direct_form_out_to_3_sigma(dim):
+    # Points: draws from the MoG proposal N(0, sigma0^2 I) clipped at 3 sigma0,
+    # the 3-sigma0 corners (|x|^2 = 9 sigma0^2 d, 1.6e6 at d=50), and midpoints
+    # between two means, where near-ties make the responsibilities sensitive.
+    # Tolerance: both forms round terms as large as s = |x|^2 + max|mu|^2, so
+    # each is off by a few eps * s (eps = 2.2e-16).  We allow 1e-14 * s on the
+    # value, and ten times that on the score and on the HVP (per unit |v|):
+    # near a tie, an error in a log-term shifts the responsibilities, which
+    # moves the score by that error times a distance between means.
+    sigma0 = DEFAULT_SIGMA0["mog"]
+    target = make_mog_target(dim)
+    means = MixtureSpec(40, dim, "gaussian", -40, 40, seed=12).draw_means()
+    rng = RngStream(31, 0)
+    z = rng.normal((300, dim))
+    mid = 0.5 * (means[rng.integers(40, size=100)] + means[rng.integers(40, size=100)])
+    x = np.concatenate([sigma0 * np.clip(z, -3, 3), 3 * sigma0 * np.sign(z), mid])
+    v = rng.normal(x.shape)
+    scale = np.sum(x * x, axis=1) + np.max(np.sum(means**2, axis=1))
+
+    value, score, hvp = _mog_direct(means, x, v)
+    value_mm, score_mm = target.log_unnorm_and_grad(x)
+    assert np.all(np.abs(value_mm - value) <= 1e-14 * scale)
+    assert np.all(np.abs(target.log_unnorm(x) - value) <= 1e-14 * scale)
+    assert np.all(np.abs(score_mm - score).max(axis=1) <= 1e-13 * scale)
+    hvp_err = np.abs(target.score_hvp(x, v) - hvp).max(axis=1)
+    assert np.all(hvp_err <= 1e-13 * scale * np.linalg.norm(v, axis=1))
 
 
 # ------------------------------------------------------ logistic regression
