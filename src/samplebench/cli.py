@@ -145,7 +145,7 @@ def _cmd_metrics(args) -> int:
         k = min(args.ipm_samples, len(x))
         y = target.exact_sampler(RngStream(args.target_seed, 999), k)
         report["mmd"] = mmd(x[:k], y)
-        report["w2"], _ = sinkhorn_w2(x[:k], y, max_iters=300)
+        report["w2"], report["w2_converged"] = sinkhorn_w2(x[:k], y, max_iters=300)
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

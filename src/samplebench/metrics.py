@@ -157,10 +157,16 @@ def ejs(mode_probs, true_probs) -> float:
 # ------------------------------------------------- integral probability metrics
 def median_sq_distance(x, y) -> float:
     """Median pairwise squared distance over the pooled sample."""
+    return _median_upper(_pooled_sq_distances(x, y))
+
+
+def _pooled_sq_distances(x, y):
     pooled = np.concatenate([np.atleast_2d(x), np.atleast_2d(y)], axis=0)
-    d2 = cdist(pooled, pooled, "sqeuclidean")
-    iu = np.triu_indices(len(pooled), k=1)
-    return float(np.median(d2[iu]))
+    return cdist(pooled, pooled, "sqeuclidean")
+
+
+def _median_upper(d2) -> float:
+    return float(np.median(d2[np.triu_indices(len(d2), k=1)]))
 
 
 def mmd_squared(x, y, bandwidth: Optional[float] = None) -> float:
@@ -170,18 +176,19 @@ def mmd_squared(x, y, bandwidth: Optional[float] = None) -> float:
     n, m = len(x), len(y)
     if n < 2 or m < 2:
         raise UsageError("mmd needs at least 2 points in each sample")
-    alpha = median_sq_distance(x, y) if bandwidth is None else float(bandwidth)
+    d2 = _pooled_sq_distances(x, y)
+    alpha = _median_upper(d2) if bandwidth is None else float(bandwidth)
     if alpha <= 0:
         raise UsageError("mmd bandwidth must be positive")
-    kxx = np.exp(-cdist(x, x, "sqeuclidean") / alpha)
-    kyy = np.exp(-cdist(y, y, "sqeuclidean") / alpha)
-    kxy = np.exp(-cdist(x, y, "sqeuclidean") / alpha)
-    np.fill_diagonal(kxx, 0.0)
-    np.fill_diagonal(kyy, 0.0)
+    # the kernel matrix of the pooled sample, built in place; its blocks are kxx, kyy, kxy
+    np.negative(d2, out=d2)
+    np.divide(d2, alpha, out=d2)
+    np.exp(d2, out=d2)
+    np.fill_diagonal(d2, 0.0)
     # order-independent sums keep the estimate bit-identical under permutations
-    term_x = _sorted_sum(kxx) / (n * (n - 1))
-    term_y = _sorted_sum(kyy) / (m * (m - 1))
-    return float(term_x + term_y - 2.0 * _sorted_sum(kxy) / (n * m))
+    term_x = _sorted_sum(d2[:n, :n]) / (n * (n - 1))
+    term_y = _sorted_sum(d2[n:, n:]) / (m * (m - 1))
+    return float(term_x + term_y - 2.0 * _sorted_sum(d2[:n, n:]) / (n * m))
 
 
 def _sorted_sum(mat) -> float:
@@ -201,8 +208,15 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
 
     Uniform marginals, cost |x-y|^2; returns (sqrt(transport cost), converged).
     Epsilon is annealed geometrically down to its target so small-epsilon runs
-    make progress; simultaneous potential updates plus an order-independent
-    final summation keep the value exactly symmetric in (x, y).
+    make progress.  The potential updates alternate (g uses the new f); exact
+    symmetry in (x, y) comes from running both argument orders as one
+    canonical order, plus an order-independent final summation.
+
+    Convergence is the L1 error of the marginals, checked without a pass over
+    the plan: after a g-update the column marginals are exact up to rounding,
+    and the row marginals of (f, g) are a*exp((f - f_next)/eps), read off the
+    next f-update.  A converged exit returns the checked (f, g), so W2 is the
+    value a check over the full plan would give.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -219,6 +233,7 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
     log_b = -np.log(m)
     f = np.zeros(n)
     g = np.zeros(m)
+    buf = np.empty_like(cost)
 
     span = float(cost.max()) if cost.size else 1.0
     eps_levels = []
@@ -229,18 +244,29 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
     eps_levels.append(epsilon)
     warmup_iters = 10
 
+    def f_update(eps):
+        np.subtract(g[None, :], cost, out=buf)
+        np.divide(buf, eps, out=buf)
+        return eps * (log_a - _lse_inplace(buf, axis=1))
+
+    def g_update(eps):
+        np.subtract(f[:, None], cost, out=buf)
+        np.divide(buf, eps, out=buf)
+        return eps * (log_b - _lse_inplace(buf, axis=0))
+
+    def marginal_error(eps, f_next):
+        return np.abs(np.exp(log_a + (f - f_next) / eps) - 1.0 / n).sum()
+
     def sweep(eps, iters, check):
         nonlocal f, g
-        for _ in range(iters):
-            f = eps * (log_a - _lse_rows((g[None, :] - cost) / eps))
-            g = eps * (log_b - _lse_cols((f[:, None] - cost) / eps))
-            if check:
-                log_plan = (f[:, None] + g[None, :] - cost) / eps
-                err = np.abs(np.exp(_lse_rows(log_plan)) - 1.0 / n).sum()
-                err += np.abs(np.exp(_lse_cols(log_plan)) - 1.0 / m).sum()
-                if err < tol:
-                    return True
-        return False
+        for it in range(iters):
+            f_next = f_update(eps)
+            # checks the previous iteration's (f, g); only iterates made at this eps count
+            if check and it > 0 and marginal_error(eps, f_next) < tol:
+                return True
+            f = f_next
+            g = g_update(eps)
+        return check and marginal_error(eps, f_update(eps)) < tol
 
     budget = max_iters
     for eps in eps_levels[:-1]:
@@ -251,14 +277,22 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
 
     plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
     total = float(np.sum(np.sort((plan * cost).ravel())))
-    return float(np.sqrt(max(total, 0.0))), converged
+    return float(np.sqrt(max(total, 0.0))), bool(converged)
 
 
-def _lse_rows(mat):
-    m = mat.max(axis=1, keepdims=True)
-    return (np.log(np.exp(mat - m).sum(axis=1, keepdims=True)) + m)[:, 0]
+# numpy's exp takes a slow path when its result underflows; clamped inputs never do
+_EXP_FLOOR = -700.0
 
 
-def _lse_cols(mat):
-    m = mat.max(axis=0, keepdims=True)
-    return (np.log(np.exp(mat - m).sum(axis=0, keepdims=True)) + m)[0, :]
+def _lse_inplace(buf, axis):
+    """Log-sum-exp of `buf` along `axis`, using `buf` as scratch (it is overwritten).
+
+    Shifted entries are clamped at -700 before exp: a clamped term is at most
+    e^-700 (about 1e-304) and every sum holds the shifted maximum exp(0) = 1,
+    so the clamp is absorbed in rounding and the result equals the unclamped form.
+    """
+    peak = buf.max(axis=axis, keepdims=True)
+    np.subtract(buf, peak, out=buf)
+    np.maximum(buf, _EXP_FLOOR, out=buf)
+    np.exp(buf, out=buf)
+    return np.log(buf.sum(axis=axis)) + peak.squeeze(axis)

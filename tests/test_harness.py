@@ -292,3 +292,5 @@ def test_cli_metrics_subcommand(tmp_path, capsys):
     report = json.loads(out[out.index("{"):])
     assert report["elbo"] == 0.0
     assert 0.9 < report["emc"] <= 1.0  # exact samples cover the modes
+    assert report["w2"] > 0.0
+    assert isinstance(report["w2_converged"], bool)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from samplebench.errors import UsageError
 from samplebench.metrics import (
     FORWARD,
     REVERSE,
     WeightedSamples,
+    _lse_inplace,
     ejs,
     elbo,
     emc,
@@ -20,6 +22,7 @@ from samplebench.metrics import (
     sinkhorn_w2,
 )
 from samplebench.numerics import RngStream
+from samplebench.targets.mixtures import make_mog_target
 
 
 def rws(log_w, direction=REVERSE):
@@ -258,3 +261,103 @@ def test_sinkhorn_monotone_as_clouds_merge():
         val, _ = sinkhorn_w2(x, y, max_iters=2000)
         vals.append(val)
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def _reference_sinkhorn_w2(x, y, epsilon=1e-3, max_iters=10_000, tol=1e-6):
+    """The straightforward loop: fresh temporaries, unclamped exp, both marginals checked."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
+        x, y = y, x
+    n, m = len(x), len(y)
+    cost = cdist(x, y, "sqeuclidean")
+    log_a = -np.log(n)
+    log_b = -np.log(m)
+    f = np.zeros(n)
+    g = np.zeros(m)
+
+    span = float(cost.max()) if cost.size else 1.0
+    eps_levels = []
+    eps = max(span / 8.0, epsilon)
+    while eps > epsilon:
+        eps_levels.append(eps)
+        eps /= 2.0
+    eps_levels.append(epsilon)
+    warmup_iters = 10
+
+    def sweep(eps, iters, check):
+        nonlocal f, g
+        for _ in range(iters):
+            f = eps * (log_a - _lse_rows((g[None, :] - cost) / eps))
+            g = eps * (log_b - _lse_cols((f[:, None] - cost) / eps))
+            if check:
+                log_plan = (f[:, None] + g[None, :] - cost) / eps
+                err = np.abs(np.exp(_lse_rows(log_plan)) - 1.0 / n).sum()
+                err += np.abs(np.exp(_lse_cols(log_plan)) - 1.0 / m).sum()
+                if err < tol:
+                    return True
+        return False
+
+    budget = max_iters
+    for eps in eps_levels[:-1]:
+        iters = min(warmup_iters, budget)
+        sweep(eps, iters, check=False)
+        budget -= iters
+    converged = sweep(epsilon, max(budget, 1), check=True)
+
+    plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
+    total = float(np.sum(np.sort((plan * cost).ravel())))
+    return float(np.sqrt(max(total, 0.0))), converged
+
+
+def _lse_rows(mat):
+    m = mat.max(axis=1, keepdims=True)
+    return (np.log(np.exp(mat - m).sum(axis=1, keepdims=True)) + m)[:, 0]
+
+
+def _lse_cols(mat):
+    m = mat.max(axis=0, keepdims=True)
+    return (np.log(np.exp(mat - m).sum(axis=0, keepdims=True)) + m)[0, :]
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+def test_sinkhorn_matches_reference_on_bench_shaped_clouds(dim):
+    # 256 exact MoG draws against 256 perturbed draws; 300 iterations do not converge
+    target = make_mog_target(dim, seed=0)
+    x = target.exact_sampler(RngStream(15, 0), 256)
+    y = target.exact_sampler(RngStream(15, 1), 256) + 0.5 * RngStream(15, 2).normal((256, dim))
+    val, converged = sinkhorn_w2(x, y, max_iters=300)
+    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=300)
+    assert val == ref_val  # bitwise
+    assert converged == ref_converged
+    assert not converged
+
+
+@pytest.mark.parametrize("max_iters, expected", [(78, False), (79, True), (10_000, True)])
+def test_sinkhorn_matches_reference_when_converging_early(max_iters, expected):
+    # the check first passes on the last iteration of a 79-iteration budget; 10_000 exits early
+    rng = RngStream(16, 0)
+    x = rng.normal((20, 2))
+    y = rng.normal((20, 2)) + 1.0
+    val, converged = sinkhorn_w2(x, y, epsilon=0.5, max_iters=max_iters)
+    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, epsilon=0.5, max_iters=max_iters)
+    assert val == ref_val  # bitwise
+    assert converged is ref_converged is expected
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_lse_clamp_matches_unclamped_form(axis):
+    rng = RngStream(17, 0)
+    shape = (64, 64)
+    subnormal = rng.uniform(-745.0, -708.0, size=shape)  # exp gives subnormals
+    zero = rng.uniform(-2000.0, -745.5, size=shape)  # exp gives exactly 0
+    normal = rng.uniform(-30.0, 0.0, size=shape)
+    mixed = np.where(rng.uniform(size=shape) < 0.5, subnormal, normal)
+    for rows in (subnormal, zero, mixed):
+        rows = rows.copy()
+        rows[:, 0] = 0.0  # the shifted maximum of every row
+        rows += rng.normal((64, 1))  # an offset per row
+        mat = np.ascontiguousarray(rows if axis == 1 else rows.T)
+        peak = mat.max(axis=axis, keepdims=True)
+        expected = (np.log(np.exp(mat - peak).sum(axis=axis, keepdims=True)) + peak).squeeze(axis)
+        assert np.array_equal(_lse_inplace(mat, axis=axis), expected)  # bitwise
