@@ -89,8 +89,7 @@ class SmcSampler:
     def sample_with_logweights(self, n, rng):
         res = smc_run(self.path, self.kernel_cfg, self.n_particles, rng,
                       resample_threshold=self.resample_threshold,
-                      resampling_enabled=self.resampling_enabled, flows=self.flows,
-                      record_diagnostics=False)
+                      resampling_enabled=self.resampling_enabled, flows=self.flows)
         ps = res.particles
         if n < ps.n_particles:
             return ps.positions[:n], ps.log_weights[:n]
@@ -177,7 +176,9 @@ class MethodDriver:
             done = 0
             for mark in marks:
                 craft_train(path, flows, kernel_cfg, mark - done, p.get("particles", 2000),
-                            rng, learning_rate=p.get("learning_rate", 1e-2))
+                            rng, learning_rate=p.get("learning_rate", 1e-2),
+                            resample_threshold=sampler.resample_threshold,
+                            resampling_enabled=sampler.resampling_enabled)
                 done = mark
                 checkpoint_cb(mark, sampler)
             return

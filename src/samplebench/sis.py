@@ -1,5 +1,14 @@
-"""Sequential importance sampling: AIS/SMC sweeps, CRAFT flow transport,
-log-Z estimation, and backward transport of target samples.
+"""Sequential importance sampling: one annealed sweep behind AIS/SMC, CRAFT
+flow training, log-Z estimation and backward transport of target samples.
+
+Per temperature the sweep reweights, then (forward only) checks the ESS and
+maybe resamples, then makes an MCMC move at the new temperature.  The AIS
+increment (beta_b - beta_a)(log gamma - log pi0) at x takes one target query,
+which also gives the value and gradient of pi_b at x that start the move.
+The flow (AFT/CRAFT) increment pi_b(T x) + log|det T| - pi_a(x) reads pi_a(x)
+from the previous move and queries only pi_b(T x), which starts the next move.
+Backward transport runs the same sweep from pi_T down to pi_0 through the
+inverse flows and subtracts the increments.
 
 Weight bookkeeping uses a carry scheme: resampling sets every log weight to
 the log-mean of the current weights, so the final log-mean-exp of the system
@@ -9,7 +18,7 @@ resampling it reduces to the plain importance-sampling estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,8 +35,9 @@ from .numerics.tape import Tape
 class ParticleSystem:
     positions: np.ndarray    # (N, d)
     log_weights: np.ndarray  # (N,)
-    t: int = 0
-    nfe: int = 0
+    # log pi_t at positions (and its gradient, HMC only) as the sweep last computed it
+    value: Optional[np.ndarray] = None
+    grad: Optional[np.ndarray] = None
 
     @property
     def n_particles(self) -> int:
@@ -66,13 +76,15 @@ def ess_fraction(log_weights) -> float:
 
 
 def resample_multinomial(ps: ParticleSystem, rng: RngStream) -> ParticleSystem:
-    """Multinomial resampling; weights reset to their common log-mean (carry)."""
+    """Multinomial resampling; weights reset to their log-mean (carry); caches follow particles."""
     lw = ps.log_weights
     carry = log_mean_exp(lw)
     probs = np.exp(lw - log_sum_exp(lw))
     probs = probs / probs.sum()
     idx = rng.choice(len(lw), size=len(lw), p=probs)
-    return ParticleSystem(ps.positions[idx], np.full(len(lw), carry), ps.t, ps.nfe)
+    return ParticleSystem(ps.positions[idx], np.full(len(lw), carry),
+                          None if ps.value is None else ps.value[idx],
+                          None if ps.grad is None else ps.grad[idx])
 
 
 @dataclass
@@ -80,20 +92,18 @@ class SmcResult:
     particles: ParticleSystem
     log_z: float
     elbo: float
-    diagnostics: list = field(default_factory=list)
-    log_z_last_epoch: float = 0.0
+    diagnostics: list
 
 
 def _mcmc_move(x, path, t, kernel_cfg, rng, cached):
-    """One MCMC transition targeting pi_t, given a cached fused eval at x."""
+    """One MCMC transition targeting pi_t, given the cached (value, grad) at x."""
     beta = path.betas[t]
     if isinstance(kernel_cfg, HmcConfig):
         fused = lambda pts: annealed_logdensity(path, t, pts)
-        new_x, accepted, cache = hmc_step(x, fused, kernel_cfg, rng, beta=beta, current=cached)
-        return new_x, accepted, cache
+        return hmc_step(x, fused, kernel_cfg, rng, beta=beta, current=cached)
     if isinstance(kernel_cfg, MhConfig):
         logdensity = lambda pts: annealed_logdensity(path, t, pts, with_grad=False)
-        lp = cached[0] if cached is not None else None
+        lp = cached[0]
         accept_any = np.zeros(len(x), dtype=bool)
         for _ in range(kernel_cfg.n_substeps):
             x, accepted, lp = mh_step(x, logdensity, kernel_cfg.scale(beta), rng,
@@ -103,199 +113,128 @@ def _mcmc_move(x, path, t, kernel_cfg, rng, cached):
     raise UsageError(f"unknown kernel config {type(kernel_cfg).__name__}")
 
 
-def smc_run(path: AnnealedPath, kernel_cfg, n_particles: int, rng: RngStream,
-            resample_threshold: float = 0.3, resampling_enabled: bool = True,
-            flows: Optional[list] = None, record_diagnostics: bool = True) -> SmcResult:
-    """One annealed sweep: reweight, maybe resample, then move, per temperature.
+def _reweight(path, a, b, ps, flow, backward, with_grad):
+    """The increment from pi_a to pi_b; leaves log pi_b (and grad) at the new positions in ps."""
+    x, beta = ps.positions, path.betas[b]
+    if flow is None:  # AIS: (beta_b - beta_a)(log gamma - log pi0) at x, one query
+        lp0 = path.proposal.log_density(x)
+        if with_grad:
+            lg, gg = path.target.logdensity_and_grad(x)
+            g0 = path.proposal.grad_log_density(x)
+            ps.grad = g0 if beta == 0.0 else (1.0 - beta) * g0 + beta * gg
+        else:
+            lg, ps.grad = path.target.log_density(x), None
+        ps.value = lp0 if beta == 0.0 else (1.0 - beta) * lp0 + beta * lg
+        return (beta - path.betas[a]) * (lg - lp0)
+    # flow: pi_b(T x) + log|det T| - pi_a(x), T inverted backward; pi_a(x) comes
+    # from the last move, so only the sweep's first step queries it
+    prev = ps.value if ps.value is not None else annealed_logdensity(path, a, x, with_grad=False)
+    ps.positions = flow.inverse(x) if backward else flow.apply(x)
+    new = annealed_logdensity(path, b, ps.positions, with_grad=with_grad)
+    ps.value, ps.grad = new if with_grad else (new, None)
+    return ps.value + (-flow.log_det if backward else flow.log_det) - prev
 
-    With flows given (one AffineFlow per temperature, index 1..T), particles are
-    transported before the move and the incremental weight picks up the flow
-    Jacobian (AFT/CRAFT form); otherwise the AIS increment is used.
+
+def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_threshold=0.3,
+           resampling_enabled=True, before_reweight=lambda t, x: None):
+    """The annealed sweep from x with zero weights; returns (ParticleSystem, diagnostics).
+
+    Forward runs t = 1..T from pi_{t-1} to pi_t.  Backward runs t = T..1 from
+    pi_t to pi_{t-1}, never resamples, and subtracts each increment.
+    `before_reweight(t, positions)` runs at the start of each temperature.
     """
-    if n_particles < 2:
-        raise UsageError("need at least 2 particles")
     big_t = path.n_steps
     if flows is not None and len(flows) != big_t:
         raise UsageError("need one flow per temperature")
-    x = path.proposal.sample(rng, n_particles)
-    log_w = np.zeros(n_particles)
-    last_carry = 0.0
+    with_grad = isinstance(kernel_cfg, HmcConfig)
+    sign = -1.0 if backward else 1.0
+    ps = ParticleSystem(x, np.zeros(len(x)))
     diagnostics = []
-    needs_grad = isinstance(kernel_cfg, HmcConfig)
+    for t in (range(big_t, 0, -1) if backward else range(1, big_t + 1)):
+        a, b = (t, t - 1) if backward else (t - 1, t)
+        before_reweight(t, ps.positions)
+        flow = None if flows is None else flows[t - 1]
+        ps.log_weights = ps.log_weights + sign * _reweight(path, a, b, ps, flow, backward,
+                                                           with_grad)
 
-    for t in range(1, big_t + 1):
-        beta_prev, beta = path.betas[t - 1], path.betas[t]
-        if flows is None:
-            # AIS increment (beta_t - beta_{t-1}) (log gamma - log pi0) at x_{t-1};
-            # fused so the gradient doubles as the HMC initial state
-            lp0 = path.proposal.log_density(x)
-            if needs_grad:
-                lg, gg = path.target.logdensity_and_grad(x)
-            else:
-                lg = path.target.log_density(x)
-            log_w = log_w + (beta - beta_prev) * (lg - lp0)
-            if needs_grad:
-                g0 = path.proposal.grad_log_density(x)
-                cache_val = (1.0 - beta) * lp0 + beta * lg
-                cache_grad = (1.0 - beta) * g0 + beta * gg
-                cached = (cache_val, cache_grad)
-            else:
-                cached = ((1.0 - beta) * lp0 + beta * lg, None)
-        else:
-            flow = flows[t - 1]
-            prev_val = _annealed_value(path, t - 1, x)
-            y = flow.apply(x)
-            if needs_grad:
-                new_val, new_grad = annealed_logdensity(path, t, y)
-                cached = (new_val, new_grad)
-            else:
-                new_val = _annealed_value(path, t, y)
-                cached = (new_val, None)
-            log_w = log_w + new_val + flow.log_det - prev_val
-            x = y
+        ess, resampled = None, False
+        if not backward:
+            if not np.isfinite(ps.log_weights).any():
+                raise DegenerateWeightsError(t)
+            ess = ess_fraction(ps.log_weights)
+            resampled = bool(resampling_enabled and ess < resample_threshold)
+            if resampled:
+                ps = resample_multinomial(ps, rng)
 
-        if not np.isfinite(log_w).any():
-            raise DegenerateWeightsError(t)
-
-        ess = ess_fraction(log_w)
-        resampled = False
-        if resampling_enabled and ess < resample_threshold:
-            carry = log_mean_exp(log_w)
-            probs = np.exp(log_w - log_sum_exp(log_w))
-            probs = probs / probs.sum()
-            idx = rng.choice(n_particles, size=n_particles, p=probs)
-            x = x[idx]
-            log_w = np.full(n_particles, carry)
-            last_carry = carry
-            cached = (cached[0][idx], cached[1][idx] if cached[1] is not None else None)
-            resampled = True
-
-        x, accepted, _ = _mcmc_move(x, path, t, kernel_cfg, rng, cached)
-        if record_diagnostics:
-            diagnostics.append(
-                {"t": t, "ess_fraction": ess, "resampled": resampled,
-                 "acceptance": float(np.mean(accepted))}
-            )
-
-    log_z = log_mean_exp(log_w)
-    elbo = float(np.mean(log_w[np.isfinite(log_w)]))
-    # alternative estimator: increments accumulated since the last resampling epoch
-    log_z_last = log_z - last_carry
-    return SmcResult(ParticleSystem(x, log_w, big_t, path.target.nfe.value),
-                     float(log_z), elbo, diagnostics, float(log_z_last))
+        ps.positions, accepted, (ps.value, ps.grad) = _mcmc_move(
+            ps.positions, path, b, kernel_cfg, rng, (ps.value, ps.grad))
+        diagnostics.append({"t": t, "ess_fraction": ess, "resampled": resampled,
+                            "acceptance": float(np.mean(accepted))})
+    return ps, diagnostics
 
 
-def _annealed_value(path, t, x):
-    return annealed_logdensity(path, t, x, with_grad=False)
+def smc_run(path: AnnealedPath, kernel_cfg, n_particles: int, rng: RngStream,
+            resample_threshold: float = 0.3, resampling_enabled: bool = True,
+            flows: Optional[list] = None) -> SmcResult:
+    """The forward sweep from proposal draws, in the AIS form or, with flows given
+    (one AffineFlow per temperature, index 1..T), the flow form."""
+    if n_particles < 2:
+        raise UsageError("need at least 2 particles")
+    x = path.proposal.sample(rng, n_particles)
+    ps, diagnostics = _sweep(path, kernel_cfg, x, rng, flows,
+                             resample_threshold=resample_threshold,
+                             resampling_enabled=resampling_enabled)
+    log_w = ps.log_weights
+    return SmcResult(ps, float(log_mean_exp(log_w)), float(np.mean(log_w[np.isfinite(log_w)])),
+                     diagnostics)
 
 
 def backward_transport_logweights(path: AnnealedPath, kernel_cfg, target_samples,
                                   rng: RngStream, flows: Optional[list] = None) -> np.ndarray:
-    """Reverse sweep from exact target samples accumulating forward increments.
+    """The sweep run backward from exact target samples, from pi_T down to pi_0.
 
-    AIS form: log G_t = (beta_t - beta_{t-1}) (log gamma - log pi0) at x_t.
-    CRAFT form inverts the flow and picks up the inverse Jacobian.  Returns the
-    per-sample extended forward log-weights for EUBO / ESS_f / Z_f.
+    Returns the per-sample extended forward log-weights for EUBO / ESS_f / Z_f.
     """
     x = np.atleast_2d(np.asarray(target_samples, dtype=float))
-    big_t = path.n_steps
-    if flows is not None and len(flows) != big_t:
-        raise UsageError("need one flow per temperature")
-    log_w = np.zeros(len(x))
-    for t in range(big_t, 0, -1):
-        beta_prev, beta = path.betas[t - 1], path.betas[t]
-        if flows is None:
-            lp0 = path.proposal.log_density(x)
-            lg = path.target.log_density(x)
-            log_w = log_w + (beta - beta_prev) * (lg - lp0)
-        else:
-            flow = flows[t - 1]
-            x_prev = flow.inverse(x)
-            log_w = log_w + _annealed_value(path, t, x) - _annealed_value(path, t - 1, x_prev) \
-                + flow.log_det
-            x = x_prev
-        # move targeting pi_{t-1}
-        if isinstance(kernel_cfg, HmcConfig):
-            fused = lambda pts, s=t - 1: annealed_logdensity(path, s, pts)
-            x, _, _ = hmc_step(x, fused, kernel_cfg, rng, beta=beta_prev)
-        else:
-            logdensity = lambda pts, s=t - 1: _annealed_value(path, s, pts)
-            lp = None
-            for _ in range(kernel_cfg.n_substeps):
-                x, _, lp = mh_step(x, logdensity, kernel_cfg.scale(beta_prev), rng,
-                                   current_logdensity=lp)
-    return log_w
-
-
-def ais_increment(beta_t, beta_prev, log_gamma_x, log_pi0_x):
-    """The AIS incremental log weight at a fixed point."""
-    return (beta_t - beta_prev) * (log_gamma_x - log_pi0_x)
+    ps, _ = _sweep(path, kernel_cfg, x, rng, flows, backward=True)
+    return ps.log_weights
 
 
 def craft_train(path: AnnealedPath, flows: list, kernel_cfg, iterations: int,
-                n_particles: int, rng: RngStream, learning_rate: float = 1e-2):
+                n_particles: int, rng: RngStream, learning_rate: float = 1e-2,
+                resample_threshold: float = 0.3, resampling_enabled: bool = True):
     """Train one diagonal affine flow per temperature on the running SMC sweep.
 
-    Each temperature's flow is updated by Adam on the negative expected log
-    incremental weight for that temperature; gradients flow through shift and
-    log_scale on the tape.  Returns (flows, elbo_trace, diagnostics).
+    Before each temperature's reweight, that temperature's flow takes one Adam
+    step on the negative expected log incremental weight; gradients flow
+    through shift and log_scale on the tape.  Returns (flows, elbo_trace), the
+    trace holding each iteration's mean final log weight.
     """
-    big_t = path.n_steps
-    if len(flows) != big_t:
-        raise UsageError("need one flow per temperature")
     adam_states = [AdamState.init(2 * len(f.shift), learning_rate=learning_rate) for f in flows]
+
+    def update_flow(t, x):
+        # tape loss: - mean[ log gamma_t(T(x)) + log|det T| ]
+        flow = flows[t - 1]
+        tape = Tape()
+        shift = tape.leaf(flow.shift)
+        log_scale = tape.leaf(flow.log_scale)
+        y = log_scale.exp() * x + shift
+        val, grad = annealed_logdensity(path, t, y.value)
+        dens = tape.custom(np.sum(val) / n_particles, [y],
+                           lambda adj: (adj * grad / n_particles,), op="annealed_logdensity")
+        loss = -(dens + log_scale.sum())
+        if not np.isfinite(loss.value):
+            raise TrainingError(f"non-finite CRAFT loss at temperature {t}")
+        g_shift, g_ls = tape.grad(loss, [shift, log_scale])
+        packed, adam_states[t - 1] = adam_step(np.concatenate([flow.shift, flow.log_scale]),
+                                               np.concatenate([g_shift, g_ls]),
+                                               adam_states[t - 1])
+        flow.shift, flow.log_scale = np.split(packed, 2)
+
     elbo_trace = []
-
-    for it in range(iterations):
+    for _ in range(iterations):
         x = path.proposal.sample(rng, n_particles)
-        log_w = np.zeros(n_particles)
-        for t in range(1, big_t + 1):
-            flow = flows[t - 1]
-            beta = path.betas[t]
-
-            # tape loss: - mean[ log gamma_t(T(x)) + log|det T| ]
-            tape = Tape()
-            shift = tape.leaf(flow.shift)
-            log_scale = tape.leaf(flow.log_scale)
-            xv = np.asarray(x)
-            y = log_scale.exp() * xv + shift
-            y_val = y.value
-            val, grad = _annealed_fused(path, t, y_val)
-            dens = tape.custom(
-                np.sum(val) / n_particles, [y],
-                lambda adj, g=grad: (adj * g / n_particles,), op="annealed_logdensity",
-            )
-            loss = -(dens + log_scale.sum())
-            if not np.isfinite(loss.value):
-                raise TrainingError(f"non-finite CRAFT loss at temperature {t}")
-            g_shift, g_ls = tape.grad(loss, [shift, log_scale])
-
-            packed = np.concatenate([flow.shift, flow.log_scale])
-            packed_grad = np.concatenate([g_shift, g_ls])
-            packed, adam_states[t - 1] = adam_step(packed, packed_grad, adam_states[t - 1])
-            d = len(flow.shift)
-            flow.shift, flow.log_scale = packed[:d], packed[d:]
-
-            # sweep bookkeeping with the updated flow
-            prev_val = _annealed_value(path, t - 1, x)
-            y = flow.apply(x)
-            new_val, new_grad = _annealed_fused(path, t, y)
-            log_w = log_w + new_val + flow.log_det - prev_val
-            x = y
-
-            ess = ess_fraction(log_w)
-            if ess < 0.3:
-                carry = log_mean_exp(log_w)
-                probs = np.exp(log_w - log_sum_exp(log_w))
-                idx = rng.choice(n_particles, size=n_particles, p=probs / probs.sum())
-                x = x[idx]
-                log_w = np.full(n_particles, carry)
-                new_val, new_grad = new_val[idx], (new_grad[idx] if new_grad is not None else None)
-
-            x, _, _ = _mcmc_move(x, path, t, kernel_cfg, rng, (new_val, new_grad))
-        elbo_trace.append(float(np.mean(log_w)))
+        ps, _ = _sweep(path, kernel_cfg, x, rng, flows, resample_threshold=resample_threshold,
+                       resampling_enabled=resampling_enabled, before_reweight=update_flow)
+        elbo_trace.append(float(np.mean(ps.log_weights)))
     return flows, elbo_trace
-
-
-def _annealed_fused(path, t, x):
-    return annealed_logdensity(path, t, x)

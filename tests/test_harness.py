@@ -23,7 +23,7 @@ from samplebench.harness.emit import render_checkpoint_csv
 from samplebench.kernels import AnnealedPath, HmcConfig, MhConfig
 from samplebench.metrics import MetricReport
 from samplebench.numerics import RngStream
-from samplebench.sis import smc_run
+from samplebench.sis import AffineFlow, backward_transport_logweights, craft_train, smc_run
 from samplebench.targets import DiagonalGaussian, make_mog_target
 
 
@@ -223,6 +223,67 @@ def test_smc_nfe_closed_form_mh_matches_hmc():
     smc_run(path, MhConfig(n_substeps=10, scale_low=2.0, scale_high=2.0), n,
             RngStream(2, 0))
     assert target.nfe.value == n * big_t * 11
+
+
+NFE_KERNELS = {
+    "hmc": HmcConfig(leapfrog_steps=4, step_size_low=0.5, step_size_high=0.5),
+    "mh": MhConfig(n_substeps=4, scale_low=2.0, scale_high=2.0),
+}  # L = 4 leapfrog steps or MH substeps per move
+
+
+def _nfe_path(big_t):
+    target = make_mog_target(2, seed=0)
+    return AnnealedPath.linear(DiagonalGaussian.isotropic(2, 60.0), target, big_t)
+
+
+def _nfe_flows(big_t):
+    rng = RngStream(3, 0)
+    return [AffineFlow(0.1 * rng.normal(2), 0.05 * rng.normal(2)) for _ in range(big_t)]
+
+
+@pytest.mark.parametrize("kernel", sorted(NFE_KERNELS))
+def test_backward_ais_nfe_closed_form(kernel):
+    # one query per temperature gives the increment and the move's start;
+    # the final move targets pi_0, which never queries the target
+    n, big_t, steps = 12, 6, 4
+    path = _nfe_path(big_t)
+    samples = path.target.exact_sampler(RngStream(4, 0), n)
+    path.target.nfe.reset()
+    backward_transport_logweights(path, NFE_KERNELS[kernel], samples, RngStream(5, 0))
+    assert path.target.nfe.value == n * (big_t + (big_t - 1) * steps)
+
+
+@pytest.mark.parametrize("kernel", sorted(NFE_KERNELS))
+def test_craft_sweep_nfe_closed_form(kernel):
+    # pi_t(T x) starts the move; pi_{t-1}(x) is read from the previous move
+    n, big_t, steps = 12, 6, 4
+    path = _nfe_path(big_t)
+    path.target.nfe.reset()
+    smc_run(path, NFE_KERNELS[kernel], n, RngStream(6, 0), flows=_nfe_flows(big_t))
+    assert path.target.nfe.value == n * big_t * (1 + steps)
+
+
+@pytest.mark.parametrize("kernel", sorted(NFE_KERNELS))
+def test_craft_training_nfe_closed_form(kernel):
+    # the flow update adds one query per temperature to the sweep's 1 + L
+    n, big_t, steps, iterations = 12, 6, 4, 3
+    path = _nfe_path(big_t)
+    path.target.nfe.reset()
+    craft_train(path, _nfe_flows(big_t), NFE_KERNELS[kernel], iterations, n, RngStream(7, 0))
+    assert path.target.nfe.value == iterations * n * big_t * (2 + steps)
+
+
+@pytest.mark.parametrize("kernel", sorted(NFE_KERNELS))
+def test_craft_backward_nfe_closed_form(kernel):
+    # pi_T at the target samples once, then pi_{t-1}(T^-1 x) and the move for
+    # t = T..2; at t = 1 both run at pi_0
+    n, big_t, steps = 12, 6, 4
+    path = _nfe_path(big_t)
+    samples = path.target.exact_sampler(RngStream(8, 0), n)
+    path.target.nfe.reset()
+    backward_transport_logweights(path, NFE_KERNELS[kernel], samples, RngStream(9, 0),
+                                  flows=_nfe_flows(big_t))
+    assert path.target.nfe.value == n * (1 + (big_t - 1) * (1 + steps))
 
 
 # ------------------------------------------------------------------- ablations

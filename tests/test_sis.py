@@ -4,14 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from samplebench.errors import DegenerateWeightsError
-from samplebench.kernels import AnnealedPath, HmcConfig, MhConfig
+from samplebench.errors import DegenerateWeightsError, UsageError
+from samplebench.kernels import (
+    AnnealedPath,
+    HmcConfig,
+    MhConfig,
+    annealed_logdensity,
+    hmc_step,
+    mh_step,
+)
 from samplebench.numerics import RngStream
 from samplebench.numerics.logspace import log_mean_exp, log_sum_exp
 from samplebench.sis import (
     AffineFlow,
     ParticleSystem,
-    ais_increment,
     backward_transport_logweights,
     craft_train,
     ess_fraction,
@@ -21,6 +27,8 @@ from samplebench.sis import (
 from samplebench.targets import (
     DiagonalGaussian,
     make_gaussian_target,
+    make_mog_target,
+    make_mos_target,
     make_unnormalized_gaussian_target,
 )
 
@@ -164,7 +172,7 @@ def test_smc_weight_update_enumeration_oracle():
         log_w = 0.0
         for t in range(1, 4):
             prev = path_states[t - 1]
-            log_w += ais_increment(betas[t], betas[t - 1], log_gamma[prev], log_pi0[prev])
+            log_w += (betas[t] - betas[t - 1]) * (log_gamma[prev] - log_pi0[prev])
             q *= kernels[t - 1][prev, path_states[t]]
         total += q * math.exp(log_w)
     assert total == pytest.approx(gamma.sum(), abs=1e-12)
@@ -256,3 +264,168 @@ def test_craft_training_improves_elbo_on_shifted_gaussian():
                                  learning_rate=5e-2)
     assert np.mean(trace[-10:]) > np.mean(trace[:10]) + 0.05
     assert np.mean(trace[-10:]) > -0.2  # close to log Z = 0
+
+
+@pytest.mark.parametrize("resampling", [True, False])
+@pytest.mark.parametrize("kernel", ["hmc", "mh"])
+def test_craft_zero_learning_rate_iteration_matches_flow_sweep(kernel, resampling):
+    # training runs the evaluation sweep plus a flow update before each
+    # reweight; with a zero step the update is a no-op, so one iteration's
+    # mean log weight is that of smc_run on the same flows and stream
+    target = make_gaussian_target(2, scale=0.7, mean=3.0)
+    path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 1.0), target, 6)
+    rng = RngStream(20, 0)
+    flows = [AffineFlow(0.3 * rng.normal(2), 0.1 * rng.normal(2)) for _ in range(6)]
+    cfg = hmc_cfg(0.3) if kernel == "hmc" else MhConfig(n_substeps=3, scale_low=0.5,
+                                                          scale_high=0.5)
+    settings = {"resample_threshold": 0.9, "resampling_enabled": resampling}
+    res = smc_run(path, cfg, 64, RngStream(21, 0), flows=flows, **settings)
+    _, trace = craft_train(path, flows, cfg, 1, 64, RngStream(21, 0), learning_rate=0.0,
+                           **settings)
+    assert any(d["resampled"] for d in res.diagnostics) == resampling
+    assert trace[0] == pytest.approx(np.mean(res.particles.log_weights), abs=1e-12)
+
+
+# ------------------------------------------ bit-identity with the former loops
+# The AIS loops of smc_run and backward_transport_logweights as they stood
+# before the shared sweep, kept verbatim (flow branches and the diagnostics
+# switch dropped) as references for the sweep's AIS form.
+def _reference_move(x, path, t, kernel_cfg, rng, cached):
+    beta = path.betas[t]
+    if isinstance(kernel_cfg, HmcConfig):
+        fused = lambda pts: annealed_logdensity(path, t, pts)
+        new_x, accepted, cache = hmc_step(x, fused, kernel_cfg, rng, beta=beta, current=cached)
+        return new_x, accepted, cache
+    if isinstance(kernel_cfg, MhConfig):
+        logdensity = lambda pts: annealed_logdensity(path, t, pts, with_grad=False)
+        lp = cached[0] if cached is not None else None
+        accept_any = np.zeros(len(x), dtype=bool)
+        for _ in range(kernel_cfg.n_substeps):
+            x, accepted, lp = mh_step(x, logdensity, kernel_cfg.scale(beta), rng,
+                                      current_logdensity=lp)
+            accept_any |= accepted
+        return x, accept_any, (lp, None)
+    raise UsageError(f"unknown kernel config {type(kernel_cfg).__name__}")
+
+
+def _reference_smc_run(path, kernel_cfg, n_particles, rng, resample_threshold=0.3,
+                       resampling_enabled=True):
+    big_t = path.n_steps
+    x = path.proposal.sample(rng, n_particles)
+    log_w = np.zeros(n_particles)
+    diagnostics = []
+    needs_grad = isinstance(kernel_cfg, HmcConfig)
+
+    for t in range(1, big_t + 1):
+        beta_prev, beta = path.betas[t - 1], path.betas[t]
+        # AIS increment (beta_t - beta_{t-1}) (log gamma - log pi0) at x_{t-1};
+        # fused so the gradient doubles as the HMC initial state
+        lp0 = path.proposal.log_density(x)
+        if needs_grad:
+            lg, gg = path.target.logdensity_and_grad(x)
+        else:
+            lg = path.target.log_density(x)
+        log_w = log_w + (beta - beta_prev) * (lg - lp0)
+        if needs_grad:
+            g0 = path.proposal.grad_log_density(x)
+            cache_val = (1.0 - beta) * lp0 + beta * lg
+            cache_grad = (1.0 - beta) * g0 + beta * gg
+            cached = (cache_val, cache_grad)
+        else:
+            cached = ((1.0 - beta) * lp0 + beta * lg, None)
+
+        if not np.isfinite(log_w).any():
+            raise DegenerateWeightsError(t)
+
+        ess = ess_fraction(log_w)
+        resampled = False
+        if resampling_enabled and ess < resample_threshold:
+            carry = log_mean_exp(log_w)
+            probs = np.exp(log_w - log_sum_exp(log_w))
+            probs = probs / probs.sum()
+            idx = rng.choice(n_particles, size=n_particles, p=probs)
+            x = x[idx]
+            log_w = np.full(n_particles, carry)
+            cached = (cached[0][idx], cached[1][idx] if cached[1] is not None else None)
+            resampled = True
+
+        x, accepted, _ = _reference_move(x, path, t, kernel_cfg, rng, cached)
+        diagnostics.append(
+            {"t": t, "ess_fraction": ess, "resampled": resampled,
+             "acceptance": float(np.mean(accepted))}
+        )
+
+    log_z = log_mean_exp(log_w)
+    elbo = float(np.mean(log_w[np.isfinite(log_w)]))
+    return x, log_w, float(log_z), elbo, diagnostics
+
+
+def _reference_backward(path, kernel_cfg, target_samples, rng):
+    x = np.atleast_2d(np.asarray(target_samples, dtype=float))
+    big_t = path.n_steps
+    log_w = np.zeros(len(x))
+    for t in range(big_t, 0, -1):
+        beta_prev, beta = path.betas[t - 1], path.betas[t]
+        lp0 = path.proposal.log_density(x)
+        lg = path.target.log_density(x)
+        log_w = log_w + (beta - beta_prev) * (lg - lp0)
+        # move targeting pi_{t-1}
+        if isinstance(kernel_cfg, HmcConfig):
+            fused = lambda pts, s=t - 1: annealed_logdensity(path, s, pts)
+            x, _, _ = hmc_step(x, fused, kernel_cfg, rng, beta=beta_prev)
+        else:
+            logdensity = lambda pts, s=t - 1: annealed_logdensity(path, s, pts, with_grad=False)
+            lp = None
+            for _ in range(kernel_cfg.n_substeps):
+                x, _, lp = mh_step(x, logdensity, kernel_cfg.scale(beta_prev), rng,
+                                   current_logdensity=lp)
+    return log_w
+
+
+REFERENCE_KERNELS = {
+    "hmc": HmcConfig(leapfrog_steps=5, step_size_low=0.5, step_size_high=0.3),
+    "mh": MhConfig(n_substeps=4, scale_low=2.0, scale_high=1.0),
+}
+REFERENCE_TARGETS = {
+    "mog_d2": (lambda: make_mog_target(2, seed=0), 60.0),
+    "mog_d50": (lambda: make_mog_target(50, seed=0), 60.0),
+    "mos_d2": (lambda: make_mos_target(2, seed=0), 15.0),
+}
+
+
+def _reference_path(target_name):
+    make, sigma0 = REFERENCE_TARGETS[target_name]
+    target = make()
+    return AnnealedPath.linear(DiagonalGaussian.isotropic(target.dim, sigma0), target, 12)
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("resampling", [True, False])
+@pytest.mark.parametrize("kernel", ["hmc", "mh"])
+@pytest.mark.parametrize("target_name", sorted(REFERENCE_TARGETS))
+def test_smc_run_ais_bitwise_equals_reference_loop(target_name, kernel, resampling):
+    path = _reference_path(target_name)
+    cfg = REFERENCE_KERNELS[kernel]
+    res = smc_run(path, cfg, 64, RngStream(5, 1), resample_threshold=0.5,
+                  resampling_enabled=resampling)
+    x, log_w, log_z, elbo, diagnostics = _reference_smc_run(
+        path, cfg, 64, RngStream(5, 1), resample_threshold=0.5, resampling_enabled=resampling)
+    _assert_bitwise(res.particles.positions, x)
+    _assert_bitwise(res.particles.log_weights, log_w)
+    assert (res.log_z, res.elbo) == (log_z, elbo)
+    assert res.diagnostics == diagnostics
+    assert any(d["resampled"] for d in diagnostics) == resampling
+
+
+@pytest.mark.parametrize("kernel", ["hmc", "mh"])
+@pytest.mark.parametrize("target_name", sorted(REFERENCE_TARGETS))
+def test_backward_ais_bitwise_equals_reference_loop(target_name, kernel):
+    path = _reference_path(target_name)
+    cfg = REFERENCE_KERNELS[kernel]
+    samples = path.target.exact_sampler(RngStream(3, 0), 50)
+    lw = backward_transport_logweights(path, cfg, samples, RngStream(4, 0))
+    _assert_bitwise(lw, _reference_backward(path, cfg, samples, RngStream(4, 0)))
