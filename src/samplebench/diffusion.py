@@ -131,10 +131,29 @@ def _vsqrt(v):
 
 
 def log_normal_diag(y, mean, var, dim):
-    """log N(y; mean, var*I) for batched rows; var is a positive scalar."""
-    diff = y - mean
-    quad = (diff * diff).sum(axis=1)
-    return quad * (-0.5) / var - 0.5 * dim * LOG_2PI - 0.5 * dim * _vlog(var)
+    """log N(y; mean, var*I) for batched rows; var is a positive scalar.
+
+    With a constant var and y or mean (equal-shape rows) on the tape, the
+    density is recorded as one tape node.
+    """
+    if _is_var(var) or not (_is_var(y) or _is_var(mean)):
+        diff = y - mean
+        quad = (diff * diff).sum(axis=1)
+        return quad * (-0.5) / var - 0.5 * dim * LOG_2PI - 0.5 * dim * _vlog(var)
+    parents = [v for v in (y, mean) if _is_var(v)]
+    diff = (y.value if _is_var(y) else y) - (mean.value if _is_var(mean) else mean)
+    # the op-by-op recording divides by var as a multiply by 1/var; keep its rounding
+    inv_var = 1.0 / np.asarray(var, dtype=float)
+    value = (diff * diff).sum(axis=1) * (-0.5) * inv_var - 0.5 * dim * LOG_2PI \
+        - 0.5 * dim * np.log(var)
+    signs = [1.0 if v is y else -1.0 for v in parents]
+
+    def vjp(g):
+        half = (g * inv_var * (-0.5))[:, None] * diff
+        g_y = half + half
+        return tuple(g_y if sign > 0 else g_y * -1.0 for sign in signs)
+
+    return parents[0].tape.custom(value, parents, vjp, op="log_normal_diag")
 
 
 def path_log_weight(log_b_terms, log_f_terms, log_gamma_xT, log_pi0_x0):
@@ -152,13 +171,42 @@ def path_log_weight(log_b_terms, log_f_terms, log_gamma_xT, log_pi0_x0):
     return acc
 
 
-class _AnchorContext:
+class _ScoreFreeContext:
+    """Anchor at one state for kernels that never query the target (guidance off).
+
+    The other anchors extend it with target scores.  An anchor evaluates each
+    drift net at most once, however many kernel sides use its output.
+    """
+
+    def __init__(self, x, index, n_steps, betas=None, proposal_params=None):
+        self.x = x
+        self.time_frac = index / n_steps
+        self.beta = betas[index] if betas is not None else self.time_frac
+        self.score_gamma = None
+        self._proposal_params = proposal_params
+        self._nets = {}
+
+    def net(self, spec, params, backward_net=False):
+        """Output of the drift net (GBS: or the backward net) at this state and time."""
+        if backward_net not in self._nets:
+            base = spec.backward_net if backward_net else spec.drift_net
+            score = self.score_gamma if base.guidance else None
+            self._nets[backward_net] = drift_forward(
+                base, self.x, self.time_frac, score,
+                params=_subdict(params, "bnet." if backward_net else "net."))
+        return self._nets[backward_net]
+
+    def _proposal_values(self, spec):
+        if self._proposal_params is not None:
+            return self._proposal_params
+        return spec.proposal.mean, spec.proposal.log_std
+
+
+class _AnchorContext(_ScoreFreeContext):
     """Per-state cache: one fused target query serves score, guidance, and value."""
 
-    def __init__(self, spec, target, x, beta, time_frac, tape=None, proposal_params=None):
-        self.x = x
-        self.beta = beta
-        self.time_frac = float(time_frac)
+    def __init__(self, spec, target, x, index, tape=None, proposal_params=None, betas=None):
+        super().__init__(x, index, spec.n_steps, betas, proposal_params)
         xv = x.value if _is_var(x) else np.asarray(x)
         val, grad = target.logdensity_and_grad(xv)
         if tape is not None and _is_var(x):
@@ -181,81 +229,64 @@ class _AnchorContext:
         else:
             self.log_gamma = val
             self.score_gamma = grad
-        self._spec = spec
-        self._proposal_params = proposal_params
 
     def annealed_score(self, spec):
         """(1-beta) * proposal score + beta * target score at this state."""
         m, ls = self._proposal_values(spec)
-        s0 = (m - self.x) * _vexp(ls * -2.0) if _is_var(ls) or _is_var(self.x) else \
-            (m - self.x) * np.exp(-2.0 * ls)
+        s0 = (m - self.x) * _vexp(ls * -2.0)
         return s0 * (1.0 - self.beta) + self.score_gamma * self.beta
 
-    def _proposal_values(self, spec):
-        if self._proposal_params is not None:
-            return self._proposal_params
-        return spec.proposal.mean, spec.proposal.log_std
 
+def _kernel_means(spec, ctx, s, sigma, params, forward):
+    """(mean, var) of the hop-s forward kernel anchored at its source state, or
+    (forward=False) of the backward kernel anchored at its destination state.
 
-def _kernel_means(spec, ctx, s, sigma, net_params, bnet_params):
-    """Forward and backward kernel (mean, var) anchored at ctx's state for hop s.
-
-    The two entries share sigma_s; the caller uses the forward part when ctx is
-    the hop's source state and the backward part when it is the destination.
+    Only the drift net that side uses is evaluated.
     """
     x = ctx.x
     dt = spec.delta_t
     var = sigma * sigma * dt
-    t_net = ctx.time_frac
     method = spec.method
-
-    def net(params, which="fwd"):
-        base = spec.drift_net if which == "fwd" else spec.backward_net
-        score = ctx.score_gamma if base.guidance else None
-        return drift_forward(base, x, t_net, score, params=params)
 
     if method in LANGEVIN_METHODS:
         langevin = x + ctx.annealed_score(spec) * var
-        if method == "ula":
-            return (langevin, var), (langevin, var)
-        drift = net(net_params)
-        if method == "mcd":
-            return (langevin, var), (langevin + drift * dt, var)
-        # cmcd
-        return (langevin + drift * dt, var), (langevin - drift * dt, var)
+        if method == "cmcd":
+            drift = ctx.net(spec, params)
+            return (langevin + drift * dt if forward else langevin - drift * dt), var
+        if method == "mcd" and not forward:
+            return langevin + ctx.net(spec, params) * dt, var
+        return langevin, var
     if method == "pis":
-        sig2dt = var
-        f_mean = x + net(net_params) * dt
+        if forward:
+            return x + ctx.net(spec, params) * dt, var
         ratio = (s - 1.0) / s
-        return (f_mean, sig2dt), (x * ratio, ratio * sig2dt if ratio > 0 else 0.0)
+        return x * ratio, ratio * var if ratio > 0 else 0.0
     if method == "dds":
         sigma0_sq = _proposal_scale_sq(spec, ctx)
         if spec.dds_literal_table:
             v = sigma * sigma0_sq * dt
-            decay = _vsqrt(1.0 - sigma) if not _is_var(sigma) else (1.0 - sigma) ** 0.5
-            return ((decay * x + net(net_params)) * dt, v), (decay * x * dt, v)
+            decay = _vsqrt(1.0 - sigma)
+            return ((decay * x + ctx.net(spec, params)) * dt if forward else decay * x * dt), v
         lam = sigma * dt
         v = lam * sigma0_sq
         decay = _vsqrt(1.0 - lam)
-        return (x * decay + net(net_params) * dt, v), (x * decay, v)
+        return (x * decay + ctx.net(spec, params) * dt if forward else x * decay), v
     if method == "dis":
         sigma0_sq = _proposal_scale_sq(spec, ctx)
         v = 2.0 * sigma * sigma0_sq * dt
-        f_mean = x + (x * sigma + net(net_params)) * dt
-        b_mean = x * (1.0 - sigma * dt)
-        return (f_mean, v), (b_mean, v)
+        if forward:
+            return x + (x * sigma + ctx.net(spec, params)) * dt, v
+        return x * (1.0 - sigma * dt), v
     if method == "gbs":
-        f_mean = x + net(net_params, "fwd") * var
-        b_mean = x + net(bnet_params, "bwd") * var
-        return (f_mean, var), (b_mean, var)
+        if forward:
+            return x + ctx.net(spec, params) * var, var
+        return x + ctx.net(spec, params, backward_net=True) * var, var
     raise UsageError(f"unknown method {method!r}")
 
 
 def _proposal_scale_sq(spec, ctx):
-    m, ls = ctx._proposal_values(spec)
-    if _is_var(ls):
-        return (ls * 2.0).exp().mean()
-    return float(np.mean(np.exp(2.0 * np.asarray(ls))))
+    _, ls = ctx._proposal_values(spec)
+    return _vexp(ls * 2.0).mean()
 
 
 def kernel_pair(spec: DiffusionSpec, t: int, x, score=None, target: TargetDensity = None):
@@ -268,31 +299,23 @@ def kernel_pair(spec: DiffusionSpec, t: int, x, score=None, target: TargetDensit
     if not 1 <= t <= spec.n_steps:
         raise UsageError(f"hop index {t} outside 1..{spec.n_steps}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    ctx = _FixedScoreContext(spec, x, t / spec.n_steps, score)
+    ctx = _FixedScoreContext(spec, x, t, score)
     sigma = spec.sigma_at(t)
-    net_params = spec.drift_net.params if spec.drift_net else None
-    bnet_params = spec.backward_net.params if spec.backward_net else None
-    return _kernel_means(spec, ctx, t, sigma, net_params, bnet_params)
+    return tuple(_kernel_means(spec, ctx, t, sigma, None, forward) for forward in (True, False))
 
 
-class _FixedScoreContext:
+class _FixedScoreContext(_ScoreFreeContext):
     """Anchor context with a caller-supplied score (no target queries)."""
 
-    def __init__(self, spec, x, time_frac, score):
-        self.x = x
-        self.beta = float(time_frac)
-        self.time_frac = float(time_frac)
+    def __init__(self, spec, x, index, score):
+        super().__init__(x, index, spec.n_steps)
         self.score_gamma = score
-        self._proposal_params = None
 
     def annealed_score(self, spec):
         if self.score_gamma is None:
             raise UsageError("Langevin methods need the annealed score at the anchor state")
         # caller passes the full annealed score directly for kernel_pair
         return self.score_gamma
-
-    def _proposal_values(self, spec):
-        return spec.proposal.mean, spec.proposal.log_std
 
 
 @dataclass
@@ -309,10 +332,11 @@ class TrajectoryBatch:
 
 
 # ------------------------------------------------------------------ simulation
-def _make_anchor(spec, target, x, index, tape, proposal_params, betas):
-    beta = betas[index] if betas is not None else index / spec.n_steps
-    return _AnchorContext(spec, target, x, beta, index / spec.n_steps,
-                          tape=tape, proposal_params=proposal_params)
+def _anchor(spec, target, x, index, tape=None, proposal_params=None, betas=None):
+    """Anchor at state `index`; it queries the target only if a kernel uses the score."""
+    if spec.method in LANGEVIN_METHODS or _needs_guidance(spec):
+        return _AnchorContext(spec, target, x, index, tape, proposal_params, betas)
+    return _ScoreFreeContext(x, index, spec.n_steps, betas, proposal_params)
 
 
 def _resolve_schedule(spec, params):
@@ -322,8 +346,8 @@ def _resolve_schedule(spec, params):
     if params is not None:
         if "beta_phi" in params:
             phi = params["beta_phi"]
-            increments = (phi - phi.logsumexp()).exp()
-            betas = increments.cumsum()
+            cumsum = (phi - phi.logsumexp()).exp().cumsum()
+            betas = [0.0] + [cumsum[i] for i in range(phi.shape[0])]  # beta_0 is exactly 0
         if "sigma_raw" in params:
             sigma_max = params["sigma_raw"].exp()
     else:
@@ -333,24 +357,6 @@ def _resolve_schedule(spec, params):
         if spec.trainable.sigma and spec.sigma_raw is not None:
             sigma_max = float(np.exp(spec.sigma_raw))
     return betas, sigma_max
-
-
-class _BetaGrid:
-    """Index helper: beta_0 is exactly 0; later entries may be tape variables."""
-
-    def __init__(self, cumsum_var):
-        self.cumsum = cumsum_var
-
-    def __getitem__(self, idx):
-        if idx == 0:
-            return 0.0
-        return self.cumsum[idx - 1]
-
-
-def _proposal_params_from(params):
-    if params is not None and "proposal_mean" in params:
-        return params["proposal_mean"], params["proposal_log_std"]
-    return None
 
 
 def simulate_forward(spec: DiffusionSpec, target: TargetDensity, batch_size: int,
@@ -366,13 +372,10 @@ def simulate_forward(spec: DiffusionSpec, target: TargetDensity, batch_size: int
         raise UsageError("batch_size must be >= 1")
     d = spec.dim
     big_t = spec.n_steps
-    betas_raw, sigma_max = _resolve_schedule(spec, params)
-    betas = _BetaGrid(betas_raw) if _is_var(betas_raw) else betas_raw
-    prop_params = _proposal_params_from(params)
-    net_params = _subdict(params, "net.") if params is not None else (
-        spec.drift_net.params if spec.drift_net else None)
-    bnet_params = _subdict(params, "bnet.") if params is not None else (
-        spec.backward_net.params if spec.backward_net else None)
+    betas, sigma_max = _resolve_schedule(spec, params)
+    prop_params = None
+    if params is not None and "proposal_mean" in params:
+        prop_params = params["proposal_mean"], params["proposal_log_std"]
 
     eps0 = noise[0] if noise is not None else rng.normal((batch_size, d))
     if spec.method == "pis":
@@ -380,41 +383,27 @@ def simulate_forward(spec: DiffusionSpec, target: TargetDensity, batch_size: int
         log_pi0 = 0.0
         x0_snapshot = x.copy()
     else:
-        if prop_params is not None:
-            m, ls = prop_params
-            x = m + ls.exp() * eps0
-        else:
-            m, ls = spec.proposal.mean, spec.proposal.log_std
-            x = m + np.exp(ls) * eps0
+        m, ls = prop_params or (spec.proposal.mean, spec.proposal.log_std)
+        x = m + _vexp(ls) * eps0
         log_pi0 = _diag_log_density(x, m, ls, d)
         x0_snapshot = x.value.copy() if _is_var(x) else x.copy()
 
-    langevin = spec.method in LANGEVIN_METHODS
-    ctx = None
-    if langevin or _needs_guidance(spec):
-        ctx = _make_anchor(spec, target, x, 0, tape, prop_params, betas)
-
+    ctx = _anchor(spec, target, x, 0, tape, prop_params, betas)
     log_b_terms = []
     log_f_terms = []
     for s in range(1, big_t + 1):
         sigma = spec.sigma_at(s, sigma_max)
-        src_ctx = ctx if ctx is not None else _ScoreFreeContext(x, (s - 1) / big_t,
-                                                                betas, s - 1, prop_params, spec)
-        (f_mean, f_var), _ = _kernel_means(spec, src_ctx, s, sigma, net_params, bnet_params)
+        f_mean, f_var = _kernel_means(spec, ctx, s, sigma, params, True)
         eps = noise[s] if noise is not None else rng.normal((batch_size, d))
         x_next = f_mean + _vsqrt(f_var) * eps
         log_f_terms.append(log_normal_diag(x_next, f_mean, f_var, d))
-
-        dst_ctx = (_make_anchor(spec, target, x_next, s, tape, prop_params, betas)
-                   if (langevin or _needs_guidance(spec))
-                   else _ScoreFreeContext(x_next, s / big_t, betas, s, prop_params, spec))
+        ctx = _anchor(spec, target, x_next, s, tape, prop_params, betas)
         if not (spec.method == "pis" and s == 1):
-            _, (b_mean, b_var) = _kernel_means(spec, dst_ctx, s, sigma, net_params, bnet_params)
+            b_mean, b_var = _kernel_means(spec, ctx, s, sigma, params, False)
             log_b_terms.append(log_normal_diag(x, b_mean, b_var, d))
         x = x_next
-        ctx = dst_ctx
 
-    if langevin or _needs_guidance(spec):
+    if isinstance(ctx, _AnchorContext):
         log_gamma = ctx.log_gamma  # fused with the final anchor query
     else:
         xv = x.value if _is_var(x) else x
@@ -431,26 +420,6 @@ def simulate_forward(spec: DiffusionSpec, target: TargetDensity, batch_size: int
     x_vals = x.value if _is_var(x) else x
     valid = np.isfinite(lw_vals) & np.all(np.isfinite(x_vals), axis=1)
     return TrajectoryBatch(x_vals, log_w, valid, x0_snapshot, big_t)
-
-
-class _ScoreFreeContext:
-    """Anchor for methods whose kernels never query the target (guidance off)."""
-
-    def __init__(self, x, time_frac, betas, index, proposal_params, spec):
-        self.x = x
-        self.time_frac = float(time_frac)
-        self.beta = betas[index] if betas is not None else time_frac
-        self.score_gamma = None
-        self._proposal_params = proposal_params
-        self._spec = spec
-
-    def annealed_score(self, spec):
-        raise UsageError("Langevin kernels need target scores; use guided anchors")
-
-    def _proposal_values(self, spec):
-        if self._proposal_params is not None:
-            return self._proposal_params
-        return spec.proposal.mean, spec.proposal.log_std
 
 
 def _needs_guidance(spec):
@@ -483,32 +452,23 @@ def simulate_backward_logweights(spec: DiffusionSpec, target: TargetDensity,
     n, d = x.shape
     big_t = spec.n_steps
     betas, sigma_max = _resolve_schedule(spec, None)
-    net_params = spec.drift_net.params if spec.drift_net else None
-    bnet_params = spec.backward_net.params if spec.backward_net else None
-    langevin = spec.method in LANGEVIN_METHODS
-    need_ctx = langevin or _needs_guidance(spec)
-
-    ctx = _make_anchor(spec, target, x, big_t, None, None, betas) if need_ctx else \
-        _ScoreFreeContext(x, 1.0, betas, big_t, None, spec)
-    log_gamma = ctx.log_gamma if need_ctx else target.log_density(x)
+    ctx = _anchor(spec, target, x, big_t, betas=betas)
+    log_gamma = ctx.log_gamma if isinstance(ctx, _AnchorContext) else target.log_density(x)
 
     log_b_terms = []
     log_f_terms = []
     for s in range(big_t, 0, -1):
         sigma = spec.sigma_at(s, sigma_max)
-        _, (b_mean, b_var) = _kernel_means(spec, ctx, s, sigma, net_params, bnet_params)
+        b_mean, b_var = _kernel_means(spec, ctx, s, sigma, None, False)
         if spec.method == "pis" and s == 1:
             x_prev = np.zeros_like(x)
         else:
             x_prev = b_mean + np.sqrt(b_var) * rng.normal((n, d))
             log_b_terms.append(log_normal_diag(x_prev, b_mean, b_var, d))
-        prev_ctx = (_make_anchor(spec, target, x_prev, s - 1, None, None, betas)
-                    if need_ctx else _ScoreFreeContext(x_prev, (s - 1) / big_t, betas,
-                                                       s - 1, None, spec))
-        (f_mean, f_var), _ = _kernel_means(spec, prev_ctx, s, sigma, net_params, bnet_params)
+        ctx = _anchor(spec, target, x_prev, s - 1, betas=betas)
+        f_mean, f_var = _kernel_means(spec, ctx, s, sigma, None, True)
         log_f_terms.append(log_normal_diag(x, f_mean, f_var, d))
         x = x_prev
-        ctx = prev_ctx
 
     if spec.method == "pis":
         log_pi0 = 0.0

@@ -11,7 +11,7 @@ from ..metrics import MetricReport
 CSV_COLUMNS = (
     "seed", "checkpoint", "nfe", "elbo", "eubo", "log_z_rev", "log_z_fwd",
     "delta_log_z_rev", "delta_log_z_fwd", "ess_rev", "ess_fwd", "emc", "ejs",
-    "mmd", "w2", "wall_clock_s",
+    "mmd", "w2", "w2_converged", "wall_clock_s",
 )
 
 
@@ -33,6 +33,7 @@ def render_checkpoint_csv(record) -> str:
                 "seed": seed_rec.seed,
                 "checkpoint": i,
                 "nfe": report.nfe_at_eval,
+                "w2_converged": report.w2_converged,
                 "wall_clock_s": seed_rec.wall_clock[i],
             }
             for name in MetricReport.CRITERIA:

@@ -56,7 +56,7 @@ def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream,
         k = min(ipm_subsample, len(x), len(y))
         if k >= 2:
             report.mmd = mmd(x[:k], y[:k])
-            report.w2, _ = sinkhorn_w2(x[:k], y[:k], max_iters=sinkhorn_iters)
+            report.w2, report.w2_converged = sinkhorn_w2(x[:k], y[:k], max_iters=sinkhorn_iters)
 
     report.nfe_at_eval = target.nfe.value
     return report

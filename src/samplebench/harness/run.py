@@ -53,8 +53,11 @@ def smooth_reports(raw_reports, window: int):
         series = [getattr(r, name) for r in raw_reports]
         for rep, value in zip(smoothed, running_average(series, window)):
             setattr(rep, name, value)
-    for rep, raw in zip(smoothed, raw_reports):
+    # a smoothed w2 averages the window's raw values: converged only if each one is
+    flags = [None if r.w2_converged is None else float(r.w2_converged) for r in raw_reports]
+    for rep, raw, frac in zip(smoothed, raw_reports, running_average(flags, window)):
         rep.nfe_at_eval = raw.nfe_at_eval
+        rep.w2_converged = None if frac is None else frac == 1.0
     return smoothed
 
 

@@ -54,6 +54,7 @@ class MetricReport:
     ejs: Optional[float] = None
     mmd: Optional[float] = None
     w2: Optional[float] = None
+    w2_converged: Optional[bool] = None  # Sinkhorn met its tolerance; not a criterion
     nfe_at_eval: int = 0
     elbo_se: Optional[float] = None
     eubo_se: Optional[float] = None

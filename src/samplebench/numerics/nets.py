@@ -61,22 +61,23 @@ class DriftNet:
         return int(round(t * self.n_steps))
 
 
-def _tanh(v):
-    return v.tanh() if isinstance(v, Var) else np.tanh(v)
-
-
 def drift_forward(net: DriftNet, x, t: float, score=None, params=None):
     """Evaluate f1(x, t) + f2(t) * score (or f1 alone with guidance off).
 
-    `x` / `score` / parameter values may be tape variables, in which case the
-    result participates in reverse-mode differentiation.
+    When `x`, `score` or a parameter value is a tape variable, the whole net is
+    recorded as one tape node whose parents are exactly those variables.
     """
     p = net.params if params is None else params
     idx = net.step_index(t)
-    single = not isinstance(x, Var) and np.ndim(x) == 1
+    names = [f"{kind}{layer}" for layer in range(net.hidden_layers) for kind in ("W", "b")]
+    names += ["Wout", "bout"] + (["f2"] if net.guidance else [])
+    inputs = [x, score] + [p[name] for name in names]
+    is_var = [isinstance(v, Var) for v in inputs]
+    x, score, *weights = [v.value if var else v for v, var in zip(inputs, is_var)]
+    single = not is_var[0] and np.ndim(x) == 1
     if single:
         x = np.asarray(x, dtype=float)[None, :]
-        if score is not None and not isinstance(score, Var):
+        if score is not None:
             score = np.asarray(score, dtype=float)[None, :]
     d = x.shape[-1]
     if d != net.dim:
@@ -88,16 +89,54 @@ def drift_forward(net: DriftNet, x, t: float, score=None, params=None):
             raise UsageError("score dimension does not match network dimension")
 
     emb = net.emb_table[idx : idx + 1]  # (1, temb), constant w.r.t. parameters
-    W0, b0 = p["W0"], p["b0"]
-    # split the first affine layer so the constant embedding never needs a tape node
-    h = _tanh(x @ W0[: net.dim] + emb @ W0[net.dim :] + b0)
-    for layer in range(1, net.hidden_layers):
-        h = _tanh(h @ p[f"W{layer}"] + p[f"b{layer}"])
-    f1 = h @ p["Wout"] + p["bout"]
+    n_layers = net.hidden_layers
+    W0, b0 = weights[0], weights[1]
+    # split the first affine layer so the embedding term is computed once, not per row
+    hidden = [np.tanh(x @ W0[:d] + emb @ W0[d:] + b0)]
+    for layer in range(1, n_layers):
+        hidden.append(np.tanh(hidden[-1] @ weights[2 * layer] + weights[2 * layer + 1]))
+    out = hidden[-1] @ weights[2 * n_layers] + weights[2 * n_layers + 1]
     if net.guidance:
-        out = f1 + score * p["f2"][idx]
-    else:
-        out = f1
-    if single and not isinstance(out, Var):
-        return out[0]
-    return out
+        out = out + score * weights[-1][idx]
+    if not any(is_var):
+        return out[0] if single else out
+    parents = [v for v, var in zip(inputs, is_var) if var]
+    vjp = _drift_vjp(is_var, x, score, weights, hidden, emb, idx, net.guidance)
+    return parents[0].tape.custom(out, parents, vjp, op="drift_net")
+
+
+def _drift_vjp(is_var, x, score, weights, hidden, emb, idx, guidance):
+    """Vector-Jacobian product of one drift-net call w.r.t. (x, score, *weights).
+
+    Each product and sum is the one the op-by-op recording of the same net takes,
+    in the same order, so the gradients are bitwise those of that recording.
+    The closure holds arrays and the `is_var` mask only: a tape variable here
+    would tie the tape into a reference cycle that outlives the training step.
+    """
+    d = x.shape[-1]
+    head = 2 * len(hidden)  # weights[head:] = Wout, bout (, f2)
+
+    def vjp(g):
+        grads = [None] * len(is_var)  # aligned with (x, score, *weights)
+        if guidance:
+            f2 = weights[-1]
+            if is_var[1]:
+                grads[1] = g * f2[idx]
+            g_f2 = np.zeros_like(f2)
+            g_f2[idx] = (g * score).sum(axis=(0, 1))
+            grads[-1] = g_f2
+        grads[2 + head] = hidden[-1].T @ g
+        grads[3 + head] = g.sum(axis=0)
+        dh = g @ weights[head].T
+        for layer in range(len(hidden) - 1, -1, -1):
+            dz = dh * (1 - hidden[layer] ** 2)
+            grads[3 + 2 * layer] = dz.sum(axis=0)
+            if layer:
+                grads[2 + 2 * layer] = hidden[layer - 1].T @ dz
+                dh = dz @ weights[2 * layer].T
+            else:  # W0's rows split into the x rows and the embedding rows
+                grads[2] = np.concatenate([x.T @ dz, emb.T @ dz.sum(axis=0, keepdims=True)])
+                grads[0] = dz @ weights[0][:d].T
+        return tuple(gr for gr, var in zip(grads, is_var) if var)
+
+    return vjp

@@ -1,10 +1,15 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import samplebench.diffusion as diffusion
 from samplebench.diffusion import (
+    ALL_METHODS,
+    LANGEVIN_METHODS,
     DiffusionSpec,
     TrainableFlags,
     kernel_pair,
@@ -18,7 +23,7 @@ from samplebench.diffusion import (
     trainable_parameters,
 )
 from samplebench.errors import TrainingError, UsageError
-from samplebench.numerics import RngStream, Tape
+from samplebench.numerics import RngStream, Tape, Var
 from samplebench.numerics.logspace import log_mean_exp
 from samplebench.targets import make_gaussian_target, make_mog_target
 
@@ -102,6 +107,94 @@ def test_pis_point_mass_proposal_not_trainable():
     with pytest.raises(UsageError):
         DiffusionSpec.create("pis", 2, RngStream(0, 0),
                              trainable=TrainableFlags(proposal=True))
+
+
+@pytest.mark.parametrize("guidance", [True, False])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_drift_net_calls_per_simulation_closed_form(method, guidance, monkeypatch):
+    # each hop evaluates only the kernel side it uses; CMCD's two sides share
+    # one net output per state, and GBS runs one net per side
+    big_t, n = 8, 16
+    expected_calls = {"ula": 0, "cmcd": big_t + 1, "gbs": 2 * big_t}.get(method, big_t)
+    guided = method in LANGEVIN_METHODS or guidance
+    expected_nfe = n * (big_t + 1) if guided else n
+    spec = make_spec(method, n_steps=big_t, sigma_max=1.0, guidance=guidance, seed=40)
+    target = make_gaussian_target(2)
+    calls = []
+    real = diffusion.drift_forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "drift_forward", counted)
+
+    def calls_and_nfe(simulate):
+        calls.clear()
+        before = target.nfe.value
+        simulate()
+        return len(calls), target.nfe.value - before
+
+    expected = (expected_calls, expected_nfe)
+    assert calls_and_nfe(lambda: simulate_forward(spec, target, n, RngStream(41, 0))) == expected
+    tape = Tape()
+    leaves = {k: tape.leaf(v) for k, v in trainable_parameters(spec).items()}
+    assert calls_and_nfe(lambda: simulate_forward(spec, target, n, RngStream(41, 0),
+                                                  params=leaves, tape=tape)) == expected
+    y = target.exact_sampler(RngStream(42, 0), n)
+    assert calls_and_nfe(
+        lambda: simulate_backward_logweights(spec, target, y, RngStream(43, 0))) == expected
+
+
+@pytest.mark.parametrize("method", ["mcd", "cmcd", "dds", "pis", "dis", "gbs"])
+def test_training_step_frees_its_tape(method, monkeypatch):
+    # a tape variable held by a node's VJP closure would tie the tape into a
+    # reference cycle that only the cyclic collector frees
+    tapes = []
+
+    class TrackedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(diffusion, "Tape", TrackedTape)
+    spec = make_spec(method, n_steps=4, guidance=True, seed=44,
+                     trainable=TrainableFlags(sigma=True, proposal=method != "pis"))
+    gc.disable()
+    try:
+        train_diffusion(spec, make_gaussian_target(2), "elbo", 1, 8, RngStream(45, 0))
+        alive = [ref() is not None for ref in tapes]
+    finally:
+        gc.enable()
+    assert alive == [False]
+
+
+def _reference_log_normal_diag(y, mean, var, dim):
+    """The former op-by-op form of log_normal_diag for a constant var, kept as a reference."""
+    diff = y - mean
+    quad = (diff * diff).sum(axis=1)
+    return quad * (-0.5) / var - 0.5 * dim * LOG_2PI - 0.5 * dim * np.log(var)
+
+
+@pytest.mark.parametrize("y_var,mean_var", [(True, True), (True, False), (False, True)])
+def test_fused_log_normal_matches_op_by_op_reference(y_var, mean_var):
+    rng = RngStream(46, 0)
+    y_val, mean_val, proj = rng.normal((6, 3)), rng.normal((6, 3)), rng.normal(6)
+
+    def record(log_normal):
+        tape = Tape()
+        y = tape.leaf(y_val) if y_var else y_val
+        mean = tape.leaf(mean_val) if mean_var else mean_val
+        out = log_normal(y, mean, 0.37, 3)
+        wrt = [v for v in (y, mean) if isinstance(v, Var)]
+        return out.value, tape.grad((out * proj).sum(), wrt), len(tape.nodes)
+
+    ref_value, ref_grads, ref_nodes = record(_reference_log_normal_diag)
+    value, grads, n_nodes = record(log_normal_diag)
+    np.testing.assert_array_equal(value, ref_value)
+    for g, ref in zip(grads, ref_grads, strict=True):
+        np.testing.assert_array_equal(g, ref)
+    assert n_nodes < ref_nodes
 
 
 # ----------------------------------------------------------- weight identities

@@ -20,6 +20,7 @@ from samplebench.harness import (
 )
 from samplebench.harness.ablate import ablation_cells
 from samplebench.harness.emit import render_checkpoint_csv
+from samplebench.harness.run import smooth_reports
 from samplebench.kernels import AnnealedPath, HmcConfig, MhConfig
 from samplebench.metrics import MetricReport
 from samplebench.numerics import RngStream
@@ -160,7 +161,7 @@ def test_missing_criteria_emit_empty_cells(tmp_path):
     lines = render_checkpoint_csv(record).strip().splitlines()
     header = lines[0].split(",")
     row = lines[1].split(",")
-    for col in ("eubo", "log_z_fwd", "ess_fwd", "emc", "ejs", "mmd", "w2"):
+    for col in ("eubo", "log_z_fwd", "ess_fwd", "emc", "ejs", "mmd", "w2", "w2_converged"):
         assert row[header.index(col)] == ""
     for col in ("elbo", "log_z_rev", "ess_rev"):
         assert row[header.index(col)] != ""
@@ -178,6 +179,30 @@ def test_csv_roundtrip_six_significant_digits(tmp_path):
         emitted = first[header.index(name)]
         assert emitted == f"{getattr(rep, name):.6g}"
         assert float(emitted) == pytest.approx(getattr(rep, name), rel=1e-5)
+
+
+def test_w2_converged_column_is_the_windows_sinkhorn_flag():
+    record = run_experiment(parse_config(tiny_config(protocol={"ipm_subsample": 16})),
+                            clock=FakeClock())
+    lines = render_checkpoint_csv(record).strip().splitlines()
+    header = lines[0].split(",")
+    assert header[header.index("w2") + 1] == "w2_converged"
+    rows = iter(lines[1:])
+    for seed_rec in sorted(record.seed_records, key=lambda r: r.seed):
+        raw_flags = [r.w2_converged for r in seed_rec.raw_reports]
+        assert all(isinstance(flag, bool) for flag in raw_flags)
+        for i, rep in enumerate(seed_rec.reports):
+            assert rep.w2_converged == all(raw_flags[max(0, i - 4) : i + 1])  # window 5
+            assert next(rows).split(",")[header.index("w2_converged")] == str(
+                int(rep.w2_converged))
+    assert "w2_converged" not in record.summary
+
+
+def test_smoothed_w2_converged_needs_every_flag_in_window():
+    raw = [MetricReport(w2=1.0, w2_converged=flag) for flag in (True, True, False, True)]
+    raw.append(MetricReport())
+    assert [r.w2_converged for r in smooth_reports(raw, 2)] == [True, True, False, False, True]
+    assert [r.w2_converged for r in smooth_reports(raw, 1)] == [True, True, False, True, None]
 
 
 def test_emit_unwritable_path_leaves_no_partial(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from samplebench.numerics import (
     DriftNet,
     RngStream,
     Tape,
+    Var,
     adam_step,
     drift_forward,
     log_sum_exp,
@@ -269,6 +271,92 @@ def test_driftnet_composed_loss_through_full_net_fd():
             ) / (2 * eps)
             g = grads[name].ravel()[j]
             assert abs(g - fd) <= 1e-4 * max(abs(fd), 1.0) + 1e-8, (name, j, g, fd)
+
+
+def _tanh(v):
+    return v.tanh() if isinstance(v, Var) else np.tanh(v)
+
+
+def _reference_drift_forward(net: DriftNet, x, t: float, score=None, params=None):
+    """The former op-by-op recording of drift_forward, kept verbatim as a reference."""
+    p = net.params if params is None else params
+    idx = net.step_index(t)
+    single = not isinstance(x, Var) and np.ndim(x) == 1
+    if single:
+        x = np.asarray(x, dtype=float)[None, :]
+        if score is not None and not isinstance(score, Var):
+            score = np.asarray(score, dtype=float)[None, :]
+    d = x.shape[-1]
+    if d != net.dim:
+        raise UsageError(f"input dimension {d} does not match network dimension {net.dim}")
+    if net.guidance:
+        if score is None:
+            raise UsageError("guidance is enabled but no score was provided")
+        if score.shape[-1] != net.dim:
+            raise UsageError("score dimension does not match network dimension")
+
+    emb = net.emb_table[idx : idx + 1]  # (1, temb), constant w.r.t. parameters
+    W0, b0 = p["W0"], p["b0"]
+    # split the first affine layer so the constant embedding never needs a tape node
+    h = _tanh(x @ W0[: net.dim] + emb @ W0[net.dim :] + b0)
+    for layer in range(1, net.hidden_layers):
+        h = _tanh(h @ p[f"W{layer}"] + p[f"b{layer}"])
+    f1 = h @ p["Wout"] + p["bout"]
+    if net.guidance:
+        out = f1 + score * p["f2"][idx]
+    else:
+        out = f1
+    if single and not isinstance(out, Var):
+        return out[0]
+    return out
+
+
+def _drift_value_and_grads(forward, net, x_val, score_val, proj, x_var, score_var):
+    """Value of one net call and the gradients of a nonlinear loss on it."""
+    tape = Tape()
+    leaves = {k: tape.leaf(v) for k, v in net.params.items()}
+    x = tape.leaf(x_val) if x_var else x_val
+    score = tape.leaf(score_val) if score_var and net.guidance else score_val
+    out = forward(net, x, 0.375, score if net.guidance else None, params=leaves)
+    loss = (out * proj).tanh().sum() + (out * out).sum()
+    wrt = dict(leaves)
+    if x_var:
+        wrt["x"] = x
+    if score_var and net.guidance:
+        wrt["score"] = score
+    n_nodes = len(tape.nodes)
+    grads = dict(zip(wrt, tape.grad(loss, list(wrt.values()))))
+    return out.value, grads, n_nodes
+
+
+@pytest.mark.parametrize("hidden_layers,guidance,x_var,score_var", [
+    case for case in itertools.product((1, 2, 3), (True, False), (False, True), (False, True))
+    if case[1] or not case[3]  # without guidance there is no score input
+])
+def test_fused_drift_net_matches_op_by_op_reference(hidden_layers, guidance, x_var,
+                                                    score_var):
+    rng = RngStream(12, hidden_layers)
+    net = DriftNet.init(dim=3, n_steps=8, rng=rng, hidden_width=7, hidden_layers=hidden_layers,
+                        time_embedding_dim=6, guidance=guidance)
+    # nonzero head and guidance scales so every parameter and input matters
+    net.params["Wout"] = rng.normal((7, 3)) * 0.5
+    net.params["bout"] = rng.normal(3) * 0.1
+    net.params["f2"] = 1.0 + 0.3 * rng.normal(9)
+    x_val = rng.normal((5, 3))
+    score_val = rng.normal((5, 3))
+    proj = rng.normal((5, 3))
+
+    ref_out, ref_grads, ref_nodes = _drift_value_and_grads(
+        _reference_drift_forward, net, x_val, score_val, proj, x_var, score_var)
+    out, grads, n_nodes = _drift_value_and_grads(
+        drift_forward, net, x_val, score_val, proj, x_var, score_var)
+
+    np.testing.assert_array_equal(out, ref_out)
+    assert n_nodes < ref_nodes
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)), err_msg=name)
 
 
 # ------------------------------------------------------------------------ rng
