@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import UsageError
 from .numerics.logspace import log_mean_exp, log_sum_exp
@@ -156,18 +155,61 @@ def ejs(mode_probs, true_probs) -> float:
 
 
 # ------------------------------------------------- integral probability metrics
-def median_sq_distance(x, y) -> float:
-    """Median pairwise squared distance over the pooled sample."""
-    return _median_upper(_pooled_sq_distances(x, y))
+_DIST_BLOCK = 64  # rows per block of the distance loop
+
+
+def _sq_distances(x, y=None):
+    """Pairwise squared Euclidean distances, (n, m), with the bits of scipy's cdist.
+
+    Each entry sums (x_k - y_k)^2 over k = 1..d in order, the summation order of
+    scipy's C loop, one coordinate at a time over a block of rows held in two
+    reused contiguous buffers.  With y omitted it is the (n, n) matrix within x:
+    a block fills only the columns from its first row on and mirrors them, as
+    (a - b)^2 and (b - a)^2 are equal.
+    """
+    symmetric = y is None
+    y = x if symmetric else y
+    n, m = len(x), len(y)
+    out = np.empty((n, m))
+    acc_buf = np.empty(min(n, _DIST_BLOCK) * m)
+    diff_buf = np.empty_like(acc_buf)
+    y_cols = np.ascontiguousarray(y.T)
+    for start in range(0, n, _DIST_BLOCK):
+        stop = min(start + _DIST_BLOCK, n)
+        first = start if symmetric else 0
+        shape = (stop - start, m - first)
+        acc = acc_buf[:shape[0] * shape[1]].reshape(shape)
+        diff = diff_buf[:acc.size].reshape(shape)
+        acc.fill(0.0)
+        for k, y_k in enumerate(y_cols):
+            np.subtract(x[start:stop, k, None], y_k[first:], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(acc, diff, out=acc)
+        out[start:stop, first:] = acc
+        if symmetric:
+            out[stop:, start:stop] = acc[:, stop - start:].T
+    return out
 
 
 def _pooled_sq_distances(x, y):
     pooled = np.concatenate([np.atleast_2d(x), np.atleast_2d(y)], axis=0)
-    return cdist(pooled, pooled, "sqeuclidean")
+    return _sq_distances(pooled)
 
 
 def _median_upper(d2) -> float:
-    return float(np.median(d2[np.triu_indices(len(d2), k=1)]))
+    """np.median of the strict upper triangle, by the same partition.
+
+    np.median also partitions at the last index, which holds NaN if any entry
+    is NaN; computing it here keeps np.median's lazy NaN check (and the
+    numpy.ma import it costs) out of the run.
+    """
+    vals = d2[np.triu_indices(len(d2), k=1)]
+    half = len(vals) // 2
+    even = len(vals) % 2 == 0
+    vals.partition([half - 1, half, -1] if even else [half, -1])
+    if np.isnan(vals[-1]):
+        return float("nan")
+    return float((vals[half - 1] + vals[half]) / 2.0 if even else vals[half])
 
 
 def mmd_squared(x, y, bandwidth: Optional[float] = None) -> float:
@@ -229,7 +271,7 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
     if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
         x, y = y, x
     n, m = len(x), len(y)
-    cost = cdist(x, y, "sqeuclidean")
+    cost = _sq_distances(x, y)
     log_a = -np.log(n)
     log_b = -np.log(m)
     f = np.zeros(n)

@@ -7,7 +7,7 @@ scheduled, and distinct stream ids are statistically independent.
 
 from __future__ import annotations
 
-import numpy as np
+import numpy.random  # numpy loads it lazily; import it with this module, not at the first draw
 
 
 class RngStream:
@@ -17,7 +17,7 @@ class RngStream:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self.counter = 0
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
+        self._gen = numpy.random.Generator(numpy.random.Philox(key=[self.seed, self.stream_id]))
 
     def child(self, stream_id: int) -> "RngStream":
         """Derive an independent stream under the same seed."""

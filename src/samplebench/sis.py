@@ -140,7 +140,8 @@ def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_thresh
     """The annealed sweep from x with zero weights; returns (ParticleSystem, diagnostics).
 
     Forward runs t = 1..T from pi_{t-1} to pi_t.  Backward runs t = T..1 from
-    pi_t to pi_{t-1}, never resamples, and subtracts each increment.
+    pi_t to pi_{t-1}, never resamples, subtracts each increment, and makes
+    T - 1 moves: the weights are complete before a move towards pi_0.
     `before_reweight(t, positions)` runs at the start of each temperature.
     """
     big_t = path.n_steps
@@ -166,6 +167,8 @@ def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_thresh
             if resampled:
                 ps = resample_multinomial(ps, rng)
 
+        if backward and b == 0:
+            break
         ps.positions, accepted, (ps.value, ps.grad) = _mcmc_move(
             ps.positions, path, b, kernel_cfg, rng, (ps.value, ps.grad))
         diagnostics.append({"t": t, "ess_fraction": ess, "resampled": resampled,

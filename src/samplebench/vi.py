@@ -67,8 +67,9 @@ def mfvi_train(target: TargetDensity, init_scale: float, batch_size: int, iterat
     trace = MfviTrace()
     checkpoint_iters = set()
     if checkpoint_hook is not None and n_checkpoints > 0:
-        marks = np.unique(np.linspace(1, max(iterations, 1), n_checkpoints).astype(int))
-        checkpoint_iters = set(int(m) for m in marks)
+        # a set, not np.unique: np.unique imports numpy.ma on first use
+        marks = np.linspace(1, max(iterations, 1), n_checkpoints).astype(int)
+        checkpoint_iters = set(marks.tolist())
     bad_streak = 0
 
     for it in range(1, iterations + 1):

@@ -2,6 +2,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from samplebench.metrics import MetricReport
 from samplebench.numerics import RngStream
 from samplebench.sis import AffineFlow, backward_transport_logweights, craft_train, smc_run
 from samplebench.targets import DiagonalGaussian, make_mog_target
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def tiny_config(**overrides):
@@ -269,7 +274,7 @@ def _nfe_flows(big_t):
 @pytest.mark.parametrize("kernel", sorted(NFE_KERNELS))
 def test_backward_ais_nfe_closed_form(kernel):
     # one query per temperature gives the increment and the move's start;
-    # the final move targets pi_0, which never queries the target
+    # no move follows the last increment
     n, big_t, steps = 12, 6, 4
     path = _nfe_path(big_t)
     samples = path.target.exact_sampler(RngStream(4, 0), n)
@@ -301,7 +306,7 @@ def test_craft_training_nfe_closed_form(kernel):
 @pytest.mark.parametrize("kernel", sorted(NFE_KERNELS))
 def test_craft_backward_nfe_closed_form(kernel):
     # pi_T at the target samples once, then pi_{t-1}(T^-1 x) and the move for
-    # t = T..2; at t = 1 both run at pi_0
+    # t = T..2; at t = 1 the increment reads pi_0 and no move follows
     n, big_t, steps = 12, 6, 4
     path = _nfe_path(big_t)
     samples = path.target.exact_sampler(RngStream(8, 0), n)
@@ -380,3 +385,37 @@ def test_cli_metrics_subcommand(tmp_path, capsys):
     assert 0.9 < report["emc"] <= 1.0  # exact samples cover the modes
     assert report["w2"] > 0.0
     assert isinstance(report["w2_converged"], bool)
+
+
+# ------------------------------------------------------------------- imports
+def _run_python(code):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_harness_import_loads_no_scipy():
+    # the harness, not the CLI: the CLI imports lazily, so importing it would pass vacuously
+    loaded = _run_python(
+        "import json, sys\n"
+        "import samplebench.harness\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    assert loaded == []
+
+
+def test_run_without_scipy_loads_no_numpy_submodule_lazily(tmp_path):
+    # scipy is a test dependency only, so a run must work where it cannot be imported;
+    # numpy submodules imported on first use would land inside the timed run
+    doc = tiny_config(target={"name": "mog", "dim": 2},
+                      protocol={"n_checkpoints": 1, "eval_samples": 64, "ipm_subsample": 32},
+                      seeds=[0], output_dir=str(tmp_path))
+    added = _run_python(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from samplebench.harness import parse_config, run_experiment\n"
+        "before = set(sys.modules)\n"
+        f"run_experiment(parse_config(json.loads({json.dumps(json.dumps(doc))})))\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    assert [m for m in added if m.startswith(("numpy.random", "numpy.ma"))] == []

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from samplebench import metrics
 from samplebench.errors import UsageError
 from samplebench.metrics import (
     FORWARD,
     REVERSE,
     WeightedSamples,
     _lse_inplace,
+    _median_upper,
+    _sq_distances,
     ejs,
     elbo,
     emc,
     ess_estimates,
     eubo,
     log_z_estimates,
-    median_sq_distance,
     mmd,
     mmd_squared,
     sinkhorn_w2,
@@ -176,6 +178,66 @@ def test_ejs_onehot_vs_uniform_oracle():
     assert ejs(p[None, :], q) == pytest.approx(expected, rel=1e-12)
 
 
+# ------------------------------------------------------------ distance matrix
+@pytest.mark.parametrize("dim", [1, 2, 10, 50])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 40), (40, 1), (64, 64), (65, 30), (150, 70)])
+def test_sq_distances_bitwise_equals_cdist(dim, n, m):
+    # row counts on, below and off the block size, with n != m
+    rng = RngStream(30, dim)
+    x = 3.0 * rng.normal((n, dim))
+    y = 3.0 * rng.normal((m, dim)) + 1.0
+    _assert_bitwise(_sq_distances(x, y), cdist(x, y, "sqeuclidean"))
+    _assert_bitwise(_sq_distances(x), cdist(x, x, "sqeuclidean"))
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def _upper(d2):
+    return d2[np.triu_indices(len(d2), k=1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 64, 65])
+def test_median_upper_bitwise_equals_np_median(n):
+    # n(n-1)/2 pairs: odd and even counts, on continuous and on tied values
+    rng = RngStream(31, n)
+    x = rng.normal((n, 3))
+    tied = rng.integers(3, size=(n, 2)).astype(float)
+    for pts in (x, tied):
+        d2 = cdist(pts, pts, "sqeuclidean")
+        expected = np.median(_upper(d2))
+        assert np.float64(_median_upper(d2)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_median_upper_nan_entry_gives_nan(n):
+    pts = RngStream(32, n).normal((n, 2))
+    d2 = cdist(pts, pts, "sqeuclidean")
+    d2[0, n - 1] = np.nan
+    assert math.isnan(_median_upper(d2))
+    assert math.isnan(np.median(_upper(d2)))
+
+
+def _cdist_mmd(monkeypatch, x, y):
+    """mmd as it was computed before the numpy distance routine: cdist and np.median."""
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "_pooled_sq_distances",
+                      lambda a, b: cdist(np.concatenate([a, b]), np.concatenate([a, b]),
+                                         "sqeuclidean"))
+        patch.setattr(metrics, "_median_upper", lambda d2: float(np.median(_upper(d2))))
+        return mmd(x, y)
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+def test_mmd_bitwise_equals_cdist_form_on_bench_shaped_clouds(monkeypatch, dim):
+    target = make_mog_target(dim, seed=0)
+    x = target.exact_sampler(RngStream(33, 0), 128)
+    y = target.exact_sampler(RngStream(33, 1), 128) + 0.5 * RngStream(33, 2).normal((128, dim))
+    assert mmd(x, y) == _cdist_mmd(monkeypatch, x, y)
+
+
 # ----------------------------------------------------------------------- mmd
 def test_mmd_identical_samples_is_zero():
     x = RngStream(9, 0).normal((20, 3))
@@ -205,7 +267,9 @@ def test_mmd_squared_matches_triple_sum_oracle():
     for n, m in [(10, 10), (23, 17), (50, 50)]:
         x = rng.normal((n, 3))
         y = rng.normal((m, 3)) + 0.3
-        alpha = median_sq_distance(x, y)
+        pooled = np.concatenate([x, y])
+        d2 = cdist(pooled, pooled, "sqeuclidean")
+        alpha = np.median(d2[np.triu_indices(len(d2), k=1)])
         fast = mmd_squared(x, y)
         a = sum(
             math.exp(-np.sum((x[i] - x[j]) ** 2) / alpha)

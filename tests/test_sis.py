@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from samplebench import sis
 from samplebench.errors import DegenerateWeightsError, UsageError
 from samplebench.kernels import (
     AnnealedPath,
@@ -225,6 +226,26 @@ def test_backward_single_step_is_plain_importance_weight():
     lw = backward_transport_logweights(path, hmc_cfg(0.5), samples, RngStream(15, 0))
     expected = target.log_unnorm(samples) - path.proposal.log_density(samples)
     np.testing.assert_allclose(lw, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("flows", [False, True])
+def test_backward_sweep_makes_one_move_fewer_than_temperatures(monkeypatch, flows):
+    # the weights are complete after the t = 1 increment; no move towards pi_0 follows
+    big_t = 5
+    target = make_mog_target(2, seed=0)
+    path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 60.0), target, big_t)
+    moved_to = []
+    move = sis._mcmc_move
+
+    def counting_move(x, path, t, *args):
+        moved_to.append(t)
+        return move(x, path, t, *args)
+
+    monkeypatch.setattr(sis, "_mcmc_move", counting_move)
+    samples = target.exact_sampler(RngStream(18, 0), 10)
+    flow_list = [AffineFlow.identity(2) for _ in range(big_t)] if flows else None
+    backward_transport_logweights(path, hmc_cfg(0.5), samples, RngStream(19, 0), flows=flow_list)
+    assert moved_to == list(range(big_t - 1, 0, -1))
 
 
 def test_backward_forward_z_identity_gaussian():
