@@ -82,6 +82,10 @@ def _cmd_ablate(args) -> int:
     record = run_ablation(args.kind, config)
     paths = emit_ablation(record, config.output_dir)
     print(f"wrote {paths['csv']} and {paths['summary']}")
+    n_failed = sum(len(run.failures) for _, _, run in record.cells)
+    if n_failed:
+        print(f"  {n_failed} seed(s) failed; see summary JSON")
+        return 3
     return 0
 
 

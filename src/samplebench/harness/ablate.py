@@ -130,6 +130,7 @@ def render_ablation_summary(record: AblationRecord) -> str:
         "method": record.config.method_name,
         "target": record.config.target_name,
         "cells": {label: run.summary for label, _, run in record.cells},
+        "failures": {label: run.failures for label, _, run in record.cells if run.failures},
     }
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 

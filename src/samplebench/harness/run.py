@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..metrics import MetricReport
 from ..numerics.rng import RngStream
 from .config import ExperimentConfig
@@ -104,10 +105,12 @@ def run_experiment(config: ExperimentConfig, clock=time.perf_counter) -> RunReco
         try:
             driver.train(target, config.target_name, seed,
                          config.protocol.n_checkpoints, on_checkpoint)
-        except Exception as exc:  # partial record with a failure marker
+        except ConfigError:
+            raise  # a config mistake fails every seed alike
+        except Exception as exc:  # the seed fails; its checkpoints so far and the other seeds stay
             record.failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
             if not seed_rec.raw_reports:
-                raise
+                continue
         seed_rec.reports = smooth_reports(seed_rec.raw_reports,
                                           config.protocol.running_avg_len)
         seed_rec.best_index = select_best(seed_rec.reports)

@@ -145,51 +145,3 @@ def hmc_step(x, fused_logdensity_and_grad, cfg: HmcConfig, rng: RngStream, beta:
     new_val = np.where(accepted, val, val0)
     new_grad = np.where(accepted[:, None], grad, grad0)
     return new_x, accepted, (new_val, new_grad)
-
-
-def ula_step(x, fused_logdensity_and_grad, step_h, rng: RngStream, current=None):
-    """One uncorrected Langevin step x + h grad + sqrt(2h) xi.
-
-    This is exactly hmc_step with L = 1, eps = sqrt(2h), and the Metropolis
-    correction removed; it runs through the same leapfrog code path.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    eps = np.sqrt(2.0 * step_h)
-    if current is None:
-        val0, grad0 = fused_logdensity_and_grad(x)
-    else:
-        val0, grad0 = current
-    p0 = rng.normal(x.shape)
-    xn, _, _, _ = _leapfrog(x, p0, eps, 1, fused_logdensity_and_grad, val0, grad0)
-    return xn
-
-
-def tune_step_size(kernel_step, init_step, rng: RngStream, target_rejection: float = 0.65,
-                   n_chains: int = 64, rounds: int = 60, tol: float = 0.05,
-                   x0=None, dim: int = 1):
-    """Robbins-Monro pilot tuning toward a target rejection rate.
-
-    `kernel_step(x, step, rng) -> (x', accepted)` runs one transition at the
-    trial step size.  Returns (step, converged); on failure the best step seen
-    is returned with converged=False.
-    """
-    if not 0.0 < target_rejection < 1.0:
-        raise UsageError("target_rejection must lie in (0, 1)")
-    log_step = np.log(float(init_step))
-    x = np.zeros((n_chains, dim)) if x0 is None else np.array(x0, dtype=float)
-    best = (np.inf, log_step)
-    converged = False
-    for k in range(rounds):
-        x, accepted = kernel_step(x, float(np.exp(log_step)), rng)
-        rejection = 1.0 - float(np.mean(accepted))
-        gap = rejection - target_rejection
-        if abs(gap) < best[0]:
-            best = (abs(gap), log_step)
-        if k > rounds // 3 and abs(gap) <= tol:
-            converged = True
-            break
-        # too many rejections -> shrink the step
-        log_step -= (1.2 / (1.0 + 0.1 * k)) * gap
-    if not converged:
-        log_step = best[1]
-    return float(np.exp(log_step)), converged

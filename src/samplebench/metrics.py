@@ -247,19 +247,29 @@ def mmd(x, y, bandwidth: Optional[float] = None) -> float:
 
 
 def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float = 1e-6):
-    """Entropy-regularized 2-Wasserstein distance via log-domain Sinkhorn.
+    """Entropy-regularized 2-Wasserstein distance via stabilised scaling Sinkhorn.
 
-    Uniform marginals, cost |x-y|^2; returns (sqrt(transport cost), converged).
-    Epsilon is annealed geometrically down to its target so small-epsilon runs
-    make progress.  The potential updates alternate (g uses the new f); exact
+    Uniform marginals a = 1/n, b = 1/m and cost C = |x-y|^2; returns
+    (sqrt(transport cost), converged).  Epsilon is annealed geometrically from
+    span/8 down to its target, 10 warm-up iterations per level, so small-epsilon
+    runs make progress.  The updates alternate (g uses the new f); exact
     symmetry in (x, y) comes from running both argument orders as one
     canonical order, plus an order-independent final summation.
 
-    Convergence is the L1 error of the marginals, checked without a pass over
-    the plan: after a g-update the column marginals are exact up to rounding,
-    and the row marginals of (f, g) are a*exp((f - f_next)/eps), read off the
-    next f-update.  A converged exit returns the checked (f, g), so W2 is the
-    value a check over the full plan would give.
+    The iterate is held in scaling form (Schmitzer 2019): potentials (f, g)
+    absorbed into a kernel K = exp(max((f + g - C)/eps, -700)) and scalings
+    (u, v) on top, so the dual potentials are f + eps*log(u) and g + eps*log(v).
+    An iteration is two matrix-vector products, u = a/(K v) and v = b/(K^T u).
+    The first iteration at each epsilon runs in log form (log-sum-exp over the
+    cost) and leaves K behind; so does any iteration whose u or v leaves
+    [1/tau, tau] or is not finite, once the scalings are folded into (f, g).
+    Within that range a clamped entry of K weighs at most about 1e-200 of its
+    row, so the iterates are the log-domain ones up to rounding.
+
+    Convergence is the L1 error of the row marginals, |u*(K v) - a|, read off
+    the next u-update: after a v-update the column marginals are exact up to
+    rounding.  A converged exit returns the checked iterate, so W2 is the value
+    a check over the full plan would give.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -272,11 +282,13 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
         x, y = y, x
     n, m = len(x), len(y)
     cost = _sq_distances(x, y)
+    a, b = 1.0 / n, 1.0 / m
     log_a = -np.log(n)
-    log_b = -np.log(m)
     f = np.zeros(n)
     g = np.zeros(m)
-    buf = np.empty_like(cost)
+    u = np.ones(n)
+    v = np.ones(m)
+    kernel = np.empty_like(cost)  # scratch of the log-form steps, which leave K in it
 
     span = float(cost.max()) if cost.size else 1.0
     eps_levels = []
@@ -287,29 +299,56 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
     eps_levels.append(epsilon)
     warmup_iters = 10
 
-    def f_update(eps):
-        np.subtract(g[None, :], cost, out=buf)
-        np.divide(buf, eps, out=buf)
-        return eps * (log_a - _lse_inplace(buf, axis=1))
+    def fold(eps):
+        # moves the scalings into the potentials; the iterate is unchanged
+        nonlocal f, g, u, v
+        f = f + eps * np.log(u)
+        g = g + eps * np.log(v)
+        u = np.ones(n)
+        v = np.ones(m)
 
-    def g_update(eps):
-        np.subtract(f[:, None], cost, out=buf)
-        np.divide(buf, eps, out=buf)
-        return eps * (log_b - _lse_inplace(buf, axis=0))
+    def log_step(eps, update_f):
+        # an iteration (or its v-half) in log form; the g-update's exp terms are K
+        # for g = -eps * (column peak), and v = b / (column sum) carries the rest
+        nonlocal f, g, v
+        fold(eps)
+        if update_f:
+            np.subtract(g[None, :], cost, out=kernel)
+            np.divide(kernel, eps, out=kernel)
+            f = eps * (log_a - _lse_inplace(kernel, axis=1))
+        np.subtract(f[:, None], cost, out=kernel)
+        np.divide(kernel, eps, out=kernel)
+        g = -eps * _exp_shifted_inplace(kernel, axis=0)
+        v = b / kernel.sum(axis=0)
 
-    def marginal_error(eps, f_next):
-        return np.abs(np.exp(log_a + (f - f_next) / eps) - 1.0 / n).sum()
+    def row_error(kv):
+        return np.abs(u * kv - a).sum()
 
     def sweep(eps, iters, check):
-        nonlocal f, g
-        for it in range(iters):
-            f_next = f_update(eps)
-            # checks the previous iteration's (f, g); only iterates made at this eps count
-            if check and it > 0 and marginal_error(eps, f_next) < tol:
-                return True
-            f = f_next
-            g = g_update(eps)
-        return check and marginal_error(eps, f_update(eps)) < tol
+        nonlocal u, v
+        converged = False
+        if iters > 0:
+            log_step(eps, update_f=True)  # each level starts in log form
+        for _ in range(iters - 1):
+            kv = kernel @ v
+            # checks the previous iteration's iterate; only iterates made at this eps count
+            if check and row_error(kv) < tol:
+                converged = True
+                break
+            u_next = a / kv
+            if not _in_scaling_range(u_next):
+                log_step(eps, update_f=True)
+                continue
+            u = u_next
+            v_next = b / (u @ kernel)
+            if not _in_scaling_range(v_next):
+                log_step(eps, update_f=False)
+                continue
+            v = v_next
+        else:
+            converged = check and row_error(kernel @ v) < tol
+        fold(eps)
+        return converged
 
     budget = max_iters
     for eps in eps_levels[:-1]:
@@ -323,19 +362,37 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
     return float(np.sqrt(max(total, 0.0))), bool(converged)
 
 
+# scalings beyond [1/tau, tau] are folded into the potentials and the step redone in log form
+_SCALING_BOUND = 1e50
+
+
+def _in_scaling_range(w) -> bool:
+    return bool(1.0 / _SCALING_BOUND <= w.min() and w.max() <= _SCALING_BOUND)  # False on NaN
+
+
 # numpy's exp takes a slow path when its result underflows; clamped inputs never do
 _EXP_FLOOR = -700.0
 
 
-def _lse_inplace(buf, axis):
-    """Log-sum-exp of `buf` along `axis`, using `buf` as scratch (it is overwritten).
+def _exp_shifted_inplace(buf, axis):
+    """exp(buf - peak) in place, clamped, with peak the maximum along `axis`; returns peak.
 
     Shifted entries are clamped at -700 before exp: a clamped term is at most
-    e^-700 (about 1e-304) and every sum holds the shifted maximum exp(0) = 1,
-    so the clamp is absorbed in rounding and the result equals the unclamped form.
+    e^-700 (about 1e-304) and every sum along `axis` holds the shifted maximum
+    exp(0) = 1, so the clamp is absorbed in rounding.
     """
     peak = buf.max(axis=axis, keepdims=True)
     np.subtract(buf, peak, out=buf)
     np.maximum(buf, _EXP_FLOOR, out=buf)
     np.exp(buf, out=buf)
-    return np.log(buf.sum(axis=axis)) + peak.squeeze(axis)
+    return peak.squeeze(axis)
+
+
+def _lse_inplace(buf, axis):
+    """Log-sum-exp of `buf` along `axis`, using `buf` as scratch (it is overwritten).
+
+    By the clamp argument of _exp_shifted_inplace the result equals the
+    unclamped form.
+    """
+    peak = _exp_shifted_inplace(buf, axis)
+    return np.log(buf.sum(axis=axis)) + peak

@@ -19,10 +19,6 @@ class RngStream:
         self.counter = 0
         self._gen = numpy.random.Generator(numpy.random.Philox(key=[self.seed, self.stream_id]))
 
-    def child(self, stream_id: int) -> "RngStream":
-        """Derive an independent stream under the same seed."""
-        return RngStream(self.seed, stream_id)
-
     def normal(self, size=None):
         self.counter += 1
         return self._gen.standard_normal(size)

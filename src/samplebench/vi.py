@@ -13,7 +13,6 @@ from .numerics.logspace import LOG_2PI
 from .numerics.rng import RngStream
 from .numerics.tape import Tape
 from .targets.base import TargetDensity
-from .targets.gaussian import DiagonalGaussian
 
 
 @dataclass
@@ -32,9 +31,6 @@ class MeanFieldGaussian:
 
     def sample(self, rng: RngStream, n: int) -> np.ndarray:
         return self.mean + np.exp(self.log_std) * rng.normal((n, self.dim))
-
-    def as_proposal(self) -> DiagonalGaussian:
-        return DiagonalGaussian(self.mean.copy(), self.log_std.copy())
 
 
 def mfvi_logdensity(q: MeanFieldGaussian, x):

@@ -1,4 +1,4 @@
-"""The demos that call the SIS API run to completion."""
+"""The demos that call the SIS API, the criteria and the harness run to completion."""
 
 import os
 import subprocess
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_annealed_smc.py", "03_craft_flows.py"])
+@pytest.mark.parametrize("demo", ["02_annealed_smc.py", "03_craft_flows.py",
+                                  "05_mode_collapse_metrics.py", "06_full_experiment.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,

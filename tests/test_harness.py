@@ -146,6 +146,61 @@ def test_seed_order_invariance(tmp_path):
     assert rec_a.summary == rec_b.summary
 
 
+def _fail_seed_1(monkeypatch):
+    from samplebench.harness.registry import MethodDriver
+
+    train = MethodDriver.train
+
+    def train_failing_on_seed_1(self, target, target_name, seed, n_checkpoints, checkpoint_cb):
+        if seed == 1:
+            raise FloatingPointError("diverged")
+        return train(self, target, target_name, seed, n_checkpoints, checkpoint_cb)
+
+    monkeypatch.setattr(MethodDriver, "train", train_failing_on_seed_1)
+
+
+def test_seed_failing_before_first_checkpoint_keeps_other_seeds(tmp_path, monkeypatch):
+    _fail_seed_1(monkeypatch)
+    record = run_experiment(parse_config(tiny_config(seeds=[0, 1, 2])), clock=FakeClock())
+    assert record.failures == [{"seed": 1, "error": "FloatingPointError: diverged"}]
+    assert [r.seed for r in record.seed_records] == [0, 2]
+    assert all(len(r.reports) == 6 for r in record.seed_records)
+    assert record.summary["elbo"]["n_seeds"] == 2
+    paths = emit_results(record, tmp_path)
+    rows = paths["csv"].read_text().strip().splitlines()[1:]
+    assert sorted({row.split(",")[0] for row in rows}) == ["0", "2"]
+    summary = json.loads(paths["summary"].read_text())
+    assert summary["failures"] == record.failures
+    assert summary["best_checkpoints"].keys() == {"0", "2"}
+
+
+def test_failed_seed_keeps_ablation_grid_and_exits_3(tmp_path, monkeypatch):
+    from samplebench.cli import main
+
+    _fail_seed_1(monkeypatch)
+    doc = tiny_config(method={"name": "mfvi", "iterations": 20, "batch_size": 16,
+                              "learning_rate": 0.05, "sigma0_grid": [1.0, 3.0]},
+                      protocol={"n_checkpoints": 2, "eval_samples": 32, "ipm_subsample": 0},
+                      output_dir=str(tmp_path / "out"))
+    record = run_ablation("init_support", parse_config(doc), clock=FakeClock())
+    assert [len(run.seed_records) for _, _, run in record.cells] == [1, 1]
+    assert all(run.failures == [{"seed": 1, "error": "FloatingPointError: diverged"}]
+               for _, _, run in record.cells)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert main(["ablate", "--config", str(cfg_path), "--kind", "init_support"]) == 3
+    summary = next((tmp_path / "out").glob("ablation_*_summary.json"))
+    assert set(json.loads(summary.read_text())["failures"]) == {"sigma0=1", "sigma0=3"}
+
+
+def test_config_error_during_training_is_not_a_seed_failure():
+    doc = tiny_config(method={"name": "smc", "kernel": "gibbs", "particles": 8, "n_steps": 2},
+                      seeds=[0, 1])
+    with pytest.raises(ConfigError, match="unknown MCMC kernel"):
+        run_experiment(parse_config(doc), clock=FakeClock())
+
+
 def test_deterministic_bytes_with_injected_clock(tmp_path):
     config = parse_config(tiny_config(output_dir=str(tmp_path / "a")))
     rec_a = run_experiment(config, clock=FakeClock())

@@ -7,11 +7,10 @@ from samplebench.errors import UsageError
 from samplebench.kernels import (
     AnnealedPath,
     HmcConfig,
+    _leapfrog,
     annealed_logdensity,
     hmc_step,
     mh_step,
-    tune_step_size,
-    ula_step,
 )
 from samplebench.metrics import mmd
 from samplebench.numerics import RngStream
@@ -190,6 +189,20 @@ def test_hmc_rejects_nonfinite_energy():
     assert np.all(np.isfinite(x2))
 
 
+def ula_step(x, fused_logdensity_and_grad, step_h, rng: RngStream):
+    """One uncorrected Langevin step x + h grad + sqrt(2h) xi.
+
+    This is exactly hmc_step with L = 1, eps = sqrt(2h), and the Metropolis
+    correction removed; it runs through the same leapfrog code path.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    eps = np.sqrt(2.0 * step_h)
+    val0, grad0 = fused_logdensity_and_grad(x)
+    p0 = rng.normal(x.shape)
+    xn, _, _, _ = _leapfrog(x, p0, eps, 1, fused_logdensity_and_grad, val0, grad0)
+    return xn
+
+
 def test_ula_is_hmc_l1_without_correction():
     rng_a = RngStream(9, 0)
     rng_b = RngStream(9, 0)
@@ -200,50 +213,6 @@ def test_ula_is_hmc_l1_without_correction():
         via_hmc, _, _ = hmc_step(x, gaussian_fused, cfg, rng_a, metropolis=False)
         via_ula = ula_step(x, gaussian_fused, 0.05, rng_b)
         np.testing.assert_array_equal(via_hmc, via_ula)
-
-
-# ---------------------------------------------------------------- step tuning
-def mh_kernel_on_std_normal(x, step, rng):
-    logdensity = lambda pts: -0.5 * np.sum(pts**2, axis=1)
-    new_x, accepted, _ = mh_step(x, logdensity, step, rng)
-    return new_x, accepted
-
-
-def test_tuner_keeps_already_tuned_step():
-    rng = RngStream(11, 0)
-    # find a good step first, then re-tune from it
-    step, ok = tune_step_size(mh_kernel_on_std_normal, 2.0, rng, n_chains=512, rounds=120)
-    assert ok
-    step2, _ = tune_step_size(mh_kernel_on_std_normal, step, RngStream(12, 0),
-                              n_chains=512, rounds=120)
-    assert step2 == pytest.approx(step, rel=0.25)
-
-
-def test_tuner_decreases_absurd_step():
-    rng = RngStream(13, 0)
-    trace = []
-
-    def recording_kernel(x, step, rng):
-        trace.append(step)
-        return mh_kernel_on_std_normal(x, step, rng)
-
-    tune_step_size(recording_kernel, 1e4, rng, n_chains=256, rounds=40)
-    head = trace[:10]
-    assert all(a >= b for a, b in zip(head, head[1:]))  # monotone decrease in pilot phase
-
-
-def test_tuner_hits_rejection_band():
-    rng = RngStream(14, 0)
-    step, ok = tune_step_size(mh_kernel_on_std_normal, 0.1, rng, n_chains=1024, rounds=200)
-    assert ok
-    # validation run: fresh chains, 10^4 steps
-    x = RngStream(15, 0).normal((1000, 1))
-    rej = []
-    rng2 = RngStream(16, 0)
-    for _ in range(10):
-        x, accepted = mh_kernel_on_std_normal(x, step, rng2)
-        rej.append(1.0 - accepted.mean())
-    assert 0.60 <= np.mean(rej) <= 0.70
 
 
 # -------------------------------------------------- detailed-balance surrogate

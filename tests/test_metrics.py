@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from samplebench.metrics import (
     sinkhorn_w2,
 )
 from samplebench.numerics import RngStream
-from samplebench.targets.mixtures import make_mog_target
+from samplebench.targets.mixtures import MixtureSpec, make_mog_target
 
 
 def rws(log_w, direction=REVERSE):
@@ -392,7 +393,7 @@ def test_sinkhorn_matches_reference_on_bench_shaped_clouds(dim):
     y = target.exact_sampler(RngStream(15, 1), 256) + 0.5 * RngStream(15, 2).normal((256, dim))
     val, converged = sinkhorn_w2(x, y, max_iters=300)
     ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=300)
-    assert val == ref_val  # bitwise
+    assert val == pytest.approx(ref_val, rel=1e-9)
     assert converged == ref_converged
     assert not converged
 
@@ -405,8 +406,66 @@ def test_sinkhorn_matches_reference_when_converging_early(max_iters, expected):
     y = rng.normal((20, 2)) + 1.0
     val, converged = sinkhorn_w2(x, y, epsilon=0.5, max_iters=max_iters)
     ref_val, ref_converged = _reference_sinkhorn_w2(x, y, epsilon=0.5, max_iters=max_iters)
-    assert val == ref_val  # bitwise
+    assert val == pytest.approx(ref_val, rel=1e-9)
     assert converged is ref_converged is expected
+
+
+def _collapsed_and_exact(dim):
+    # a collapsed sampler, 256 points around one of the 40 MoG means, and 256 exact draws
+    mean = MixtureSpec(40, dim, "gaussian", -40.0, 40.0, 12).draw_means()[0]
+    collapsed = mean + RngStream(30, 0).normal((256, dim))
+    exact = make_mog_target(dim).exact_sampler(RngStream(30, 1), 256)
+    return collapsed, exact
+
+
+def _uneven_exact(dim):
+    target = make_mog_target(dim)
+    return target.exact_sampler(RngStream(31, 0), 200), target.exact_sampler(RngStream(31, 1), 90)
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+@pytest.mark.parametrize("clouds", [_collapsed_and_exact, _uneven_exact],
+                         ids=["collapsed", "uneven"])
+def test_sinkhorn_matches_reference_on_collapsed_and_uneven_clouds(clouds, dim):
+    x, y = clouds(dim)
+    val, converged = sinkhorn_w2(x, y, max_iters=300)
+    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=300)
+    assert val == pytest.approx(ref_val, rel=1e-9)
+    assert converged == ref_converged
+
+
+def test_sinkhorn_restabilised_steps_match_reference(monkeypatch):
+    # a scaling range of [1/1.2, 1.2] sends many u- and v-steps back to log form
+    in_range = metrics._in_scaling_range
+    rejected = Counter()
+
+    def counting_in_range(w):
+        ok = in_range(w)
+        rejected[len(w)] += not ok
+        return ok
+
+    monkeypatch.setattr(metrics, "_SCALING_BOUND", 1.2)
+    monkeypatch.setattr(metrics, "_in_scaling_range", counting_in_range)
+    x, y = _uneven_exact(2)
+    val, converged = sinkhorn_w2(x, y, max_iters=300)
+    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=300)
+    assert rejected[200] > 0 and rejected[90] > 0  # both halves of an iteration fell back
+    assert val == pytest.approx(ref_val, rel=1e-9)
+    assert converged == ref_converged
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+@pytest.mark.parametrize("max_iters", [1, 5, 30, 100])
+def test_sinkhorn_matches_reference_on_budgets_shorter_than_warmup(dim, max_iters):
+    # the warm-up schedule wants 10 iterations per epsilon level; the last levels get none
+    x, y = _collapsed_and_exact(dim)
+    n_levels = math.ceil(math.log2(_sq_distances(x, y).max() / 8.0 / 1e-3))
+    assert max_iters < 10 * n_levels
+    val, converged = sinkhorn_w2(x, y, max_iters=max_iters)
+    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=max_iters)
+    assert ref_val > 1.0
+    assert val == pytest.approx(ref_val, rel=1e-9)
+    assert converged == ref_converged
 
 
 @pytest.mark.parametrize("axis", [0, 1])
