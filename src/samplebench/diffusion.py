@@ -3,8 +3,12 @@
 Methods: ULA, MCD, CMCD (annealed Langevin family), DDS, PIS, DIS (reference
 process family), and GBS (two free drift networks).  A trajectory accumulates
 log B - log F per hop plus endpoint terms, giving the extended importance
-weight; simulation runs either on plain arrays (evaluation) or on the autodiff
-tape (training, reparameterized through the noise).
+weight.  Forward and backward simulation share one hop routine: it draws the
+next state from the kernel anchored at the current one, whose density is then
+closed form in the noise, anchors at the new state, and scores the old state
+under the opposite kernel.  The same code runs on plain arrays (evaluation) and
+on the autodiff tape (training, reparameterized through the noise), where only
+what the weight reads is recorded.
 
 Hop s in 1..T moves x_{s-1} to x_s and uses sigma_s, so the vanishing cosine
 endpoint sigma_0 = 0 is never evaluated.  Kernels anchored at a state use that
@@ -14,14 +18,14 @@ state's own temperature for scores and drift-net times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import TrainingError, UnsupportedCriterionError, UsageError
+from .errors import TrainingError, UsageError
 from .numerics.adam import AdamState, adam_step
-from .numerics.logspace import LOG_2PI, log_mean_exp
+from .numerics.logspace import LOG_2PI
 from .numerics.nets import DriftNet, drift_forward
 from .numerics.rng import RngStream
 from .numerics.tape import Tape, Var
@@ -114,46 +118,57 @@ class DiffusionSpec:
 
 
 # --------------------------------------------------------------------- helpers
-def _is_var(v):
-    return isinstance(v, Var)
+def _value(v):
+    """The array behind a tape variable, or `v` itself."""
+    return v.value if isinstance(v, Var) else v
 
 
-def _vlog(v):
-    return v.log() if _is_var(v) else np.log(v)
+def _node(value, op, *inputs):
+    """`value` as one tape node over those (argument, vjp) pairs whose argument is a
+    tape variable, or `value` itself when none is.
 
-
-def _vexp(v):
-    return v.exp() if _is_var(v) else np.exp(v)
-
-
-def _vsqrt(v):
-    return v**0.5 if _is_var(v) else np.sqrt(v)
+    The recorded closure holds the VJPs only: a tape variable in it would tie the
+    tape into a reference cycle that outlives the training step.
+    """
+    parents = [v for v, _ in inputs if isinstance(v, Var)]
+    if not parents:
+        return value
+    vjps = [vjp for v, vjp in inputs if isinstance(v, Var)]
+    return parents[0].tape.custom(value, parents, lambda g: tuple(f(g) for f in vjps), op=op)
 
 
 def log_normal_diag(y, mean, var, dim):
     """log N(y; mean, var*I) for batched rows; var is a positive scalar.
 
-    With a constant var and y or mean (equal-shape rows) on the tape, the
-    density is recorded as one tape node.
+    Recorded as one tape node over whichever of y, mean and var are tape variables.
     """
-    if _is_var(var) or not (_is_var(y) or _is_var(mean)):
-        diff = y - mean
-        quad = (diff * diff).sum(axis=1)
-        return quad * (-0.5) / var - 0.5 * dim * LOG_2PI - 0.5 * dim * _vlog(var)
-    parents = [v for v in (y, mean) if _is_var(v)]
-    diff = (y.value if _is_var(y) else y) - (mean.value if _is_var(mean) else mean)
+    diff = _value(y) - _value(mean)
+    var_v = np.asarray(_value(var), dtype=float)
     # the op-by-op recording divides by var as a multiply by 1/var; keep its rounding
-    inv_var = 1.0 / np.asarray(var, dtype=float)
-    value = (diff * diff).sum(axis=1) * (-0.5) * inv_var - 0.5 * dim * LOG_2PI \
-        - 0.5 * dim * np.log(var)
-    signs = [1.0 if v is y else -1.0 for v in parents]
+    inv_var = 1.0 / var_v
+    quad = (diff * diff).sum(axis=1)
+    value = quad * (-0.5) * inv_var - 0.5 * dim * LOG_2PI - 0.5 * dim * np.log(var_v)
 
-    def vjp(g):
+    def g_y(g):
         half = (g * inv_var * (-0.5))[:, None] * diff
-        g_y = half + half
-        return tuple(g_y if sign > 0 else g_y * -1.0 for sign in signs)
+        return half + half
 
-    return parents[0].tape.custom(value, parents, vjp, op="log_normal_diag")
+    return _node(value, "log_normal_diag", (y, g_y), (mean, lambda g: g_y(g) * -1.0),
+                 (var, lambda g: (g * (0.5 * quad * inv_var - 0.5 * dim)).sum() * inv_var))
+
+
+def _draw(mean, var, eps, dim):
+    """x = mean + sqrt(var) eps, and log N(x; mean, var*I) in closed form.
+
+    Since x - mean = sqrt(var) eps, the density is -|eps|^2/2 - (dim/2) log(2 pi var):
+    it reads var alone, and is a plain array unless var is a tape variable.
+    """
+    var_v = np.asarray(_value(var), dtype=float)
+    sd = np.sqrt(var_v)
+    log_q = (eps * eps).sum(axis=1) * -0.5 - 0.5 * dim * LOG_2PI - 0.5 * dim * np.log(var_v)
+    noise = _node(sd * eps, "draw_noise", (var, lambda g: (g * eps).sum() * (0.5 / sd)))
+    log_q = _node(log_q, "draw_log_density", (var, lambda g: g.sum() * (-0.5 * dim / var_v)))
+    return mean + noise, log_q
 
 
 def path_log_weight(log_b_terms, log_f_terms, log_gamma_xT, log_pi0_x0):
@@ -161,135 +176,208 @@ def path_log_weight(log_b_terms, log_f_terms, log_gamma_xT, log_pi0_x0):
 
     Shared by the Gaussian simulators and the discrete-lattice oracles so the
     indexing convention is tested in one place.  The term lists may differ in
-    length (point-mass endpoints contribute nothing).
+    length, and a None term (a point-mass kernel) contributes nothing.  Plain
+    terms are summed in numpy, in the order given; the tape terms (per-row
+    arrays) then join as one node.
     """
-    acc = log_gamma_xT - log_pi0_x0
-    for lb in log_b_terms:
-        acc = acc + lb
-    for lf in log_f_terms:
-        acc = acc - lf
-    return acc
+    terms = [(log_gamma_xT, 1.0), (log_pi0_x0, -1.0)]
+    terms += [(lb, 1.0) for lb in log_b_terms] + [(lf, -1.0) for lf in log_f_terms]
+    acc = 0.0
+    for term, sign in terms:
+        if term is not None and not isinstance(term, Var):
+            acc = acc + term * sign
+    for term, sign in terms:
+        if isinstance(term, Var):
+            acc = acc + term.value * sign
+    return _node(acc, "path_log_weight",
+                 *((term, lambda g, sign=sign: g * sign) for term, sign in terms))
 
 
-class _ScoreFreeContext:
-    """Anchor at one state for kernels that never query the target (guidance off).
+# ---------------------------------------------------------------- the schedule
+@dataclass
+class _Schedule:
+    """What one simulation reads of the parameters, resolved once: tape variables
+    for the parameters being trained, plain values otherwise."""
 
-    The other anchors extend it with target scores.  An anchor evaluates each
-    drift net at most once, however many kernel sides use its output.
+    betas: object            # beta_0 .. beta_T
+    sigmas: list             # sigma_1 .. sigma_T
+    net_params: tuple        # drift-net and backward-net parameters (None: the nets' own)
+    mean: object = None      # the proposal's mean, log-std and exp(log-std); None for PIS
+    log_std: object = None
+    std: object = None
+    precision: object = None  # exp(-2 log-std), the proposal score's scale (Langevin)
+    sigma0_sq: object = None  # mean of exp(2 log-std), the reference variance (DDS/DIS)
+
+
+def _resolve_schedule(spec, params=None):
+    """The schedule from `params` (tape variables) where given, else from the spec."""
+    params = params or {}
+    if "beta_phi" in params:
+        phi = params["beta_phi"]
+        cumsum = (phi - phi.logsumexp()).exp().cumsum()
+        betas = [0.0] + [cumsum[i] for i in range(phi.shape[0])]  # beta_0 is exactly 0
+    elif spec.trainable.betas:
+        e = np.exp(spec.beta_phi - spec.beta_phi.max())
+        betas = np.concatenate([[0.0], np.cumsum(e / e.sum())])
+    else:
+        betas = spec.betas
+    if "sigma_raw" in params:
+        sigma_max = params["sigma_raw"].exp()
+    elif spec.trainable.sigma:
+        sigma_max = float(np.exp(spec.sigma_raw))
+    else:
+        sigma_max = spec.sigma_max
+    sched = _Schedule(betas, [spec.sigma_at(s, sigma_max) for s in range(1, spec.n_steps + 1)],
+                      (_subdict(params, "net."), _subdict(params, "bnet.")))
+    if spec.proposal is None:
+        return sched
+    if "proposal_log_std" in params:
+        sched.mean, sched.log_std = params["proposal_mean"], params["proposal_log_std"]
+        exp = Var.exp
+    else:
+        sched.mean, sched.log_std = spec.proposal.mean, spec.proposal.log_std
+        exp = np.exp
+    sched.std = exp(sched.log_std)
+    if spec.method in LANGEVIN_METHODS:
+        sched.precision = exp(sched.log_std * -2.0)
+    elif spec.method in ("dds", "dis"):
+        sched.sigma0_sq = exp(sched.log_std * 2.0).mean()
+    return sched
+
+
+def _subdict(params, prefix):
+    out = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+    return out or None
+
+
+# ------------------------------------------------------------- anchor and hop
+def _needs_guidance(spec):
+    nets = [spec.drift_net] + ([spec.backward_net] if spec.backward_net else [])
+    return any(n is not None and n.guidance for n in nets)
+
+
+class _Anchor:
+    """The state x_index and what the kernels anchored there read.
+
+    It queries the target only when a kernel uses the score (the Langevin
+    methods, and guidance) or at the endpoint x_T, whose log gamma the weight
+    reads; only there is log gamma kept.  Without a target, `score` stands in
+    for the query: the target score that guidance reads, and for the Langevin
+    methods the annealed score itself.  Each drift net runs at most once per
+    anchor, however many kernel sides use its output.
     """
 
-    def __init__(self, x, index, n_steps, betas=None, proposal_params=None):
+    def __init__(self, spec, sched, target, x, index, score=None):
         self.x = x
-        self.time_frac = index / n_steps
-        self.beta = betas[index] if betas is not None else self.time_frac
-        self.score_gamma = None
-        self._proposal_params = proposal_params
+        self.time_frac = index / spec.n_steps
+        self.score = self.annealed_score = score
+        self.log_gamma = None
         self._nets = {}
+        langevin = spec.method in LANGEVIN_METHODS
+        uses_score = langevin or _needs_guidance(spec)
+        endpoint = index == spec.n_steps
+        if target is None or not (uses_score or endpoint):
+            return
+        xv = _value(x)
+        val, grad = target.logdensity_and_grad(xv)
+        if endpoint:
+            self.log_gamma = _node(val, "log_gamma", (x, lambda adj: adj[:, None] * grad))
+        if not uses_score:
+            return
+        if not isinstance(x, Var):
+            self.score = grad
+        elif target.score_hvp is not None:
+            hvp = target.score_hvp
+            self.score = x.tape.custom(grad, [x], lambda adj: (hvp(xv, adj),), op="target_score")
+        elif spec.score_stop_gradient:
+            self.score = grad  # a plain array: no gradient flows back through the score
+        else:
+            raise UsageError(
+                f"target {target.name!r} has no score_hvp; training through the "
+                "score needs one (or set score_stop_gradient)"
+            )
+        if langevin:  # (1 - beta) * proposal score + beta * target score
+            beta = sched.betas[index]
+            self.annealed_score = ((sched.mean - x) * sched.precision * (1.0 - beta)
+                                   + self.score * beta)
 
-    def net(self, spec, params, backward_net=False):
+    def net(self, spec, sched, backward_net=False):
         """Output of the drift net (GBS: or the backward net) at this state and time."""
         if backward_net not in self._nets:
             base = spec.backward_net if backward_net else spec.drift_net
-            score = self.score_gamma if base.guidance else None
             self._nets[backward_net] = drift_forward(
-                base, self.x, self.time_frac, score,
-                params=_subdict(params, "bnet." if backward_net else "net."))
+                base, self.x, self.time_frac, self.score if base.guidance else None,
+                params=sched.net_params[backward_net])
         return self._nets[backward_net]
 
-    def _proposal_values(self, spec):
-        if self._proposal_params is not None:
-            return self._proposal_params
-        return spec.proposal.mean, spec.proposal.log_std
 
-
-class _AnchorContext(_ScoreFreeContext):
-    """Per-state cache: one fused target query serves score, guidance, and value."""
-
-    def __init__(self, spec, target, x, index, tape=None, proposal_params=None, betas=None):
-        super().__init__(x, index, spec.n_steps, betas, proposal_params)
-        xv = x.value if _is_var(x) else np.asarray(x)
-        val, grad = target.logdensity_and_grad(xv)
-        if tape is not None and _is_var(x):
-            self.log_gamma = tape.custom(
-                val, [x], lambda adj, g=grad: (adj[:, None] * g,), op="log_gamma"
-            )
-            if target.score_hvp is not None:
-                hvp = target.score_hvp
-                self.score_gamma = tape.custom(
-                    grad, [x], lambda adj, xv=xv: (hvp(xv, adj),), op="target_score"
-                )
-            elif spec.score_stop_gradient:
-                self.score_gamma = tape.custom(grad, [x], lambda adj: (None,),
-                                               op="target_score_stopgrad")
-            else:
-                raise UsageError(
-                    f"target {target.name!r} has no score_hvp; training through the "
-                    "score needs one (or set score_stop_gradient)"
-                )
-        else:
-            self.log_gamma = val
-            self.score_gamma = grad
-
-    def annealed_score(self, spec):
-        """(1-beta) * proposal score + beta * target score at this state."""
-        m, ls = self._proposal_values(spec)
-        s0 = (m - self.x) * _vexp(ls * -2.0)
-        return s0 * (1.0 - self.beta) + self.score_gamma * self.beta
-
-
-def _kernel_means(spec, ctx, s, sigma, params, forward):
+def _kernel_means(spec, sched, anchor, s, forward):
     """(mean, var) of the hop-s forward kernel anchored at its source state, or
     (forward=False) of the backward kernel anchored at its destination state.
 
     Only the drift net that side uses is evaluated.
     """
-    x = ctx.x
+    x = anchor.x
     dt = spec.delta_t
-    var = sigma * sigma * dt
+    sigma = sched.sigmas[s - 1]
     method = spec.method
-
+    if method == "dds":
+        if spec.dds_literal_table:
+            decay = (1.0 - sigma) ** 0.5
+            v = sigma * sched.sigma0_sq * dt
+            return ((decay * x + anchor.net(spec, sched)) * dt if forward else decay * x * dt), v
+        lam = sigma * dt
+        decay = (1.0 - lam) ** 0.5
+        return (x * decay + anchor.net(spec, sched) * dt if forward else x * decay), \
+            lam * sched.sigma0_sq
+    if method == "dis":
+        v = 2.0 * sigma * sched.sigma0_sq * dt
+        if forward:
+            return x + (x * sigma + anchor.net(spec, sched)) * dt, v
+        return x * (1.0 - sigma * dt), v
+    var = sigma * sigma * dt
     if method in LANGEVIN_METHODS:
-        langevin = x + ctx.annealed_score(spec) * var
+        langevin = x + anchor.annealed_score * var
         if method == "cmcd":
-            drift = ctx.net(spec, params)
+            drift = anchor.net(spec, sched)
             return (langevin + drift * dt if forward else langevin - drift * dt), var
         if method == "mcd" and not forward:
-            return langevin + ctx.net(spec, params) * dt, var
+            return langevin + anchor.net(spec, sched) * dt, var
         return langevin, var
     if method == "pis":
         if forward:
-            return x + ctx.net(spec, params) * dt, var
+            return x + anchor.net(spec, sched) * dt, var
         ratio = (s - 1.0) / s
         return x * ratio, ratio * var if ratio > 0 else 0.0
-    if method == "dds":
-        sigma0_sq = _proposal_scale_sq(spec, ctx)
-        if spec.dds_literal_table:
-            v = sigma * sigma0_sq * dt
-            decay = _vsqrt(1.0 - sigma)
-            return ((decay * x + ctx.net(spec, params)) * dt if forward else decay * x * dt), v
-        lam = sigma * dt
-        v = lam * sigma0_sq
-        decay = _vsqrt(1.0 - lam)
-        return (x * decay + ctx.net(spec, params) * dt if forward else x * decay), v
-    if method == "dis":
-        sigma0_sq = _proposal_scale_sq(spec, ctx)
-        v = 2.0 * sigma * sigma0_sq * dt
-        if forward:
-            return x + (x * sigma + ctx.net(spec, params)) * dt, v
-        return x * (1.0 - sigma * dt), v
     if method == "gbs":
-        if forward:
-            return x + ctx.net(spec, params) * var, var
-        return x + ctx.net(spec, params, backward_net=True) * var, var
+        return x + anchor.net(spec, sched, backward_net=not forward) * var, var
     raise UsageError(f"unknown method {method!r}")
 
 
-def _proposal_scale_sq(spec, ctx):
-    _, ls = ctx._proposal_values(spec)
-    return _vexp(ls * 2.0).mean()
+def _hop(spec, sched, target, anchor, s, draws, forward):
+    """One hop between x_{s-1} and x_s, drawn from the kernel anchored at the current state.
+
+    Forward, `anchor` is at x_{s-1}: draw x_s from F_s, anchor at x_s and score
+    x_{s-1} under B_s.  Backward, `anchor` is at x_s: draw x_{s-1} from B_s,
+    anchor at x_{s-1} and score x_s under F_s.  Returns the new anchor and the
+    hop's log B_s and log F_s terms; a term is None for PIS's B_1, the point mass
+    at the origin.  `draws` yields the noise, taken only when the hop samples.
+    """
+    point_mass = spec.method == "pis" and s == 1
+    if point_mass and not forward:
+        x_new, drawn = np.zeros_like(anchor.x), None
+    else:
+        mean, var = _kernel_means(spec, sched, anchor, s, forward)
+        x_new, drawn = _draw(mean, var, next(draws), spec.dim)
+    new = _Anchor(spec, sched, target, x_new, s if forward else s - 1)
+    scored = None
+    if not (point_mass and forward):
+        mean, var = _kernel_means(spec, sched, new, s, not forward)
+        scored = log_normal_diag(anchor.x, mean, var, spec.dim)
+    return (new, scored, drawn) if forward else (new, drawn, scored)
 
 
-def kernel_pair(spec: DiffusionSpec, t: int, x, score=None, target: TargetDensity = None):
+def kernel_pair(spec: DiffusionSpec, t: int, x, score=None):
     """Exact Gaussian parameters of the hop-t forward and backward kernels at x.
 
     `score` is the annealed score for Langevin methods (computed by the caller
@@ -298,26 +386,14 @@ def kernel_pair(spec: DiffusionSpec, t: int, x, score=None, target: TargetDensit
     """
     if not 1 <= t <= spec.n_steps:
         raise UsageError(f"hop index {t} outside 1..{spec.n_steps}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    ctx = _FixedScoreContext(spec, x, t, score)
-    sigma = spec.sigma_at(t)
-    return tuple(_kernel_means(spec, ctx, t, sigma, None, forward) for forward in (True, False))
+    if score is None and spec.method in LANGEVIN_METHODS:
+        raise UsageError("Langevin methods need the annealed score at the anchor state")
+    sched = _resolve_schedule(spec)
+    anchor = _Anchor(spec, sched, None, np.atleast_2d(np.asarray(x, dtype=float)), t, score)
+    return tuple(_kernel_means(spec, sched, anchor, t, forward) for forward in (True, False))
 
 
-class _FixedScoreContext(_ScoreFreeContext):
-    """Anchor context with a caller-supplied score (no target queries)."""
-
-    def __init__(self, spec, x, index, score):
-        super().__init__(x, index, spec.n_steps)
-        self.score_gamma = score
-
-    def annealed_score(self, spec):
-        if self.score_gamma is None:
-            raise UsageError("Langevin methods need the annealed score at the anchor state")
-        # caller passes the full annealed score directly for kernel_pair
-        return self.score_gamma
-
-
+# ------------------------------------------------------------------ simulation
 @dataclass
 class TrajectoryBatch:
     final_states: np.ndarray
@@ -328,35 +404,13 @@ class TrajectoryBatch:
 
     @property
     def log_w_values(self) -> np.ndarray:
-        return self.log_w.value if _is_var(self.log_w) else self.log_w
+        return _value(self.log_w)
 
 
-# ------------------------------------------------------------------ simulation
-def _anchor(spec, target, x, index, tape=None, proposal_params=None, betas=None):
-    """Anchor at state `index`; it queries the target only if a kernel uses the score."""
-    if spec.method in LANGEVIN_METHODS or _needs_guidance(spec):
-        return _AnchorContext(spec, target, x, index, tape, proposal_params, betas)
-    return _ScoreFreeContext(x, index, spec.n_steps, betas, proposal_params)
-
-
-def _resolve_schedule(spec, params):
-    """(betas, sigma_max) honoring trainable flags; tape variables during training."""
-    betas = spec.betas
-    sigma_max = spec.sigma_max
-    if params is not None:
-        if "beta_phi" in params:
-            phi = params["beta_phi"]
-            cumsum = (phi - phi.logsumexp()).exp().cumsum()
-            betas = [0.0] + [cumsum[i] for i in range(phi.shape[0])]  # beta_0 is exactly 0
-        if "sigma_raw" in params:
-            sigma_max = params["sigma_raw"].exp()
-    else:
-        if spec.trainable.betas and spec.beta_phi is not None:
-            e = np.exp(spec.beta_phi - spec.beta_phi.max())
-            betas = np.concatenate([[0.0], np.cumsum(e / e.sum())])
-        if spec.trainable.sigma and spec.sigma_raw is not None:
-            sigma_max = float(np.exp(spec.sigma_raw))
-    return betas, sigma_max
+def _normal_draws(rng, shape):
+    """Fresh standard-normal noise for each hop that samples."""
+    while True:
+        yield rng.normal(shape)
 
 
 def simulate_forward(spec: DiffusionSpec, target: TargetDensity, batch_size: int,
@@ -364,82 +418,32 @@ def simulate_forward(spec: DiffusionSpec, target: TargetDensity, batch_size: int
                      noise=None) -> TrajectoryBatch:
     """Sample trajectories from the forward process and accumulate log weights.
 
-    With a tape and parameter variables, the whole simulation is recorded for
+    With `params` holding variables of `tape`, the simulation is recorded for
     reverse-mode training (reparameterized through the supplied or drawn noise).
     Trajectories that go non-finite are flagged invalid and excluded from losses.
     """
     if batch_size < 1:
         raise UsageError("batch_size must be >= 1")
     d = spec.dim
-    big_t = spec.n_steps
-    betas, sigma_max = _resolve_schedule(spec, params)
-    prop_params = None
-    if params is not None and "proposal_mean" in params:
-        prop_params = params["proposal_mean"], params["proposal_log_std"]
-
-    eps0 = noise[0] if noise is not None else rng.normal((batch_size, d))
+    sched = _resolve_schedule(spec, params)
+    draws = iter(noise) if noise is not None else _normal_draws(rng, (batch_size, d))
+    eps0 = next(draws)
     if spec.method == "pis":
-        x = np.zeros((batch_size, d))
-        log_pi0 = 0.0
-        x0_snapshot = x.copy()
-    else:
-        m, ls = prop_params or (spec.proposal.mean, spec.proposal.log_std)
-        x = m + _vexp(ls) * eps0
-        log_pi0 = _diag_log_density(x, m, ls, d)
-        x0_snapshot = x.value.copy() if _is_var(x) else x.copy()
-
-    ctx = _anchor(spec, target, x, 0, tape, prop_params, betas)
-    log_b_terms = []
-    log_f_terms = []
-    for s in range(1, big_t + 1):
-        sigma = spec.sigma_at(s, sigma_max)
-        f_mean, f_var = _kernel_means(spec, ctx, s, sigma, params, True)
-        eps = noise[s] if noise is not None else rng.normal((batch_size, d))
-        x_next = f_mean + _vsqrt(f_var) * eps
-        log_f_terms.append(log_normal_diag(x_next, f_mean, f_var, d))
-        ctx = _anchor(spec, target, x_next, s, tape, prop_params, betas)
-        if not (spec.method == "pis" and s == 1):
-            b_mean, b_var = _kernel_means(spec, ctx, s, sigma, params, False)
-            log_b_terms.append(log_normal_diag(x, b_mean, b_var, d))
-        x = x_next
-
-    if isinstance(ctx, _AnchorContext):
-        log_gamma = ctx.log_gamma  # fused with the final anchor query
-    else:
-        xv = x.value if _is_var(x) else x
-        val, grad = target.logdensity_and_grad(xv)
-        if tape is not None and _is_var(x):
-            log_gamma = tape.custom(val, [x], lambda adj, g=grad: (adj[:, None] * g,),
-                                    op="log_gamma")
-        else:
-            log_gamma = val
-
-    log_w = path_log_weight(log_b_terms, log_f_terms, log_gamma, log_pi0)
-
-    lw_vals = log_w.value if _is_var(log_w) else log_w
-    x_vals = x.value if _is_var(x) else x
-    valid = np.isfinite(lw_vals) & np.all(np.isfinite(x_vals), axis=1)
-    return TrajectoryBatch(x_vals, log_w, valid, x0_snapshot, big_t)
-
-
-def _needs_guidance(spec):
-    nets = [spec.drift_net] + ([spec.backward_net] if spec.backward_net else [])
-    return any(n is not None and n.guidance for n in nets)
-
-
-def _diag_log_density(x, mean, log_std, dim):
-    z = (x - mean) * _vexp(log_std * -1.0) if _is_var(log_std) or _is_var(x) else \
-        (x - mean) / np.exp(log_std)
-    quad = (z * z).sum(axis=1)
-    ls_sum = log_std.sum() if _is_var(log_std) else float(np.sum(log_std))
-    return quad * -0.5 - ls_sum - 0.5 * dim * LOG_2PI
-
-
-def _subdict(params, prefix):
-    if params is None:
-        return None
-    out = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
-    return out or None
+        x, log_pi0 = np.zeros((batch_size, d)), 0.0
+    else:  # the proposal draw, its density in closed form as in `_draw`
+        x = sched.mean + sched.std * eps0
+        log_pi0 = (eps0 * eps0).sum(axis=1) * -0.5 - sched.log_std.sum() - 0.5 * d * LOG_2PI
+    x0 = _value(x).copy()
+    anchor = _Anchor(spec, sched, target, x, 0)
+    log_b_terms, log_f_terms = [], []
+    for s in range(1, spec.n_steps + 1):
+        anchor, log_b, log_f = _hop(spec, sched, target, anchor, s, draws, forward=True)
+        log_b_terms.append(log_b)
+        log_f_terms.append(log_f)
+    log_w = path_log_weight(log_b_terms, log_f_terms, anchor.log_gamma, log_pi0)
+    x_vals = _value(anchor.x)
+    valid = np.isfinite(_value(log_w)) & np.all(np.isfinite(x_vals), axis=1)
+    return TrajectoryBatch(x_vals, log_w, valid, x0, spec.n_steps)
 
 
 def simulate_backward_logweights(spec: DiffusionSpec, target: TargetDensity,
@@ -449,31 +453,16 @@ def simulate_backward_logweights(spec: DiffusionSpec, target: TargetDensity,
     Returns per-sample extended forward log-weights for EUBO_f / ESS_f / Z_f.
     """
     x = np.atleast_2d(np.asarray(target_samples, dtype=float))
-    n, d = x.shape
-    big_t = spec.n_steps
-    betas, sigma_max = _resolve_schedule(spec, None)
-    ctx = _anchor(spec, target, x, big_t, betas=betas)
-    log_gamma = ctx.log_gamma if isinstance(ctx, _AnchorContext) else target.log_density(x)
-
-    log_b_terms = []
-    log_f_terms = []
-    for s in range(big_t, 0, -1):
-        sigma = spec.sigma_at(s, sigma_max)
-        b_mean, b_var = _kernel_means(spec, ctx, s, sigma, None, False)
-        if spec.method == "pis" and s == 1:
-            x_prev = np.zeros_like(x)
-        else:
-            x_prev = b_mean + np.sqrt(b_var) * rng.normal((n, d))
-            log_b_terms.append(log_normal_diag(x_prev, b_mean, b_var, d))
-        ctx = _anchor(spec, target, x_prev, s - 1, betas=betas)
-        f_mean, f_var = _kernel_means(spec, ctx, s, sigma, None, True)
-        log_f_terms.append(log_normal_diag(x, f_mean, f_var, d))
-        x = x_prev
-
-    if spec.method == "pis":
-        log_pi0 = 0.0
-    else:
-        log_pi0 = _diag_log_density(x, spec.proposal.mean, spec.proposal.log_std, d)
+    sched = _resolve_schedule(spec)
+    draws = _normal_draws(rng, x.shape)
+    anchor = _Anchor(spec, sched, target, x, spec.n_steps)
+    log_gamma = anchor.log_gamma
+    log_b_terms, log_f_terms = [], []
+    for s in range(spec.n_steps, 0, -1):
+        anchor, log_b, log_f = _hop(spec, sched, target, anchor, s, draws, forward=False)
+        log_b_terms.append(log_b)
+        log_f_terms.append(log_f)
+    log_pi0 = 0.0 if spec.method == "pis" else spec.proposal.log_density(anchor.x)
     return path_log_weight(log_b_terms, log_f_terms, log_gamma, log_pi0)
 
 
@@ -483,10 +472,7 @@ def loss_extended_elbo(batch: TrajectoryBatch):
     n_valid = int(batch.valid.sum())
     if n_valid == 0:
         raise TrainingError("every trajectory in the batch is invalid")
-    if _is_var(batch.log_w):
-        mask = batch.valid.astype(float)
-        return (batch.log_w * mask).sum() * (-1.0 / n_valid)
-    return -float(np.mean(batch.log_w[batch.valid]))
+    return batch.log_w[batch.valid].sum() * (-1.0 / n_valid)
 
 
 def loss_vargrad(batch: TrajectoryBatch):
@@ -494,13 +480,9 @@ def loss_vargrad(batch: TrajectoryBatch):
     n_valid = int(batch.valid.sum())
     if n_valid < 2:
         raise UsageError("VarGrad needs at least 2 valid trajectories")
-    if _is_var(batch.log_w):
-        mask = batch.valid.astype(float)
-        mean = (batch.log_w * mask).sum() * (1.0 / n_valid)
-        centered = (batch.log_w - mean) * mask
-        return (centered * centered).sum() * (1.0 / (n_valid - 1))
-    lw = batch.log_w[batch.valid]
-    return float(np.var(lw, ddof=1))
+    log_w = batch.log_w[batch.valid]
+    centered = log_w - log_w.sum() * (1.0 / n_valid)
+    return (centered * centered).sum() * (1.0 / (n_valid - 1))
 
 
 # ---------------------------------------------------------------------- training

@@ -4,7 +4,7 @@ from .adam import AdamState, adam_step
 from .logspace import log_mean_exp, log_sum_exp
 from .nets import DriftNet, drift_forward, sinusoidal_embedding
 from .rng import RngStream
-from .tape import Tape, Var, concat, tape_backward
+from .tape import Tape, Var
 
 __all__ = [
     "AdamState",
@@ -17,6 +17,4 @@ __all__ = [
     "RngStream",
     "Tape",
     "Var",
-    "concat",
-    "tape_backward",
 ]

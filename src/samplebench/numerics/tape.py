@@ -104,9 +104,6 @@ class Var:
             return self * other ** -1.0
         return self * (1.0 / np.asarray(other, dtype=float))
 
-    def __rtruediv__(self, other):
-        return self ** -1.0 * other
-
     def __pow__(self, exponent):
         a = self.value
         p = float(exponent)
@@ -142,10 +139,6 @@ class Var:
     def log(self):
         a = self.value
         return self.tape._record(np.log(a), (self.index,), lambda g: (g / a,), "log")
-
-    def sqrt(self):
-        out = np.sqrt(self.value)
-        return self.tape._record(out, (self.index,), lambda g: (g / (2 * out),), "sqrt")
 
     # -- reductions and shaping ---------------------------------------------
     def sum(self, axis=None):
@@ -194,21 +187,6 @@ class Var:
             return (out,)
 
         return self.tape._record(a[key], (self.index,), vjp, "getitem")
-
-
-def concat(vars_, axis=0):
-    """Concatenate tape variables along an axis."""
-    tape = vars_[0].tape
-    values = [v.value for v in vars_]
-    sizes = [np.shape(v)[axis] for v in values]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return tape._record(
-        np.concatenate(values, axis=axis), tuple(v.index for v in vars_), vjp, "concat"
-    )
 
 
 class Tape:
@@ -263,8 +241,3 @@ class Tape:
             else np.zeros_like(np.asarray(v.value, dtype=float))
             for v in leaves
         ]
-
-
-def tape_backward(tape: Tape, output: Var, leaves) -> list[np.ndarray]:
-    """Gradient of a recorded scalar w.r.t. the given leaf parameters."""
-    return tape.grad(output, leaves)

@@ -1,4 +1,5 @@
-"""The demos that call the SIS API, the criteria and the harness run to completion."""
+"""The demos run to completion: the targets, the SIS API, the diffusion samplers
+(kernel pairs, training, backward transport), the criteria and the harness."""
 
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_annealed_smc.py", "03_craft_flows.py",
-                                  "05_mode_collapse_metrics.py", "06_full_experiment.py"])
+@pytest.mark.parametrize("demo", ["01_targets.py", "02_annealed_smc.py", "03_craft_flows.py",
+                                  "04_diffusion_samplers.py", "05_mode_collapse_metrics.py",
+                                  "06_full_experiment.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import math
@@ -12,6 +13,7 @@ from samplebench.diffusion import (
     LANGEVIN_METHODS,
     DiffusionSpec,
     TrainableFlags,
+    TrajectoryBatch,
     kernel_pair,
     log_normal_diag,
     loss_extended_elbo,
@@ -167,6 +169,23 @@ def test_training_step_frees_its_tape(method, monkeypatch):
     finally:
         gc.enable()
     assert alive == [False]
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_training_step_records_only_what_the_weight_reads(method):
+    # with a constant sigma the drawn side's density is a plain array, and only
+    # the endpoint's log gamma enters the weight: the tape holds at most one
+    # log_gamma node and one log_normal_diag node per backward-kernel term
+    big_t = 6
+    spec = make_spec(method, n_steps=big_t, sigma_max=1.0, guidance=True, seed=47)
+    tape = Tape()
+    leaves = {k: tape.leaf(v) for k, v in trainable_parameters(spec).items()}
+    simulate_forward(spec, make_gaussian_target(2), 8, RngStream(48, 0), params=leaves,
+                     tape=tape)
+    ops = collections.Counter(node.op for node in tape.nodes)
+    backward_terms = big_t - 1 if method == "pis" else big_t  # PIS's B_1 is a point mass
+    assert ops["log_gamma"] <= 1
+    assert ops["log_normal_diag"] <= backward_terms
 
 
 def _reference_log_normal_diag(y, mean, var, dim):
@@ -336,6 +355,22 @@ def test_loss_vargrad_cases():
         loss_vargrad(batch)
 
 
+@pytest.mark.parametrize("loss", [loss_extended_elbo, loss_vargrad])
+def test_tape_loss_drops_invalid_nan_row(loss):
+    # NaN * 0 is NaN, so a loss that masks by multiplying would still read the row
+    tape = Tape()
+    theta = tape.leaf(np.array([0.5, -1.0, 2.0, 0.3]))
+    batch = TrajectoryBatch(np.zeros((4, 1)), theta + np.array([0.0, np.nan, 1.0, -0.5]),
+                            np.array([True, False, True, True]), np.zeros((4, 1)), 1)
+    value = loss(batch)
+    (grad,) = tape.grad(value, [theta])
+    assert np.isfinite(value.value)
+    assert np.all(np.isfinite(grad)) and grad[1] == 0.0
+    plain = TrajectoryBatch(batch.final_states, np.array([0.5, 1.0, 3.0, -0.2]), batch.valid,
+                            batch.x0, 1)
+    assert value.value == pytest.approx(loss(plain), rel=1e-12)
+
+
 def test_vargrad_zero_when_ratio_exact():
     # balanced lattice: if F == B and gamma == pi0 (normalized), log w is constant
     log_b = [np.array([0.1, 0.1]), np.array([-0.3, -0.3])]
@@ -394,6 +429,55 @@ def test_training_gradients_match_finite_differences(method):
             assert abs(g - fd) <= 1e-3 * max(abs(fd), 1.0) + 1e-7, (method, name, j, g, fd)
 
 
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_schedule_and_proposal_gradients_match_finite_differences(method):
+    # sigma_raw, beta_phi (off its zero start) and the proposal, perturbed through
+    # the spec as training writes them back; frozen noise, central differences
+    dim, big_t, batch = 2, 4, 8
+    langevin = method in LANGEVIN_METHODS
+    spec = make_spec(method, dim=dim, n_steps=big_t, sigma0=1.0, sigma_max=1.0,
+                     guidance=True, seed=49, hidden_width=6, time_embedding_dim=4,
+                     trainable=TrainableFlags(sigma=True, betas=langevin,
+                                              proposal=method != "pis"))
+    if langevin:
+        spec.beta_phi = RngStream(50, 0).normal(big_t) * 0.5
+    if method != "pis":
+        spec.proposal.mean = np.array([0.3, -0.2])
+        spec.proposal.log_std = np.array([0.1, -0.15])
+    target = make_gaussian_target(dim)
+    frozen = [RngStream(51, s).normal((batch, dim)) for s in range(big_t + 1)]
+
+    params = trainable_parameters(spec)
+    base = {k: v for k, v in params.items() if not k.startswith(("net.", "bnet."))}
+    tape = Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.items()}
+    loss = loss_extended_elbo(simulate_forward(spec, target, batch, RngStream(0, 0),
+                                               params=leaves, tape=tape, noise=frozen))
+    grads = dict(zip(leaves, tape.grad(loss, list(leaves.values()))))
+    assert set(base) == {"sigma_raw"} | ({"beta_phi"} if langevin else set()) | (
+        {"proposal_mean", "proposal_log_std"} if method != "pis" else set())
+
+    def loss_at(name, value):
+        diffusion._write_back(spec, {name: value})
+        out = loss_extended_elbo(simulate_forward(spec, target, batch, RngStream(0, 0),
+                                                  noise=frozen))
+        diffusion._write_back(spec, {name: base[name]})
+        return out
+
+    eps = 1e-5
+    for name, value in base.items():
+        flat = np.atleast_1d(value).ravel()
+        for j in range(flat.size):
+            bumped = []
+            for step in (eps, -eps):
+                f = flat.copy()
+                f[j] += step
+                bumped.append(loss_at(name, f.reshape(np.shape(value))))
+            fd = (bumped[0] - bumped[1]) / (2 * eps)
+            g = np.ravel(grads[name])[j]
+            assert abs(g - fd) <= 1e-6 * max(abs(fd), 1.0), (method, name, j, g, fd)
+
+
 def test_training_divergence_aborts():
     spec = make_spec("mcd", dim=1, n_steps=2, guidance=True, seed=23)
     bad = make_gaussian_target(1)
@@ -438,7 +522,7 @@ def test_trainable_beta_grid_stays_monotone():
     train_diffusion(spec, target, "elbo", 20, 16, RngStream(32, 0), learning_rate=1e-2)
     from samplebench.diffusion import _resolve_schedule
 
-    betas, _ = _resolve_schedule(spec, None)
+    betas = _resolve_schedule(spec).betas
     assert betas[0] == 0.0
     assert betas[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(betas) > 0)
