@@ -17,8 +17,7 @@ from samplebench.metrics import (
     sinkhorn_w2,
 )
 from samplebench.numerics import RngStream
-from samplebench.targets import make_mog_target
-from samplebench.vi import MeanFieldGaussian, mfvi_logdensity
+from samplebench.targets import DiagonalGaussian, make_mog_target
 
 target = make_mog_target(dim=2, seed=0)
 rng = RngStream(0, 0)
@@ -26,13 +25,13 @@ truth = target.exact_sampler(rng, 1000)
 
 # model A collapses onto one mode; model B blankets the whole support
 component = target.exact_sampler(rng, 1)  # pick a mode location from a sample
-collapsed = MeanFieldGaussian(component[0], np.zeros(2))
-blanket = MeanFieldGaussian(np.zeros(2), np.full(2, np.log(40.0)))
+collapsed = DiagonalGaussian(component[0], np.zeros(2))
+blanket = DiagonalGaussian(np.zeros(2), np.full(2, np.log(40.0)))
 
 for name, q in (("collapsed", collapsed), ("blanket", blanket)):
     x = q.sample(rng, 1000)
-    lw_rev = target.log_unnorm(x) - mfvi_logdensity(q, x)
-    lw_fwd = target.log_unnorm(truth) - mfvi_logdensity(q, truth)
+    lw_rev = target.log_unnorm(x) - q.log_density(x)
+    lw_fwd = target.log_unnorm(truth) - q.log_density(truth)
     rev = WeightedSamples(x, lw_rev, REVERSE)
     fwd = WeightedSamples(truth, lw_fwd, FORWARD)
     w2, _ = sinkhorn_w2(x[:200], truth[:200], max_iters=200)

@@ -522,28 +522,23 @@ def _write_back(spec, params):
 @dataclass
 class TrainTrace:
     losses: list = field(default_factory=list)
-    checkpoints: list = field(default_factory=list)
 
 
 def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
                     iterations: int, batch_size: int, rng: RngStream,
-                    learning_rate: float = 1e-3, checkpoint_hook=None,
-                    n_checkpoints: int = 0) -> TrainTrace:
+                    learning_rate: float = 1e-3, checkpoints=(),
+                    checkpoint_hook=None) -> TrainTrace:
     """Adam training loop over the spec's trainable parameters.
 
-    `checkpoint_hook(iteration, spec)` fires at evenly spaced iterations.
-    Aborts with the trace if the loss is non-finite three checks in a row.
+    `checkpoint_hook(iteration, spec)` fires after the update at each
+    iteration in `checkpoints`.  Aborts with the trace if the loss is
+    non-finite three steps in a row.
     """
     if loss_kind not in ("elbo", "vargrad"):
         raise UsageError(f"unknown loss {loss_kind!r}")
     params = trainable_parameters(spec)
     adam = {k: AdamState.init(v.size, learning_rate=learning_rate) for k, v in params.items()}
     trace = TrainTrace()
-    checkpoint_iters = set()
-    if checkpoint_hook is not None and n_checkpoints > 0:
-        # a set, not np.unique: np.unique imports numpy.ma on first use
-        marks = np.linspace(1, max(iterations, 1), n_checkpoints).astype(int)
-        checkpoint_iters = set(marks.tolist())
     bad_streak = 0
 
     for it in range(1, iterations + 1):
@@ -553,21 +548,20 @@ def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
         loss = loss_extended_elbo(batch) if loss_kind == "elbo" else loss_vargrad(batch)
         loss_val = float(loss.value)
         trace.losses.append(loss_val)
-        if not np.isfinite(loss_val):
+        if not np.isfinite(loss_val):  # skip the update; a mark still fires
             bad_streak += 1
             if bad_streak >= 3:
                 raise TrainingError(
                     f"loss non-finite for 3 consecutive steps at iteration {it}; "
                     f"last losses {trace.losses[-3:]}"
                 )
-            continue
-        bad_streak = 0
-        grads = tape.grad(loss, list(leaves.values()))
-        for (name, value), grad in zip(list(params.items()), grads):
-            flat, adam[name] = adam_step(value.ravel(), grad.ravel(), adam[name])
-            params[name] = flat.reshape(np.shape(value))
-        _write_back(spec, params)
-        if it in checkpoint_iters:
+        else:
+            bad_streak = 0
+            grads = tape.grad(loss, list(leaves.values()))
+            for (name, value), grad in zip(list(params.items()), grads):
+                flat, adam[name] = adam_step(value.ravel(), grad.ravel(), adam[name])
+                params[name] = flat.reshape(np.shape(value))
+            _write_back(spec, params)
+        if it in checkpoints:
             checkpoint_hook(it, spec)
-            trace.checkpoints.append(it)
     return trace

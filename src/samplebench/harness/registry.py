@@ -1,8 +1,9 @@
 """Target builders and method drivers behind one sampler interface.
 
-A driver's `train` runs the method and fires `checkpoint_cb(iteration, sampler)`
-at evenly spaced points; the sampler view exposes reverse sampling with log
-weights and backward transport of target samples for forward criteria.
+A driver's `train` runs the method once and fires `checkpoint_cb(iteration,
+sampler)` at the marks `_checkpoint_marks` places; the sampler view exposes
+reverse sampling with log weights and backward transport of target samples
+for forward criteria.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ..targets import (
     make_mog_target,
     make_mos_target,
 )
-from ..vi import MeanFieldGaussian, mfvi_logdensity, mfvi_train
+from ..vi import mfvi_train
 
 # initial model support per target family (known-support tuning)
 DEFAULT_SIGMA0 = {"mog": 60.0, "mos": 15.0, "funnel": 1.0, "gaussian": 1.0,
@@ -64,17 +65,17 @@ def default_sigma0(target_name: str) -> float:
 # ------------------------------------------------------------------- samplers
 @dataclass
 class MfviSampler:
-    q: MeanFieldGaussian
+    q: DiagonalGaussian
     target: object
 
     def sample_with_logweights(self, n, rng):
         x = self.q.sample(rng, n)
-        lw = self.target.log_density(x) - mfvi_logdensity(self.q, x)
+        lw = self.target.log_density(x) - self.q.log_density(x)
         return x, lw
 
     def backward_logweights(self, target_samples, rng):
         x = np.atleast_2d(target_samples)
-        return self.target.log_density(x) - mfvi_logdensity(self.q, x)
+        return self.target.log_density(x) - self.q.log_density(x)
 
 
 @dataclass
@@ -128,8 +129,12 @@ def make_kernel_config(params: dict):
 
 
 def _checkpoint_marks(iterations, n_checkpoints):
+    """Evaluation iterations: evenly spaced from 1 to the last; one checkpoint is the last."""
     if iterations <= 0 or n_checkpoints <= 0:
         return []
+    if n_checkpoints == 1:
+        return [iterations]
+    # a set, not np.unique: np.unique imports numpy.ma on first use
     return sorted(set(np.linspace(1, iterations, n_checkpoints).astype(int).tolist()))
 
 
@@ -149,8 +154,8 @@ class MethodDriver:
             mfvi_train(
                 target, sigma0, p.get("batch_size", 2000), iterations,
                 p.get("learning_rate", 5e-3), rng,
+                checkpoints=_checkpoint_marks(iterations, n_checkpoints),
                 checkpoint_hook=lambda it, q: checkpoint_cb(it, MfviSampler(q, target)),
-                n_checkpoints=n_checkpoints,
             )
             return
         if self.name == "smc":
@@ -167,20 +172,16 @@ class MethodDriver:
                 _proposal_from_params(p, target.dim, sigma0), target, n_steps
             )
             flows = [AffineFlow.identity(target.dim) for _ in range(n_steps)]
-            kernel_cfg = make_kernel_config(p)
-            iterations = p.get("iterations", 300)
-            marks = _checkpoint_marks(iterations, n_checkpoints)
-            sampler = SmcSampler(path, kernel_cfg, p.get("particles", 2000),
+            sampler = SmcSampler(path, make_kernel_config(p), p.get("particles", 2000),
                                  p.get("resample_threshold", 0.3),
                                  p.get("resampling", True), flows=flows)
-            done = 0
-            for mark in marks:
-                craft_train(path, flows, kernel_cfg, mark - done, p.get("particles", 2000),
-                            rng, learning_rate=p.get("learning_rate", 1e-2),
-                            resample_threshold=sampler.resample_threshold,
-                            resampling_enabled=sampler.resampling_enabled)
-                done = mark
-                checkpoint_cb(mark, sampler)
+            iterations = p.get("iterations", 300)
+            craft_train(path, flows, sampler.kernel_cfg, iterations, sampler.n_particles, rng,
+                        learning_rate=p.get("learning_rate", 1e-2),
+                        resample_threshold=sampler.resample_threshold,
+                        resampling_enabled=sampler.resampling_enabled,
+                        checkpoints=_checkpoint_marks(iterations, n_checkpoints),
+                        checkpoint_hook=lambda it, _flows: checkpoint_cb(it, sampler))
             return
         if self.name in DIFFUSION_METHODS:
             spec = DiffusionSpec.create(
@@ -200,8 +201,7 @@ class MethodDriver:
             )
             spec.score_stop_gradient = p.get("score_stop_gradient", False)
             if "proposal_mean" in p:  # pretrained base hand-off
-                spec.proposal = DiagonalGaussian(np.asarray(p["proposal_mean"], dtype=float),
-                                                 np.asarray(p["proposal_log_std"], dtype=float))
+                spec.proposal = _proposal_from_params(p, target.dim, sigma0)
             if self.name == "ula" and not (spec.trainable.sigma or spec.trainable.betas
                                            or spec.trainable.proposal):
                 checkpoint_cb(1, DiffusionSampler(spec, target))  # nothing trainable
@@ -211,8 +211,8 @@ class MethodDriver:
                 spec, target, p.get("loss", "elbo"), iterations,
                 p.get("batch_size", 128), rng,
                 learning_rate=p.get("learning_rate", 2e-3),
+                checkpoints=_checkpoint_marks(iterations, n_checkpoints),
                 checkpoint_hook=lambda it, s: checkpoint_cb(it, DiffusionSampler(s, target)),
-                n_checkpoints=n_checkpoints,
             )
             return
         raise ConfigError(f"unknown method {self.name!r}")

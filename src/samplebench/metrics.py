@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .numerics.logspace import log_mean_exp, log_sum_exp
+from .numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
 
 REVERSE = "reverse"
 FORWARD = "forward"
@@ -98,13 +98,10 @@ def log_z_estimates(ws: WeightedSamples, true_log_z: Optional[float] = None):
 def ess_estimates(ws: WeightedSamples) -> float:
     """Normalized effective sample size in (0, 1]."""
     lw = ws.log_w
-    n = len(lw)
     if ws.direction == REVERSE:
-        val = np.exp(2.0 * log_sum_exp(lw) - log_sum_exp(2.0 * lw) - np.log(n))
-    else:
-        # Z_f / E_pi[w] = 1 / (mean(1/w) * mean(w)); <= 1 by Cauchy-Schwarz
-        val = np.exp(2.0 * np.log(n) - log_sum_exp(-lw) - log_sum_exp(lw))
-    return float(val)
+        return ess_fraction(lw)
+    # Z_f / E_pi[w] = 1 / (mean(1/w) * mean(w)); <= 1 by Cauchy-Schwarz
+    return float(np.exp(2.0 * np.log(len(lw)) - log_sum_exp(-lw) - log_sum_exp(lw)))
 
 
 # ------------------------------------------------------------- mode coverage

@@ -35,3 +35,9 @@ def log_mean_exp(values, axis=None):
     v = np.asarray(values, dtype=float)
     n = v.size if axis is None else v.shape[axis]
     return log_sum_exp(v, axis=axis) - np.log(n)
+
+
+def ess_fraction(log_weights) -> float:
+    """Normalized effective sample size (sum w)^2 / (N sum w^2), in (0, 1]."""
+    lw = np.asarray(log_weights, dtype=float)
+    return float(np.exp(2.0 * log_sum_exp(lw) - log_sum_exp(2.0 * lw) - np.log(len(lw))))

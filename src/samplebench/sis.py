@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateWeightsError, TrainingError, UsageError
 from .kernels import AnnealedPath, HmcConfig, MhConfig, annealed_logdensity, hmc_step, mh_step
 from .numerics.adam import AdamState, adam_step
-from .numerics.logspace import log_mean_exp, log_sum_exp
+from .numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
 from .numerics.rng import RngStream
 from .numerics.tape import Tape
 
@@ -64,15 +64,6 @@ class AffineFlow:
     @property
     def log_det(self) -> float:
         return float(np.sum(self.log_scale))
-
-
-def ess_fraction(log_weights) -> float:
-    """Normalized effective sample size (sum w)^2 / (N sum w^2), in (0, 1]."""
-    lw = np.asarray(log_weights, dtype=float)
-    finite = np.isfinite(lw)
-    if not finite.any():
-        raise UsageError("ess_fraction needs at least one finite weight")
-    return float(np.exp(2.0 * log_sum_exp(lw) - log_sum_exp(2.0 * lw) - np.log(len(lw))))
 
 
 def resample_multinomial(ps: ParticleSystem, rng: RngStream) -> ParticleSystem:
@@ -205,13 +196,16 @@ def backward_transport_logweights(path: AnnealedPath, kernel_cfg, target_samples
 
 def craft_train(path: AnnealedPath, flows: list, kernel_cfg, iterations: int,
                 n_particles: int, rng: RngStream, learning_rate: float = 1e-2,
-                resample_threshold: float = 0.3, resampling_enabled: bool = True):
+                resample_threshold: float = 0.3, resampling_enabled: bool = True,
+                checkpoints=(), checkpoint_hook=None):
     """Train one diagonal affine flow per temperature on the running SMC sweep.
 
     Before each temperature's reweight, that temperature's flow takes one Adam
     step on the negative expected log incremental weight; gradients flow
-    through shift and log_scale on the tape.  Returns (flows, elbo_trace), the
-    trace holding each iteration's mean final log weight.
+    through shift and log_scale on the tape.  The flows are updated in place,
+    and `checkpoint_hook(iteration, flows)` fires after each iteration in
+    `checkpoints`.  Returns (flows, elbo_trace), the trace holding each
+    iteration's mean final log weight.
     """
     adam_states = [AdamState.init(2 * len(f.shift), learning_rate=learning_rate) for f in flows]
 
@@ -235,9 +229,11 @@ def craft_train(path: AnnealedPath, flows: list, kernel_cfg, iterations: int,
         flow.shift, flow.log_scale = np.split(packed, 2)
 
     elbo_trace = []
-    for _ in range(iterations):
+    for it in range(1, iterations + 1):
         x = path.proposal.sample(rng, n_particles)
         ps, _ = _sweep(path, kernel_cfg, x, rng, flows, resample_threshold=resample_threshold,
                        resampling_enabled=resampling_enabled, before_reweight=update_flow)
         elbo_trace.append(float(np.mean(ps.log_weights)))
+        if it in checkpoints:
+            checkpoint_hook(it, flows)
     return flows, elbo_trace

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import UsageError
 from ..numerics.logspace import LOG_2PI
 from .base import TargetDensity
 
@@ -28,6 +29,8 @@ class DiagonalGaussian:
     def log_density(self, x) -> np.ndarray:
         single = np.ndim(x) == 1
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self.dim:
+            raise UsageError(f"dimension mismatch: {x.shape[1]} != {self.dim}")
         z = (x - self.mean) / np.exp(self.log_std)
         out = -0.5 * np.sum(z**2, axis=-1) - np.sum(self.log_std) - 0.5 * self.dim * LOG_2PI
         return out[0] if single else out

@@ -30,7 +30,8 @@ from samplebench.numerics import RngStream
 from samplebench.sis import AffineFlow, backward_transport_logweights, craft_train, smc_run
 from samplebench.targets import DiagonalGaussian, make_mog_target
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def tiny_config(**overrides):
@@ -289,6 +290,65 @@ def test_nfe_monotone_within_run():
         assert all(a <= b for a, b in zip(nfes, nfes[1:]))
 
 
+# --------------------------------------------------------- checkpoint contract
+CONTRACT_METHODS = {
+    "mfvi": {"batch_size": 8, "learning_rate": 0.05, "sigma0": 2.0},
+    "craft": {"n_steps": 3, "particles": 16, "leapfrog_steps": 2, "sigma0": 2.0},
+    "dds": {"n_steps": 3, "batch_size": 8, "sigma0": 2.0, "sigma_max": 2.0},
+}
+
+
+def _fired(method, iterations, n_checkpoints, seed=0, **params):
+    """(iteration, sampler) pairs that one MethodDriver.train call fires."""
+    from samplebench.harness.registry import MethodDriver, build_target
+
+    target = build_target("gaussian", {"dim": 2, "mean": 1.0})
+    driver = MethodDriver(method, dict(CONTRACT_METHODS[method], iterations=iterations,
+                                       **params))
+    fired = []
+    driver.train(target, "gaussian", seed, n_checkpoints,
+                 lambda it, sampler: fired.append((it, sampler)))
+    return fired
+
+
+def test_one_checkpoint_evaluates_the_last_iteration():
+    assert [it for it, _ in _fired("mfvi", 5, 1)] == [5]
+
+
+@pytest.mark.parametrize("method", sorted(CONTRACT_METHODS))
+@pytest.mark.parametrize("n_checkpoints", [1, 3, 12])
+def test_checkpoints_fire_at_the_harness_marks(method, n_checkpoints):
+    from samplebench.harness.registry import _checkpoint_marks
+
+    iterations = 7
+    fired = [it for it, _ in _fired(method, iterations, n_checkpoints)]
+    assert fired == _checkpoint_marks(iterations, n_checkpoints)
+    assert fired[-1] == iterations
+    if n_checkpoints == 1:
+        assert fired == [iterations]
+    if n_checkpoints > iterations:
+        assert fired == list(range(1, iterations + 1))
+
+
+@pytest.mark.parametrize("n_checkpoints", [2, 4])
+def test_craft_trains_once_whatever_the_checkpoint_count(n_checkpoints):
+    # one craft_train call keeps each flow's Adam state across checkpoints
+    from samplebench.harness.registry import build_target
+
+    iterations, params = 6, CONTRACT_METHODS["craft"]
+    _, sampler = _fired("craft", iterations, n_checkpoints, seed=3)[-1]
+    target = build_target("gaussian", {"dim": 2, "mean": 1.0})
+    path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, params["sigma0"]), target,
+                               params["n_steps"])
+    flows = [AffineFlow.identity(2) for _ in range(params["n_steps"])]
+    kernel = HmcConfig(leapfrog_steps=params["leapfrog_steps"], step_size_low=0.2,
+                       step_size_high=0.2)
+    craft_train(path, flows, kernel, iterations, params["particles"], RngStream(3, 0))
+    for got, want in zip(sampler.flows, flows):
+        assert np.array_equal(got.shift, want.shift)
+        assert np.array_equal(got.log_scale, want.log_scale)
+
+
 # -------------------------------------------------------------- NFE accounting
 def test_smc_nfe_closed_form_hmc():
     target = make_mog_target(2, seed=0)
@@ -474,3 +534,35 @@ def test_run_without_scipy_loads_no_numpy_submodule_lazily(tmp_path):
         f"run_experiment(parse_config(json.loads({json.dumps(json.dumps(doc))})))\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n")
     assert [m for m in added if m.startswith(("numpy.random", "numpy.ma"))] == []
+
+
+def test_bench_instruments_wrap_mfvi_and_craft_runs():
+    # perfbench patches names inside samplebench; run its probe and tracer over a
+    # tiny MFVI and a tiny CRAFT experiment in a fresh process, so the patches stay there
+    docs = [tiny_config(seeds=[0], protocol={"n_checkpoints": 2, "eval_samples": 32}),
+            tiny_config(seeds=[0], method={"name": "craft", "iterations": 3, "n_steps": 2,
+                                           "particles": 16, "leapfrog_steps": 2},
+                        protocol={"n_checkpoints": 2, "eval_samples": 32})]
+    out = _run_python(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from tracing import Probe, Tracer, instrument\n"
+        "import samplebench.harness.run as run_mod\n"
+        "from samplebench.harness import parse_config, run_experiment\n"
+        "probe, tracer = Probe(), Tracer()\n"
+        "probe.install(run_mod)\n"
+        "instrument(tracer)\n"
+        f"for doc in json.loads({json.dumps(json.dumps(docs))}):\n"
+        "    record = run_experiment(parse_config(doc))\n"
+        "    assert not record.failures, record.failures\n"
+        "spans = tracer.spans\n"
+        "def ancestors(i):\n"
+        "    while spans[i][3] >= 0:\n"
+        "        i = spans[i][3]\n"
+        "        yield spans[i][0]\n"
+        "print(json.dumps({'first_train': probe.first_train,\n"
+        "                  'adam_under_mfvi': sum('vi.mfvi_train' in ancestors(i)\n"
+        "                                         for i, span in enumerate(spans)\n"
+        "                                         if span[0] == 'numerics.adam_step')}))\n")
+    assert out["first_train"] is not None
+    assert out["adam_under_mfvi"] == 60  # one Adam step per MFVI iteration

@@ -15,13 +15,12 @@ from samplebench.kernels import (
     mh_step,
 )
 from samplebench.numerics import RngStream
-from samplebench.numerics.logspace import log_mean_exp, log_sum_exp
+from samplebench.numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
 from samplebench.sis import (
     AffineFlow,
     ParticleSystem,
     backward_transport_logweights,
     craft_train,
-    ess_fraction,
     resample_multinomial,
     smc_run,
 )

@@ -4,30 +4,37 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from samplebench.errors import UsageError
 from samplebench.numerics import RngStream, Tape
-from samplebench.targets import make_gaussian_target, make_mog_target
-from samplebench.vi import MeanFieldGaussian, mfvi_logdensity, mfvi_train
+from samplebench.targets import DiagonalGaussian, make_gaussian_target, make_mog_target
+from samplebench.vi import mfvi_train
 
 
 def test_logdensity_standard_at_zero():
-    q = MeanFieldGaussian(np.zeros(1), np.zeros(1))
-    assert mfvi_logdensity(q, np.zeros(1)) == pytest.approx(-0.918939, abs=1e-6)
+    q = DiagonalGaussian(np.zeros(1), np.zeros(1))
+    assert q.log_density(np.zeros(1)) == pytest.approx(-0.918939, abs=1e-6)
+
+
+def test_logdensity_rejects_wrong_dimension():
+    q = DiagonalGaussian(np.zeros(2), np.zeros(2))
+    with pytest.raises(UsageError, match="dimension mismatch"):
+        q.log_density(np.zeros((4, 3)))
 
 
 def test_logdensity_shift_invariance():
     rng = RngStream(1, 0)
     m = rng.normal(3)
     delta = rng.normal(3)
-    q_shift = MeanFieldGaussian(m, np.full(3, 0.3))
-    q_zero = MeanFieldGaussian(np.zeros(3), np.full(3, 0.3))
-    assert mfvi_logdensity(q_shift, m + delta) == pytest.approx(
-        mfvi_logdensity(q_zero, delta), abs=1e-12
+    q_shift = DiagonalGaussian(m, np.full(3, 0.3))
+    q_zero = DiagonalGaussian(np.zeros(3), np.full(3, 0.3))
+    assert q_shift.log_density(m + delta) == pytest.approx(
+        q_zero.log_density(delta), abs=1e-12
     )
 
 
 def test_logdensity_integrates_to_one():
-    q = MeanFieldGaussian(np.array([0.4]), np.array([-0.2]))
-    val, _ = quad(lambda x: math.exp(mfvi_logdensity(q, np.array([x]))), -10, 10,
+    q = DiagonalGaussian(np.array([0.4]), np.array([-0.2]))
+    val, _ = quad(lambda x: math.exp(q.log_density(np.array([x]))), -10, 10,
                   epsabs=1e-12)
     assert val == pytest.approx(1.0, abs=1e-10)
 
@@ -41,23 +48,41 @@ def test_mfvi_converges_on_standard_normal():
     assert np.mean(trace.elbo[-50:]) == pytest.approx(0.0, abs=0.01)
 
 
+def test_checkpoint_fires_at_a_mark_whose_step_is_skipped():
+    # a non-finite ELBO skips the update, not the evaluation due at that iteration
+    target = make_gaussian_target(1)
+    fused, calls = target.log_unnorm_and_grad, []
+
+    def nan_on_third_call(x):
+        calls.append(len(x))
+        val, grad = fused(x)
+        return (np.full_like(val, np.nan) if len(calls) == 3 else val), grad
+
+    target.log_unnorm_and_grad = nan_on_third_call
+    fired = []
+    mfvi_train(target, 1.0, 8, 4, 0.05, RngStream(8, 0), checkpoints=[2, 3, 4],
+               checkpoint_hook=lambda it, q: fired.append((it, q.mean.copy())))
+    assert [it for it, _ in fired] == [2, 3, 4]
+    assert np.array_equal(fired[0][1], fired[1][1])  # iteration 3 made no update
+
+
 def test_mfvi_elbo_below_log_z():
     # ELBO estimate <= true log Z (= 0) up to 3 SE, at arbitrary parameters
     target = make_mog_target(2, seed=3)
     rng = RngStream(4, 0)
     for rep in range(20):
-        q = MeanFieldGaussian(rng.normal(2) * 5.0, rng.normal(2) * 0.5 + 1.0)
+        q = DiagonalGaussian(rng.normal(2) * 5.0, rng.normal(2) * 0.5 + 1.0)
         x = q.sample(rng, 500)
-        lw = target.log_unnorm(x) - mfvi_logdensity(q, x)
+        lw = target.log_unnorm(x) - q.log_density(x)
         se = lw.std(ddof=1) / math.sqrt(len(lw))
         assert lw.mean() <= 0.0 + 3 * se
 
 
 def test_reverse_logz_zero_when_target_is_q():
     # w = gamma/q with gamma := q exactly: log Z_r estimate is exactly 0
-    q = MeanFieldGaussian(np.array([0.7, -0.2]), np.array([0.1, -0.4]))
+    q = DiagonalGaussian(np.array([0.7, -0.2]), np.array([0.1, -0.4]))
     x = q.sample(RngStream(5, 0), 400)
-    lw = mfvi_logdensity(q, x) - mfvi_logdensity(q, x)
+    lw = q.log_density(x) - q.log_density(x)
     from samplebench.metrics import WeightedSamples, log_z_estimates
 
     est, _ = log_z_estimates(WeightedSamples(x, lw, "reverse"))
