@@ -202,6 +202,8 @@ class _Schedule:
     betas: object            # beta_0 .. beta_T
     sigmas: list             # sigma_1 .. sigma_T
     net_params: tuple        # drift-net and backward-net parameters (None: the nets' own)
+    decays: tuple = None     # per hop: the DDS decay, DIS's backward factor 1 - sigma dt
+    variances: tuple = None  # per hop: the kernels' variance (PIS's backward one scales it)
     mean: object = None      # the proposal's mean, log-std and exp(log-std); None for PIS
     log_std: object = None
     std: object = None
@@ -229,8 +231,16 @@ def _resolve_schedule(spec, params=None):
         sigma_max = spec.sigma_max
     sched = _Schedule(betas, [spec.sigma_at(s, sigma_max) for s in range(1, spec.n_steps + 1)],
                       (_subdict(params, "net."), _subdict(params, "bnet.")))
-    if spec.proposal is None:
-        return sched
+    if spec.proposal is not None:
+        _resolve_proposal(spec, sched, params)
+    # each hop's sigma-derived scalars, read by both of its kernel sides
+    sched.decays, sched.variances = zip(*(_hop_scalars(spec, sigma, sched.sigma0_sq)
+                                          for sigma in sched.sigmas))
+    return sched
+
+
+def _resolve_proposal(spec, sched, params):
+    """The proposal's entries of `sched`, from `params` when it is trained."""
     if "proposal_log_std" in params:
         sched.mean, sched.log_std = params["proposal_mean"], params["proposal_log_std"]
         exp = Var.exp
@@ -242,7 +252,20 @@ def _resolve_schedule(spec, params=None):
         sched.precision = exp(sched.log_std * -2.0)
     elif spec.method in ("dds", "dis"):
         sched.sigma0_sq = exp(sched.log_std * 2.0).mean()
-    return sched
+
+
+def _hop_scalars(spec, sigma, sigma0_sq):
+    """(decay, var) of a hop with diffusion coefficient sigma; decay is None
+    where the kernels read none."""
+    dt = spec.delta_t
+    if spec.method == "dds":
+        if spec.dds_literal_table:
+            return (1.0 - sigma) ** 0.5, sigma * sigma0_sq * dt
+        lam = sigma * dt
+        return (1.0 - lam) ** 0.5, lam * sigma0_sq
+    if spec.method == "dis":
+        return 1.0 - sigma * dt, 2.0 * sigma * sigma0_sq * dt
+    return None, sigma * sigma * dt
 
 
 def _subdict(params, prefix):
@@ -319,23 +342,16 @@ def _kernel_means(spec, sched, anchor, s, forward):
     """
     x = anchor.x
     dt = spec.delta_t
-    sigma = sched.sigmas[s - 1]
+    decay, var = sched.decays[s - 1], sched.variances[s - 1]
     method = spec.method
     if method == "dds":
         if spec.dds_literal_table:
-            decay = (1.0 - sigma) ** 0.5
-            v = sigma * sched.sigma0_sq * dt
-            return ((decay * x + anchor.net(spec, sched)) * dt if forward else decay * x * dt), v
-        lam = sigma * dt
-        decay = (1.0 - lam) ** 0.5
-        return (x * decay + anchor.net(spec, sched) * dt if forward else x * decay), \
-            lam * sched.sigma0_sq
+            return ((decay * x + anchor.net(spec, sched)) * dt if forward else decay * x * dt), var
+        return (x * decay + anchor.net(spec, sched) * dt if forward else x * decay), var
     if method == "dis":
-        v = 2.0 * sigma * sched.sigma0_sq * dt
         if forward:
-            return x + (x * sigma + anchor.net(spec, sched)) * dt, v
-        return x * (1.0 - sigma * dt), v
-    var = sigma * sigma * dt
+            return x + (x * sched.sigmas[s - 1] + anchor.net(spec, sched)) * dt, var
+        return x * decay, var
     if method in LANGEVIN_METHODS:
         langevin = x + anchor.annealed_score * var
         if method == "cmcd":

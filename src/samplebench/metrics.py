@@ -14,7 +14,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
+from .numerics.logspace import (
+    ess_fraction,
+    exp_clamped_inplace,
+    exp_shifted_inplace,
+    log_mean_exp,
+    log_sum_exp,
+)
 
 REVERSE = "reverse"
 FORWARD = "forward"
@@ -315,7 +321,7 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
             f = eps * (log_a - _lse_inplace(kernel, axis=1))
         np.subtract(f[:, None], cost, out=kernel)
         np.divide(kernel, eps, out=kernel)
-        g = -eps * _exp_shifted_inplace(kernel, axis=0)
+        g = -eps * exp_shifted_inplace(kernel, axis=0)
         v = b / kernel.sum(axis=0)
 
     def row_error(kv):
@@ -354,8 +360,14 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
         budget -= iters
     converged = sweep(epsilon, max(budget, 1), check=True)
 
-    plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
-    total = float(np.sum(np.sort((plan * cost).ravel())))
+    # the plan, built in the kernel's buffer: its mass is about 1, so a clamped
+    # entry (at most e^-700) is absorbed in the transport cost
+    np.add(f[:, None], g[None, :], out=kernel)
+    np.subtract(kernel, cost, out=kernel)
+    np.divide(kernel, epsilon, out=kernel)
+    exp_clamped_inplace(kernel)
+    np.multiply(kernel, cost, out=kernel)
+    total = float(np.sum(np.sort(kernel.ravel())))
     return float(np.sqrt(max(total, 0.0))), bool(converged)
 
 
@@ -367,29 +379,11 @@ def _in_scaling_range(w) -> bool:
     return bool(1.0 / _SCALING_BOUND <= w.min() and w.max() <= _SCALING_BOUND)  # False on NaN
 
 
-# numpy's exp takes a slow path when its result underflows; clamped inputs never do
-_EXP_FLOOR = -700.0
-
-
-def _exp_shifted_inplace(buf, axis):
-    """exp(buf - peak) in place, clamped, with peak the maximum along `axis`; returns peak.
-
-    Shifted entries are clamped at -700 before exp: a clamped term is at most
-    e^-700 (about 1e-304) and every sum along `axis` holds the shifted maximum
-    exp(0) = 1, so the clamp is absorbed in rounding.
-    """
-    peak = buf.max(axis=axis, keepdims=True)
-    np.subtract(buf, peak, out=buf)
-    np.maximum(buf, _EXP_FLOOR, out=buf)
-    np.exp(buf, out=buf)
-    return peak.squeeze(axis)
-
-
 def _lse_inplace(buf, axis):
     """Log-sum-exp of `buf` along `axis`, using `buf` as scratch (it is overwritten).
 
-    By the clamp argument of _exp_shifted_inplace the result equals the
+    By the clamp argument of exp_shifted_inplace the result equals the
     unclamped form.
     """
-    peak = _exp_shifted_inplace(buf, axis)
+    peak = exp_shifted_inplace(buf, axis)
     return np.log(buf.sum(axis=axis)) + peak

@@ -7,6 +7,14 @@ sampler.  Mode descriptors assign each point to the argmax-density component.
 Gaussian-mixture values, scores and HVPs are computed by matmul through the
 expansion |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2; Student-t mixtures have no such
 expansion and share one (n, K, d) offset tensor between value and score.
+
+Every query takes one softmax over the (n, K) log-terms, in place in that
+temporary, through the shared clamped exp (`numerics.logspace`).  Far-apart
+components put most shifted log-terms below -745, where numpy's exp underflows
+on a slow path; they are clamped at -700 first.  Each row holds its shifted
+maximum exp(0) = 1, so a clamped term (at most e^-700, about 1e-304) is absorbed
+in rounding: the log-sum-exp, the score and the HVP keep their bits, and only
+responsibilities that would be 0 or subnormal read about 1e-304 instead.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics.logspace import LOG_2PI
+from ..numerics.logspace import LOG_2PI, exp_shifted_inplace
 from ..numerics.rng import RngStream
 from .base import ModeModel, TargetDensity
 
@@ -50,11 +58,14 @@ def _t2_logdensities(diff_sq: np.ndarray) -> np.ndarray:
 
 
 def _log_sum_and_resp(comp: np.ndarray):
-    """Row log-sum-exp of (n, K) log-terms and the softmax responsibilities."""
-    m = comp.max(axis=1, keepdims=True)
-    w = np.exp(comp - m)
-    total = w.sum(axis=1, keepdims=True)
-    return np.log(total[:, 0]) + m[:, 0], w / total
+    """Row log-sum-exp of (n, K) log-terms and the softmax responsibilities.
+
+    The responsibilities are computed in `comp`, which callers pass as a temporary.
+    """
+    peak = exp_shifted_inplace(comp, axis=1)
+    total = comp.sum(axis=1, keepdims=True)
+    comp /= total
+    return np.log(total[:, 0]) + peak, comp
 
 
 def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
@@ -71,22 +82,28 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
         half_sq_means = 0.5 * np.sum(means**2, axis=1)
         offset = 0.5 * spec.dim * LOG_2PI + log_k
 
+        def log_terms(x):
+            comp = x @ means.T
+            comp -= half_sq_means
+            return comp
+
         def log_unnorm(x):
             x = np.atleast_2d(x)
-            lse, _ = _log_sum_and_resp(x @ means.T - half_sq_means)
+            lse, _ = _log_sum_and_resp(log_terms(x))
             return lse - 0.5 * np.sum(x * x, axis=1) - offset
 
         def log_unnorm_and_grad(x):
             x = np.atleast_2d(x)
-            lse, r = _log_sum_and_resp(x @ means.T - half_sq_means)
+            lse, r = _log_sum_and_resp(log_terms(x))
             return lse - 0.5 * np.sum(x * x, axis=1) - offset, r @ means - x
 
         def hvp(x, v):
             # Hessian of log gamma = Cov_r(mu) - I, applied as E_r[mu mu^T] v - m m^T v - v
-            x = np.atleast_2d(x)
-            _, r = _log_sum_and_resp(x @ means.T - half_sq_means)
+            _, r = _log_sum_and_resp(log_terms(np.atleast_2d(x)))
             m = r @ means
-            return (r * (v @ means.T)) @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
+            rv = v @ means.T
+            rv *= r
+            return rv @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
 
     else:
 

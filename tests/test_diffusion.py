@@ -188,6 +188,21 @@ def test_training_step_records_only_what_the_weight_reads(method):
     assert ops["log_normal_diag"] <= backward_terms
 
 
+@pytest.mark.parametrize("literal", [False, True])
+def test_trainable_sigma_step_resolves_each_hop_decay_once(literal):
+    # both kernel sides of a hop read its decay sqrt(1 - lambda_s) and variance;
+    # the schedule builds them once, so the step records one pow node per hop
+    big_t = 6
+    spec = make_spec("dds", n_steps=big_t, sigma_max=0.5 if literal else 2.0, guidance=True,
+                     seed=49, dds_literal_table=literal, trainable=TrainableFlags(sigma=True))
+    tape = Tape()
+    leaves = {k: tape.leaf(v) for k, v in trainable_parameters(spec).items()}
+    simulate_forward(spec, make_gaussian_target(2), 8, RngStream(50, 0), params=leaves,
+                     tape=tape)
+    ops = collections.Counter(node.op for node in tape.nodes)
+    assert ops["pow"] == big_t
+
+
 def _reference_log_normal_diag(y, mean, var, dim):
     """The former op-by-op form of log_normal_diag for a constant var, kept as a reference."""
     diff = y - mean

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samplebench.errors import UsageError
+from samplebench.metrics import sinkhorn_w2
 from samplebench.numerics import (
     AdamState,
     DriftNet,
@@ -17,6 +18,8 @@ from samplebench.numerics import (
     drift_forward,
     log_sum_exp,
 )
+from samplebench.numerics.logspace import EXP_FLOOR, exp_shifted_inplace
+from samplebench.targets import make_mog_target
 
 
 # ---------------------------------------------------------------- log_sum_exp
@@ -37,6 +40,42 @@ def test_lse_huge_shift():
 
 def test_lse_all_neginf():
     assert log_sum_exp([-np.inf, -np.inf]) == -np.inf
+
+
+def test_lse_neginf_slices_and_mixed_entries():
+    v = np.array([[-np.inf, -np.inf, -np.inf], [0.5, -np.inf, 2.0], [-np.inf, 3.0, -np.inf]])
+    two_terms = np.log(np.exp(0.5 - 2.0) + 1.0) + 2.0
+    for axis, mat in ((1, v), (0, np.ascontiguousarray(v.T))):
+        out = log_sum_exp(mat, axis=axis)
+        assert out[0] == -np.inf
+        assert out[1] == two_terms  # bitwise: the -inf entry adds nothing
+        assert out[2] == 3.0
+    assert log_sum_exp([0.5, -np.inf, 2.0]) == two_terms
+    assert log_sum_exp([-np.inf, 7.5, -np.inf]) == 7.5
+
+
+def test_shifted_exp_never_passes_exp_an_input_below_its_floor(monkeypatch):
+    inputs = []
+    real_exp = np.exp
+
+    def exp(values, *args, **kwargs):
+        inputs.append(np.min(values))
+        return real_exp(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    rng = RngStream(7, 0)
+    mat = rng.uniform(-1e6, 0.0, (64, 40))
+    mat[::3, 5] = -np.inf
+    peak = exp_shifted_inplace(mat.copy(), axis=1)
+    assert np.array_equal(peak, mat.max(axis=1))
+    # the callers: the mixtures' softmax, Sinkhorn, and log_sum_exp
+    target = make_mog_target(50)
+    x = rng.uniform(-40.0, 40.0, (128, 50))
+    target.log_unnorm_and_grad(x)
+    target.score_hvp(x, rng.normal(x.shape))
+    sinkhorn_w2(rng.uniform(-40.0, 40.0, (64, 2)), rng.normal((48, 2)), max_iters=30)
+    log_sum_exp(mat, axis=0)
+    assert len(inputs) > 5 and min(inputs) >= EXP_FLOOR
 
 
 def test_lse_empty_is_usage_error():

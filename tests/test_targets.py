@@ -6,6 +6,7 @@ import pytest
 from samplebench.errors import IngestionError, UsageError
 from samplebench.harness.registry import DEFAULT_SIGMA0
 from samplebench.numerics import RngStream
+from samplebench.targets import mixtures
 from samplebench.targets import (
     MixtureSpec,
     make_brownian_target,
@@ -237,6 +238,59 @@ def test_mog_expansion_matches_direct_form_out_to_3_sigma(dim):
     assert np.all(np.abs(score_mm - score).max(axis=1) <= 1e-13 * scale)
     hvp_err = np.abs(target.score_hvp(x, v) - hvp).max(axis=1)
     assert np.all(hvp_err <= 1e-13 * scale * np.linalg.norm(v, axis=1))
+
+
+def _unclamped_log_sum_and_resp(comp):
+    """The mixtures' softmax without clamp or in-place work, kept as a reference."""
+    m = comp.max(axis=1, keepdims=True)
+    w = np.exp(comp - m)
+    total = w.sum(axis=1, keepdims=True)
+    return np.log(total[:, 0]) + m[:, 0], w / total
+
+
+def _mixture_queries(target, x, v):
+    out = [target.log_unnorm(x), *target.log_unnorm_and_grad(x)]
+    return out + ([target.score_hvp(x, v)] if target.score_hvp is not None else [])
+
+
+@pytest.mark.parametrize("kind,dim,half_width", [
+    ("gaussian", 2, 40.0), ("gaussian", 50, 40.0), ("student_t2", 50, 1000.0)])
+def test_mixture_queries_bitwise_equal_unclamped_softmax(monkeypatch, kind, dim, half_width):
+    # 2000 points, half near the means and half spread over the layout's box, so
+    # that shifted log-terms fall both below -745 (exp underflows to 0) and in
+    # the subnormal band (-745, -708), where the clamped softmax differs
+    spec = MixtureSpec(40 if kind == "gaussian" else 10, dim, kind, -half_width, half_width,
+                       seed=12)
+    target = make_mixture_target(spec)
+    means = spec.draw_means()
+    rng = RngStream(5, 0)
+    near = means[rng.integers(len(means), size=1000)]
+    near = near + rng.normal((1000, dim)) * 10.0 ** rng.uniform(-1, 1, (1000, 1))
+    spread = rng.uniform(-half_width, half_width, (1000, dim)) * rng.uniform(0, 1, (1000, 1)) ** 4
+    x = np.concatenate([near, spread])
+    v = rng.normal(x.shape)
+    comp = mixtures._component_logdensities(spec, means, x)
+    shifted = comp - comp.max(axis=1, keepdims=True)
+    assert np.any(shifted < -745) and np.any((-745 < shifted) & (shifted < -708))
+
+    batches = [(x, v), (x[:128], v[:128])]
+    got = [_mixture_queries(target, *batch) for batch in batches]
+    monkeypatch.setattr(mixtures, "_log_sum_and_resp", _unclamped_log_sum_and_resp)
+    expected = [_mixture_queries(target, *batch) for batch in batches]
+    for batch_got, batch_expected in zip(got, expected, strict=True):
+        for a, b in zip(batch_got, batch_expected, strict=True):
+            assert np.array_equal(a, b)  # bitwise
+
+
+@pytest.mark.parametrize("target", [make_mog_target(2), make_mog_target(50), make_mos_target(2)],
+                         ids=["mog_d2", "mog_d50", "mos_d2"])
+def test_mixture_queries_leave_inputs_unmodified(target):
+    rng = RngStream(6, 0)
+    x = rng.uniform(-40, 40, (300, target.dim))
+    v = rng.normal(x.shape)
+    x_copy, v_copy = x.copy(), v.copy()
+    _mixture_queries(target, x, v)
+    assert np.array_equal(x, x_copy) and np.array_equal(v, v_copy)
 
 
 # ------------------------------------------------------ logistic regression
