@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     met_p.add_argument("--dim", type=int, default=None)
     met_p.add_argument("--target-seed", type=int, default=0)
     met_p.add_argument("--csv-path", default=None, help="dataset path for logistic targets")
-    met_p.add_argument("--ipm-samples", type=int, default=512)
+    met_p.add_argument("--ipm-samples", type=int, default=None,
+                       help="samples for MMD and W2 (default: the protocol's ipm_subsample)")
     met_p.add_argument("--out", default=None, help="write the JSON report here")
     return parser
 
@@ -110,7 +111,7 @@ def _cmd_metrics(args) -> int:
     import numpy as np
 
     from .errors import ConfigError
-    from .harness import build_target
+    from .harness import Protocol, build_target
     from .metrics import (
         REVERSE, WeightedSamples, ejs, elbo, emc, ess_estimates, log_z_estimates, mmd,
         sinkhorn_w2,
@@ -146,10 +147,13 @@ def _cmd_metrics(args) -> int:
         if target.mode_model.true_mode_probs is not None:
             report["ejs"] = ejs(probs, target.mode_model.true_mode_probs)
     if target.exact_sampler is not None:
-        k = min(args.ipm_samples, len(x))
+        protocol = Protocol()
+        ipm_samples = args.ipm_samples if args.ipm_samples is not None else protocol.ipm_subsample
+        k = min(ipm_samples, len(x))
         y = target.exact_sampler(RngStream(args.target_seed, 999), k)
         report["mmd"] = mmd(x[:k], y)
-        report["w2"], report["w2_converged"] = sinkhorn_w2(x[:k], y, max_iters=300)
+        report["w2"], report["w2_converged"] = sinkhorn_w2(x[:k], y,
+                                                           max_iters=protocol.sinkhorn_iters)
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -58,15 +58,14 @@ class DiffusionSpec:
     betas: Optional[np.ndarray] = None          # annealing grid for Langevin methods
     beta_phi: Optional[np.ndarray] = None       # raw increments when betas are trainable
     sigma_raw: Optional[float] = None           # log sigma_max when sigma is trainable
-    dds_literal_table: bool = False
     score_stop_gradient: bool = False
 
     @classmethod
     def create(cls, method: str, dim: int, rng: RngStream, n_steps: int = 128,
                sigma0: float = 1.0, sigma_max: float = 1.0, guidance: bool = True,
                sigma_schedule: str = "cosine", hidden_width: int = 64,
-               time_embedding_dim: int = 64, trainable: Optional[TrainableFlags] = None,
-               dds_literal_table: bool = False) -> "DiffusionSpec":
+               time_embedding_dim: int = 64,
+               trainable: Optional[TrainableFlags] = None) -> "DiffusionSpec":
         method = method.lower()
         if method not in ALL_METHODS:
             raise UsageError(f"unknown diffusion method {method!r}")
@@ -82,8 +81,7 @@ class DiffusionSpec:
                                  time_embedding_dim=time_embedding_dim, guidance=guidance)
         spec = cls(method=method, dim=dim, n_steps=n_steps, sigma_max=sigma_max,
                    sigma_schedule=sigma_schedule, proposal=proposal, drift_net=net,
-                   backward_net=bnet, guidance=guidance, trainable=trainable,
-                   dds_literal_table=dds_literal_table)
+                   backward_net=bnet, guidance=guidance, trainable=trainable)
         spec.betas = np.linspace(0.0, 1.0, n_steps + 1)
         if trainable.betas:
             spec.beta_phi = np.zeros(n_steps)
@@ -259,8 +257,6 @@ def _hop_scalars(spec, sigma, sigma0_sq):
     where the kernels read none."""
     dt = spec.delta_t
     if spec.method == "dds":
-        if spec.dds_literal_table:
-            return (1.0 - sigma) ** 0.5, sigma * sigma0_sq * dt
         lam = sigma * dt
         return (1.0 - lam) ** 0.5, lam * sigma0_sq
     if spec.method == "dis":
@@ -345,8 +341,6 @@ def _kernel_means(spec, sched, anchor, s, forward):
     decay, var = sched.decays[s - 1], sched.variances[s - 1]
     method = spec.method
     if method == "dds":
-        if spec.dds_literal_table:
-            return ((decay * x + anchor.net(spec, sched)) * dt if forward else decay * x * dt), var
         return (x * decay + anchor.net(spec, sched) * dt if forward else x * decay), var
     if method == "dis":
         if forward:
@@ -415,8 +409,6 @@ class TrajectoryBatch:
     final_states: np.ndarray
     log_w: object           # (n,) ndarray, or tape Var during training
     valid: np.ndarray
-    x0: np.ndarray
-    n_steps: int
 
     @property
     def log_w_values(self) -> np.ndarray:
@@ -449,7 +441,6 @@ def simulate_forward(spec: DiffusionSpec, target: TargetDensity, batch_size: int
     else:  # the proposal draw, its density in closed form as in `_draw`
         x = sched.mean + sched.std * eps0
         log_pi0 = (eps0 * eps0).sum(axis=1) * -0.5 - sched.log_std.sum() - 0.5 * d * LOG_2PI
-    x0 = _value(x).copy()
     anchor = _Anchor(spec, sched, target, x, 0)
     log_b_terms, log_f_terms = [], []
     for s in range(1, spec.n_steps + 1):
@@ -459,7 +450,7 @@ def simulate_forward(spec: DiffusionSpec, target: TargetDensity, batch_size: int
     log_w = path_log_weight(log_b_terms, log_f_terms, anchor.log_gamma, log_pi0)
     x_vals = _value(anchor.x)
     valid = np.isfinite(_value(log_w)) & np.all(np.isfinite(x_vals), axis=1)
-    return TrajectoryBatch(x_vals, log_w, valid, x0, spec.n_steps)
+    return TrajectoryBatch(x_vals, log_w, valid)
 
 
 def simulate_backward_logweights(spec: DiffusionSpec, target: TargetDensity,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..errors import ConfigError
@@ -18,11 +18,9 @@ _METHOD_KEYS = {"name", "sigma0", "iterations", "batch_size", "learning_rate", "
                 "step_size_low", "step_size_high", "mh_substeps", "scale_low", "scale_high",
                 "sigma_max", "guidance", "sigma_schedule", "loss", "trainable_sigma",
                 "trainable_betas", "trainable_proposal", "score_stop_gradient",
-                "dds_literal_table", "proposal_mean", "proposal_log_std", "pretrain_base",
-                "sigma0_grid", "n_steps_grid", "batch_grid", "pretrain_batch",
-                "pretrain_iterations", "pretrain_lr"}
-_PROTOCOL_KEYS = {"n_checkpoints", "running_avg_len", "n_seeds", "eval_samples",
-                  "ipm_subsample", "sinkhorn_iters", "emc_variant"}
+                "proposal_mean", "proposal_log_std", "pretrain_base", "sigma0_grid",
+                "n_steps_grid", "batch_grid", "pretrain_batch", "pretrain_iterations",
+                "pretrain_lr"}
 _TOP_KEYS = {"schema_version", "target", "method", "protocol", "seeds", "output_dir"}
 
 TARGET_NAMES = ("mog", "mos", "funnel", "gaussian", "brownian", "logistic")
@@ -36,7 +34,9 @@ class Protocol:
     eval_samples: int = 2000
     ipm_subsample: int = 512
     sinkhorn_iters: int = 300
-    emc_variant: str = "aggregate"
+
+
+_PROTOCOL_KEYS = {f.name for f in fields(Protocol)}
 
 
 @dataclass
@@ -86,8 +86,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _check_keys(doc["protocol"], _PROTOCOL_KEYS, "protocol")
         for key, value in doc["protocol"].items():
             setattr(protocol, key, value)
-    if protocol.emc_variant not in ("aggregate", "literal"):
-        raise ConfigError("protocol.emc_variant must be 'aggregate' or 'literal'")
 
     seeds = doc.get("seeds", list(range(protocol.n_seeds)))
     if not seeds or len(set(seeds)) != len(seeds):

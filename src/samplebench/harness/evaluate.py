@@ -24,10 +24,12 @@ from ..metrics import (
 from ..numerics.rng import RngStream
 
 
-def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream,
-                     target_samples=None, ipm_subsample: int = 512,
-                     sinkhorn_iters: int = 300, emc_variant: str = "aggregate") -> MetricReport:
-    """Full criteria vector; criteria whose prerequisites are missing stay None."""
+def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream, target_samples,
+                     ipm_subsample: int, sinkhorn_iters: int) -> MetricReport:
+    """Full criteria vector; criteria whose prerequisites are missing stay None.
+
+    `target_samples` are the target's exact draws, None when it has no exact sampler.
+    """
     x, log_w = sampler.sample_with_logweights(n_samples, rng)
     ws = WeightedSamples(x, log_w, REVERSE)
     report = MetricReport()
@@ -38,12 +40,12 @@ def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream,
 
     if target.mode_model is not None:
         probs = target.mode_model.prob(x)
-        report.emc = emc(probs, variant=emc_variant)
+        report.emc = emc(probs)
         if target.mode_model.true_mode_probs is not None:
             report.ejs = ejs(probs, target.mode_model.true_mode_probs)
 
-    if target.exact_sampler is not None:
-        y = target_samples if target_samples is not None else target.exact_sampler(rng, n_samples)
+    if target_samples is not None:
+        y = target_samples
         try:
             log_w_f = sampler.backward_logweights(y, rng)
             fws = WeightedSamples(y, log_w_f, FORWARD)

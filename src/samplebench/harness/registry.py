@@ -197,7 +197,6 @@ class MethodDriver:
                     betas=p.get("trainable_betas", False),
                     proposal=p.get("trainable_proposal", False),
                 ),
-                dds_literal_table=p.get("dds_literal_table", False),
             )
             spec.score_stop_gradient = p.get("score_stop_gradient", False)
             if "proposal_mean" in p:  # pretrained base hand-off

@@ -95,7 +95,6 @@ def run_experiment(config: ExperimentConfig, clock=time.perf_counter) -> RunReco
                 target_samples=fixed_target_samples,
                 ipm_subsample=config.protocol.ipm_subsample,
                 sinkhorn_iters=config.protocol.sinkhorn_iters,
-                emc_variant=config.protocol.emc_variant,
             )
             seed_rec.iterations.append(iteration)
             seed_rec.raw_reports.append(report)

@@ -119,7 +119,7 @@ def _leapfrog(x, p, eps, n_steps, fused, val0, grad0):
 
 
 def hmc_step(x, fused_logdensity_and_grad, cfg: HmcConfig, rng: RngStream, beta: float = 1.0,
-             current=None, metropolis: bool = True):
+             current=None):
     """One HMC step with fresh momenta and a Metropolis correction on total energy.
 
     `current` may carry a cached (value, grad) at x to avoid re-querying.
@@ -134,8 +134,6 @@ def hmc_step(x, fused_logdensity_and_grad, cfg: HmcConfig, rng: RngStream, beta:
     p0 = rng.normal(x.shape)
     xn, p, val, grad = _leapfrog(x, p0, eps, cfg.leapfrog_steps, fused_logdensity_and_grad,
                                  val0, grad0)
-    if not metropolis:
-        return xn, np.ones(len(x), dtype=bool), (val, grad)
     h0 = -val0 + 0.5 * np.sum(p0**2, axis=1)
     h1 = -val + 0.5 * np.sum(p**2, axis=1)
     delta = h0 - h1

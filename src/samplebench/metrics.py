@@ -8,7 +8,7 @@ log space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,9 +64,6 @@ class MetricReport:
     elbo_se: Optional[float] = None
     eubo_se: Optional[float] = None
 
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     CRITERIA = (
         "elbo", "eubo", "log_z_rev", "log_z_fwd", "delta_log_z_rev",
         "delta_log_z_fwd", "ess_rev", "ess_fwd", "emc", "ejs", "mmd", "w2",
@@ -120,25 +117,13 @@ def _validate_mode_rows(mode_probs):
     return np.clip(p, 0.0, None)
 
 
-def _entropy(p, base):
-    p = np.asarray(p, dtype=float)
-    nz = p > 0
-    return float(-(p[nz] * np.log(p[nz])).sum() / np.log(base))
-
-
-def emc(mode_probs, variant: str = "aggregate") -> float:
-    """Entropic mode coverage in [0, 1] (base-M entropy).
-
-    aggregate: entropy of the sample-averaged mode distribution (default);
-    literal: average per-sample entropy, which is 0 for any one-hot assignment.
-    """
+def emc(mode_probs) -> float:
+    """Entropic mode coverage in [0, 1]: the base-M entropy of the sample-averaged
+    mode distribution."""
     p = _validate_mode_rows(mode_probs)
-    m = p.shape[1]
-    if variant == "aggregate":
-        return _entropy(p.mean(axis=0), base=m)
-    if variant == "literal":
-        return float(np.mean([_entropy(row, base=m) for row in p]))
-    raise UsageError(f"unknown emc variant {variant!r}")
+    q = p.mean(axis=0)
+    nz = q > 0
+    return float(-(q[nz] * np.log(q[nz])).sum() / np.log(p.shape[1]))
 
 
 def ejs(mode_probs, true_probs) -> float:

@@ -3,7 +3,7 @@
 Nodes hold numpy arrays; the node list is a Wengert list (every parent index
 precedes its consumer), so the backward pass is a single reverse sweep that
 visits each node exactly once.  This is deliberately small: matmul, elementwise
-arithmetic, tanh/exp/log, reductions and custom primitives are enough to train
+arithmetic, tanh/exp, reductions and custom primitives are enough to train
 two-layer drift networks, diagonal affine flows and diagonal Gaussians.
 """
 
@@ -99,11 +99,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            return self * other ** -1.0
-        return self * (1.0 / np.asarray(other, dtype=float))
-
     def __pow__(self, exponent):
         a = self.value
         p = float(exponent)
@@ -135,10 +130,6 @@ class Var:
     def exp(self):
         out = np.exp(self.value)
         return self.tape._record(out, (self.index,), lambda g: (g * out,), "exp")
-
-    def log(self):
-        a = self.value
-        return self.tape._record(np.log(a), (self.index,), lambda g: (g / a,), "log")
 
     # -- reductions and shaping ---------------------------------------------
     def sum(self, axis=None):

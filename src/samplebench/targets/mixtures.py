@@ -2,7 +2,8 @@
 
 Components have uniform weights 1/K and means drawn i.i.d. per coordinate from
 a uniform range, so the mixture is normalized (log Z = 0) and admits an exact
-sampler.  Mode descriptors assign each point to the argmax-density component.
+sampler.  Mode descriptors assign each point to the argmax-density component,
+taken over the same (n, K) log-terms the value queries build.
 
 Gaussian-mixture values, scores and HVPs are computed by matmul through the
 expansion |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2; Student-t mixtures have no such
@@ -42,14 +43,6 @@ class MixtureSpec:
     def draw_means(self) -> np.ndarray:
         rng = RngStream(self.seed, stream_id=0)
         return rng.uniform(self.mean_low, self.mean_high, (self.n_components, self.dim))
-
-
-def _component_logdensities(spec: MixtureSpec, means: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of normalized per-component log-densities, from (n, K, d) offsets."""
-    diff = x[:, None, :] - means[None, :, :]  # (n, K, d)
-    if spec.kind == "gaussian":
-        return -0.5 * np.sum(diff**2, axis=-1) - 0.5 * spec.dim * LOG_2PI
-    return _t2_logdensities(diff**2)
 
 
 def _t2_logdensities(diff_sq: np.ndarray) -> np.ndarray:
@@ -107,8 +100,11 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
 
     else:
 
+        def log_terms(x):
+            return _t2_logdensities((x[:, None, :] - means[None, :, :]) ** 2)
+
         def log_unnorm(x):
-            lse, _ = _log_sum_and_resp(_component_logdensities(spec, means, np.atleast_2d(x)))
+            lse, _ = _log_sum_and_resp(log_terms(np.atleast_2d(x)))
             return lse - log_k
 
         def log_unnorm_and_grad(x):
@@ -127,8 +123,7 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
         return means[comps] + noise
 
     def mode_probs(x):
-        comp = _component_logdensities(spec, means, np.atleast_2d(x))
-        idx = np.argmax(comp, axis=1)  # ties resolve to the lowest index
+        idx = np.argmax(log_terms(np.atleast_2d(x)), axis=1)  # ties resolve to the lowest index
         out = np.zeros((len(idx), k))
         out[np.arange(len(idx)), idx] = 1.0
         return out

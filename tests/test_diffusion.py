@@ -94,17 +94,6 @@ def test_cosine_schedule_endpoints_and_range():
         spec.sigma_at(0)
 
 
-def test_dds_literal_table_variant_differs():
-    default = zero_drift(make_spec("dds", sigma_max=2.0))
-    literal = zero_drift(make_spec("dds", sigma_max=0.5, dds_literal_table=True))
-    x = np.ones((1, 2))
-    (fm_d, _), _ = kernel_pair(default, 4, x, np.zeros((1, 2)))
-    (fm_l, _), _ = kernel_pair(literal, 4, x, np.zeros((1, 2)))
-    lam = default.sigma_at(4) * default.delta_t
-    np.testing.assert_allclose(fm_d, math.sqrt(1 - lam) * x)
-    np.testing.assert_allclose(fm_l, math.sqrt(1 - literal.sigma_at(4)) * x * literal.delta_t)
-
-
 def test_pis_point_mass_proposal_not_trainable():
     with pytest.raises(UsageError):
         DiffusionSpec.create("pis", 2, RngStream(0, 0),
@@ -188,13 +177,12 @@ def test_training_step_records_only_what_the_weight_reads(method):
     assert ops["log_normal_diag"] <= backward_terms
 
 
-@pytest.mark.parametrize("literal", [False, True])
-def test_trainable_sigma_step_resolves_each_hop_decay_once(literal):
+def test_trainable_sigma_step_resolves_each_hop_decay_once():
     # both kernel sides of a hop read its decay sqrt(1 - lambda_s) and variance;
     # the schedule builds them once, so the step records one pow node per hop
     big_t = 6
-    spec = make_spec("dds", n_steps=big_t, sigma_max=0.5 if literal else 2.0, guidance=True,
-                     seed=49, dds_literal_table=literal, trainable=TrainableFlags(sigma=True))
+    spec = make_spec("dds", n_steps=big_t, sigma_max=2.0, guidance=True, seed=49,
+                     trainable=TrainableFlags(sigma=True))
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in trainable_parameters(spec).items()}
     simulate_forward(spec, make_gaussian_target(2), 8, RngStream(50, 0), params=leaves,
@@ -207,7 +195,7 @@ def _reference_log_normal_diag(y, mean, var, dim):
     """The former op-by-op form of log_normal_diag for a constant var, kept as a reference."""
     diff = y - mean
     quad = (diff * diff).sum(axis=1)
-    return quad * (-0.5) / var - 0.5 * dim * LOG_2PI - 0.5 * dim * np.log(var)
+    return quad * (-0.5) * (1.0 / var) - 0.5 * dim * LOG_2PI - 0.5 * dim * np.log(var)
 
 
 @pytest.mark.parametrize("y_var,mean_var", [(True, True), (True, False), (False, True)])
@@ -376,13 +364,12 @@ def test_tape_loss_drops_invalid_nan_row(loss):
     tape = Tape()
     theta = tape.leaf(np.array([0.5, -1.0, 2.0, 0.3]))
     batch = TrajectoryBatch(np.zeros((4, 1)), theta + np.array([0.0, np.nan, 1.0, -0.5]),
-                            np.array([True, False, True, True]), np.zeros((4, 1)), 1)
+                            np.array([True, False, True, True]))
     value = loss(batch)
     (grad,) = tape.grad(value, [theta])
     assert np.isfinite(value.value)
     assert np.all(np.isfinite(grad)) and grad[1] == 0.0
-    plain = TrajectoryBatch(batch.final_states, np.array([0.5, 1.0, 3.0, -0.2]), batch.valid,
-                            batch.x0, 1)
+    plain = TrajectoryBatch(batch.final_states, np.array([0.5, 1.0, 3.0, -0.2]), batch.valid)
     assert value.value == pytest.approx(loss(plain), rel=1e-12)
 
 

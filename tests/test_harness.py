@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -69,8 +70,23 @@ def test_unknown_top_level_key_rejected():
 
 
 def test_unknown_method_key_rejected():
+    for key in ("learning_rat", "dds_literal_table"):  # a typo and a deleted option
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(tiny_config(method={"name": "mfvi", key: 0.1}))
+
+
+def test_unknown_protocol_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_config(tiny_config(method={"name": "mfvi", "learning_rat": 0.1}))
+        parse_config(tiny_config(protocol={"emc_variant": "literal"}))
+
+
+def test_readme_config_example_parses():
+    # the config block in the README must name only keys the parser accepts
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    config = parse_config(json.loads(blocks[0]))
+    assert (config.target_name, config.method_name) == ("mog", "dds")
 
 
 def test_wrong_schema_version_rejected():
@@ -477,6 +493,8 @@ def test_cli_run_and_exit_codes(tmp_path):
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(tiny_config(schema_version=99)))
+    assert main(["run", "--config", str(bad)]) == 2
+    bad.write_text(json.dumps(tiny_config(protocol={"emc_variant": "aggregate"})))
     assert main(["run", "--config", str(bad)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 

@@ -7,7 +7,6 @@ from samplebench.errors import UsageError
 from samplebench.kernels import (
     AnnealedPath,
     HmcConfig,
-    _leapfrog,
     annealed_logdensity,
     hmc_step,
     mh_step,
@@ -187,32 +186,6 @@ def test_hmc_rejects_nonfinite_energy():
     x2, accepted, _ = hmc_step(x, exploding, cfg, rng)
     # trajectories that hit the nan region must be rejected in place
     assert np.all(np.isfinite(x2))
-
-
-def ula_step(x, fused_logdensity_and_grad, step_h, rng: RngStream):
-    """One uncorrected Langevin step x + h grad + sqrt(2h) xi.
-
-    This is exactly hmc_step with L = 1, eps = sqrt(2h), and the Metropolis
-    correction removed; it runs through the same leapfrog code path.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    eps = np.sqrt(2.0 * step_h)
-    val0, grad0 = fused_logdensity_and_grad(x)
-    p0 = rng.normal(x.shape)
-    xn, _, _, _ = _leapfrog(x, p0, eps, 1, fused_logdensity_and_grad, val0, grad0)
-    return xn
-
-
-def test_ula_is_hmc_l1_without_correction():
-    rng_a = RngStream(9, 0)
-    rng_b = RngStream(9, 0)
-    cfg = HmcConfig(leapfrog_steps=1, step_size_low=math.sqrt(2 * 0.05),
-                    step_size_high=math.sqrt(2 * 0.05))
-    for _ in range(100):
-        x = RngStream(10, 0).normal((4, 2))
-        via_hmc, _, _ = hmc_step(x, gaussian_fused, cfg, rng_a, metropolis=False)
-        via_ula = ula_step(x, gaussian_fused, 0.05, rng_b)
-        np.testing.assert_array_equal(via_hmc, via_ula)
 
 
 # -------------------------------------------------- detailed-balance surrogate

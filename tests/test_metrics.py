@@ -124,7 +124,6 @@ def test_emc_single_mode_is_zero():
     rows = np.zeros((10, 4))
     rows[:, 2] = 1.0
     assert emc(rows) == 0.0
-    assert emc(rows, variant="literal") == 0.0
 
 
 def test_emc_uniform_coverage_is_one():
@@ -135,12 +134,6 @@ def test_emc_uniform_coverage_is_one():
 def test_emc_two_of_four_modes():
     rows = np.eye(4)[np.arange(20) % 2]
     assert emc(rows) == pytest.approx(0.5)  # log_4(2)
-
-
-def test_emc_variants_coincide_on_identical_rows():
-    row = np.array([0.25, 0.25, 0.5, 0.0])
-    rows = np.tile(row, (8, 1))
-    assert emc(rows) == pytest.approx(emc(rows, variant="literal"))
 
 
 def test_emc_aggregate_row_order_invariant():

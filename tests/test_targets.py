@@ -173,13 +173,15 @@ def test_mode_assign_tie_breaks_low_index():
 
 
 def test_mode_assign_nearest_mean_for_equal_isotropic():
-    spec = MixtureSpec(6, 2, "gaussian", -40, 40, seed=7)
-    means = spec.draw_means()
-    rng = RngStream(8, 0)
-    x = rng.uniform(-40, 40, (200, 2))
-    idx = np.argmax(make_mixture_target(spec).mode_model.prob(x), axis=1)
-    nearest = np.argmin(np.linalg.norm(x[:, None, :] - means[None], axis=-1), axis=1)
-    np.testing.assert_array_equal(idx, nearest)
+    # a small d=2 layout and the benchmark's d=50 layout (40 components, seed 12)
+    for spec in (MixtureSpec(6, 2, "gaussian", -40, 40, seed=7),
+                 MixtureSpec(40, 50, "gaussian", -40, 40, seed=12)):
+        means = spec.draw_means()
+        rng = RngStream(8, 0)
+        x = rng.uniform(-40, 40, (200, spec.dim))
+        idx = np.argmax(make_mixture_target(spec).mode_model.prob(x), axis=1)
+        nearest = np.argmin(np.linalg.norm(x[:, None, :] - means[None], axis=-1), axis=1)
+        np.testing.assert_array_equal(idx, nearest)
 
 
 def test_mode_self_consistency_on_separated_modes():
@@ -269,7 +271,12 @@ def test_mixture_queries_bitwise_equal_unclamped_softmax(monkeypatch, kind, dim,
     spread = rng.uniform(-half_width, half_width, (1000, dim)) * rng.uniform(0, 1, (1000, 1)) ** 4
     x = np.concatenate([near, spread])
     v = rng.normal(x.shape)
-    comp = mixtures._component_logdensities(spec, means, x)
+    # per-component log-densities up to a constant, from the (n, K, d) offsets
+    diff_sq = (x[:, None, :] - means[None, :, :]) ** 2
+    if kind == "gaussian":
+        comp = -0.5 * diff_sq.sum(axis=-1)
+    else:
+        comp = -1.5 * np.log1p(diff_sq / 2.0).sum(axis=-1)
     shifted = comp - comp.max(axis=1, keepdims=True)
     assert np.any(shifted < -745) and np.any((-745 < shifted) & (shifted < -708))
 
