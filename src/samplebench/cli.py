@@ -108,14 +108,11 @@ def _load_samples_csv(path, weights_col):
 
 
 def _cmd_metrics(args) -> int:
-    import numpy as np
-
     from .errors import ConfigError
     from .harness import Protocol, build_target
-    from .metrics import (
-        REVERSE, WeightedSamples, ejs, elbo, emc, ess_estimates, log_z_estimates, mmd,
-        sinkhorn_w2,
-    )
+    from .harness.config import check_target
+    from .harness.evaluate import sample_criteria
+    from .metrics import MetricReport
     from .numerics.rng import RngStream
 
     x, log_w = _load_samples_csv(args.samples, args.weights_col)
@@ -128,34 +125,20 @@ def _cmd_metrics(args) -> int:
         if not args.csv_path:
             raise ConfigError("logistic target needs --csv-path")
         params["csv_path"] = args.csv_path
+    check_target(args.target, params)
     target = build_target(args.target, params)
     if x.shape[1] != target.dim:
         raise ConfigError(f"samples have dimension {x.shape[1]}, target has {target.dim}")
 
-    report = {}
-    if log_w is not None:
-        ws = WeightedSamples(x, log_w, REVERSE)
-        report["elbo"] = elbo(ws)
-        est, delta = log_z_estimates(ws, target.true_log_z)
-        report["log_z_rev"] = est
-        if delta is not None:
-            report["delta_log_z_rev"] = delta
-        report["ess_rev"] = ess_estimates(ws)
-    if target.mode_model is not None:
-        probs = target.mode_model.prob(x)
-        report["emc"] = emc(probs)
-        if target.mode_model.true_mode_probs is not None:
-            report["ejs"] = ejs(probs, target.mode_model.true_mode_probs)
+    protocol = Protocol()
+    ipm_samples = args.ipm_samples if args.ipm_samples is not None else protocol.ipm_subsample
+    y = None
     if target.exact_sampler is not None:
-        protocol = Protocol()
-        ipm_samples = args.ipm_samples if args.ipm_samples is not None else protocol.ipm_subsample
-        k = min(ipm_samples, len(x))
-        y = target.exact_sampler(RngStream(args.target_seed, 999), k)
-        report["mmd"] = mmd(x[:k], y)
-        report["w2"], report["w2_converged"] = sinkhorn_w2(x[:k], y,
-                                                           max_iters=protocol.sinkhorn_iters)
-
-    text = json.dumps(report, indent=2, sort_keys=True)
+        y = target.exact_sampler(RngStream(args.target_seed, 999), min(ipm_samples, len(x)))
+    report = sample_criteria(x, log_w, target, y, ipm_samples, protocol.sinkhorn_iters)
+    names = MetricReport.CRITERIA + ("w2_converged",)
+    text = json.dumps({name: getattr(report, name) for name in names
+                       if getattr(report, name) is not None}, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)

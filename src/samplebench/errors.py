@@ -13,10 +13,6 @@ class ConfigError(ValueError):
     """Raised when an experiment configuration fails validation."""
 
 
-class UnsupportedCriterionError(RuntimeError):
-    """Raised when a criterion needs target facilities (exact samples, log Z) that are absent."""
-
-
 class DegenerateWeightsError(RuntimeError):
     """Raised when every particle weight underflows to -inf."""
 

@@ -1,10 +1,10 @@
 """Experiment orchestration: configs, runners, ablations, result emission."""
 
-from .ablate import ABLATION_KINDS, AblationRecord, emit_ablation, run_ablation
+from .ablate import AblationRecord, emit_ablation, run_ablation
 from .config import ExperimentConfig, Protocol, apply_desk_scale, load_config, parse_config
 from .emit import CSV_COLUMNS, emit_results, render_checkpoint_csv, render_summary_json
 from .evaluate import evaluate_sampler
-from .registry import MethodDriver, build_target, default_sigma0
+from .registry import ABLATION_KINDS, MethodDriver, build_target
 from .run import RunRecord, SeedRecord, run_experiment, running_average, select_best
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "evaluate_sampler",
     "MethodDriver",
     "build_target",
-    "default_sigma0",
     "RunRecord",
     "SeedRecord",
     "run_experiment",

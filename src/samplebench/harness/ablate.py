@@ -8,32 +8,25 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..metrics import MetricReport
 from ..numerics.rng import RngStream
 from .config import ExperimentConfig
 from .emit import _atomic_write, format_cell
-from .registry import DIFFUSION_METHODS, build_target, default_sigma0
+from .registry import ABLATION_GRIDS, ABLATION_KINDS, build_target, resolve_method_params
 from .run import RunRecord, run_experiment
 
-TRAINED_METHODS = ("mfvi", "craft") + tuple(m for m in DIFFUSION_METHODS if m != "ula")
 
-ABLATION_KINDS = {
-    "smc_choices": ("smc",),
-    "init_support": ("smc", "craft") + DIFFUSION_METHODS + ("mfvi",),
-    "langevin_choices": ("mcd", "cmcd"),
-    "num_steps": ("smc", "craft") + DIFFUSION_METHODS,
-    "batchsize": TRAINED_METHODS,
-    "grad_network": ("dds", "pis", "dis", "gbs"),
-    "loss_fn": tuple(m for m in DIFFUSION_METHODS if m != "ula"),
-    "pretrain_base": ("mcd", "cmcd", "craft"),
-}
+def _grid(key: str, config: ExperimentConfig) -> list:
+    return config.method_params.get(key, ABLATION_GRIDS[key][1])
 
 
 def ablation_cells(kind: str, config: ExperimentConfig) -> list:
-    """(label, method_param overrides) pairs for the requested grid."""
+    """(label, method_param overrides) pairs for the requested grid.
+
+    The pretrain_base grid's `pretrain_base` override is no method key: it asks
+    `run_ablation` to fit the cell's proposal first.
+    """
     if kind not in ABLATION_KINDS:
         raise ConfigError(f"unknown ablation kind {kind!r}; valid: {sorted(ABLATION_KINDS)}")
     if config.method_name not in ABLATION_KINDS[kind]:
@@ -48,7 +41,7 @@ def ablation_cells(kind: str, config: ExperimentConfig) -> list:
             for r in (False, True)
         ]
     if kind == "init_support":
-        scales = config.method_params.get("sigma0_grid", [1.0, 10.0, 30.0, 60.0])
+        scales = _grid("sigma0_grid", config)
         return [(f"sigma0={s:g}", {"sigma0": float(s)}) for s in scales]
     if kind == "langevin_choices":
         cells = []
@@ -60,10 +53,10 @@ def ablation_cells(kind: str, config: ExperimentConfig) -> list:
                                           "trainable_proposal": prop}))
         return cells
     if kind == "num_steps":
-        grid = config.method_params.get("n_steps_grid", [8, 32, 128])
+        grid = _grid("n_steps_grid", config)
         return [(f"n_steps={t}", {"n_steps": int(t)}) for t in grid]
     if kind == "batchsize":
-        grid = config.method_params.get("batch_grid", [64, 128, 512])
+        grid = _grid("batch_grid", config)
         key = "particles" if config.method_name in ("smc", "craft") else "batch_size"
         return [(f"{key}={b}", {key: int(b)}) for b in grid]
     if kind == "grad_network":
@@ -76,16 +69,13 @@ def ablation_cells(kind: str, config: ExperimentConfig) -> list:
 
 
 def _pretrain_proposal(config: ExperimentConfig):
-    """Fit MFVI once and export (mean, log_std) as the proposal."""
+    """Fit MFVI once (batch 512, 8,000 iterations, lr 5e-3); export (mean, log_std)."""
     from ..vi import mfvi_train
 
     target = build_target(config.target_name, config.target_params)
-    sigma0 = config.method_params.get("sigma0", default_sigma0(config.target_name))
-    q, _ = mfvi_train(target, sigma0,
-                      config.method_params.get("pretrain_batch", 512),
-                      config.method_params.get("pretrain_iterations", 8000),
-                      config.method_params.get("pretrain_lr", 5e-3),
-                      RngStream(0, 777))
+    sigma0 = resolve_method_params(config.method_name, config.target_name,
+                                   config.method_params)["sigma0"]
+    q, _ = mfvi_train(target, sigma0, 512, 8000, 5e-3, RngStream(0, 777))
     return q.mean.tolist(), q.log_std.tolist()
 
 
@@ -101,12 +91,10 @@ def run_ablation(kind: str, config: ExperimentConfig, clock=time.perf_counter) -
     record = AblationRecord(kind, config)
     for label, overrides in cells:
         cell_config = copy.deepcopy(config)
-        cell_config.method_params.update(overrides)
-        if overrides.pop("pretrain_base", None) or cell_config.method_params.pop(
-                "pretrain_base", None):
-            mean, log_std = _pretrain_proposal(cell_config)
-            cell_config.method_params["proposal_mean"] = mean
-            cell_config.method_params["proposal_log_std"] = log_std
+        params = cell_config.method_params
+        params.update((k, v) for k, v in overrides.items() if k != "pretrain_base")
+        if overrides.get("pretrain_base"):
+            params["proposal_mean"], params["proposal_log_std"] = _pretrain_proposal(cell_config)
         run = run_experiment(cell_config, clock=clock)
         record.cells.append((label, overrides, run))
     return record

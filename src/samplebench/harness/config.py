@@ -1,42 +1,32 @@
-"""Experiment configuration: one versioned JSON document, strictly validated."""
+"""Experiment configuration: one versioned JSON document, strictly validated.
+
+A target section sets its builder's parameters and a method section the keys of
+its `registry.METHOD_PARAMS` entry, plus the grids of the ablations that apply
+to the method. Each value must have the type of its key's default.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
-from .registry import ALL_METHOD_NAMES
+from .registry import ABLATION_GRIDS, ABLATION_KINDS, METHOD_PARAMS, TARGETS, target_params
 
 SCHEMA_VERSION = 1
 
-_TARGET_KEYS = {"name", "dim", "n_components", "seed", "sigma_f_sq", "scale", "mean",
-                "observation_seed", "csv_path", "prior_scale", "add_bias"}
-_METHOD_KEYS = {"name", "sigma0", "iterations", "batch_size", "learning_rate", "n_steps",
-                "particles", "resample_threshold", "resampling", "kernel", "leapfrog_steps",
-                "step_size_low", "step_size_high", "mh_substeps", "scale_low", "scale_high",
-                "sigma_max", "guidance", "sigma_schedule", "loss", "trainable_sigma",
-                "trainable_betas", "trainable_proposal", "score_stop_gradient",
-                "proposal_mean", "proposal_log_std", "pretrain_base", "sigma0_grid",
-                "n_steps_grid", "batch_grid", "pretrain_batch", "pretrain_iterations",
-                "pretrain_lr"}
-_TOP_KEYS = {"schema_version", "target", "method", "protocol", "seeds", "output_dir"}
-
-TARGET_NAMES = ("mog", "mos", "funnel", "gaussian", "brownian", "logistic")
+_TOP_KEYS = {"schema_version": int, "target": dict, "method": dict, "protocol": dict,
+             "seeds": list, "output_dir": str}
 
 
 @dataclass
 class Protocol:
     n_checkpoints: int = 100
     running_avg_len: int = 5
-    n_seeds: int = 4
     eval_samples: int = 2000
     ipm_subsample: int = 512
     sinkhorn_iters: int = 300
-
-
-_PROTOCOL_KEYS = {f.name for f in fields(Protocol)}
 
 
 @dataclass
@@ -53,48 +43,65 @@ class ExperimentConfig:
         return f"{self.method_name}_{self.target_name}"
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
+def check_params(section: dict, declared: dict, where: str):
+    """Reject a key `declared` does not name, or a value of the wrong type.
+
+    A declaration is a default, whose type the value must have, or a bare type.
+    An int also fills a float key; a bool fills only a bool key.
+    """
+    unknown = set(section) - set(declared)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    for key, value in section.items():
+        kind = declared[key] if isinstance(declared[key], type) else type(declared[key])
+        if (not isinstance(value, (int, float) if kind is float else kind)
+                or (isinstance(value, bool) and kind is not bool)):
+            raise ConfigError(f"{where} key {key!r} takes a {kind.__name__}, got {value!r}")
+
+
+def check_target(name: str, params: dict):
+    if name not in TARGETS:
+        raise ConfigError(f"unknown target {name!r}; expected one of {tuple(TARGETS)}")
+    check_params(params, target_params(name), f"target {name!r}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "config")
+    check_params(doc, _TOP_KEYS, "config")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     for section in ("target", "method"):
-        if section not in doc or "name" not in doc[section]:
-            raise ConfigError(f"config needs a {section!r} section with a name")
-    _check_keys(doc["target"], _TARGET_KEYS, "target")
-    _check_keys(doc["method"], _METHOD_KEYS, "method")
+        if section not in doc or not isinstance(doc[section].get("name"), str):
+            raise ConfigError(f"config needs a {section!r} section with a name string")
     target_name = doc["target"]["name"]
-    if target_name not in TARGET_NAMES:
-        raise ConfigError(f"unknown target {target_name!r}; expected one of {TARGET_NAMES}")
-    method_name = doc["method"]["name"]
-    if method_name not in ALL_METHOD_NAMES:
-        raise ConfigError(f"unknown method {method_name!r}; expected one of {ALL_METHOD_NAMES}")
+    target_params = {k: v for k, v in doc["target"].items() if k != "name"}
+    check_target(target_name, target_params)
     if target_name == "logistic":
-        csv_path = doc["target"].get("csv_path")
+        csv_path = target_params.get("csv_path")
         if not csv_path or not Path(csv_path).exists():
             raise ConfigError(f"logistic target needs an existing csv_path (got {csv_path!r})")
 
-    protocol = Protocol()
-    if "protocol" in doc:
-        _check_keys(doc["protocol"], _PROTOCOL_KEYS, "protocol")
-        for key, value in doc["protocol"].items():
-            setattr(protocol, key, value)
-
-    seeds = doc.get("seeds", list(range(protocol.n_seeds)))
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be a nonempty list of distinct integers")
-
-    target_params = {k: v for k, v in doc["target"].items() if k != "name"}
+    method_name = doc["method"]["name"]
+    if method_name not in METHOD_PARAMS:
+        raise ConfigError(f"unknown method {method_name!r}; "
+                          f"expected one of {tuple(METHOD_PARAMS)}")
     method_params = {k: v for k, v in doc["method"].items() if k != "name"}
-    return ExperimentConfig(target_name, target_params, method_name, method_params,
-                            protocol, list(seeds), doc.get("output_dir", "results"))
+    grids = {key: list for key, (kind, _) in ABLATION_GRIDS.items()
+             if method_name in ABLATION_KINDS[kind]}
+    check_params(method_params, {**METHOD_PARAMS[method_name], **grids},
+                 f"method {method_name!r}")
+
+    protocol = doc.get("protocol", {})
+    check_params(protocol, asdict(Protocol()), "protocol")
+    config = ExperimentConfig(target_name, target_params, method_name, method_params,
+                              Protocol(**protocol),
+                              **{k: doc[k] for k in ("seeds", "output_dir") if k in doc})
+    seeds = config.seeds
+    if not (seeds and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
+            and len(set(seeds)) == len(seeds)):
+        raise ConfigError("seeds must be a nonempty list of distinct integers")
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

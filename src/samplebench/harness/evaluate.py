@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from ..errors import UnsupportedCriterionError
 from ..metrics import (
     FORWARD,
     REVERSE,
@@ -24,19 +23,20 @@ from ..metrics import (
 from ..numerics.rng import RngStream
 
 
-def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream, target_samples,
-                     ipm_subsample: int, sinkhorn_iters: int) -> MetricReport:
-    """Full criteria vector; criteria whose prerequisites are missing stay None.
+def sample_criteria(x, log_w, target, target_samples, ipm_subsample: int,
+                    sinkhorn_iters: int) -> MetricReport:
+    """The criteria that samples `x` give without the sampler that drew them.
 
-    `target_samples` are the target's exact draws, None when it has no exact sampler.
+    `log_w` are their reverse log weights, `target_samples` the target's exact
+    draws; a criterion whose input (log_w, a mode model, exact draws) is None stays None.
     """
-    x, log_w = sampler.sample_with_logweights(n_samples, rng)
-    ws = WeightedSamples(x, log_w, REVERSE)
     report = MetricReport()
-    report.elbo = elbo(ws)
-    report.elbo_se = float(np.std(log_w, ddof=1) / math.sqrt(len(log_w)))
-    report.log_z_rev, report.delta_log_z_rev = log_z_estimates(ws, target.true_log_z)
-    report.ess_rev = ess_estimates(ws)
+    if log_w is not None:
+        ws = WeightedSamples(x, log_w, REVERSE)
+        report.elbo = elbo(ws)
+        report.elbo_se = float(np.std(log_w, ddof=1) / math.sqrt(len(log_w)))
+        report.log_z_rev, report.delta_log_z_rev = log_z_estimates(ws, target.true_log_z)
+        report.ess_rev = ess_estimates(ws)
 
     if target.mode_model is not None:
         probs = target.mode_model.prob(x)
@@ -46,19 +46,28 @@ def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream, target_sam
 
     if target_samples is not None:
         y = target_samples
-        try:
-            log_w_f = sampler.backward_logweights(y, rng)
-            fws = WeightedSamples(y, log_w_f, FORWARD)
-            report.eubo = eubo(fws)
-            report.eubo_se = float(np.std(log_w_f, ddof=1) / math.sqrt(len(log_w_f)))
-            report.log_z_fwd, report.delta_log_z_fwd = log_z_estimates(fws, target.true_log_z)
-            report.ess_fwd = ess_estimates(fws)
-        except UnsupportedCriterionError:
-            pass
         k = min(ipm_subsample, len(x), len(y))
         if k >= 2:
             report.mmd = mmd(x[:k], y[:k])
             report.w2, report.w2_converged = sinkhorn_w2(x[:k], y[:k], max_iters=sinkhorn_iters)
+    return report
 
+
+def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream, target_samples,
+                     ipm_subsample: int, sinkhorn_iters: int) -> MetricReport:
+    """Full criteria vector; criteria whose prerequisites are missing stay None.
+
+    `target_samples` are the target's exact draws, None when it has no exact sampler.
+    """
+    x, log_w = sampler.sample_with_logweights(n_samples, rng)
+    report = sample_criteria(x, log_w, target, target_samples, ipm_subsample, sinkhorn_iters)
+    if target_samples is not None:
+        y = target_samples
+        log_w_f = sampler.backward_logweights(y, rng)
+        fws = WeightedSamples(y, log_w_f, FORWARD)
+        report.eubo = eubo(fws)
+        report.eubo_se = float(np.std(log_w_f, ddof=1) / math.sqrt(len(log_w_f)))
+        report.log_z_fwd, report.delta_log_z_fwd = log_z_estimates(fws, target.true_log_z)
+        report.ess_fwd = ess_estimates(fws)
     report.nfe_at_eval = target.nfe.value
     return report

@@ -1,19 +1,23 @@
-"""Target builders and method drivers behind one sampler interface.
+"""The declaration of every target and method, and the drivers behind one sampler interface.
 
-A driver's `train` runs the method once and fires `checkpoint_cb(iteration,
-sampler)` at the marks `_checkpoint_marks` places; the sampler view exposes
-reverse sampling with log weights and backward transport of target samples
-for forward criteria.
+A target's config keys, defaults and types are its builder's parameters
+(`TARGETS`); a method's are its `METHOD_PARAMS` entry. A driver's `train`
+runs the method once and fires `checkpoint_cb(iteration, sampler)` at the
+marks `_checkpoint_marks` places; the sampler view exposes reverse sampling
+with log weights and backward transport of target samples for forward
+criteria.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..diffusion import ALL_METHODS as DIFFUSION_METHODS
 from ..diffusion import DiffusionSpec, TrainableFlags, simulate_backward_logweights, simulate_forward, train_diffusion
-from ..errors import ConfigError, UnsupportedCriterionError
+from ..errors import ConfigError
 from ..kernels import AnnealedPath, HmcConfig, MhConfig
 from ..numerics.rng import RngStream
 from ..sis import AffineFlow, backward_transport_logweights, craft_train, smc_run
@@ -28,38 +32,69 @@ from ..targets import (
 )
 from ..vi import mfvi_train
 
-# initial model support per target family (known-support tuning)
+TARGETS = {"mog": make_mog_target, "mos": make_mos_target, "funnel": make_funnel_target,
+           "gaussian": make_gaussian_target, "brownian": make_brownian_target,
+           "logistic": load_regression_target}
+
+# initial model support per target family (known-support tuning): every method's sigma0
 DEFAULT_SIGMA0 = {"mog": 60.0, "mos": 15.0, "funnel": 1.0, "gaussian": 1.0,
                   "brownian": 1.0, "logistic": 1.0}
 
-DIFFUSION_METHODS = ("ula", "mcd", "cmcd", "dds", "pis", "dis", "gbs")
-ALL_METHOD_NAMES = ("mfvi", "smc", "craft") + DIFFUSION_METHODS
+# Each method's config keys with their defaults; a type stands for a key with no
+# fixed default. A value must have its default's type (an int may fill a float).
+_MCMC = {"kernel": "hmc", "leapfrog_steps": 10, "step_size_low": 0.2, "step_size_high": 0.2,
+         "mh_substeps": 10, "scale_low": 1.0, "scale_high": 1.0}
+_SMC = {"sigma0": float, "n_steps": 128, "particles": 2000, "resample_threshold": 0.3,
+        "resampling": True, **_MCMC}
+_PROPOSAL = {"proposal_mean": list, "proposal_log_std": list}  # a pretrained base
+METHOD_PARAMS = {
+    "mfvi": {"sigma0": float, "iterations": 20_000, "batch_size": 2000, "learning_rate": 5e-3},
+    "smc": _SMC,
+    "craft": {**_SMC, **_PROPOSAL, "iterations": 300, "learning_rate": 1e-2},
+    **{m: {"sigma0": float, "n_steps": 128, "sigma_max": 8.0, "guidance": True,
+           "sigma_schedule": "constant" if m == "pis" else "cosine",
+           "trainable_sigma": False, "trainable_betas": False, "trainable_proposal": False,
+           "score_stop_gradient": False, "loss": "elbo", "iterations": 2000,
+           "batch_size": 128, "learning_rate": 2e-3,
+           **({} if m == "pis" else _PROPOSAL)}  # PIS starts from a point mass
+       for m in DIFFUSION_METHODS},
+}
+
+# the methods each ablation applies to
+ABLATION_KINDS = {
+    "smc_choices": ("smc",),
+    "init_support": ("smc", "craft") + DIFFUSION_METHODS + ("mfvi",),
+    "langevin_choices": ("mcd", "cmcd"),
+    "num_steps": ("smc", "craft") + DIFFUSION_METHODS,
+    "batchsize": ("mfvi", "craft") + tuple(m for m in DIFFUSION_METHODS if m != "ula"),
+    "grad_network": ("dds", "pis", "dis", "gbs"),
+    "loss_fn": tuple(m for m in DIFFUSION_METHODS if m != "ula"),
+    "pretrain_base": ("mcd", "cmcd", "craft"),
+}
+
+# method keys that only `ablate` reads: key -> (ablation kind, default grid)
+ABLATION_GRIDS = {"sigma0_grid": ("init_support", [1.0, 10.0, 30.0, 60.0]),
+                  "n_steps_grid": ("num_steps", [8, 32, 128]),
+                  "batch_grid": ("batchsize", [64, 128, 512])}
+
+
+def target_params(name: str) -> dict:
+    """A target's keys with their defaults: its builder's parameters.
+
+    The one parameter without a default, logistic's `csv_path`, is a path string.
+    """
+    return {p.name: str if p.default is p.empty else p.default
+            for p in inspect.signature(TARGETS[name]).parameters.values()}
 
 
 def build_target(name: str, params: dict):
-    params = dict(params)
-    if name == "mog":
-        return make_mog_target(params.pop("dim", 2), params.pop("n_components", 40),
-                               params.pop("seed", 12))
-    if name == "mos":
-        return make_mos_target(params.pop("dim", 2), params.pop("n_components", 10),
-                               params.pop("seed", 0))
-    if name == "funnel":
-        return make_funnel_target(params.pop("dim", 10), params.pop("sigma_f_sq", 9.0))
-    if name == "gaussian":
-        return make_gaussian_target(params.pop("dim", 2), params.pop("scale", 1.0),
-                                    params.pop("mean", 0.0))
-    if name == "brownian":
-        return make_brownian_target(params.pop("observation_seed", 11))
-    if name == "logistic":
-        return load_regression_target(params.pop("csv_path"),
-                                      params.pop("prior_scale", 1.0),
-                                      params.pop("add_bias", False))
-    raise ConfigError(f"unknown target {name!r}")
+    return TARGETS[name](**params)
 
 
-def default_sigma0(target_name: str) -> float:
-    return DEFAULT_SIGMA0.get(target_name, 1.0)
+def resolve_method_params(name: str, target_name: str, params: dict) -> dict:
+    """The config's method values over the declared defaults; sigma0 defaults per target."""
+    defaults = {k: v for k, v in METHOD_PARAMS[name].items() if not isinstance(v, type)}
+    return {"sigma0": DEFAULT_SIGMA0[target_name], **defaults, **params}
 
 
 # ------------------------------------------------------------------- samplers
@@ -115,17 +150,14 @@ class DiffusionSampler:
 
 
 # -------------------------------------------------------------------- drivers
-def make_kernel_config(params: dict):
-    kind = params.get("kernel", "hmc")
-    if kind == "hmc":
-        return HmcConfig(leapfrog_steps=params.get("leapfrog_steps", 10),
-                         step_size_low=params.get("step_size_low", 0.2),
-                         step_size_high=params.get("step_size_high", 0.2))
-    if kind == "mh":
-        return MhConfig(n_substeps=params.get("mh_substeps", 10),
-                        scale_low=params.get("scale_low", 1.0),
-                        scale_high=params.get("scale_high", 1.0))
-    raise ConfigError(f"unknown MCMC kernel {kind!r}")
+def make_kernel_config(p: dict):
+    if p["kernel"] == "hmc":
+        return HmcConfig(leapfrog_steps=p["leapfrog_steps"], step_size_low=p["step_size_low"],
+                         step_size_high=p["step_size_high"])
+    if p["kernel"] == "mh":
+        return MhConfig(n_substeps=p["mh_substeps"], scale_low=p["scale_low"],
+                        scale_high=p["scale_high"])
+    raise ConfigError(f"unknown MCMC kernel {p['kernel']!r}")
 
 
 def _checkpoint_marks(iterations, n_checkpoints):
@@ -146,75 +178,56 @@ class MethodDriver:
         self.params = dict(params)
 
     def train(self, target, target_name, seed, n_checkpoints, checkpoint_cb):
-        p = self.params
-        sigma0 = p.get("sigma0", default_sigma0(target_name))
+        p = resolve_method_params(self.name, target_name, self.params)
+        sigma0 = p["sigma0"]
         rng = RngStream(seed, 0)
         if self.name == "mfvi":
-            iterations = p.get("iterations", 20_000)
             mfvi_train(
-                target, sigma0, p.get("batch_size", 2000), iterations,
-                p.get("learning_rate", 5e-3), rng,
-                checkpoints=_checkpoint_marks(iterations, n_checkpoints),
+                target, sigma0, p["batch_size"], p["iterations"], p["learning_rate"], rng,
+                checkpoints=_checkpoint_marks(p["iterations"], n_checkpoints),
                 checkpoint_hook=lambda it, q: checkpoint_cb(it, MfviSampler(q, target)),
             )
             return
         if self.name == "smc":
             path = AnnealedPath.linear(DiagonalGaussian.isotropic(target.dim, sigma0),
-                                       target, p.get("n_steps", 128))
-            sampler = SmcSampler(path, make_kernel_config(p), p.get("particles", 2000),
-                                 p.get("resample_threshold", 0.3),
-                                 p.get("resampling", True))
+                                       target, p["n_steps"])
+            sampler = SmcSampler(path, make_kernel_config(p), p["particles"],
+                                 p["resample_threshold"], p["resampling"])
             checkpoint_cb(1, sampler)  # nothing to train: one evaluation point
             return
         if self.name == "craft":
-            n_steps = p.get("n_steps", 128)
-            path = AnnealedPath.linear(
-                _proposal_from_params(p, target.dim, sigma0), target, n_steps
-            )
-            flows = [AffineFlow.identity(target.dim) for _ in range(n_steps)]
-            sampler = SmcSampler(path, make_kernel_config(p), p.get("particles", 2000),
-                                 p.get("resample_threshold", 0.3),
-                                 p.get("resampling", True), flows=flows)
-            iterations = p.get("iterations", 300)
-            craft_train(path, flows, sampler.kernel_cfg, iterations, sampler.n_particles, rng,
-                        learning_rate=p.get("learning_rate", 1e-2),
+            path = AnnealedPath.linear(_proposal_from_params(p, target.dim, sigma0), target,
+                                       p["n_steps"])
+            flows = [AffineFlow.identity(target.dim) for _ in range(p["n_steps"])]
+            sampler = SmcSampler(path, make_kernel_config(p), p["particles"],
+                                 p["resample_threshold"], p["resampling"], flows=flows)
+            craft_train(path, flows, sampler.kernel_cfg, p["iterations"], sampler.n_particles,
+                        rng, learning_rate=p["learning_rate"],
                         resample_threshold=sampler.resample_threshold,
                         resampling_enabled=sampler.resampling_enabled,
-                        checkpoints=_checkpoint_marks(iterations, n_checkpoints),
+                        checkpoints=_checkpoint_marks(p["iterations"], n_checkpoints),
                         checkpoint_hook=lambda it, _flows: checkpoint_cb(it, sampler))
             return
-        if self.name in DIFFUSION_METHODS:
-            spec = DiffusionSpec.create(
-                self.name, target.dim, rng,
-                n_steps=p.get("n_steps", 128),
-                sigma0=sigma0,
-                sigma_max=p.get("sigma_max", 8.0),
-                guidance=p.get("guidance", True),
-                sigma_schedule=p.get("sigma_schedule",
-                                     "constant" if self.name == "pis" else "cosine"),
-                trainable=TrainableFlags(
-                    sigma=p.get("trainable_sigma", False),
-                    betas=p.get("trainable_betas", False),
-                    proposal=p.get("trainable_proposal", False),
-                ),
-            )
-            spec.score_stop_gradient = p.get("score_stop_gradient", False)
-            if "proposal_mean" in p:  # pretrained base hand-off
-                spec.proposal = _proposal_from_params(p, target.dim, sigma0)
-            if self.name == "ula" and not (spec.trainable.sigma or spec.trainable.betas
-                                           or spec.trainable.proposal):
-                checkpoint_cb(1, DiffusionSampler(spec, target))  # nothing trainable
-                return
-            iterations = p.get("iterations", 2000)
-            train_diffusion(
-                spec, target, p.get("loss", "elbo"), iterations,
-                p.get("batch_size", 128), rng,
-                learning_rate=p.get("learning_rate", 2e-3),
-                checkpoints=_checkpoint_marks(iterations, n_checkpoints),
-                checkpoint_hook=lambda it, s: checkpoint_cb(it, DiffusionSampler(s, target)),
-            )
+        spec = DiffusionSpec.create(
+            self.name, target.dim, rng, n_steps=p["n_steps"], sigma0=sigma0,
+            sigma_max=p["sigma_max"], guidance=p["guidance"],
+            sigma_schedule=p["sigma_schedule"],
+            trainable=TrainableFlags(sigma=p["trainable_sigma"], betas=p["trainable_betas"],
+                                     proposal=p["trainable_proposal"]),
+        )
+        spec.score_stop_gradient = p["score_stop_gradient"]
+        if "proposal_mean" in p:  # pretrained base hand-off
+            spec.proposal = _proposal_from_params(p, target.dim, sigma0)
+        if self.name == "ula" and not (spec.trainable.sigma or spec.trainable.betas
+                                       or spec.trainable.proposal):
+            checkpoint_cb(1, DiffusionSampler(spec, target))  # nothing trainable
             return
-        raise ConfigError(f"unknown method {self.name!r}")
+        train_diffusion(
+            spec, target, p["loss"], p["iterations"], p["batch_size"], rng,
+            learning_rate=p["learning_rate"],
+            checkpoints=_checkpoint_marks(p["iterations"], n_checkpoints),
+            checkpoint_hook=lambda it, s: checkpoint_cb(it, DiffusionSampler(s, target)),
+        )
 
 
 def _proposal_from_params(p, dim, sigma0):

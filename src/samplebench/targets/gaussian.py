@@ -45,7 +45,7 @@ class DiagonalGaussian:
         return self.mean + np.exp(self.log_std) * rng.normal((n, self.dim))
 
 
-def make_gaussian_target(dim: int, scale: float = 1.0, mean: float = 0.0) -> TargetDensity:
+def make_gaussian_target(dim: int = 2, scale: float = 1.0, mean: float = 0.0) -> TargetDensity:
     """Normalized isotropic Gaussian as a sanity-check target (log Z = 0)."""
     dist = DiagonalGaussian.isotropic(dim, scale, mean)
     var = float(scale) ** 2

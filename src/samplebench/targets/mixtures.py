@@ -140,7 +140,7 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
     )
 
 
-def make_mog_target(dim: int, n_components: int = 40, seed: int = 12) -> TargetDensity:
+def make_mog_target(dim: int = 2, n_components: int = 40, seed: int = 12) -> TargetDensity:
     """Mixture of 40 unit-covariance Gaussians, means uniform on [-40, 40]^d.
 
     The default seed fixes the benchmark's reference layout.
@@ -148,6 +148,6 @@ def make_mog_target(dim: int, n_components: int = 40, seed: int = 12) -> TargetD
     return make_mixture_target(MixtureSpec(n_components, dim, "gaussian", -40.0, 40.0, seed))
 
 
-def make_mos_target(dim: int, n_components: int = 10, seed: int = 0) -> TargetDensity:
+def make_mos_target(dim: int = 2, n_components: int = 10, seed: int = 0) -> TargetDensity:
     """Mixture of Student-t(2) products, means uniform on [-10, 10]^d."""
     return make_mixture_target(MixtureSpec(n_components, dim, "student_t2", -10.0, 10.0, seed))

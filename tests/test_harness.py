@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -24,10 +25,12 @@ from samplebench.harness import (
 )
 from samplebench.harness.ablate import ablation_cells
 from samplebench.harness.emit import render_checkpoint_csv
+from samplebench.harness.registry import METHOD_PARAMS, MethodDriver, build_target
 from samplebench.harness.run import smooth_reports
 from samplebench.kernels import AnnealedPath, HmcConfig, MhConfig
 from samplebench.metrics import MetricReport
 from samplebench.numerics import RngStream
+from samplebench.numerics.nets import DriftNet
 from samplebench.sis import AffineFlow, backward_transport_logweights, craft_train, smc_run
 from samplebench.targets import DiagonalGaussian, make_mog_target
 
@@ -48,6 +51,8 @@ def tiny_config(**overrides):
     }
     for key, value in overrides.items():
         if isinstance(value, dict) and key in doc:
+            if "name" in value and value["name"] != doc[key]["name"]:
+                doc[key] = {}  # another target or method: the default's keys are not its own
             doc[key].update(value)
         else:
             doc[key] = value
@@ -78,6 +83,90 @@ def test_unknown_method_key_rejected():
 def test_unknown_protocol_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(tiny_config(protocol={"emc_variant": "literal"}))
+
+
+def test_key_of_another_target_or_method_rejected():
+    # the keys a section may set are its own target's or method's, not the union
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(tiny_config(target={"name": "brownian", "dim": 2}))
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(tiny_config(method={"name": "smc", "iterations": 5000}))
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(tiny_config(method={"name": "pis", "proposal_mean": [0.0]}))
+
+
+def test_removed_knobs_rejected():
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(tiny_config(protocol={"n_seeds": 4}))
+    for key, value in (("pretrain_base", True), ("pretrain_batch", 512),
+                       ("pretrain_iterations", 8000), ("pretrain_lr", 5e-3)):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(tiny_config(method={"name": "mcd", key: value}))
+
+
+def test_ablation_grid_key_only_where_its_ablation_applies():
+    config = parse_config(tiny_config(method={"name": "mfvi", "sigma0_grid": [1, 2.5]}))
+    assert config.method_params["sigma0_grid"] == [1, 2.5]
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(tiny_config(method={"name": "mfvi", "n_steps_grid": [8, 32]}))
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("method", "iterations", 2.5),
+    ("method", "batch_size", True),
+    ("protocol", "eval_samples", "64"),
+    ("target", "dim", 1.0),
+])
+def test_wrongly_typed_value_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=f"{key}.* takes a"):
+        parse_config(tiny_config(**{section: {key: value}}))
+
+
+def test_wrongly_typed_method_values_rejected():
+    with pytest.raises(ConfigError, match="guidance.* takes a bool"):
+        parse_config(tiny_config(method={"name": "dds", "guidance": "yes"}))
+    with pytest.raises(ConfigError, match="sigma0.* takes a float"):
+        parse_config(tiny_config(method={"name": "dds", "sigma0": True}))
+    with pytest.raises(ConfigError, match="proposal_mean.* takes a list"):
+        parse_config(tiny_config(method={"name": "craft", "proposal_mean": 0.0}))
+
+
+def test_section_name_must_be_a_string():
+    for section in ("target", "method"):
+        with pytest.raises(ConfigError, match="name string"):
+            parse_config(tiny_config(**{section: {"name": ["mog"]}}))
+
+
+@pytest.mark.parametrize("seeds", [["0"], [True], [], [0, 1.0], 3])
+def test_seeds_must_be_distinct_ints(seeds):
+    with pytest.raises(ConfigError, match="seeds"):
+        parse_config(tiny_config(seeds=seeds))
+
+
+def test_int_fills_a_float_key():
+    config = parse_config(tiny_config(method={"name": "dds", "sigma_max": 12, "sigma0": 3}))
+    assert config.method_params == {"sigma_max": 12, "sigma0": 3}
+
+
+def test_absent_seeds_default_to_four():
+    doc = tiny_config()
+    del doc["seeds"]
+    assert parse_config(doc).seeds == [0, 1, 2, 3]
+
+
+def test_shipped_configs_parse():
+    # configs/ and the benchmark's generated workloads name only declared keys
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import WORKLOADS, workload_config
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    paths = sorted((ROOT / "configs").glob("*.json"))
+    assert len(paths) == 3
+    for path in paths:
+        load_config(path)
+    for name in WORKLOADS:
+        parse_config(workload_config(name, 0, "unused"))
 
 
 def test_readme_config_example_parses():
@@ -365,6 +454,60 @@ def test_craft_trains_once_whatever_the_checkpoint_count(n_checkpoints):
         assert np.array_equal(got.log_scale, want.log_scale)
 
 
+DRIVER_BUDGET = {"iterations": 2, "batch_size": 4, "particles": 4, "n_steps": 2,
+                 "leapfrog_steps": 1, "mh_substeps": 1, "sigma_max": 1.0}
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_PARAMS))
+def test_driver_reads_every_declared_key(method, monkeypatch):
+    # a METHOD_PARAMS entry names no key its driver leaves unread
+    from samplebench.harness import registry
+
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            read.add(key)
+            return super().__contains__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    merge = registry.resolve_method_params
+    monkeypatch.setattr(registry, "resolve_method_params",
+                        lambda *args: Recording(merge(*args)))
+    declared = METHOD_PARAMS[method]
+    params = {k: v for k, v in DRIVER_BUDGET.items() if k in declared}
+    params.update({k: [0.0, 0.0] for k in ("proposal_mean", "proposal_log_std") if k in declared})
+    variants = [{}]
+    if "kernel" in declared:
+        variants = [{"kernel": "hmc"}, {"kernel": "mh"}]
+    if method == "ula":
+        variants = [{"trainable_sigma": True}]  # an untrained ULA has no training keys to read
+    target = build_target("gaussian", {"dim": 2})
+    for variant in variants:
+        MethodDriver(method, {**params, **variant}).train(target, "gaussian", 0, 1,
+                                                          lambda it, sampler: None)
+    assert sorted(set(declared) - read) == []
+
+
+def test_readme_paper_scale_defaults_are_the_declared_ones():
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    assert ("Paper-scale defaults (128 steps/temperatures, 2000 particles, resampling "
+            "threshold 0.3, 10 leapfrog steps, 2-layer 64-unit drift nets)") in readme
+    assert {p["n_steps"] for p in METHOD_PARAMS.values() if "n_steps" in p} == {128}
+    for method in ("smc", "craft"):
+        p = METHOD_PARAMS[method]
+        assert (p["particles"], p["resample_threshold"], p["leapfrog_steps"]) == (2000, 0.3, 10)
+    init = inspect.signature(DriftNet.init).parameters
+    assert (init["hidden_layers"].default, init["hidden_width"].default) == (2, 64)
+
+
 # -------------------------------------------------------------- NFE accounting
 def test_smc_nfe_closed_form_hmc():
     target = make_mog_target(2, seed=0)
@@ -482,6 +625,29 @@ def test_ablation_runs_and_emits(tmp_path):
     assert "sigma0=1" in text and "sigma0=3" in text
 
 
+def test_pretrain_base_ablation_pretrains_only_its_cell(monkeypatch):
+    from samplebench.harness import ablate
+
+    calls = []
+
+    def stub(config):
+        calls.append(dict(config.method_params))
+        return [0.5], [-0.25]
+
+    monkeypatch.setattr(ablate, "_pretrain_proposal", stub)
+    doc = tiny_config(method={"name": "mcd", "iterations": 2, "batch_size": 8, "n_steps": 2},
+                      protocol={"n_checkpoints": 1, "eval_samples": 32}, seeds=[0])
+    record = run_ablation("pretrain_base", parse_config(doc), clock=FakeClock())
+    assert [(label, overrides) for label, overrides, _ in record.cells] == [
+        ("pretrained=0", {}), ("pretrained=1", {"pretrain_base": True})]
+    assert len(calls) == 1 and "pretrain_base" not in calls[0]
+    plain, pretrained = (run.config.method_params for _, _, run in record.cells)
+    assert "proposal_mean" not in plain and "pretrain_base" not in plain
+    assert (pretrained["proposal_mean"], pretrained["proposal_log_std"]) == ([0.5], [-0.25])
+    assert "pretrain_base" not in pretrained
+    assert all(not run.failures for _, _, run in record.cells)
+
+
 # ------------------------------------------------------------------------- cli
 def test_cli_run_and_exit_codes(tmp_path):
     from samplebench.cli import main
@@ -497,6 +663,26 @@ def test_cli_run_and_exit_codes(tmp_path):
     bad.write_text(json.dumps(tiny_config(protocol={"emc_variant": "aggregate"})))
     assert main(["run", "--config", str(bad)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_run_wrong_type_exits_2(tmp_path, capsys):
+    from samplebench.cli import main
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tiny_config(protocol={"eval_samples": "64"},
+                                          output_dir=str(tmp_path / "out"))))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "eval_samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_metrics_checks_target_keys(tmp_path, capsys):
+    from samplebench.cli import main
+
+    path = tmp_path / "samples.csv"
+    path.write_text("x_1,x_2,x_3\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+    assert main(["metrics", "--samples", str(path), "--target", "brownian", "--dim", "3"]) == 2
+    assert "unknown key(s) ['dim'] in target 'brownian'" in capsys.readouterr().err
 
 
 def test_cli_metrics_subcommand(tmp_path, capsys):
