@@ -32,15 +32,17 @@ from .numerics.tape import Tape, Var
 from .targets.base import TargetDensity
 from .targets.gaussian import DiagonalGaussian
 
-LANGEVIN_METHODS = ("ula", "mcd", "cmcd")
-ALL_METHODS = ("ula", "mcd", "cmcd", "dds", "pis", "dis", "gbs")
-
-
-@dataclass
-class TrainableFlags:
-    sigma: bool = False
-    betas: bool = False
-    proposal: bool = False
+# The parts each method's kernels read besides the sigma schedule: the beta grid
+# of the annealed score, a proposal (PIS starts from a point mass at 0), the drift
+# net, and GBS's backward net.  `DiffusionSpec.create` builds only these.
+METHOD_PARTS = {"ula": ("betas", "proposal"), "mcd": ("betas", "proposal", "drift_net"),
+                "cmcd": ("betas", "proposal", "drift_net"), "dds": ("proposal", "drift_net"),
+                "pis": ("drift_net",), "dis": ("proposal", "drift_net"),
+                "gbs": ("proposal", "drift_net", "backward_net")}
+ALL_METHODS = tuple(METHOD_PARTS)
+LANGEVIN_METHODS = tuple(m for m, parts in METHOD_PARTS.items() if "betas" in parts)
+# the parts training may leave fixed; the nets are always trained
+OPTIONAL_TRAINABLE = ("sigma", "betas", "proposal")
 
 
 @dataclass
@@ -50,11 +52,10 @@ class DiffusionSpec:
     n_steps: int = 128
     sigma_max: float = 1.0
     sigma_schedule: str = "cosine"  # "cosine" or "constant"
-    proposal: Optional[DiagonalGaussian] = None  # None only for PIS (point mass at 0)
+    proposal: Optional[DiagonalGaussian] = None
     drift_net: Optional[DriftNet] = None
-    backward_net: Optional[DriftNet] = None  # GBS only
-    guidance: bool = True
-    trainable: TrainableFlags = field(default_factory=TrainableFlags)
+    backward_net: Optional[DriftNet] = None
+    trainable: frozenset = frozenset()          # the parts in OPTIONAL_TRAINABLE to train
     betas: Optional[np.ndarray] = None          # annealing grid for Langevin methods
     beta_phi: Optional[np.ndarray] = None       # raw increments when betas are trainable
     sigma_raw: Optional[float] = None           # log sigma_max when sigma is trainable
@@ -64,28 +65,26 @@ class DiffusionSpec:
     def create(cls, method: str, dim: int, rng: RngStream, n_steps: int = 128,
                sigma0: float = 1.0, sigma_max: float = 1.0, guidance: bool = True,
                sigma_schedule: str = "cosine", hidden_width: int = 64,
-               time_embedding_dim: int = 64,
-               trainable: Optional[TrainableFlags] = None) -> "DiffusionSpec":
+               time_embedding_dim: int = 64, trainable=()) -> "DiffusionSpec":
         method = method.lower()
         if method not in ALL_METHODS:
             raise UsageError(f"unknown diffusion method {method!r}")
-        trainable = trainable or TrainableFlags()
-        if method == "pis" and trainable.proposal:
-            raise UsageError("the PIS proposal is a point mass and cannot be trained")
-        proposal = None if method == "pis" else DiagonalGaussian.isotropic(dim, sigma0)
-        net = DriftNet.init(dim, n_steps, rng, hidden_width=hidden_width,
-                            time_embedding_dim=time_embedding_dim, guidance=guidance)
-        bnet = None
-        if method == "gbs":
-            bnet = DriftNet.init(dim, n_steps, rng, hidden_width=hidden_width,
-                                 time_embedding_dim=time_embedding_dim, guidance=guidance)
+        parts = METHOD_PARTS[method]
+        trainable = frozenset(trainable)
+        absent = trainable - {p for p in OPTIONAL_TRAINABLE if p == "sigma" or p in parts}
+        if absent:
+            raise UsageError(f"{method} has no {sorted(absent)} to train")
+        nets = [DriftNet.init(dim, n_steps, rng, hidden_width=hidden_width,
+                              time_embedding_dim=time_embedding_dim, guidance=guidance)
+                if part in parts else None for part in ("drift_net", "backward_net")]
         spec = cls(method=method, dim=dim, n_steps=n_steps, sigma_max=sigma_max,
-                   sigma_schedule=sigma_schedule, proposal=proposal, drift_net=net,
-                   backward_net=bnet, guidance=guidance, trainable=trainable)
-        spec.betas = np.linspace(0.0, 1.0, n_steps + 1)
-        if trainable.betas:
+                   sigma_schedule=sigma_schedule, drift_net=nets[0], backward_net=nets[1],
+                   proposal=DiagonalGaussian.isotropic(dim, sigma0) if "proposal" in parts
+                   else None, trainable=trainable,
+                   betas=np.linspace(0.0, 1.0, n_steps + 1) if "betas" in parts else None)
+        if "betas" in trainable:
             spec.beta_phi = np.zeros(n_steps)
-        if trainable.sigma:
+        if "sigma" in trainable:
             spec.sigma_raw = float(np.log(sigma_max))
         if method in ("dds", "dis") and sigma_max / n_steps >= 1.0:
             raise UsageError("sigma_max / n_steps must stay below 1 for DDS/DIS decay")
@@ -216,14 +215,14 @@ def _resolve_schedule(spec, params=None):
         phi = params["beta_phi"]
         cumsum = (phi - phi.logsumexp()).exp().cumsum()
         betas = [0.0] + [cumsum[i] for i in range(phi.shape[0])]  # beta_0 is exactly 0
-    elif spec.trainable.betas:
+    elif "betas" in spec.trainable:
         e = np.exp(spec.beta_phi - spec.beta_phi.max())
         betas = np.concatenate([[0.0], np.cumsum(e / e.sum())])
     else:
         betas = spec.betas
     if "sigma_raw" in params:
         sigma_max = params["sigma_raw"].exp()
-    elif spec.trainable.sigma:
+    elif "sigma" in spec.trainable:
         sigma_max = float(np.exp(spec.sigma_raw))
     else:
         sigma_max = spec.sigma_max
@@ -271,8 +270,7 @@ def _subdict(params, prefix):
 
 # ------------------------------------------------------------- anchor and hop
 def _needs_guidance(spec):
-    nets = [spec.drift_net] + ([spec.backward_net] if spec.backward_net else [])
-    return any(n is not None and n.guidance for n in nets)
+    return any(n is not None and n.guidance for n in (spec.drift_net, spec.backward_net))
 
 
 class _Anchor:
@@ -303,13 +301,11 @@ class _Anchor:
             self.log_gamma = _node(val, "log_gamma", (x, lambda adj: adj[:, None] * grad))
         if not uses_score:
             return
-        if not isinstance(x, Var):
-            self.score = grad
+        if not isinstance(x, Var) or spec.score_stop_gradient:
+            self.score = grad  # a plain array: no gradient flows back through the score
         elif target.score_hvp is not None:
             hvp = target.score_hvp
             self.score = x.tape.custom(grad, [x], lambda adj: (hvp(xv, adj),), op="target_score")
-        elif spec.score_stop_gradient:
-            self.score = grad  # a plain array: no gradient flows back through the score
         else:
             raise UsageError(
                 f"target {target.name!r} has no score_hvp; training through the "
@@ -436,7 +432,7 @@ def simulate_forward(spec: DiffusionSpec, target: TargetDensity, batch_size: int
     sched = _resolve_schedule(spec, params)
     draws = iter(noise) if noise is not None else _normal_draws(rng, (batch_size, d))
     eps0 = next(draws)
-    if spec.method == "pis":
+    if spec.proposal is None:  # PIS: the point mass at the origin
         x, log_pi0 = np.zeros((batch_size, d)), 0.0
     else:  # the proposal draw, its density in closed form as in `_draw`
         x = sched.mean + sched.std * eps0
@@ -469,7 +465,7 @@ def simulate_backward_logweights(spec: DiffusionSpec, target: TargetDensity,
         anchor, log_b, log_f = _hop(spec, sched, target, anchor, s, draws, forward=False)
         log_b_terms.append(log_b)
         log_f_terms.append(log_f)
-    log_pi0 = 0.0 if spec.method == "pis" else spec.proposal.log_density(anchor.x)
+    log_pi0 = 0.0 if spec.proposal is None else spec.proposal.log_density(anchor.x)
     return path_log_weight(log_b_terms, log_f_terms, log_gamma, log_pi0)
 
 
@@ -495,16 +491,15 @@ def loss_vargrad(batch: TrajectoryBatch):
 # ---------------------------------------------------------------------- training
 def trainable_parameters(spec: DiffusionSpec) -> dict:
     """Flat name -> array view of everything the optimizer may touch."""
-    params = {f"net.{k}": v for k, v in spec.drift_net.params.items()}
-    if spec.backward_net is not None:
-        params.update({f"bnet.{k}": v for k, v in spec.backward_net.params.items()})
-    if spec.trainable.sigma:
+    params = {}
+    for prefix, net in (("net.", spec.drift_net), ("bnet.", spec.backward_net)):
+        if net is not None:
+            params.update({f"{prefix}{k}": v for k, v in net.params.items()})
+    if "sigma" in spec.trainable:
         params["sigma_raw"] = np.asarray(float(spec.sigma_raw))
-    if spec.trainable.betas:
+    if "betas" in spec.trainable:
         params["beta_phi"] = spec.beta_phi.copy()
-    if spec.trainable.proposal:
-        if spec.proposal is None:
-            raise UsageError("no proposal to train")
+    if "proposal" in spec.trainable:
         params["proposal_mean"] = spec.proposal.mean.copy()
         params["proposal_log_std"] = spec.proposal.log_std.copy()
     return params

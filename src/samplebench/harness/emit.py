@@ -8,11 +8,8 @@ from pathlib import Path
 
 from ..metrics import MetricReport
 
-CSV_COLUMNS = (
-    "seed", "checkpoint", "nfe", "elbo", "eubo", "log_z_rev", "log_z_fwd",
-    "delta_log_z_rev", "delta_log_z_fwd", "ess_rev", "ess_fwd", "emc", "ejs",
-    "mmd", "w2", "w2_converged", "wall_clock_s",
-)
+CSV_COLUMNS = (("seed", "checkpoint", "nfe") + MetricReport.CRITERIA
+               + ("w2_converged", "wall_clock_s"))
 
 
 def format_cell(value) -> str:

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diffusion import ALL_METHODS as DIFFUSION_METHODS
-from ..diffusion import DiffusionSpec, TrainableFlags, simulate_backward_logweights, simulate_forward, train_diffusion
+from ..diffusion import (METHOD_PARTS, OPTIONAL_TRAINABLE, DiffusionSpec,
+                         simulate_backward_logweights, simulate_forward, train_diffusion,
+                         trainable_parameters)
 from ..errors import ConfigError
 from ..kernels import AnnealedPath, HmcConfig, MhConfig
 from ..numerics.rng import RngStream
@@ -36,7 +38,8 @@ TARGETS = {"mog": make_mog_target, "mos": make_mos_target, "funnel": make_funnel
            "gaussian": make_gaussian_target, "brownian": make_brownian_target,
            "logistic": load_regression_target}
 
-# initial model support per target family (known-support tuning): every method's sigma0
+# initial model support per target family (known-support tuning): the sigma0 of
+# every method that declares one
 DEFAULT_SIGMA0 = {"mog": 60.0, "mos": 15.0, "funnel": 1.0, "gaussian": 1.0,
                   "brownian": 1.0, "logistic": 1.0}
 
@@ -47,23 +50,27 @@ _MCMC = {"kernel": "hmc", "leapfrog_steps": 10, "step_size_low": 0.2, "step_size
 _SMC = {"sigma0": float, "n_steps": 128, "particles": 2000, "resample_threshold": 0.3,
         "resampling": True, **_MCMC}
 _PROPOSAL = {"proposal_mean": list, "proposal_log_std": list}  # a pretrained base
+
+# the keys of the diffusion methods whose kernels read the part
+_PART_PARAMS = {"proposal": {"sigma0": float, "trainable_proposal": False, **_PROPOSAL},
+                "betas": {"trainable_betas": False}, "drift_net": {"guidance": True}}
 METHOD_PARAMS = {
     "mfvi": {"sigma0": float, "iterations": 20_000, "batch_size": 2000, "learning_rate": 5e-3},
     "smc": _SMC,
     "craft": {**_SMC, **_PROPOSAL, "iterations": 300, "learning_rate": 1e-2},
-    **{m: {"sigma0": float, "n_steps": 128, "sigma_max": 8.0, "guidance": True,
+    **{m: {"n_steps": 128, "sigma_max": 8.0,
            "sigma_schedule": "constant" if m == "pis" else "cosine",
-           "trainable_sigma": False, "trainable_betas": False, "trainable_proposal": False,
-           "score_stop_gradient": False, "loss": "elbo", "iterations": 2000,
-           "batch_size": 128, "learning_rate": 2e-3,
-           **({} if m == "pis" else _PROPOSAL)}  # PIS starts from a point mass
+           "trainable_sigma": False, "score_stop_gradient": False, "loss": "elbo",
+           "iterations": 2000, "batch_size": 128, "learning_rate": 2e-3,
+           **{k: v for part in METHOD_PARTS[m] for k, v in _PART_PARAMS.get(part, {}).items()}}
        for m in DIFFUSION_METHODS},
 }
 
 # the methods each ablation applies to
 ABLATION_KINDS = {
     "smc_choices": ("smc",),
-    "init_support": ("smc", "craft") + DIFFUSION_METHODS + ("mfvi",),
+    "init_support": ("smc", "craft") + tuple(m for m in DIFFUSION_METHODS
+                                             if "proposal" in METHOD_PARTS[m]) + ("mfvi",),
     "langevin_choices": ("mcd", "cmcd"),
     "num_steps": ("smc", "craft") + DIFFUSION_METHODS,
     "batchsize": ("mfvi", "craft") + tuple(m for m in DIFFUSION_METHODS if m != "ula"),
@@ -92,9 +99,13 @@ def build_target(name: str, params: dict):
 
 
 def resolve_method_params(name: str, target_name: str, params: dict) -> dict:
-    """The config's method values over the declared defaults; sigma0 defaults per target."""
-    defaults = {k: v for k, v in METHOD_PARAMS[name].items() if not isinstance(v, type)}
-    return {"sigma0": DEFAULT_SIGMA0[target_name], **defaults, **params}
+    """The config's method values over the declared defaults; a declared sigma0
+    defaults per target."""
+    declared = METHOD_PARAMS[name]
+    defaults = {k: v for k, v in declared.items() if not isinstance(v, type)}
+    if "sigma0" in declared:
+        defaults["sigma0"] = DEFAULT_SIGMA0[target_name]
+    return {**defaults, **params}
 
 
 # ------------------------------------------------------------------- samplers
@@ -179,7 +190,7 @@ class MethodDriver:
 
     def train(self, target, target_name, seed, n_checkpoints, checkpoint_cb):
         p = resolve_method_params(self.name, target_name, self.params)
-        sigma0 = p["sigma0"]
+        sigma0 = p.get("sigma0")  # PIS declares none
         rng = RngStream(seed, 0)
         if self.name == "mfvi":
             mfvi_train(
@@ -209,18 +220,15 @@ class MethodDriver:
                         checkpoint_hook=lambda it, _flows: checkpoint_cb(it, sampler))
             return
         spec = DiffusionSpec.create(
-            self.name, target.dim, rng, n_steps=p["n_steps"], sigma0=sigma0,
-            sigma_max=p["sigma_max"], guidance=p["guidance"],
-            sigma_schedule=p["sigma_schedule"],
-            trainable=TrainableFlags(sigma=p["trainable_sigma"], betas=p["trainable_betas"],
-                                     proposal=p["trainable_proposal"]),
+            self.name, target.dim, rng, n_steps=p["n_steps"], sigma_max=p["sigma_max"],
+            guidance=p.get("guidance", False), sigma_schedule=p["sigma_schedule"],
+            trainable={part for part in OPTIONAL_TRAINABLE if p.get(f"trainable_{part}")},
         )
         spec.score_stop_gradient = p["score_stop_gradient"]
-        if "proposal_mean" in p:  # pretrained base hand-off
+        if spec.proposal is not None:  # isotropic at sigma0, or a pretrained base
             spec.proposal = _proposal_from_params(p, target.dim, sigma0)
-        if self.name == "ula" and not (spec.trainable.sigma or spec.trainable.betas
-                                       or spec.trainable.proposal):
-            checkpoint_cb(1, DiffusionSampler(spec, target))  # nothing trainable
+        if not trainable_parameters(spec):  # nothing to train: one evaluation point
+            checkpoint_cb(1, DiffusionSampler(spec, target))
             return
         train_diffusion(
             spec, target, p["loss"], p["iterations"], p["batch_size"], rng,

@@ -11,8 +11,8 @@ import samplebench.diffusion as diffusion
 from samplebench.diffusion import (
     ALL_METHODS,
     LANGEVIN_METHODS,
+    METHOD_PARTS,
     DiffusionSpec,
-    TrainableFlags,
     TrajectoryBatch,
     kernel_pair,
     log_normal_diag,
@@ -40,9 +40,9 @@ def make_spec(method, dim=2, n_steps=8, sigma0=1.0, sigma_max=2.0, guidance=Fals
 
 def zero_drift(spec):
     """Zero out the drift networks entirely (f1 = 0 already; kill guidance scale)."""
-    spec.drift_net.params["f2"] = np.zeros_like(spec.drift_net.params["f2"])
-    if spec.backward_net is not None:
-        spec.backward_net.params["f2"] = np.zeros_like(spec.backward_net.params["f2"])
+    for net in (spec.drift_net, spec.backward_net):
+        if net is not None:  # ULA builds no net, and only GBS a backward one
+            net.params["f2"] = np.zeros_like(net.params["f2"])
     return spec
 
 
@@ -95,9 +95,31 @@ def test_cosine_schedule_endpoints_and_range():
 
 
 def test_pis_point_mass_proposal_not_trainable():
-    with pytest.raises(UsageError):
-        DiffusionSpec.create("pis", 2, RngStream(0, 0),
-                             trainable=TrainableFlags(proposal=True))
+    # a spec trains only parts it has: PIS has no proposal, and only the Langevin
+    # methods have a beta grid
+    with pytest.raises(UsageError, match="proposal"):
+        DiffusionSpec.create("pis", 2, RngStream(0, 0), trainable={"proposal"})
+    for method in ("dds", "pis", "dis", "gbs"):
+        with pytest.raises(UsageError, match="betas"):
+            DiffusionSpec.create(method, 2, RngStream(0, 0), trainable={"betas"})
+    with pytest.raises(UsageError, match="drift"):
+        DiffusionSpec.create("dds", 2, RngStream(0, 0), trainable={"drift"})
+
+
+def test_each_method_builds_only_the_parts_its_kernels_read():
+    # the beta grid: the Langevin methods; a proposal: all but PIS; the drift net:
+    # all but ULA; the backward net: GBS
+    assert LANGEVIN_METHODS == ("ula", "mcd", "cmcd")
+    for part, methods in (("betas", LANGEVIN_METHODS),
+                          ("proposal", ("ula", "mcd", "cmcd", "dds", "dis", "gbs")),
+                          ("drift_net", ("mcd", "cmcd", "dds", "pis", "dis", "gbs")),
+                          ("backward_net", ("gbs",))):
+        assert tuple(m for m in ALL_METHODS if part in METHOD_PARTS[m]) == methods
+    for method in ALL_METHODS:
+        spec = make_spec(method)
+        built = {"betas": spec.betas, "proposal": spec.proposal, "drift_net": spec.drift_net,
+                 "backward_net": spec.backward_net}
+        assert {p for p, value in built.items() if value is not None} == set(METHOD_PARTS[method])
 
 
 @pytest.mark.parametrize("guidance", [True, False])
@@ -150,7 +172,7 @@ def test_training_step_frees_its_tape(method, monkeypatch):
 
     monkeypatch.setattr(diffusion, "Tape", TrackedTape)
     spec = make_spec(method, n_steps=4, guidance=True, seed=44,
-                     trainable=TrainableFlags(sigma=True, proposal=method != "pis"))
+                     trainable={"sigma"} | ({"proposal"} if method != "pis" else set()))
     gc.disable()
     try:
         train_diffusion(spec, make_gaussian_target(2), "elbo", 1, 8, RngStream(45, 0))
@@ -182,7 +204,7 @@ def test_trainable_sigma_step_resolves_each_hop_decay_once():
     # the schedule builds them once, so the step records one pow node per hop
     big_t = 6
     spec = make_spec("dds", n_steps=big_t, sigma_max=2.0, guidance=True, seed=49,
-                     trainable=TrainableFlags(sigma=True))
+                     trainable={"sigma"})
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in trainable_parameters(spec).items()}
     simulate_forward(spec, make_gaussian_target(2), 8, RngStream(50, 0), params=leaves,
@@ -439,8 +461,7 @@ def test_schedule_and_proposal_gradients_match_finite_differences(method):
     langevin = method in LANGEVIN_METHODS
     spec = make_spec(method, dim=dim, n_steps=big_t, sigma0=1.0, sigma_max=1.0,
                      guidance=True, seed=49, hidden_width=6, time_embedding_dim=4,
-                     trainable=TrainableFlags(sigma=True, betas=langevin,
-                                              proposal=method != "pis"))
+                     trainable={"sigma"} | set(METHOD_PARTS[method]) & {"betas", "proposal"})
     if langevin:
         spec.beta_phi = RngStream(50, 0).normal(big_t) * 0.5
     if method != "pis":
@@ -507,6 +528,27 @@ def test_training_without_hvp_is_rejected():
     train_diffusion(mcd, target2, "elbo", 2, 8, RngStream(26, 0))  # fine without curvature
 
 
+def test_score_stop_gradient_holds_where_the_target_has_an_hvp(monkeypatch):
+    # with the flag the score is a plain array, even where score_hvp could carry it
+    tapes = []
+
+    class KeptTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(diffusion, "Tape", KeptTape)
+    target = make_gaussian_target(2)
+    assert target.score_hvp is not None
+    for stop in (False, True):
+        spec = make_spec("dds", n_steps=4, guidance=True, seed=52)
+        spec.score_stop_gradient = stop
+        train_diffusion(spec, target, "elbo", 1, 8, RngStream(53, 0))
+    scores = [collections.Counter(node.op for node in tape.nodes)["target_score"]
+              for tape in tapes]
+    assert scores[0] > 0 and scores[1] == 0
+
+
 def test_train_on_gaussian_improves_elbo():
     spec = make_spec("dds", dim=1, n_steps=8, sigma0=2.0, sigma_max=4.0, guidance=True,
                      seed=27)
@@ -519,7 +561,7 @@ def test_train_on_gaussian_improves_elbo():
 
 def test_trainable_beta_grid_stays_monotone():
     spec = make_spec("mcd", dim=1, n_steps=6, guidance=True, seed=31,
-                     trainable=TrainableFlags(betas=True, sigma=True))
+                     trainable={"betas", "sigma"})
     target = make_gaussian_target(1)
     train_diffusion(spec, target, "elbo", 20, 16, RngStream(32, 0), learning_rate=1e-2)
     from samplebench.diffusion import _resolve_schedule

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from samplebench.diffusion import DiffusionSpec, trainable_parameters
 from samplebench.errors import ConfigError
 from samplebench.harness import (
     ABLATION_KINDS,
@@ -102,6 +103,13 @@ def test_removed_knobs_rejected():
                        ("pretrain_iterations", 8000), ("pretrain_lr", 5e-3)):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(tiny_config(method={"name": "mcd", key: value}))
+    # a diffusion method takes only the keys of the parts its kernels read
+    removed = [("pis", "sigma0", 2.0), ("pis", "trainable_proposal", True),
+               ("ula", "guidance", True)]
+    removed += [(m, "trainable_betas", True) for m in ("dds", "pis", "dis", "gbs")]
+    for method, key, value in removed:
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(tiny_config(method={"name": method, key: value}))
 
 
 def test_ablation_grid_key_only_where_its_ablation_applies():
@@ -454,46 +462,64 @@ def test_craft_trains_once_whatever_the_checkpoint_count(n_checkpoints):
         assert np.array_equal(got.log_scale, want.log_scale)
 
 
-DRIVER_BUDGET = {"iterations": 2, "batch_size": 4, "particles": 4, "n_steps": 2,
+DRIVER_BUDGET = {"iterations": 2, "batch_size": 4, "particles": 4, "n_steps": 3,
                  "leapfrog_steps": 1, "mh_substeps": 1, "sigma_max": 1.0}
+MH_KEYS = ("mh_substeps", "scale_low", "scale_high")
+OTHER_CHOICE = {"hmc": "mh", "cosine": "constant", "constant": "cosine", "elbo": "vargrad"}
+
+
+def _changed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return OTHER_CHOICE[value]
+    if isinstance(value, list):
+        return [0.5] * len(value)
+    return value + 1 if isinstance(value, int) else value * 0.5
+
+
+def _key_variants(method):
+    """(key, params, the params with only that key changed) for each declared key.
+
+    The proposal vectors shadow sigma0, so only their own variant sets them; MH
+    keys run under the MH kernel; diffusion keys run with trainable sigma, since
+    otherwise ULA trains nothing and MCD's states leave the tape.
+    """
+    declared = METHOD_PARAMS[method]
+    base = {k: v for k, v in DRIVER_BUDGET.items() if k in declared}
+    if "trainable_sigma" in declared:
+        base["trainable_sigma"] = True
+    for key, default in declared.items():
+        params = dict(base, kernel="mh") if key in MH_KEYS else dict(base)
+        if key in ("proposal_mean", "proposal_log_std"):
+            params.update(proposal_mean=[0.0, 0.0], proposal_log_std=[0.0, 0.0])
+        value = params.get(key, 2.0 if key == "sigma0" else default)
+        yield key, {**params, key: value}, {**params, key: _changed(value)}
 
 
 @pytest.mark.parametrize("method", sorted(METHOD_PARAMS))
-def test_driver_reads_every_declared_key(method, monkeypatch):
-    # a METHOD_PARAMS entry names no key its driver leaves unread
-    from samplebench.harness import registry
+def test_driver_reads_every_declared_key(method):
+    # changing any declared key changes the first checkpoint's draws and log
+    # weights, bitwise, from a fixed evaluation stream (so each key is read, too);
+    # on the MoG, since SMC's increments vanish where the target is the proposal
+    target = build_target("mog", {"dim": 2})
+    runs = {}
 
-    read = set()
+    def first_draws(params):
+        key = json.dumps(params, sort_keys=True)
+        if key not in runs:  # one checkpoint: the last iteration
+            fired = []
+            MethodDriver(method, params).train(target, "mog", 0, 1,
+                                               lambda it, sampler: fired.append(sampler))
+            runs[key] = fired[0].sample_with_logweights(4, RngStream(7, 0))
+        return runs[key]
 
-    class Recording(dict):
-        def __getitem__(self, key):
-            read.add(key)
-            return super().__getitem__(key)
+    def same(a, b):
+        return all(np.array_equal(u, v) for u, v in zip(a, b, strict=True))
 
-        def __contains__(self, key):
-            read.add(key)
-            return super().__contains__(key)
-
-        def get(self, key, default=None):
-            read.add(key)
-            return super().get(key, default)
-
-    merge = registry.resolve_method_params
-    monkeypatch.setattr(registry, "resolve_method_params",
-                        lambda *args: Recording(merge(*args)))
-    declared = METHOD_PARAMS[method]
-    params = {k: v for k, v in DRIVER_BUDGET.items() if k in declared}
-    params.update({k: [0.0, 0.0] for k in ("proposal_mean", "proposal_log_std") if k in declared})
-    variants = [{}]
-    if "kernel" in declared:
-        variants = [{"kernel": "hmc"}, {"kernel": "mh"}]
-    if method == "ula":
-        variants = [{"trainable_sigma": True}]  # an untrained ULA has no training keys to read
-    target = build_target("gaussian", {"dim": 2})
-    for variant in variants:
-        MethodDriver(method, {**params, **variant}).train(target, "gaussian", 0, 1,
-                                                          lambda it, sampler: None)
-    assert sorted(set(declared) - read) == []
+    no_effect = [key for key, params, changed in _key_variants(method)
+                 if same(first_draws(params), first_draws(changed))]
+    assert no_effect == []
 
 
 def test_readme_paper_scale_defaults_are_the_declared_ones():
@@ -662,6 +688,11 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
     bad.write_text(json.dumps(tiny_config(protocol={"emc_variant": "aggregate"})))
     assert main(["run", "--config", str(bad)]) == 2
+    bad.write_text(json.dumps(tiny_config(method={"name": "pis", "trainable_proposal": True})))
+    assert main(["run", "--config", str(bad)]) == 2
+    pis = tmp_path / "pis.json"
+    pis.write_text(json.dumps(tiny_config(method={"name": "pis", "iterations": 2})))
+    assert main(["ablate", "--config", str(pis), "--kind", "init_support"]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
@@ -742,13 +773,17 @@ def test_run_without_scipy_loads_no_numpy_submodule_lazily(tmp_path):
 
 def test_bench_instruments_wrap_mfvi_and_craft_runs():
     # perfbench patches names inside samplebench; run its probe and tracer over a
-    # tiny MFVI and a tiny CRAFT experiment in a fresh process, so the patches stay there
+    # tiny MFVI, CRAFT and DDS experiment in a fresh process, so the patches stay there
     docs = [tiny_config(seeds=[0], protocol={"n_checkpoints": 2, "eval_samples": 32}),
             tiny_config(seeds=[0], method={"name": "craft", "iterations": 3, "n_steps": 2,
                                            "particles": 16, "leapfrog_steps": 2},
+                        protocol={"n_checkpoints": 2, "eval_samples": 32}),
+            tiny_config(seeds=[0], method={"name": "dds", "iterations": 3, "n_steps": 2,
+                                           "batch_size": 8, "sigma_max": 1.0},
                         protocol={"n_checkpoints": 2, "eval_samples": 32})]
     out = _run_python(
         "import json, sys\n"
+        "from collections import Counter\n"
         f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
         "from tracing import Probe, Tracer, instrument\n"
         "import samplebench.harness.run as run_mod\n"
@@ -764,9 +799,21 @@ def test_bench_instruments_wrap_mfvi_and_craft_runs():
         "    while spans[i][3] >= 0:\n"
         "        i = spans[i][3]\n"
         "        yield spans[i][0]\n"
+        "def adam_under(name):\n"
+        "    return sum(name in ancestors(i) for i, span in enumerate(spans)\n"
+        "               if span[0] == 'numerics.adam_step')\n"
         "print(json.dumps({'first_train': probe.first_train,\n"
-        "                  'adam_under_mfvi': sum('vi.mfvi_train' in ancestors(i)\n"
-        "                                         for i, span in enumerate(spans)\n"
-        "                                         if span[0] == 'numerics.adam_step')}))\n")
+        "                  'adam_under_mfvi': adam_under('vi.mfvi_train'),\n"
+        "                  'adam_under_dds': adam_under('diffusion.train_diffusion'),\n"
+        "                  'spans': Counter(span[0] for span in spans)}))\n")
     assert out["first_train"] is not None
     assert out["adam_under_mfvi"] == 60  # one Adam step per MFVI iteration
+    # DDS: three training steps, and at the marks [1, 3] a forward and a backward
+    # simulation, each running the drift net once per hop
+    n_params = len(trainable_parameters(DiffusionSpec.create("dds", 1, RngStream(0, 0))))
+    assert out["adam_under_dds"] == 3 * n_params
+    spans = out["spans"]
+    assert [spans[f"diffusion.{name}"] for name in (
+        "train_diffusion", "forward_train", "forward_eval", "simulate_backward_logweights")
+    ] == [1, 3, 2, 2]
+    assert spans["numerics.drift_forward"] == 2 * (3 + 2 + 2)
