@@ -45,6 +45,13 @@ LANGEVIN_METHODS = tuple(m for m, parts in METHOD_PARTS.items() if "betas" in pa
 OPTIONAL_TRAINABLE = ("sigma", "betas", "proposal")
 
 
+def check_decay_step(method: str, sigma_max: float, n_steps: int):
+    """DDS and DIS shrink the state by 1 - sigma/T per hop, so sigma_max / T stays below 1."""
+    if method in ("dds", "dis") and (n_steps < 1 or sigma_max / n_steps >= 1.0):
+        raise UsageError(f"{method} needs n_steps >= 1 and sigma_max / n_steps below 1, "
+                         f"got sigma_max {sigma_max} and n_steps {n_steps}")
+
+
 @dataclass
 class DiffusionSpec:
     method: str
@@ -69,6 +76,7 @@ class DiffusionSpec:
         method = method.lower()
         if method not in ALL_METHODS:
             raise UsageError(f"unknown diffusion method {method!r}")
+        check_decay_step(method, sigma_max, n_steps)
         parts = METHOD_PARTS[method]
         trainable = frozenset(trainable)
         absent = trainable - {p for p in OPTIONAL_TRAINABLE if p == "sigma" or p in parts}
@@ -86,8 +94,6 @@ class DiffusionSpec:
             spec.beta_phi = np.zeros(n_steps)
         if "sigma" in trainable:
             spec.sigma_raw = float(np.log(sigma_max))
-        if method in ("dds", "dis") and sigma_max / n_steps >= 1.0:
-            raise UsageError("sigma_max / n_steps must stay below 1 for DDS/DIS decay")
         return spec
 
     def sigma_at(self, s: int, sigma_max=None):

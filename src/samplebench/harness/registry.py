@@ -239,7 +239,12 @@ class MethodDriver:
 
 
 def _proposal_from_params(p, dim, sigma0):
-    if "proposal_mean" in p:
-        return DiagonalGaussian(np.asarray(p["proposal_mean"], dtype=float),
-                                np.asarray(p["proposal_log_std"], dtype=float))
-    return DiagonalGaussian.isotropic(dim, sigma0)
+    """The pretrained base both proposal vectors give, else isotropic at sigma0."""
+    given = [key for key in _PROPOSAL if key in p]
+    if not given:
+        return DiagonalGaussian.isotropic(dim, sigma0)
+    if len(given) < len(_PROPOSAL) or any(len(p[key]) != dim for key in given):
+        raise ConfigError(f"a pretrained base needs both {list(_PROPOSAL)}, "
+                          f"each with the target's {dim} entries")
+    return DiagonalGaussian(np.asarray(p["proposal_mean"], dtype=float),
+                            np.asarray(p["proposal_log_std"], dtype=float))

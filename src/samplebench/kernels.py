@@ -38,11 +38,19 @@ class AnnealedPath:
         return len(self.betas) - 1
 
 
-def annealed_logdensity(path: AnnealedPath, t: int, x, with_grad: bool = True):
+def target_query(target: TargetDensity, x, with_grad: bool):
+    """The raw query (log gamma, grad log gamma or None) at x; one NFE per point."""
+    if with_grad:
+        return target.logdensity_and_grad(x)
+    return target.log_density(x), None
+
+
+def annealed_logdensity(path: AnnealedPath, t: int, x, with_grad: bool = True, query=None):
     """(1-beta_t) log pi0 + beta_t log gamma and its gradient.
 
-    The target is only queried when beta_t > 0, so tempering at the proposal
-    endpoint is free.
+    `query` is a raw target query at x already made (see `target_query`); without
+    one the target is queried here, and only when beta_t > 0, so tempering at
+    the proposal endpoint is free.
     """
     if not 0 <= t <= path.n_steps:
         raise UsageError(f"temperature index {t} outside [0, {path.n_steps}]")
@@ -51,10 +59,9 @@ def annealed_logdensity(path: AnnealedPath, t: int, x, with_grad: bool = True):
     g0 = path.proposal.grad_log_density(x) if with_grad else None
     if beta == 0.0:
         return (lp0, g0) if with_grad else lp0
+    lg, gg = target_query(path.target, x, with_grad) if query is None else query
     if with_grad:
-        lg, gg = path.target.logdensity_and_grad(x)
         return (1.0 - beta) * lp0 + beta * lg, (1.0 - beta) * g0 + beta * gg
-    lg = path.target.log_density(x)
     return (1.0 - beta) * lp0 + beta * lg
 
 
@@ -74,7 +81,7 @@ class HmcConfig:
 
 @dataclass
 class MhConfig:
-    n_substeps: int = 10          # plus the reweight query makes 11 evals per temperature
+    n_substeps: int = 10          # one eval each; the move's query also gives the next reweight
     scale_low: float = 1.0
     scale_high: float = 1.0
 

@@ -2,11 +2,15 @@
 flow training, log-Z estimation and backward transport of target samples.
 
 Per temperature the sweep reweights, then (forward only) checks the ESS and
-maybe resamples, then makes an MCMC move at the new temperature.  The AIS
-increment (beta_b - beta_a)(log gamma - log pi0) at x takes one target query,
-which also gives the value and gradient of pi_b at x that start the move.
+maybe resamples, then makes an MCMC move at the new temperature.  The
+particles carry the raw target query (log gamma, and its gradient for HMC)
+at their positions, as the last move left it; pi_t and its gradient follow
+from it and the analytic proposal at no NFE.  The AIS increment
+(beta_b - beta_a)(log gamma - log pi0) at x reads that query, so only the
+sweep's first temperature queries the target: it costs 1 + L queries per
+particle for L leapfrog steps or MH substeps, and each later one costs L.
 The flow (AFT/CRAFT) increment pi_b(T x) + log|det T| - pi_a(x) reads pi_a(x)
-from the previous move and queries only pi_b(T x), which starts the next move.
+from the query and queries only pi_b(T x), which starts the next move.
 Backward transport runs the same sweep from pi_T down to pi_0 through the
 inverse flows and subtracts the increments.
 
@@ -24,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateWeightsError, TrainingError, UsageError
-from .kernels import AnnealedPath, HmcConfig, MhConfig, annealed_logdensity, hmc_step, mh_step
+from .kernels import (AnnealedPath, HmcConfig, MhConfig, annealed_logdensity, hmc_step, mh_step,
+                      target_query)
 from .numerics.adam import AdamState, adam_step
 from .numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
 from .numerics.rng import RngStream
@@ -35,9 +40,10 @@ from .numerics.tape import Tape
 class ParticleSystem:
     positions: np.ndarray    # (N, d)
     log_weights: np.ndarray  # (N,)
-    # log pi_t at positions (and its gradient, HMC only) as the sweep last computed it
-    value: Optional[np.ndarray] = None
-    grad: Optional[np.ndarray] = None
+    # the raw target query at positions, log gamma (and its gradient, HMC only),
+    # as the sweep last made it; None before its first query
+    log_gamma: Optional[np.ndarray] = None
+    grad_log_gamma: Optional[np.ndarray] = None
 
     @property
     def n_particles(self) -> int:
@@ -67,15 +73,15 @@ class AffineFlow:
 
 
 def resample_multinomial(ps: ParticleSystem, rng: RngStream) -> ParticleSystem:
-    """Multinomial resampling; weights reset to their log-mean (carry); caches follow particles."""
+    """Multinomial resampling; weights reset to their log-mean (carry); queries follow particles."""
     lw = ps.log_weights
     carry = log_mean_exp(lw)
     probs = np.exp(lw - log_sum_exp(lw))
     probs = probs / probs.sum()
     idx = rng.choice(len(lw), size=len(lw), p=probs)
     return ParticleSystem(ps.positions[idx], np.full(len(lw), carry),
-                          None if ps.value is None else ps.value[idx],
-                          None if ps.grad is None else ps.grad[idx])
+                          None if ps.log_gamma is None else ps.log_gamma[idx],
+                          None if ps.grad_log_gamma is None else ps.grad_log_gamma[idx])
 
 
 @dataclass
@@ -86,44 +92,58 @@ class SmcResult:
     diagnostics: list
 
 
-def _mcmc_move(x, path, t, kernel_cfg, rng, cached):
-    """One MCMC transition targeting pi_t, given the cached (value, grad) at x."""
+def _mcmc_move(x, path, t, kernel_cfg, rng, query):
+    """One MCMC transition targeting pi_t from x, given the raw target query at x.
+
+    Returns (x', accepted, the raw target query at x').
+    """
     beta = path.betas[t]
-    if isinstance(kernel_cfg, HmcConfig):
-        fused = lambda pts: annealed_logdensity(path, t, pts)
-        return hmc_step(x, fused, kernel_cfg, rng, beta=beta, current=cached)
+    with_grad = isinstance(kernel_cfg, HmcConfig)
+    last = [None, None]  # the raw query of the latest proposal
+
+    def annealed(pts):
+        last[:] = target_query(path.target, pts, with_grad)
+        return annealed_logdensity(path, t, pts, with_grad=with_grad, query=last)
+
+    lg, gg = query
+    if with_grad:
+        # the last leapfrog query is at the proposed point
+        x, accepted, _ = hmc_step(x, annealed, kernel_cfg, rng, beta=beta,
+                                  current=annealed_logdensity(path, t, x, query=query))
+        return x, accepted, (np.where(accepted, last[0], lg),
+                             np.where(accepted[:, None], last[1], gg))
     if isinstance(kernel_cfg, MhConfig):
-        logdensity = lambda pts: annealed_logdensity(path, t, pts, with_grad=False)
-        lp = cached[0]
+        lp = annealed_logdensity(path, t, x, with_grad=False, query=query)
         accept_any = np.zeros(len(x), dtype=bool)
         for _ in range(kernel_cfg.n_substeps):
-            x, accepted, lp = mh_step(x, logdensity, kernel_cfg.scale(beta), rng,
+            x, accepted, lp = mh_step(x, annealed, kernel_cfg.scale(beta), rng,
                                       current_logdensity=lp)
+            lg = np.where(accepted, last[0], lg)
             accept_any |= accepted
-        return x, accept_any, (lp, None)
+        return x, accept_any, (lg, None)
     raise UsageError(f"unknown kernel config {type(kernel_cfg).__name__}")
 
 
 def _reweight(path, a, b, ps, flow, backward, with_grad):
-    """The increment from pi_a to pi_b; leaves log pi_b (and grad) at the new positions in ps."""
-    x, beta = ps.positions, path.betas[b]
-    if flow is None:  # AIS: (beta_b - beta_a)(log gamma - log pi0) at x, one query
-        lp0 = path.proposal.log_density(x)
-        if with_grad:
-            lg, gg = path.target.logdensity_and_grad(x)
-            g0 = path.proposal.grad_log_density(x)
-            ps.grad = g0 if beta == 0.0 else (1.0 - beta) * g0 + beta * gg
-        else:
-            lg, ps.grad = path.target.log_density(x), None
-        ps.value = lp0 if beta == 0.0 else (1.0 - beta) * lp0 + beta * lg
-        return (beta - path.betas[a]) * (lg - lp0)
-    # flow: pi_b(T x) + log|det T| - pi_a(x), T inverted backward; pi_a(x) comes
-    # from the last move, so only the sweep's first step queries it
-    prev = ps.value if ps.value is not None else annealed_logdensity(path, a, x, with_grad=False)
+    """The increment from pi_a to pi_b; leaves the raw target query at the new positions in ps.
+
+    Only the sweep's first step queries the target at x; later steps read the
+    last move's query.
+    """
+    x = ps.positions
+    if flow is None:  # AIS: (beta_b - beta_a)(log gamma - log pi0) at x
+        if ps.log_gamma is None:
+            ps.log_gamma, ps.grad_log_gamma = target_query(path.target, x, with_grad)
+        return (path.betas[b] - path.betas[a]) * (ps.log_gamma - path.proposal.log_density(x))
+    # flow: pi_b(T x) + log|det T| - pi_a(x), T inverted backward
+    prev = annealed_logdensity(path, a, x, with_grad=False,
+                               query=None if ps.log_gamma is None else (ps.log_gamma, None))
     ps.positions = flow.inverse(x) if backward else flow.apply(x)
-    new = annealed_logdensity(path, b, ps.positions, with_grad=with_grad)
-    ps.value, ps.grad = new if with_grad else (new, None)
-    return ps.value + (-flow.log_det if backward else flow.log_det) - prev
+    ps.log_gamma, ps.grad_log_gamma = (target_query(path.target, ps.positions, with_grad)
+                                       if path.betas[b] > 0.0 else (None, None))  # pi_0 is free
+    new = annealed_logdensity(path, b, ps.positions, with_grad=False,
+                              query=(ps.log_gamma, None))
+    return new + (-flow.log_det if backward else flow.log_det) - prev
 
 
 def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_threshold=0.3,
@@ -160,8 +180,8 @@ def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_thresh
 
         if backward and b == 0:
             break
-        ps.positions, accepted, (ps.value, ps.grad) = _mcmc_move(
-            ps.positions, path, b, kernel_cfg, rng, (ps.value, ps.grad))
+        ps.positions, accepted, (ps.log_gamma, ps.grad_log_gamma) = _mcmc_move(
+            ps.positions, path, b, kernel_cfg, rng, (ps.log_gamma, ps.grad_log_gamma))
         diagnostics.append({"t": t, "ess_fraction": ess, "resampled": resampled,
                             "acceptance": float(np.mean(accepted))})
     return ps, diagnostics

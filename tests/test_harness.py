@@ -315,6 +315,44 @@ def test_config_error_during_training_is_not_a_seed_failure():
         run_experiment(parse_config(doc), clock=FakeClock())
 
 
+@pytest.mark.parametrize("vectors", [
+    {"proposal_mean": [0.0, 0.0]},
+    {"proposal_log_std": [0.0, 0.0]},
+    {"proposal_mean": [0.0], "proposal_log_std": [0.0]},  # the target has d = 2
+])
+def test_bad_proposal_vectors_are_config_errors(tmp_path, vectors):
+    from samplebench.cli import main
+
+    doc = tiny_config(target={"name": "gaussian", "dim": 2},
+                      method={"name": "dds", "iterations": 2, "batch_size": 8, "n_steps": 4,
+                              "sigma_max": 1.0, **vectors},
+                      output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="proposal_mean"):
+        run_experiment(parse_config(doc), clock=FakeClock())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["dds", "dis"])
+def test_decay_step_of_one_or_more_is_a_config_error(tmp_path, name):
+    from samplebench.cli import main
+
+    with pytest.raises(ConfigError, match="sigma_max / n_steps"):
+        parse_config(tiny_config(method={"name": name, "n_steps": 8}))  # default sigma_max 8
+    parse_config(tiny_config(method={"name": name, "n_steps": 9}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(method={"name": name, "n_steps": 4})))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    # a grid value the method cannot take fails the ablation before any cell runs
+    cfg_path.write_text(json.dumps(tiny_config(
+        method={"name": name, "iterations": 2, "batch_size": 8, "sigma_max": 4.0,
+                "n_steps_grid": [8, 2]}, output_dir=str(tmp_path / "out"))))
+    assert main(["ablate", "--config", str(cfg_path), "--kind", "num_steps"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_deterministic_bytes_with_injected_clock(tmp_path):
     config = parse_config(tiny_config(output_dir=str(tmp_path / "a")))
     rec_a = run_experiment(config, clock=FakeClock())
@@ -542,7 +580,8 @@ def test_smc_nfe_closed_form_hmc():
     path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 60.0), target, big_t)
     smc_run(path, HmcConfig(leapfrog_steps=10, step_size_low=0.5, step_size_high=0.5),
             n, RngStream(1, 0))
-    assert target.nfe.value == n * big_t * 11
+    # the first reweight queries the proposal draws; later ones read the last move's query
+    assert target.nfe.value == n * (1 + big_t * 10)
 
 
 def test_smc_nfe_closed_form_mh_matches_hmc():
@@ -552,7 +591,7 @@ def test_smc_nfe_closed_form_mh_matches_hmc():
     path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 60.0), target, big_t)
     smc_run(path, MhConfig(n_substeps=10, scale_low=2.0, scale_high=2.0), n,
             RngStream(2, 0))
-    assert target.nfe.value == n * big_t * 11
+    assert target.nfe.value == n * (1 + big_t * 10)
 
 
 NFE_KERNELS = {
@@ -573,14 +612,14 @@ def _nfe_flows(big_t):
 
 @pytest.mark.parametrize("kernel", sorted(NFE_KERNELS))
 def test_backward_ais_nfe_closed_form(kernel):
-    # one query per temperature gives the increment and the move's start;
-    # no move follows the last increment
+    # one query at the target samples starts the sweep; each later increment
+    # reads the last move's query, and no move follows the last increment
     n, big_t, steps = 12, 6, 4
     path = _nfe_path(big_t)
     samples = path.target.exact_sampler(RngStream(4, 0), n)
     path.target.nfe.reset()
     backward_transport_logweights(path, NFE_KERNELS[kernel], samples, RngStream(5, 0))
-    assert path.target.nfe.value == n * (big_t + (big_t - 1) * steps)
+    assert path.target.nfe.value == n * (1 + (big_t - 1) * steps)
 
 
 @pytest.mark.parametrize("kernel", sorted(NFE_KERNELS))
@@ -773,13 +812,16 @@ def test_run_without_scipy_loads_no_numpy_submodule_lazily(tmp_path):
 
 def test_bench_instruments_wrap_mfvi_and_craft_runs():
     # perfbench patches names inside samplebench; run its probe and tracer over a
-    # tiny MFVI, CRAFT and DDS experiment in a fresh process, so the patches stay there
+    # tiny MFVI, CRAFT, DDS and SMC experiment in a fresh process, so the patches stay there
     docs = [tiny_config(seeds=[0], protocol={"n_checkpoints": 2, "eval_samples": 32}),
             tiny_config(seeds=[0], method={"name": "craft", "iterations": 3, "n_steps": 2,
                                            "particles": 16, "leapfrog_steps": 2},
                         protocol={"n_checkpoints": 2, "eval_samples": 32}),
             tiny_config(seeds=[0], method={"name": "dds", "iterations": 3, "n_steps": 2,
                                            "batch_size": 8, "sigma_max": 1.0},
+                        protocol={"n_checkpoints": 2, "eval_samples": 32}),
+            tiny_config(seeds=[0], method={"name": "smc", "n_steps": 3, "particles": 16,
+                                           "leapfrog_steps": 2},
                         protocol={"n_checkpoints": 2, "eval_samples": 32})]
     out = _run_python(
         "import json, sys\n"
@@ -791,9 +833,13 @@ def test_bench_instruments_wrap_mfvi_and_craft_runs():
         "probe, tracer = Probe(), Tracer()\n"
         "probe.install(run_mod)\n"
         "instrument(tracer)\n"
+        "per_doc = []\n"
         f"for doc in json.loads({json.dumps(json.dumps(docs))}):\n"
+        "    first, nfe_eval = len(tracer.spans), probe.nfe_eval\n"
         "    record = run_experiment(parse_config(doc))\n"
         "    assert not record.failures, record.failures\n"
+        "    per_doc.append({'nfe_eval': probe.nfe_eval - nfe_eval,\n"
+        "                    'spans': Counter(span[0] for span in tracer.spans[first:])})\n"
         "spans = tracer.spans\n"
         "def ancestors(i):\n"
         "    while spans[i][3] >= 0:\n"
@@ -805,7 +851,8 @@ def test_bench_instruments_wrap_mfvi_and_craft_runs():
         "print(json.dumps({'first_train': probe.first_train,\n"
         "                  'adam_under_mfvi': adam_under('vi.mfvi_train'),\n"
         "                  'adam_under_dds': adam_under('diffusion.train_diffusion'),\n"
-        "                  'spans': Counter(span[0] for span in spans)}))\n")
+        "                  'spans': Counter(span[0] for span in spans),\n"
+        "                  'smc': per_doc[-1]}))\n")
     assert out["first_train"] is not None
     assert out["adam_under_mfvi"] == 60  # one Adam step per MFVI iteration
     # DDS: three training steps, and at the marks [1, 3] a forward and a backward
@@ -817,3 +864,11 @@ def test_bench_instruments_wrap_mfvi_and_craft_runs():
         "train_diffusion", "forward_train", "forward_eval", "simulate_backward_logweights")
     ] == [1, 3, 2, 2]
     assert spans["numerics.drift_forward"] == 2 * (3 + 2 + 2)
+    # SMC: one evaluation, a forward sweep of 16 particles and backward transport of
+    # the 32 target samples over T = 3 temperatures with L = 2 leapfrog steps; only
+    # the first reweight of each sweep queries the target, and the backward sweep
+    # makes one move fewer
+    smc = out["smc"]
+    assert [smc["spans"][name] for name in (
+        "sis.smc_run", "sis.backward_transport_logweights", "kernels.hmc_step")] == [1, 1, 3 + 2]
+    assert smc["nfe_eval"] == 16 * (1 + 3 * 2) + 32 * (1 + (3 - 1) * 2)

@@ -449,3 +449,32 @@ def test_backward_ais_bitwise_equals_reference_loop(target_name, kernel):
     samples = path.target.exact_sampler(RngStream(3, 0), 50)
     lw = backward_transport_logweights(path, cfg, samples, RngStream(4, 0))
     _assert_bitwise(lw, _reference_backward(path, cfg, samples, RngStream(4, 0)))
+
+
+# The sweep reads each target query the last move made at a row index, where the
+# references query afresh at another: 37 rows do not fill BLAS row tiles evenly,
+# and resampling at every temperature moves every particle to a new row.
+@pytest.mark.parametrize("kernel", ["hmc", "mh"])
+@pytest.mark.parametrize("target_name", sorted(REFERENCE_TARGETS))
+def test_smc_run_ais_bitwise_with_uneven_rows_and_resampling_each_temperature(target_name,
+                                                                             kernel):
+    path = _reference_path(target_name)
+    cfg = REFERENCE_KERNELS[kernel]
+    res = smc_run(path, cfg, 37, RngStream(6, 2), resample_threshold=1.0)
+    x, log_w, log_z, elbo, diagnostics = _reference_smc_run(path, cfg, 37, RngStream(6, 2),
+                                                            resample_threshold=1.0)
+    _assert_bitwise(res.particles.positions, x)
+    _assert_bitwise(res.particles.log_weights, log_w)
+    assert (res.log_z, res.elbo) == (log_z, elbo)
+    assert res.diagnostics == diagnostics
+    assert all(d["resampled"] for d in diagnostics)
+
+
+@pytest.mark.parametrize("kernel", ["hmc", "mh"])
+@pytest.mark.parametrize("target_name", sorted(REFERENCE_TARGETS))
+def test_backward_ais_bitwise_with_uneven_rows(target_name, kernel):
+    path = _reference_path(target_name)
+    cfg = REFERENCE_KERNELS[kernel]
+    samples = path.target.exact_sampler(RngStream(3, 1), 37)
+    lw = backward_transport_logweights(path, cfg, samples, RngStream(4, 1))
+    _assert_bitwise(lw, _reference_backward(path, cfg, samples, RngStream(4, 1)))
