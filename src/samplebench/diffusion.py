@@ -45,13 +45,6 @@ LANGEVIN_METHODS = tuple(m for m, parts in METHOD_PARTS.items() if "betas" in pa
 OPTIONAL_TRAINABLE = ("sigma", "betas", "proposal")
 
 
-def check_decay_step(method: str, sigma_max: float, n_steps: int):
-    """DDS and DIS shrink the state by 1 - sigma/T per hop, so sigma_max / T stays below 1."""
-    if method in ("dds", "dis") and (n_steps < 1 or sigma_max / n_steps >= 1.0):
-        raise UsageError(f"{method} needs n_steps >= 1 and sigma_max / n_steps below 1, "
-                         f"got sigma_max {sigma_max} and n_steps {n_steps}")
-
-
 @dataclass
 class DiffusionSpec:
     method: str
@@ -76,7 +69,8 @@ class DiffusionSpec:
         method = method.lower()
         if method not in ALL_METHODS:
             raise UsageError(f"unknown diffusion method {method!r}")
-        check_decay_step(method, sigma_max, n_steps)
+        if n_steps < 1:
+            raise UsageError(f"{method} needs n_steps >= 1, got {n_steps}")
         parts = METHOD_PARTS[method]
         trainable = frozenset(trainable)
         absent = trainable - {p for p in OPTIONAL_TRAINABLE if p == "sigma" or p in parts}
@@ -205,7 +199,7 @@ class _Schedule:
     betas: object            # beta_0 .. beta_T
     sigmas: list             # sigma_1 .. sigma_T
     net_params: tuple        # drift-net and backward-net parameters (None: the nets' own)
-    decays: tuple = None     # per hop: the DDS decay, DIS's backward factor 1 - sigma dt
+    decays: tuple = None     # per hop: the DDS decay, DIS's backward factor exp(-sigma dt)
     variances: tuple = None  # per hop: the kernels' variance (PIS's backward one scales it)
     mean: object = None      # the proposal's mean, log-std and exp(log-std); None for PIS
     log_std: object = None
@@ -259,13 +253,18 @@ def _resolve_proposal(spec, sched, params):
 
 def _hop_scalars(spec, sigma, sigma0_sq):
     """(decay, var) of a hop with diffusion coefficient sigma; decay is None
-    where the kernels read none."""
+    where the kernels read none.
+
+    DDS and DIS take the exact Ornstein-Uhlenbeck transition over the hop, so
+    every step size is valid: the decay is exp(-sigma dt / 2) for DDS, whose
+    lambda = 1 - exp(-sigma dt), and exp(-sigma dt) for DIS, and the variance
+    keeps the reference N(0, sigma0^2) invariant.
+    """
     dt = spec.delta_t
-    if spec.method == "dds":
-        lam = sigma * dt
-        return (1.0 - lam) ** 0.5, lam * sigma0_sq
-    if spec.method == "dis":
-        return 1.0 - sigma * dt, 2.0 * sigma * sigma0_sq * dt
+    if spec.method in ("dds", "dis"):
+        rate = sigma * (-0.5 * dt if spec.method == "dds" else -dt)
+        decay = rate.exp() if isinstance(rate, Var) else math.exp(rate)
+        return decay, (1.0 - decay * decay) * sigma0_sq
     return None, sigma * sigma * dt
 
 

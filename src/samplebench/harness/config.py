@@ -11,8 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..diffusion import check_decay_step
-from ..errors import ConfigError, UsageError
+from ..errors import ConfigError
 from .registry import ABLATION_GRIDS, ABLATION_KINDS, METHOD_PARAMS, TARGETS, target_params
 
 SCHEMA_VERSION = 1
@@ -60,16 +59,6 @@ def check_params(section: dict, declared: dict, where: str):
             raise ConfigError(f"{where} key {key!r} takes a {kind.__name__}, got {value!r}")
 
 
-def check_method_values(name: str, params: dict):
-    """Reject values a method's builder would refuse: a DDS or DIS decay step of 1 or more."""
-    if "sigma_max" in METHOD_PARAMS[name]:  # the diffusion methods
-        p = {**METHOD_PARAMS[name], **params}
-        try:
-            check_decay_step(name, p["sigma_max"], p["n_steps"])
-        except UsageError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
 def check_target(name: str, params: dict):
     if name not in TARGETS:
         raise ConfigError(f"unknown target {name!r}; expected one of {tuple(TARGETS)}")
@@ -102,7 +91,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
              if method_name in ABLATION_KINDS[kind]}
     check_params(method_params, {**METHOD_PARAMS[method_name], **grids},
                  f"method {method_name!r}")
-    check_method_values(method_name, method_params)
 
     protocol = doc.get("protocol", {})
     check_params(protocol, asdict(Protocol()), "protocol")

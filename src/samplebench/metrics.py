@@ -8,6 +8,7 @@ log space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .errors import UsageError
 from .numerics.logspace import (
+    EXP_FLOOR,
     ess_fraction,
     exp_clamped_inplace,
     exp_shifted_inplace,
@@ -248,11 +250,21 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
     absorbed into a kernel K = exp(max((f + g - C)/eps, -700)) and scalings
     (u, v) on top, so the dual potentials are f + eps*log(u) and g + eps*log(v).
     An iteration is two matrix-vector products, u = a/(K v) and v = b/(K^T u).
-    The first iteration at each epsilon runs in log form (log-sum-exp over the
-    cost) and leaves K behind; so does any iteration whose u or v leaves
-    [1/tau, tau] or is not finite, once the scalings are folded into (f, g).
-    Within that range a clamped entry of K weighs at most about 1e-200 of its
-    row, so the iterates are the log-domain ones up to rounding.
+
+    A level at exactly half the previous epsilon starts from the squared
+    kernel: folding the scalings into K makes it exp((f + g - C)/eps) for the
+    folded potentials, and its square is the kernel at eps/2, made in four
+    passes with no exp; its first iteration is a scaling one.  The square is
+    clamped at e^-700 again, so K and the scalings stay normal numbers and the
+    matrix-vector products stay off the slow subnormal path (squaring u and v
+    instead of folding them would not).  The first level, a level at any other
+    ratio (the last one, and one after levels a short budget skipped) and any
+    iteration whose u or v leaves [1/tau, tau] or is not finite run in log form
+    instead (log-sum-exp over the cost), once the scalings are folded into
+    (f, g), and leave K behind.  Within that range a clamped entry of K weighs
+    at most about 1e-200 of its row, and folds to at most e^-470, so its square
+    is clamped as the log form would clamp it: the iterates are the log-domain
+    ones up to rounding.
 
     Convergence is the L1 error of the row marginals, |u*(K v) - a|, read off
     the next u-update: after a v-update the column marginals are exact up to
@@ -276,7 +288,7 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
     g = np.zeros(m)
     u = np.ones(n)
     v = np.ones(m)
-    kernel = np.empty_like(cost)  # scratch of the log-form steps, which leave K in it
+    kernel = np.empty_like(cost)  # K, made by the log-form steps and the squared starts
 
     span = float(cost.max()) if cost.size else 1.0
     eps_levels = []
@@ -309,41 +321,50 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
         g = -eps * exp_shifted_inplace(kernel, axis=0)
         v = b / kernel.sum(axis=0)
 
+    def iterate(eps, kv):
+        # a scaling iteration from kv = K v; a scaling out of range redoes its half in log form
+        nonlocal u, v
+        u_next = a / kv
+        if not _in_scaling_range(u_next):
+            log_step(eps, update_f=True)
+            return
+        u = u_next
+        v_next = b / (u @ kernel)
+        if not _in_scaling_range(v_next):
+            log_step(eps, update_f=False)
+            return
+        v = v_next
+
     def row_error(kv):
         return np.abs(u * kv - a).sum()
 
-    def sweep(eps, iters, check):
-        nonlocal u, v
-        converged = False
-        if iters > 0:
-            log_step(eps, update_f=True)  # each level starts in log form
+    def sweep(eps, scale_eps, iters, check):
+        # a level's iterations; the scalings arrive at the last level's epsilon, scale_eps
+        if eps == scale_eps / 2.0:
+            _square_folded_kernel(kernel, u, v)
+            fold(scale_eps)
+            iterate(eps, kernel @ v)
+        else:
+            fold(scale_eps)
+            log_step(eps, update_f=True)
         for _ in range(iters - 1):
             kv = kernel @ v
             # checks the previous iteration's iterate; only iterates made at this eps count
             if check and row_error(kv) < tol:
-                converged = True
-                break
-            u_next = a / kv
-            if not _in_scaling_range(u_next):
-                log_step(eps, update_f=True)
-                continue
-            u = u_next
-            v_next = b / (u @ kernel)
-            if not _in_scaling_range(v_next):
-                log_step(eps, update_f=False)
-                continue
-            v = v_next
-        else:
-            converged = check and row_error(kernel @ v) < tol
-        fold(eps)
-        return converged
+                return True
+            iterate(eps, kv)
+        return check and row_error(kernel @ v) < tol
 
     budget = max_iters
+    scale_eps = eps_levels[0]  # u = v = 1 so far, which fold at any epsilon
     for eps in eps_levels[:-1]:
         iters = min(warmup_iters, budget)
-        sweep(eps, iters, check=False)
+        if iters > 0:
+            sweep(eps, scale_eps, iters, check=False)
+            scale_eps = eps
         budget -= iters
-    converged = sweep(epsilon, max(budget, 1), check=True)
+    converged = sweep(epsilon, scale_eps, max(budget, 1), check=True)
+    fold(epsilon)
 
     # the plan, built in the kernel's buffer: its mass is about 1, so a clamped
     # entry (at most e^-700) is absorbed in the transport cost
@@ -358,6 +379,19 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
 
 # scalings beyond [1/tau, tau] are folded into the potentials and the step redone in log form
 _SCALING_BOUND = 1e50
+_KERNEL_FLOOR = math.exp(EXP_FLOOR)
+
+
+def _square_folded_kernel(kernel, u, v):
+    """K <- max((u K v)^2, e^-700) in place: the kernel at half the epsilon.
+
+    u K v is exp((f + g - C)/eps) for the potentials with u and v folded in;
+    its square is the same for eps/2.
+    """
+    np.multiply(kernel, u[:, None], out=kernel)
+    np.multiply(kernel, v[None, :], out=kernel)
+    np.square(kernel, out=kernel)
+    np.maximum(kernel, _KERNEL_FLOOR, out=kernel)
 
 
 def _in_scaling_range(w) -> bool:

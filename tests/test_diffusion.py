@@ -106,6 +106,12 @@ def test_pis_point_mass_proposal_not_trainable():
         DiffusionSpec.create("dds", 2, RngStream(0, 0), trainable={"drift"})
 
 
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_a_spec_needs_at_least_one_hop(method):
+    with pytest.raises(UsageError, match="n_steps"):
+        DiffusionSpec.create(method, 2, RngStream(0, 0), n_steps=0)
+
+
 def test_each_method_builds_only_the_parts_its_kernels_read():
     # the beta grid: the Langevin methods; a proposal: all but PIS; the drift net:
     # all but ULA; the backward net: GBS
@@ -200,8 +206,9 @@ def test_training_step_records_only_what_the_weight_reads(method):
 
 
 def test_trainable_sigma_step_resolves_each_hop_decay_once():
-    # both kernel sides of a hop read its decay sqrt(1 - lambda_s) and variance;
-    # the schedule builds them once, so the step records one pow node per hop
+    # both kernel sides of a hop read its decay exp(-sigma_s dt / 2) and variance;
+    # the schedule builds them once, so the step records one exp node per hop, and
+    # one more for sigma_max = exp(sigma_raw)
     big_t = 6
     spec = make_spec("dds", n_steps=big_t, sigma_max=2.0, guidance=True, seed=49,
                      trainable={"sigma"})
@@ -210,7 +217,7 @@ def test_trainable_sigma_step_resolves_each_hop_decay_once():
     simulate_forward(spec, make_gaussian_target(2), 8, RngStream(50, 0), params=leaves,
                      tape=tape)
     ops = collections.Counter(node.op for node in tape.nodes)
-    assert ops["pow"] == big_t
+    assert ops["exp"] == big_t + 1
 
 
 def _reference_log_normal_diag(y, mean, var, dim):

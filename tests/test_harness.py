@@ -336,21 +336,20 @@ def test_bad_proposal_vectors_are_config_errors(tmp_path, vectors):
 
 
 @pytest.mark.parametrize("name", ["dds", "dis"])
-def test_decay_step_of_one_or_more_is_a_config_error(tmp_path, name):
+def test_default_num_steps_ablation_runs_every_cell(tmp_path, name):
+    # the default grid [8, 32, 128] with the default sigma_max 8 takes a hop of
+    # sigma dt = 1 at 8 steps; the exact OU transition is valid at any step size
     from samplebench.cli import main
 
-    with pytest.raises(ConfigError, match="sigma_max / n_steps"):
-        parse_config(tiny_config(method={"name": name, "n_steps": 8}))  # default sigma_max 8
-    parse_config(tiny_config(method={"name": name, "n_steps": 9}))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(tiny_config(method={"name": name, "n_steps": 4})))
-    assert main(["run", "--config", str(cfg_path)]) == 2
-    # a grid value the method cannot take fails the ablation before any cell runs
     cfg_path.write_text(json.dumps(tiny_config(
-        method={"name": name, "iterations": 2, "batch_size": 8, "sigma_max": 4.0,
-                "n_steps_grid": [8, 2]}, output_dir=str(tmp_path / "out"))))
-    assert main(["ablate", "--config", str(cfg_path), "--kind", "num_steps"]) == 2
-    assert not (tmp_path / "out").exists()
+        target={"name": "gaussian", "dim": 2},
+        method={"name": name, "iterations": 2, "batch_size": 8},
+        protocol={"n_checkpoints": 1, "eval_samples": 32}, seeds=[0],
+        output_dir=str(tmp_path / "out"))))
+    assert main(["ablate", "--config", str(cfg_path), "--kind", "num_steps"]) == 0
+    rows = next((tmp_path / "out").glob("ablation_num_steps_*.csv")).read_text().splitlines()
+    assert [row.split(",")[1] for row in rows[1:]] == ["n_steps=8", "n_steps=32", "n_steps=128"]
 
 
 def test_deterministic_bytes_with_injected_clock(tmp_path):

@@ -428,21 +428,61 @@ def test_sinkhorn_matches_reference_on_collapsed_and_uneven_clouds(clouds, dim):
 
 
 def test_sinkhorn_restabilised_steps_match_reference(monkeypatch):
-    # a scaling range of [1/1.2, 1.2] sends many u- and v-steps back to log form
+    # a scaling range of [1/1.2, 1.2] sends many u- and v-steps back to log form,
+    # among them first steps after a squared level start
     in_range = metrics._in_scaling_range
+    square = metrics._square_folded_kernel
     rejected = Counter()
+    events = []
 
     def counting_in_range(w):
         ok = in_range(w)
         rejected[len(w)] += not ok
+        events.append(ok)
         return ok
+
+    def noting_square(kernel, u, v):
+        events.append("squared")
+        square(kernel, u, v)
 
     monkeypatch.setattr(metrics, "_SCALING_BOUND", 1.2)
     monkeypatch.setattr(metrics, "_in_scaling_range", counting_in_range)
+    monkeypatch.setattr(metrics, "_square_folded_kernel", noting_square)
     x, y = _uneven_exact(2)
     val, converged = sinkhorn_w2(x, y, max_iters=300)
     ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=300)
     assert rejected[200] > 0 and rejected[90] > 0  # both halves of an iteration fell back
+    assert ("squared", False) in zip(events, events[1:])  # so did a squared start
+    assert val == pytest.approx(ref_val, rel=1e-9)
+    assert converged == ref_converged
+
+
+def _bench_shaped(dim):
+    # the clouds of test_sinkhorn_matches_reference_on_bench_shaped_clouds
+    target = make_mog_target(dim, seed=0)
+    x = target.exact_sampler(RngStream(15, 0), 256)
+    y = target.exact_sampler(RngStream(15, 1), 256) + 0.5 * RngStream(15, 2).normal((256, dim))
+    return x, y
+
+
+@pytest.mark.parametrize("clouds, max_iters", [(_bench_shaped, 300), (_collapsed_and_exact, 30)],
+                         ids=["bench-shaped", "short-budget"])
+def test_sinkhorn_starts_only_non_halving_levels_in_log_form(monkeypatch, clouds, max_iters):
+    # the first level and the last, whose epsilon is not half the one before, make the
+    # two log-form f-updates; 30 iterations run 3 warm-up levels and skip the rest, so
+    # the last level starts in log form after skipped ones
+    lse = metrics._lse_inplace
+    f_updates = []
+
+    def counting_lse(buf, axis):
+        f_updates.append(axis)
+        return lse(buf, axis)
+
+    monkeypatch.setattr(metrics, "_lse_inplace", counting_lse)
+    x, y = clouds(2)
+    val, converged = sinkhorn_w2(x, y, max_iters=max_iters)
+    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=max_iters)
+    assert len(f_updates) == 2
     assert val == pytest.approx(ref_val, rel=1e-9)
     assert converged == ref_converged
 
