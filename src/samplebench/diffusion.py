@@ -283,13 +283,14 @@ class _Anchor:
 
     It queries the target only when a kernel uses the score (the Langevin
     methods, and guidance) or at the endpoint x_T, whose log gamma the weight
-    reads; only there is log gamma kept.  Without a target, `score` stands in
-    for the query: the target score that guidance reads, and for the Langevin
-    methods the annealed score itself.  Each drift net runs at most once per
-    anchor, however many kernel sides use its output.
+    reads; only there is log gamma kept.  `query`, a fused query (log gamma,
+    grad log gamma) at x already made, stands in for its own.  Without a
+    target, `score` stands in for the query: the target score that guidance
+    reads, and for the Langevin methods the annealed score itself.  Each drift
+    net runs at most once per anchor, however many kernel sides use its output.
     """
 
-    def __init__(self, spec, sched, target, x, index, score=None):
+    def __init__(self, spec, sched, target, x, index, score=None, query=None):
         self.x = x
         self.time_frac = index / spec.n_steps
         self.score = self.annealed_score = score
@@ -301,7 +302,7 @@ class _Anchor:
         if target is None or not (uses_score or endpoint):
             return
         xv = _value(x)
-        val, grad = target.logdensity_and_grad(xv)
+        val, grad = target.logdensity_and_grad(xv) if query is None else query
         if endpoint:
             self.log_gamma = _node(val, "log_gamma", (x, lambda adj: adj[:, None] * grad))
         if not uses_score:
@@ -455,15 +456,17 @@ def simulate_forward(spec: DiffusionSpec, target: TargetDensity, batch_size: int
 
 
 def simulate_backward_logweights(spec: DiffusionSpec, target: TargetDensity,
-                                 target_samples, rng: RngStream) -> np.ndarray:
+                                 target_samples, rng: RngStream, query=None) -> np.ndarray:
     """Propagate exact target samples backward and accumulate the same log ratio.
 
+    `query` is the fused target query (log gamma, grad log gamma) at the
+    samples, when already made; without it the endpoint makes its own.
     Returns per-sample extended forward log-weights for EUBO_f / ESS_f / Z_f.
     """
     x = np.atleast_2d(np.asarray(target_samples, dtype=float))
     sched = _resolve_schedule(spec)
     draws = _normal_draws(rng, x.shape)
-    anchor = _Anchor(spec, sched, target, x, spec.n_steps)
+    anchor = _Anchor(spec, sched, target, x, spec.n_steps, query=query)
     log_gamma = anchor.log_gamma
     log_b_terms, log_f_terms = [], []
     for s in range(spec.n_steps, 0, -1):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +23,18 @@ from ..metrics import (
     sinkhorn_w2,
 )
 from ..numerics.rng import RngStream
+
+
+@dataclass
+class ExactDraws:
+    """A seed's fixed exact target draws, and the target query at them.
+
+    `evaluate_sampler` makes the query, one fused value+score call, at the
+    first checkpoint; every later checkpoint's backward path reads it.
+    """
+
+    points: np.ndarray
+    query: Optional[tuple] = None  # (log gamma, grad log gamma) at points
 
 
 def sample_criteria(x, log_w, target, target_samples, ipm_subsample: int,
@@ -53,17 +67,21 @@ def sample_criteria(x, log_w, target, target_samples, ipm_subsample: int,
     return report
 
 
-def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream, target_samples,
-                     ipm_subsample: int, sinkhorn_iters: int) -> MetricReport:
+def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream,
+                     exact: Optional[ExactDraws], ipm_subsample: int,
+                     sinkhorn_iters: int) -> MetricReport:
     """Full criteria vector; criteria whose prerequisites are missing stay None.
 
-    `target_samples` are the target's exact draws, None when it has no exact sampler.
+    `exact` holds the target's exact draws, None when it has no exact sampler;
+    the target is queried at them here, on the first call only.
     """
     x, log_w = sampler.sample_with_logweights(n_samples, rng)
-    report = sample_criteria(x, log_w, target, target_samples, ipm_subsample, sinkhorn_iters)
-    if target_samples is not None:
-        y = target_samples
-        log_w_f = sampler.backward_logweights(y, rng)
+    y = None if exact is None else exact.points
+    report = sample_criteria(x, log_w, target, y, ipm_subsample, sinkhorn_iters)
+    if exact is not None:
+        if exact.query is None:
+            exact.query = target.logdensity_and_grad(y)
+        log_w_f = sampler.backward_logweights(y, rng, exact.query)
         fws = WeightedSamples(y, log_w_f, FORWARD)
         report.eubo = eubo(fws)
         report.eubo_se = float(np.std(log_w_f, ddof=1) / math.sqrt(len(log_w_f)))

@@ -5,7 +5,7 @@ A target's config keys, defaults and types are its builder's parameters
 runs the method once and fires `checkpoint_cb(iteration, sampler)` at the
 marks `_checkpoint_marks` places; the sampler view exposes reverse sampling
 with log weights and backward transport of target samples for forward
-criteria.
+criteria, given the target query at those samples.
 """
 
 from __future__ import annotations
@@ -119,9 +119,8 @@ class MfviSampler:
         lw = self.target.log_density(x) - self.q.log_density(x)
         return x, lw
 
-    def backward_logweights(self, target_samples, rng):
-        x = np.atleast_2d(target_samples)
-        return self.target.log_density(x) - self.q.log_density(x)
+    def backward_logweights(self, target_samples, rng, query):
+        return query[0] - self.q.log_density(np.atleast_2d(target_samples))
 
 
 @dataclass
@@ -142,9 +141,9 @@ class SmcSampler:
             return ps.positions[:n], ps.log_weights[:n]
         return ps.positions, ps.log_weights
 
-    def backward_logweights(self, target_samples, rng):
+    def backward_logweights(self, target_samples, rng, query):
         return backward_transport_logweights(self.path, self.kernel_cfg, target_samples,
-                                             rng, flows=self.flows)
+                                             rng, flows=self.flows, query=query)
 
 
 @dataclass
@@ -156,8 +155,9 @@ class DiffusionSampler:
         batch = simulate_forward(self.spec, self.target, n, rng)
         return batch.final_states, batch.log_w_values
 
-    def backward_logweights(self, target_samples, rng):
-        return simulate_backward_logweights(self.spec, self.target, target_samples, rng)
+    def backward_logweights(self, target_samples, rng, query):
+        return simulate_backward_logweights(self.spec, self.target, target_samples, rng,
+                                            query=query)
 
 
 # -------------------------------------------------------------------- drivers

@@ -12,7 +12,7 @@ from ..errors import ConfigError
 from ..metrics import MetricReport
 from ..numerics.rng import RngStream
 from .config import ExperimentConfig
-from .evaluate import evaluate_sampler
+from .evaluate import ExactDraws, evaluate_sampler
 from .registry import MethodDriver, build_target
 
 
@@ -81,18 +81,16 @@ def run_experiment(config: ExperimentConfig, clock=time.perf_counter) -> RunReco
         target = build_target(config.target_name, config.target_params)
         target.nfe.reset()
         eval_rng = RngStream(seed, 10_000)
-        fixed_target_samples = None
+        exact = None
         if target.exact_sampler is not None:
-            fixed_target_samples = target.exact_sampler(
-                RngStream(seed, 20_000), config.protocol.eval_samples
-            )
+            exact = ExactDraws(target.exact_sampler(RngStream(seed, 20_000),
+                                                    config.protocol.eval_samples))
         seed_rec = SeedRecord(seed)
         start = clock()
 
         def on_checkpoint(iteration, sampler):
             report = evaluate_sampler(
-                sampler, target, config.protocol.eval_samples, eval_rng,
-                target_samples=fixed_target_samples,
+                sampler, target, config.protocol.eval_samples, eval_rng, exact,
                 ipm_subsample=config.protocol.ipm_subsample,
                 sinkhorn_iters=config.protocol.sinkhorn_iters,
             )

@@ -56,13 +56,17 @@ def annealed_logdensity(path: AnnealedPath, t: int, x, with_grad: bool = True, q
         raise UsageError(f"temperature index {t} outside [0, {path.n_steps}]")
     beta = path.betas[t]
     lp0 = path.proposal.log_density(x)
-    g0 = path.proposal.grad_log_density(x) if with_grad else None
     if beta == 0.0:
-        return (lp0, g0) if with_grad else lp0
+        return (lp0, path.proposal.grad_log_density(x)) if with_grad else lp0
     lg, gg = target_query(path.target, x, with_grad) if query is None else query
-    if with_grad:
-        return (1.0 - beta) * lp0 + beta * lg, (1.0 - beta) * g0 + beta * gg
-    return (1.0 - beta) * lp0 + beta * lg
+    value = (1.0 - beta) * lp0 + beta * lg
+    return (value, annealed_score(path, t, x, gg)) if with_grad else value
+
+
+def annealed_score(path: AnnealedPath, t: int, x, grad_log_gamma):
+    """The gradient of `annealed_logdensity` at x, from the target score there; no NFE."""
+    beta = path.betas[t]
+    return (1.0 - beta) * path.proposal.grad_log_density(x) + beta * grad_log_gamma
 
 
 @dataclass
@@ -107,29 +111,32 @@ def mh_step(x, logdensity, proposal_scale, rng: RngStream, current_logdensity=No
     return new_x, accepted, new_lp
 
 
-def _leapfrog(x, p, eps, n_steps, fused, val0, grad0):
+def _leapfrog(x, p, eps, n_steps, fused, val0, grad0, score=None):
     """Leapfrog integration of H = -logdensity + |p|^2/2.
 
-    The initial (value, gradient) is supplied by the caller; fresh fused
-    queries happen only at the visited positions x_1..x_L.
+    The initial (value, gradient) is supplied by the caller; fresh queries
+    happen only at the visited positions x_1..x_L.  The momentum updates at
+    x_1..x_{L-1} read the gradient alone, from `score(x)` when given; the
+    value is read only at x_L, for the Metropolis test.
     """
     p = p + 0.5 * eps * grad0
     xn = x
-    val, grad = val0, grad0
-    for i in range(n_steps):
+    for _ in range(n_steps - 1):
         xn = xn + eps * p
-        val, grad = fused(xn)
-        if i < n_steps - 1:
-            p = p + eps * grad
+        p = p + eps * (fused(xn)[1] if score is None else score(xn))
+    xn = xn + eps * p
+    val, grad = fused(xn)
     p = p + 0.5 * eps * grad
     return xn, p, val, grad
 
 
 def hmc_step(x, fused_logdensity_and_grad, cfg: HmcConfig, rng: RngStream, beta: float = 1.0,
-             current=None):
+             current=None, score=None):
     """One HMC step with fresh momenta and a Metropolis correction on total energy.
 
-    `current` may carry a cached (value, grad) at x to avoid re-querying.
+    `current` may carry a cached (value, grad) at x to avoid re-querying, and
+    `score` a gradient-only view of the density for the leapfrog's inner
+    positions, where no value is read.
     Returns (x', accepted, (value, grad) at x').
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -140,7 +147,7 @@ def hmc_step(x, fused_logdensity_and_grad, cfg: HmcConfig, rng: RngStream, beta:
         val0, grad0 = current
     p0 = rng.normal(x.shape)
     xn, p, val, grad = _leapfrog(x, p0, eps, cfg.leapfrog_steps, fused_logdensity_and_grad,
-                                 val0, grad0)
+                                 val0, grad0, score)
     h0 = -val0 + 0.5 * np.sum(p0**2, axis=1)
     h1 = -val + 0.5 * np.sum(p**2, axis=1)
     delta = h0 - h1

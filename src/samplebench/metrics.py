@@ -193,7 +193,8 @@ def _median_upper(d2) -> float:
     is NaN; computing it here keeps np.median's lazy NaN check (and the
     numpy.ma import it costs) out of the run.
     """
-    vals = d2[np.triu_indices(len(d2), k=1)]
+    # row slices give np.triu_indices' row-major order without its index arrays
+    vals = np.concatenate([row[i + 1 :] for i, row in enumerate(d2)])
     half = len(vals) // 2
     even = len(vals) % 2 == 0
     vals.partition([half - 1, half, -1] if even else [half, -1])

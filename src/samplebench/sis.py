@@ -12,7 +12,10 @@ particle for L leapfrog steps or MH substeps, and each later one costs L.
 The flow (AFT/CRAFT) increment pi_b(T x) + log|det T| - pi_a(x) reads pi_a(x)
 from the query and queries only pi_b(T x), which starts the next move.
 Backward transport runs the same sweep from pi_T down to pi_0 through the
-inverse flows and subtracts the increments.
+inverse flows and subtracts the increments; given the query at the target
+samples, its first reweight queries nothing.  An HMC move builds pi_t's
+value only at the proposed point, where the Metropolis test reads it; the
+inner leapfrog positions read the score alone.
 
 Weight bookkeeping uses a carry scheme: resampling sets every log weight to
 the log-mean of the current weights, so the final log-mean-exp of the system
@@ -28,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateWeightsError, TrainingError, UsageError
-from .kernels import (AnnealedPath, HmcConfig, MhConfig, annealed_logdensity, hmc_step, mh_step,
-                      target_query)
+from .kernels import (AnnealedPath, HmcConfig, MhConfig, annealed_logdensity, annealed_score,
+                      hmc_step, mh_step, target_query)
 from .numerics.adam import AdamState, adam_step
 from .numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
 from .numerics.rng import RngStream
@@ -107,9 +110,12 @@ def _mcmc_move(x, path, t, kernel_cfg, rng, query):
 
     lg, gg = query
     if with_grad:
-        # the last leapfrog query is at the proposed point
+        # the last leapfrog query is at the proposed point, the one position whose
+        # pi_t value is built; the inner positions read the score alone
         x, accepted, _ = hmc_step(x, annealed, kernel_cfg, rng, beta=beta,
-                                  current=annealed_logdensity(path, t, x, query=query))
+                                  current=annealed_logdensity(path, t, x, query=query),
+                                  score=lambda pts: annealed_score(
+                                      path, t, pts, target_query(path.target, pts, True)[1]))
         return x, accepted, (np.where(accepted, last[0], lg),
                              np.where(accepted[:, None], last[1], gg))
     if isinstance(kernel_cfg, MhConfig):
@@ -147,20 +153,23 @@ def _reweight(path, a, b, ps, flow, backward, with_grad):
 
 
 def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_threshold=0.3,
-           resampling_enabled=True, before_reweight=lambda t, x: None):
+           resampling_enabled=True, before_reweight=lambda t, x: None, query=None):
     """The annealed sweep from x with zero weights; returns (ParticleSystem, diagnostics).
 
     Forward runs t = 1..T from pi_{t-1} to pi_t.  Backward runs t = T..1 from
     pi_t to pi_{t-1}, never resamples, subtracts each increment, and makes
     T - 1 moves: the weights are complete before a move towards pi_0.
     `before_reweight(t, positions)` runs at the start of each temperature.
+    `query`, a fused target query (log gamma, grad log gamma) at x already
+    made, spares the first reweight its own.
     """
     big_t = path.n_steps
     if flows is not None and len(flows) != big_t:
         raise UsageError("need one flow per temperature")
     with_grad = isinstance(kernel_cfg, HmcConfig)
     sign = -1.0 if backward else 1.0
-    ps = ParticleSystem(x, np.zeros(len(x)))
+    lg, gg = (None, None) if query is None else query
+    ps = ParticleSystem(x, np.zeros(len(x)), lg, gg if with_grad else None)
     diagnostics = []
     for t in (range(big_t, 0, -1) if backward else range(1, big_t + 1)):
         a, b = (t, t - 1) if backward else (t - 1, t)
@@ -204,13 +213,16 @@ def smc_run(path: AnnealedPath, kernel_cfg, n_particles: int, rng: RngStream,
 
 
 def backward_transport_logweights(path: AnnealedPath, kernel_cfg, target_samples,
-                                  rng: RngStream, flows: Optional[list] = None) -> np.ndarray:
+                                  rng: RngStream, flows: Optional[list] = None,
+                                  query=None) -> np.ndarray:
     """The sweep run backward from exact target samples, from pi_T down to pi_0.
 
+    `query` is the fused target query (log gamma, grad log gamma) at the
+    samples, when already made; without it the first reweight makes its own.
     Returns the per-sample extended forward log-weights for EUBO / ESS_f / Z_f.
     """
     x = np.atleast_2d(np.asarray(target_samples, dtype=float))
-    ps, _ = _sweep(path, kernel_cfg, x, rng, flows, backward=True)
+    ps, _ = _sweep(path, kernel_cfg, x, rng, flows, backward=True, query=query)
     return ps.log_weights
 
 

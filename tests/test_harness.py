@@ -1,3 +1,4 @@
+import copy
 import inspect
 import json
 import math
@@ -11,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samplebench.diffusion import DiffusionSpec, trainable_parameters
+from samplebench.diffusion import (DiffusionSpec, simulate_backward_logweights,
+                                   trainable_parameters)
 from samplebench.errors import ConfigError
 from samplebench.harness import (
     ABLATION_KINDS,
+    ExactDraws,
     apply_desk_scale,
     emit_results,
     load_config,
@@ -26,7 +29,8 @@ from samplebench.harness import (
 )
 from samplebench.harness.ablate import ablation_cells
 from samplebench.harness.emit import render_checkpoint_csv
-from samplebench.harness.registry import METHOD_PARAMS, MethodDriver, build_target
+from samplebench.harness.registry import (METHOD_PARAMS, MethodDriver, MfviSampler, SmcSampler,
+                                          build_target)
 from samplebench.harness.run import smooth_reports
 from samplebench.kernels import AnnealedPath, HmcConfig, MhConfig
 from samplebench.metrics import MetricReport
@@ -652,6 +656,103 @@ def test_craft_backward_nfe_closed_form(kernel):
     backward_transport_logweights(path, NFE_KERNELS[kernel], samples, RngStream(9, 0),
                                   flows=_nfe_flows(big_t))
     assert path.target.nfe.value == n * (1 + (big_t - 1) * (1 + steps))
+
+
+# C checkpoints of n exact draws; T temperatures or hops, P particles, L
+# leapfrog steps or MH substeps.  The target is queried at the exact draws at
+# the first checkpoint only, so each later one costs n fewer than it did alone.
+EVAL_C, EVAL_N, EVAL_T, EVAL_P, EVAL_L = 3, 32, 2, 16, 2
+EVAL_METHODS = {
+    "mfvi": {"name": "mfvi"},
+    "dds": {"name": "dds", "iterations": 3, "n_steps": EVAL_T, "batch_size": 8,
+            "sigma_max": 1.0},
+    "craft_hmc": {"name": "craft", "iterations": 3, "n_steps": EVAL_T,
+                  "particles": EVAL_P, "leapfrog_steps": EVAL_L},
+    "craft_mh": {"name": "craft", "iterations": 3, "n_steps": EVAL_T, "particles": EVAL_P,
+                 "kernel": "mh", "mh_substeps": EVAL_L},
+}
+# one checkpoint's queries: the forward criteria's sampling, then backward
+# transport of the exact draws including the query at them
+EVAL_NFE_PER_CHECKPOINT = {
+    "mfvi": EVAL_N + EVAL_N,
+    # guidance queries the score at every state, forward and backward
+    "dds": 2 * EVAL_N * (EVAL_T + 1),
+    # the flow-form sweep, then its backward run (see the CRAFT closed forms above)
+    "craft_hmc": EVAL_P * EVAL_T * (1 + EVAL_L) + EVAL_N * (1 + (EVAL_T - 1) * (1 + EVAL_L)),
+}
+EVAL_NFE_PER_CHECKPOINT["craft_mh"] = EVAL_NFE_PER_CHECKPOINT["craft_hmc"]
+
+
+def _eval_run(monkeypatch, method, wrap=None):
+    """One seed of `method` on the 1-d Gaussian at EVAL_C checkpoints of EVAL_N
+    exact draws; returns (the run's record, target queries made inside
+    evaluate_sampler).  `wrap(evaluate)`, when given, replaces evaluate_sampler."""
+    import samplebench.harness.run as run_mod
+
+    evaluate = run_mod.evaluate_sampler if wrap is None else wrap(run_mod.evaluate_sampler)
+    nfe = [0]
+
+    def counted(sampler, target, *args, **kwargs):
+        before = target.nfe.value
+        try:
+            return evaluate(sampler, target, *args, **kwargs)
+        finally:
+            nfe[0] += target.nfe.value - before
+
+    monkeypatch.setattr(run_mod, "evaluate_sampler", counted)
+    doc = tiny_config(seeds=[0], method=EVAL_METHODS[method],
+                      protocol={"n_checkpoints": EVAL_C, "eval_samples": EVAL_N,
+                                "ipm_subsample": 16})
+    record = run_experiment(parse_config(doc), clock=FakeClock())
+    assert not record.failures, record.failures
+    assert len(record.seed_records[0].raw_reports) == EVAL_C
+    return record, nfe[0]
+
+
+@pytest.mark.parametrize("method", sorted(EVAL_METHODS))
+def test_evaluation_queries_the_exact_draws_once_per_seed(monkeypatch, method):
+    _, nfe_eval = _eval_run(monkeypatch, method)
+    # mfvi: C n + n; dds: C 2n(T + 1) - (C - 1) n; craft: the closed forms, less (C - 1) n
+    assert nfe_eval == EVAL_C * EVAL_NFE_PER_CHECKPOINT[method] - (EVAL_C - 1) * EVAL_N
+
+
+class _Unqueried:
+    """A checkpoint's sampler whose backward path runs the public functions
+    without a query, as each checkpoint did when it queried the exact draws itself."""
+
+    def __init__(self, sampler, target):
+        self.sampler, self.target = sampler, target
+        self.sample_with_logweights = sampler.sample_with_logweights
+
+    def backward_logweights(self, y, rng, _query):
+        s = self.sampler
+        if isinstance(s, MfviSampler):
+            return self.target.log_density(y) - s.q.log_density(y)
+        if isinstance(s, SmcSampler):
+            return backward_transport_logweights(s.path, s.kernel_cfg, y, rng, flows=s.flows)
+        return simulate_backward_logweights(s.spec, s.target, y, rng)
+
+
+@pytest.mark.parametrize("method", sorted(EVAL_METHODS))
+def test_every_checkpoint_criterion_bitwise_equals_the_unqueried_backward_path(monkeypatch,
+                                                                              method):
+    references = []
+
+    def wrap(evaluate):
+        def both(sampler, target, n, rng, exact, **kwargs):
+            rng_before = copy.deepcopy(rng)
+            report = evaluate(sampler, target, n, rng, exact, **kwargs)
+            references.append(evaluate(_Unqueried(sampler, target), target, n, rng_before,
+                                       ExactDraws(exact.points), **kwargs))
+            return report
+        return both
+
+    record, _ = _eval_run(monkeypatch, method, wrap)
+    reports = record.seed_records[0].raw_reports
+    names = MetricReport.CRITERIA + ("elbo_se", "eubo_se", "w2_converged")
+    assert [[getattr(r, k) for k in names] for r in reports] == \
+        [[getattr(r, k) for k in names] for r in references]
+    assert all(r.eubo is not None and np.isfinite(r.eubo) for r in reports)
 
 
 # ------------------------------------------------------------------- ablations

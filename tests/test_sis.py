@@ -247,6 +247,23 @@ def test_backward_sweep_makes_one_move_fewer_than_temperatures(monkeypatch, flow
     assert moved_to == list(range(big_t - 1, 0, -1))
 
 
+def test_hmc_move_builds_pi_t_only_where_the_metropolis_test_reads_it(monkeypatch):
+    # the inner leapfrog positions x_1..x_{L-1} read the score alone; pi_t's value
+    # is built at x and at the proposed point x_L, while each position costs 1 NFE
+    target = make_mog_target(2, seed=0)
+    path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 60.0), target, 4)
+    x = path.proposal.sample(RngStream(1, 0), 8)
+    query = target.logdensity_and_grad(x)
+    built = []
+    log_density = path.proposal.log_density
+    monkeypatch.setattr(path.proposal, "log_density",
+                        lambda pts: built.append(len(pts)) or log_density(pts))
+    target.nfe.reset()
+    sis._mcmc_move(x, path, 2, hmc_cfg(0.5), RngStream(2, 0), query)
+    assert built == [8, 8]
+    assert target.nfe.value == 8 * hmc_cfg().leapfrog_steps
+
+
 def test_backward_forward_z_identity_gaussian():
     # E_pi[1/w] = 1/Z exactly; batch means give an honest standard error
     target = make_unnormalized_gaussian_target(1, scale=1.0)
@@ -448,6 +465,21 @@ def test_backward_ais_bitwise_equals_reference_loop(target_name, kernel):
     cfg = REFERENCE_KERNELS[kernel]
     samples = path.target.exact_sampler(RngStream(3, 0), 50)
     lw = backward_transport_logweights(path, cfg, samples, RngStream(4, 0))
+    _assert_bitwise(lw, _reference_backward(path, cfg, samples, RngStream(4, 0)))
+
+
+@pytest.mark.parametrize("kernel", ["hmc", "mh"])
+@pytest.mark.parametrize("target_name", sorted(REFERENCE_TARGETS))
+def test_backward_ais_from_a_given_query_bitwise_equals_reference_loop(target_name, kernel):
+    # the harness makes the fused query at the target samples once and passes it in
+    path = _reference_path(target_name)
+    cfg = REFERENCE_KERNELS[kernel]
+    samples = path.target.exact_sampler(RngStream(3, 0), 50)
+    query = path.target.logdensity_and_grad(samples)
+    path.target.nfe.reset()
+    lw = backward_transport_logweights(path, cfg, samples, RngStream(4, 0), query=query)
+    steps = cfg.leapfrog_steps if kernel == "hmc" else cfg.n_substeps
+    assert path.target.nfe.value == 50 * (path.n_steps - 1) * steps  # the moves alone
     _assert_bitwise(lw, _reference_backward(path, cfg, samples, RngStream(4, 0)))
 
 

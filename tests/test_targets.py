@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from samplebench.errors import IngestionError, UsageError
-from samplebench.harness.registry import DEFAULT_SIGMA0
+from samplebench.harness.registry import DEFAULT_SIGMA0, TARGETS, build_target
 from samplebench.numerics import RngStream
 from samplebench.targets import mixtures
 from samplebench.targets import (
@@ -64,6 +64,24 @@ def test_fused_call_counts_one_nfe_per_point():
     assert t.nfe.value == 1
     t.log_density(np.zeros((7, 2)))
     assert t.nfe.value == 8
+
+
+CONTRACT_TARGETS = [("mog", {}), ("mog", {"dim": 50}), ("mos", {}), ("funnel", {}),
+                    ("gaussian", {}), ("brownian", {}), ("logistic", None)]
+
+
+@pytest.mark.parametrize("name,params", CONTRACT_TARGETS,
+                         ids=[n + (f"_d{p['dim']}" if p else "") for n, p in CONTRACT_TARGETS])
+def test_value_alone_bitwise_equals_the_fused_value(name, params, toy_csv):
+    # the harness queries the exact draws once, fused, and hands that value to
+    # backward paths that otherwise read the value-only entry
+    target = build_target(name, {"csv_path": str(toy_csv)} if params is None else params)
+    x = DEFAULT_SIGMA0[name] * RngStream(40, target.dim).normal((64, target.dim))
+    assert target.log_unnorm(x).tobytes() == target.log_unnorm_and_grad(x)[0].tobytes()
+
+
+def test_contract_cases_cover_every_shipped_target():
+    assert {name for name, _ in CONTRACT_TARGETS} == set(TARGETS)
 
 
 def test_nonfinite_point_rejected():
