@@ -34,10 +34,10 @@ for r, lg, ls in zip(ray[:, 0], mog.log_unnorm(ray), mos.log_unnorm(ray)):
 
 # The funnel couples the first coordinate to the variance of the other nine.
 funnel = make_funnel_target()
-print(f"\nfunnel at the origin: {funnel.log_density(np.zeros(10)):.4f} (= -10.2880)")
+print(f"\nfunnel at the origin: {funnel.log_density(np.zeros((1, 10)))[0]:.4f} (= -10.2880)")
 
 # Brownian smoothing: 32 unknowns, observations frozen from a fixed seed.
 brownian = make_brownian_target()
-theta = np.zeros(32)
-print(f"brownian at zero: {brownian.log_density(theta):.4f}")
+theta = np.zeros((1, 32))
+print(f"brownian at zero: {brownian.log_density(theta)[0]:.4f}")
 print(f"NFE counters so far: mog={mog.nfe.value}, brownian={brownian.nfe.value}")

@@ -45,7 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     met_p.add_argument("--weights-col", default="log_w")
     met_p.add_argument("--target", required=True)
     met_p.add_argument("--dim", type=int, default=None)
-    met_p.add_argument("--target-seed", type=int, default=0)
+    met_p.add_argument("--target-seed", type=int, default=None,
+                       help="mog/mos layout seed (default: the builder's layout, as `run` "
+                            "uses) and the exact-draw stream's seed (default 0)")
     met_p.add_argument("--csv-path", default=None, help="dataset path for logistic targets")
     met_p.add_argument("--ipm-samples", type=int, default=None,
                        help="samples for MMD and W2 (default: the protocol's ipm_subsample)")
@@ -93,10 +95,14 @@ def _cmd_ablate(args) -> int:
 def _load_samples_csv(path, weights_col):
     import numpy as np
 
+    from .errors import IngestionError
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
     if not x_cols:
@@ -119,7 +125,7 @@ def _cmd_metrics(args) -> int:
     params = {}
     if args.dim is not None:
         params["dim"] = args.dim
-    if args.target == "mog" or args.target == "mos":
+    if args.target in ("mog", "mos") and args.target_seed is not None:
         params["seed"] = args.target_seed
     if args.target == "logistic":
         if not args.csv_path:
@@ -134,7 +140,7 @@ def _cmd_metrics(args) -> int:
     ipm_samples = args.ipm_samples if args.ipm_samples is not None else protocol.ipm_subsample
     y = None
     if target.exact_sampler is not None:
-        y = target.exact_sampler(RngStream(args.target_seed, 999), min(ipm_samples, len(x)))
+        y = target.exact_sampler(RngStream(args.target_seed or 0, 999), min(ipm_samples, len(x)))
     report = sample_criteria(x, log_w, target, y, ipm_samples, protocol.sinkhorn_iters)
     names = MetricReport.CRITERIA + ("w2_converged",)
     text = json.dumps({name: getattr(report, name) for name in names

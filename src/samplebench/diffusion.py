@@ -401,7 +401,7 @@ def kernel_pair(spec: DiffusionSpec, t: int, x, score=None):
     if score is None and spec.method in LANGEVIN_METHODS:
         raise UsageError("Langevin methods need the annealed score at the anchor state")
     sched = _resolve_schedule(spec)
-    anchor = _Anchor(spec, sched, None, np.atleast_2d(np.asarray(x, dtype=float)), t, score)
+    anchor = _Anchor(spec, sched, None, x, t, score)
     return tuple(_kernel_means(spec, sched, anchor, t, forward) for forward in (True, False))
 
 
@@ -463,10 +463,9 @@ def simulate_backward_logweights(spec: DiffusionSpec, target: TargetDensity,
     samples, when already made; without it the endpoint makes its own.
     Returns per-sample extended forward log-weights for EUBO_f / ESS_f / Z_f.
     """
-    x = np.atleast_2d(np.asarray(target_samples, dtype=float))
     sched = _resolve_schedule(spec)
-    draws = _normal_draws(rng, x.shape)
-    anchor = _Anchor(spec, sched, target, x, spec.n_steps, query=query)
+    draws = _normal_draws(rng, target_samples.shape)
+    anchor = _Anchor(spec, sched, target, target_samples, spec.n_steps, query=query)
     log_gamma = anchor.log_gamma
     log_b_terms, log_f_terms = [], []
     for s in range(spec.n_steps, 0, -1):

@@ -120,7 +120,7 @@ class MfviSampler:
         return x, lw
 
     def backward_logweights(self, target_samples, rng, query):
-        return query[0] - self.q.log_density(np.atleast_2d(target_samples))
+        return query[0] - self.q.log_density(target_samples)
 
 
 @dataclass

@@ -100,7 +100,6 @@ def mh_step(x, logdensity, proposal_scale, rng: RngStream, current_logdensity=No
     """
     if proposal_scale <= 0:
         raise UsageError("proposal_scale must be positive")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     lp = logdensity(x) if current_logdensity is None else np.asarray(current_logdensity)
     prop = x + proposal_scale * rng.normal(x.shape)
     lp_prop = logdensity(prop)
@@ -139,7 +138,6 @@ def hmc_step(x, fused_logdensity_and_grad, cfg: HmcConfig, rng: RngStream, beta:
     positions, where no value is read.
     Returns (x', accepted, (value, grad) at x').
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     eps = cfg.step_size(beta)
     if current is None:
         val0, grad0 = fused_logdensity_and_grad(x)

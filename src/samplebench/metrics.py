@@ -28,6 +28,15 @@ REVERSE = "reverse"
 FORWARD = "forward"
 
 
+def _clouds(*clouds):
+    """The point clouds as 2-D float arrays of one dimension d; UsageError otherwise."""
+    out = [np.asarray(c, dtype=float) for c in clouds]
+    if any(c.ndim != 2 for c in out) or len({c.shape[1] for c in out}) != 1:
+        raise UsageError(f"point clouds of shapes {[c.shape for c in out]} are not (n, d) "
+                         "batches of one d")
+    return out
+
+
 @dataclass
 class WeightedSamples:
     """n points with log importance weights and the direction they were drawn in."""
@@ -37,7 +46,7 @@ class WeightedSamples:
     direction: str
 
     def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        (self.samples,) = _clouds(self.samples)
         self.log_w = np.asarray(self.log_w, dtype=float)
         if len(self.samples) != len(self.log_w):
             raise UsageError("samples and log_w length mismatch")
@@ -111,7 +120,9 @@ def ess_estimates(ws: WeightedSamples) -> float:
 
 # ------------------------------------------------------------- mode coverage
 def _validate_mode_rows(mode_probs):
-    p = np.atleast_2d(np.asarray(mode_probs, dtype=float))
+    p = np.asarray(mode_probs, dtype=float)
+    if p.ndim != 2:
+        raise UsageError(f"mode probabilities of shape {p.shape} are not (n, M) rows")
     if p.shape[1] < 2:
         raise UsageError("mode probabilities need at least 2 modes")
     if np.any(p < -1e-12) or not np.allclose(p.sum(axis=1), 1.0, atol=1e-9):
@@ -125,7 +136,8 @@ def emc(mode_probs) -> float:
     p = _validate_mode_rows(mode_probs)
     q = p.mean(axis=0)
     nz = q > 0
-    return float(-(q[nz] * np.log(q[nz])).sum() / np.log(p.shape[1]))
+    # + 0.0 turns the -0.0 of samples in one mode (-(1 * log 1)) into 0.0
+    return float(-(q[nz] * np.log(q[nz])).sum() / np.log(p.shape[1])) + 0.0
 
 
 def ejs(mode_probs, true_probs) -> float:
@@ -182,8 +194,7 @@ def _sq_distances(x, y=None):
 
 
 def _pooled_sq_distances(x, y):
-    pooled = np.concatenate([np.atleast_2d(x), np.atleast_2d(y)], axis=0)
-    return _sq_distances(pooled)
+    return _sq_distances(np.concatenate([x, y], axis=0))
 
 
 def _median_upper(d2) -> float:
@@ -205,8 +216,7 @@ def _median_upper(d2) -> float:
 
 def mmd_squared(x, y, bandwidth: Optional[float] = None) -> float:
     """Unbiased MMD^2 estimate (may be negative) with a squared-exponential kernel."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    x, y = _clouds(x, y)
     n, m = len(x), len(y)
     if n < 2 or m < 2:
         raise UsageError("mmd needs at least 2 points in each sample")
@@ -272,8 +282,7 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
     rounding.  A converged exit returns the checked iterate, so W2 is the value
     a check over the full plan would give.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    x, y = _clouds(x, y)
     if len(x) < 1 or len(y) < 1:
         raise UsageError("sinkhorn_w2 needs nonempty samples")
     if epsilon <= 0:

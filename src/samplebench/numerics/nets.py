@@ -74,14 +74,9 @@ def drift_forward(net: DriftNet, x, t: float, score=None, params=None):
     inputs = [x, score] + [p[name] for name in names]
     is_var = [isinstance(v, Var) for v in inputs]
     x, score, *weights = [v.value if var else v for v, var in zip(inputs, is_var)]
-    single = not is_var[0] and np.ndim(x) == 1
-    if single:
-        x = np.asarray(x, dtype=float)[None, :]
-        if score is not None:
-            score = np.asarray(score, dtype=float)[None, :]
-    d = x.shape[-1]
-    if d != net.dim:
-        raise UsageError(f"input dimension {d} does not match network dimension {net.dim}")
+    d = net.dim
+    if np.ndim(x) != 2 or x.shape[1] != d:
+        raise UsageError(f"input of shape {np.shape(x)} is not an (n, {d}) batch")
     if net.guidance:
         if score is None:
             raise UsageError("guidance is enabled but no score was provided")
@@ -99,7 +94,7 @@ def drift_forward(net: DriftNet, x, t: float, score=None, params=None):
     if net.guidance:
         out = out + score * weights[-1][idx]
     if not any(is_var):
-        return out[0] if single else out
+        return out
     parents = [v for v, var in zip(inputs, is_var) if var]
     vjp = _drift_vjp(is_var, x, score, weights, hidden, emb, idx, net.guidance)
     return parents[0].tape.custom(out, parents, vjp, op="drift_net")

@@ -38,6 +38,3 @@ class RngStream:
     def choice(self, n, size, p):
         self.counter += 1
         return self._gen.choice(n, size=size, p=p, replace=True)
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"

@@ -99,13 +99,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent):
-        a = self.value
-        p = float(exponent)
-        return self.tape._record(
-            a**p, (self.index,), lambda g: (g * p * a ** (p - 1),), "pow"
-        )
-
     # -- linear algebra ----------------------------------------------------
     def __matmul__(self, other):
         if not isinstance(other, Var):

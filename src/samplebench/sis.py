@@ -221,8 +221,7 @@ def backward_transport_logweights(path: AnnealedPath, kernel_cfg, target_samples
     samples, when already made; without it the first reweight makes its own.
     Returns the per-sample extended forward log-weights for EUBO / ESS_f / Z_f.
     """
-    x = np.atleast_2d(np.asarray(target_samples, dtype=float))
-    ps, _ = _sweep(path, kernel_cfg, x, rng, flows, backward=True, query=query)
+    ps, _ = _sweep(path, kernel_cfg, target_samples, rng, flows, backward=True, query=query)
     return ps.log_weights
 
 

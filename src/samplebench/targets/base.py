@@ -1,7 +1,8 @@
 """Target density interface: unnormalized log-density, score, and extras.
 
-Target contract.  A target supplies two batch callables over (n, d) float
-arrays of finite points:
+Target contract.  Every point set is an (n, d) float batch; a single point is
+the batch x[None, :] of shape (1, d), never a 1-D array.  A target supplies two
+batch callables over (n, d) arrays of finite points:
 
 - `log_unnorm(x) -> (n,)`: log gamma(x), the value alone;
 - `log_unnorm_and_grad(x) -> ((n,), (n, d))`: the value and the score
@@ -10,9 +11,10 @@ arrays of finite points:
 
 Both must return the same value.  `score_hvp(x, v) -> (n, d)`, when present,
 is the Hessian-vector product of log gamma at x; it lets the score take part
-in reverse-mode training.  The callables may assume 2-D input; the public
-methods of `TargetDensity` check shape and finiteness and count one NFE per
-point per call.
+in reverse-mode training.  The callables may assume 2-D input: the public
+methods of `TargetDensity` raise `UsageError` on any other shape or on a
+non-finite point, count one NFE per point per call and return the callables'
+output as is.
 """
 
 from __future__ import annotations
@@ -80,32 +82,21 @@ class TargetDensity:
         self.grad_log_unnorm = lambda x: self.log_unnorm_and_grad(x)[1]
 
     def _batch(self, x) -> np.ndarray:
+        """x as an (n, dim) float batch of finite points, counted as n NFE."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.shape[-1] != self.dim:
-            raise UsageError(f"point dimension {x.shape[-1]} != target dimension {self.dim}")
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise UsageError(f"points of shape {x.shape} are not an (n, {self.dim}) batch")
         if not np.all(np.isfinite(x)):
             raise UsageError("target evaluated at non-finite point")
+        self.nfe.add(len(x))
         return x
 
     def log_density(self, x) -> np.ndarray:
-        xb = self._batch(x)
-        self.nfe.add(len(xb))
-        out = self.log_unnorm(xb)
-        return out[0] if np.ndim(x) == 1 else out
+        return self.log_unnorm(self._batch(x))
 
     def grad(self, x) -> np.ndarray:
-        xb = self._batch(x)
-        self.nfe.add(len(xb))
-        out = self.grad_log_unnorm(xb)
-        return out[0] if np.ndim(x) == 1 else out
+        return self.grad_log_unnorm(self._batch(x))
 
     def logdensity_and_grad(self, x):
         """Fused value+gradient from one `log_unnorm_and_grad` pass; one NFE per point."""
-        xb = self._batch(x)
-        self.nfe.add(len(xb))
-        vals, grads = self.log_unnorm_and_grad(xb)
-        if np.ndim(x) == 1:
-            return vals[0], grads[0]
-        return vals, grads
+        return self.log_unnorm_and_grad(self._batch(x))

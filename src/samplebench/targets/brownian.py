@@ -36,7 +36,6 @@ def make_brownian_target(observation_seed: int = 11) -> TargetDensity:
 
     def parts(theta):
         """Log-scales, squared increment and residual sums, and inverse variances."""
-        theta = np.atleast_2d(theta)
         u_inn, u_obs, x = theta[:, 0], theta[:, 1], theta[:, 2:]
         inc = np.diff(x, axis=1, prepend=0.0)
         resid = x[:, OBS_INDICES] - y

@@ -17,11 +17,9 @@ def make_funnel_target(dim: int = 10, sigma_f_sq: float = 9.0) -> TargetDensity:
         return lead + rest_term
 
     def log_unnorm(x):
-        x = np.atleast_2d(x)
         return value(x[:, 0], np.sum(x[:, 1:] ** 2, axis=1), np.exp(-x[:, 0]))
 
     def log_unnorm_and_grad(x):
-        x = np.atleast_2d(x)
         x1 = x[:, 0]
         rest = x[:, 1:]
         rest_sq = np.sum(rest**2, axis=1)

@@ -27,19 +27,16 @@ class DiagonalGaussian:
         return len(self.mean)
 
     def log_density(self, x) -> np.ndarray:
-        single = np.ndim(x) == 1
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.dim:
-            raise UsageError(f"dimension mismatch: {x.shape[1]} != {self.dim}")
+        """log N(x) of an (n, dim) batch, (n,)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise UsageError(f"dimension mismatch: points of shape {x.shape} are not an "
+                             f"(n, {self.dim}) batch")
         z = (x - self.mean) / np.exp(self.log_std)
-        out = -0.5 * np.sum(z**2, axis=-1) - np.sum(self.log_std) - 0.5 * self.dim * LOG_2PI
-        return out[0] if single else out
+        return -0.5 * np.sum(z**2, axis=1) - np.sum(self.log_std) - 0.5 * self.dim * LOG_2PI
 
     def grad_log_density(self, x) -> np.ndarray:
-        single = np.ndim(x) == 1
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = -(x - self.mean) / np.exp(2.0 * self.log_std)
-        return out[0] if single else out
+        return -(x - self.mean) / np.exp(2.0 * self.log_std)
 
     def sample(self, rng, n: int) -> np.ndarray:
         return self.mean + np.exp(self.log_std) * rng.normal((n, self.dim))
@@ -70,10 +67,10 @@ def make_unnormalized_gaussian_target(dim: int, scale: float = 1.0) -> TargetDen
     log_z = 0.5 * dim * (LOG_2PI + np.log(var))
 
     def log_unnorm(x):
-        return -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=-1) / var
+        return -0.5 * np.sum(x**2, axis=1) / var
 
     def log_unnorm_and_grad(x):
-        return log_unnorm(x), -np.atleast_2d(x) / var
+        return log_unnorm(x), -x / var
 
     dist = DiagonalGaussian.isotropic(dim, scale)
     return TargetDensity(

@@ -67,17 +67,14 @@ def load_regression_target(csv_path, prior_scale: float = 1.0, add_bias: bool = 
         return prior + loglik.sum(axis=1)
 
     def log_unnorm(x):
-        x = np.atleast_2d(x)
         return value(x, x @ u.T)
 
     def log_unnorm_and_grad(x):
-        x = np.atleast_2d(x)
         logits = x @ u.T
         sig = 1.0 / (1.0 + np.exp(-logits))
         return value(x, logits), -x / var_w + (labels - sig) @ u
 
     def hvp(x, v):
-        x = np.atleast_2d(x)
         sig = 1.0 / (1.0 + np.exp(-(x @ u.T)))
         w = sig * (1.0 - sig)  # (n_points, n_data)
         return -v / var_w - (w * (v @ u.T)) @ u

@@ -81,18 +81,16 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
             return comp
 
         def log_unnorm(x):
-            x = np.atleast_2d(x)
             lse, _ = _log_sum_and_resp(log_terms(x))
             return lse - 0.5 * np.sum(x * x, axis=1) - offset
 
         def log_unnorm_and_grad(x):
-            x = np.atleast_2d(x)
             lse, r = _log_sum_and_resp(log_terms(x))
             return lse - 0.5 * np.sum(x * x, axis=1) - offset, r @ means - x
 
         def hvp(x, v):
             # Hessian of log gamma = Cov_r(mu) - I, applied as E_r[mu mu^T] v - m m^T v - v
-            _, r = _log_sum_and_resp(log_terms(np.atleast_2d(x)))
+            _, r = _log_sum_and_resp(log_terms(x))
             m = r @ means
             rv = v @ means.T
             rv *= r
@@ -104,11 +102,11 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
             return _t2_logdensities((x[:, None, :] - means[None, :, :]) ** 2)
 
         def log_unnorm(x):
-            lse, _ = _log_sum_and_resp(log_terms(np.atleast_2d(x)))
+            lse, _ = _log_sum_and_resp(log_terms(x))
             return lse - log_k
 
         def log_unnorm_and_grad(x):
-            diff = np.atleast_2d(x)[:, None, :] - means[None, :, :]  # (n, K, d)
+            diff = x[:, None, :] - means[None, :, :]  # (n, K, d)
             diff_sq = diff**2
             lse, r = _log_sum_and_resp(_t2_logdensities(diff_sq))
             # d/dx log t_2 per coordinate: -3u/(2+u^2), u = x - mu
@@ -123,7 +121,7 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
         return means[comps] + noise
 
     def mode_probs(x):
-        idx = np.argmax(log_terms(np.atleast_2d(x)), axis=1)  # ties resolve to the lowest index
+        idx = np.argmax(log_terms(x), axis=1)  # ties resolve to the lowest index
         out = np.zeros((len(idx), k))
         out[np.arange(len(idx)), idx] = 1.0
         return out

@@ -866,7 +866,7 @@ def test_cli_metrics_subcommand(tmp_path, capsys):
     lines = ["x_1,x_2,log_w"] + [f"{a},{b},{w}" for (a, b), w in zip(x, lw)]
     path.write_text("\n".join(lines) + "\n")
     code = main(["metrics", "--samples", str(path), "--target", "mog", "--dim", "2",
-                 "--ipm-samples", "64"])
+                 "--target-seed", "0", "--ipm-samples", "64"])
     assert code == 0
     out = capsys.readouterr().out
     report = json.loads(out[out.index("{"):])
@@ -874,6 +874,29 @@ def test_cli_metrics_subcommand(tmp_path, capsys):
     assert 0.9 < report["emc"] <= 1.0  # exact samples cover the modes
     assert report["w2"] > 0.0
     assert isinstance(report["w2_converged"], bool)
+
+
+def test_cli_metrics_default_mog_layout_is_the_run_layout(tmp_path, capsys):
+    # without --target-seed the samples are scored against make_mog_target's
+    # own layout, the one `samplebench run` builds
+    from samplebench.cli import main
+
+    x = make_mog_target(2).exact_sampler(RngStream(3, 0), 500)
+    path = tmp_path / "samples.csv"
+    path.write_text("\n".join(["x_1,x_2"] + [f"{a},{b}" for a, b in x]) + "\n")
+    code = main(["metrics", "--samples", str(path), "--target", "mog", "--ipm-samples", "16"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["emc"] > 0.95
+
+
+def test_cli_metrics_header_only_csv_is_a_usage_error(tmp_path, capsys):
+    from samplebench.cli import main
+
+    path = tmp_path / "samples.csv"
+    path.write_text("x_1,x_2,log_w\n")
+    assert main(["metrics", "--samples", str(path), "--target", "mog"]) == 2
+    assert "no data rows" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- imports

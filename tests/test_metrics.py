@@ -124,6 +124,7 @@ def test_emc_single_mode_is_zero():
     rows = np.zeros((10, 4))
     rows[:, 2] = 1.0
     assert emc(rows) == 0.0
+    assert math.copysign(1.0, emc(rows)) == 1.0  # the mode-collapse value prints as 0.0, not -0.0
 
 
 def test_emc_uniform_coverage_is_one():
@@ -288,6 +289,13 @@ def test_mmd_too_few_points():
         mmd(np.zeros((1, 2)), np.zeros((5, 2)))
 
 
+@pytest.mark.parametrize("criterion", [mmd, mmd_squared, sinkhorn_w2])
+def test_ipm_clouds_of_different_dimension_raise(criterion):
+    rng = RngStream(23, 0)
+    with pytest.raises(UsageError):
+        criterion(rng.normal((5, 2)), rng.normal((5, 3)))
+
+
 # ------------------------------------------------------------------- sinkhorn
 def test_sinkhorn_identical_point():
     val, converged = sinkhorn_w2(np.zeros((1, 1)), np.zeros((1, 1)))
@@ -298,6 +306,13 @@ def test_sinkhorn_identical_point():
 def test_sinkhorn_single_pair_distance():
     val, _ = sinkhorn_w2(np.array([[0.0]]), np.array([[3.0]]))
     assert val == pytest.approx(3.0, abs=1e-3)
+
+
+def test_sinkhorn_scalar_samples_as_one_column():
+    # four scalar samples against the same shifted by 10: W2 is the shift
+    val, converged = sinkhorn_w2(np.arange(4.0)[:, None], np.arange(10.0, 14.0)[:, None])
+    assert val == pytest.approx(10.0, abs=1e-6)
+    assert converged
 
 
 def test_sinkhorn_swap_symmetry_bit_identical():

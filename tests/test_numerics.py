@@ -247,15 +247,15 @@ def test_driftnet_init_outputs_guided_score_exactly():
 def test_driftnet_no_guidance_zero_at_init():
     rng = RngStream(8, 0)
     net = DriftNet.init(dim=2, n_steps=8, rng=rng, guidance=False)
-    out = drift_forward(net, np.array([0.3, -0.7]), 0.25)
-    np.testing.assert_array_equal(out, np.zeros(2))
+    out = drift_forward(net, np.array([[0.3, -0.7]]), 0.25)
+    np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
 
 def test_driftnet_dimension_mismatch():
     rng = RngStream(9, 0)
     net = DriftNet.init(dim=2, n_steps=8, rng=rng)
     with pytest.raises(UsageError):
-        drift_forward(net, np.zeros(3), 0.5, np.zeros(3))
+        drift_forward(net, np.zeros((1, 3)), 0.5, np.zeros((1, 3)))
 
 
 def test_driftnet_gradients_match_finite_differences():

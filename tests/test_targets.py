@@ -5,9 +5,12 @@ import pytest
 
 from samplebench.errors import IngestionError, UsageError
 from samplebench.harness.registry import DEFAULT_SIGMA0, TARGETS, build_target
+from samplebench.metrics import REVERSE, WeightedSamples, ejs, emc, mmd, mmd_squared, sinkhorn_w2
 from samplebench.numerics import RngStream
+from samplebench.numerics.nets import DriftNet, drift_forward
 from samplebench.targets import mixtures
 from samplebench.targets import (
+    DiagonalGaussian,
     MixtureSpec,
     make_brownian_target,
     make_funnel_target,
@@ -34,9 +37,9 @@ def fd_grad(f, x, eps=1e-6):
 
 def assert_grad_matches(target, points, rtol=1e-5, atol=1e-7):
     for x in points:
-        val, grad = target.logdensity_and_grad(x)
+        _, grad = target.logdensity_and_grad(x[None, :])
         fd = fd_grad(lambda p: target.log_unnorm(p[None, :])[0], x)
-        np.testing.assert_allclose(grad, fd, rtol=rtol, atol=atol)
+        np.testing.assert_allclose(grad[0], fd, rtol=rtol, atol=atol)
 
 
 @pytest.mark.parametrize(
@@ -60,10 +63,37 @@ def test_gradients_match_finite_differences_at_50_points(factory, dim, scale):
 def test_fused_call_counts_one_nfe_per_point():
     t = make_gaussian_target(2)
     t.nfe.reset()
-    t.logdensity_and_grad(np.zeros(2))
+    t.logdensity_and_grad(np.zeros((1, 2)))
     assert t.nfe.value == 1
     t.log_density(np.zeros((7, 2)))
     assert t.nfe.value == 8
+
+
+def _one_dimensional_calls():
+    target = make_gaussian_target(2)
+    net = DriftNet.init(dim=2, n_steps=8, rng=RngStream(0, 0))
+    x, y = np.arange(4.0), np.arange(10.0, 14.0)  # read as 4 scalar samples, their W2 is 10
+    return {
+        "target.log_density": lambda: target.log_density(np.zeros(2)),
+        "target.grad": lambda: target.grad(np.zeros(2)),
+        "target.logdensity_and_grad": lambda: target.logdensity_and_grad(np.zeros(2)),
+        "DiagonalGaussian.log_density": lambda: DiagonalGaussian.isotropic(2).log_density(
+            np.zeros(2)),
+        "WeightedSamples": lambda: WeightedSamples(x, np.zeros(4), REVERSE),
+        "mmd_squared": lambda: mmd_squared(x, y),
+        "mmd": lambda: mmd(x, y),
+        "sinkhorn_w2": lambda: sinkhorn_w2(x, y),
+        "emc": lambda: emc(np.array([0.5, 0.5])),
+        "ejs": lambda: ejs(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+        "drift_forward": lambda: drift_forward(net, np.zeros(2), 0.5, np.zeros(2)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_one_dimensional_calls()))
+def test_one_dimensional_input_raises_at_every_public_boundary(entry):
+    # one input format: a single point is the (1, d) batch x[None, :], never a 1-D array
+    with pytest.raises(UsageError, match=r"\(n, "):
+        _one_dimensional_calls()[entry]()
 
 
 CONTRACT_TARGETS = [("mog", {}), ("mog", {"dim": 50}), ("mos", {}), ("funnel", {}),
@@ -87,12 +117,12 @@ def test_contract_cases_cover_every_shipped_target():
 def test_nonfinite_point_rejected():
     t = make_gaussian_target(2)
     with pytest.raises(UsageError):
-        t.log_density(np.array([np.nan, 0.0]))
+        t.log_density(np.array([[np.nan, 0.0]]))
 
 
 def test_standard_gaussian_score_is_minus_x():
     t = make_gaussian_target(4)
-    x = np.array([0.5, -1.0, 2.0, 0.0])
+    x = np.array([[0.5, -1.0, 2.0, 0.0]])
     _, g = t.logdensity_and_grad(x)
     np.testing.assert_allclose(g, -x, atol=1e-12)
 
@@ -100,7 +130,7 @@ def test_standard_gaussian_score_is_minus_x():
 # --------------------------------------------------------------------- funnel
 def test_funnel_at_origin_matches_closed_form():
     t = make_funnel_target(10)
-    val = t.log_density(np.zeros(10))
+    (val,) = t.log_density(np.zeros((1, 10)))
     expected = -0.5 * (LOG_2PI + math.log(9.0)) + 9 * (-0.5 * LOG_2PI)
     assert val == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(-10.2880, abs=5e-4)
@@ -142,21 +172,20 @@ def test_mog_logdensity_at_isolated_mean():
     np.fill_diagonal(dists, np.inf)
     isolated = int(np.argmax(dists.min(axis=1)))
     if dists.min(axis=1)[isolated] > 20:
-        val = t.log_density(means[isolated])
+        (val,) = t.log_density(means[isolated][None, :])
         assert val == pytest.approx(-math.log(40) - LOG_2PI, abs=1e-6)
     # always check the fully controlled variant too
     spec2 = MixtureSpec(2, 2, "gaussian", -40, 40, seed=1)
     means2 = spec2.draw_means()
     if np.linalg.norm(means2[0] - means2[1]) > 20:
         t2 = make_mixture_target(spec2)
-        assert t2.log_density(means2[0]) == pytest.approx(-math.log(2) - LOG_2PI, abs=1e-6)
+        assert t2.log_density(means2[:1])[0] == pytest.approx(-math.log(2) - LOG_2PI, abs=1e-6)
 
 
 def test_mos_tails_are_cubic_per_coordinate():
     t = make_mos_target(1, seed=2)
     # far from all means, log gamma ~ -3 log|x| per coordinate
-    v1 = t.log_density(np.array([1e4]))
-    v2 = t.log_density(np.array([1e5]))
+    v1, v2 = t.log_density(np.array([[1e4], [1e5]]))
     slope = (v2 - v1) / (math.log(1e5) - math.log(1e4))
     assert slope == pytest.approx(-3.0, abs=0.01)
 
@@ -184,7 +213,7 @@ def test_mode_assign_tie_breaks_low_index():
     spec = MixtureSpec(2, 1, "gaussian", -10, 10, seed=0)
     means = spec.draw_means()
     midpoint = means.mean(axis=0)
-    one_hot = make_mixture_target(spec).mode_model.prob(midpoint)[0]
+    one_hot = make_mixture_target(spec).mode_model.prob(midpoint[None, :])[0]
     idx = int(np.argmax(one_hot))
     assert idx == 0
     np.testing.assert_array_equal(one_hot, [1.0, 0.0])
@@ -336,13 +365,13 @@ def test_logistic_value_at_zero(toy_csv):
     t = load_regression_target(toy_csv, prior_scale=1.0)
     n = 40
     expected = n * math.log(0.5) - (t.dim / 2) * math.log(2 * math.pi * 1.0)
-    assert t.log_density(np.zeros(t.dim)) == pytest.approx(expected, abs=1e-9)
+    assert t.log_density(np.zeros((1, t.dim)))[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_logistic_gradient_at_zero(toy_csv):
     t = load_regression_target(toy_csv, prior_scale=1.0)
     # read back the standardized design matrix through the gradient identity
-    g = t.grad(np.zeros(t.dim))
+    (g,) = t.grad(np.zeros((1, t.dim)))
     fd = fd_grad(lambda p: t.log_unnorm(p[None, :])[0], np.zeros(t.dim))
     np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
@@ -357,7 +386,7 @@ def test_logistic_separable_scan_monotone_until_prior_wins(tmp_path):
     path.write_text("f,label\n-1.0,0\n1.0,1\n")
     t = load_regression_target(path, prior_scale=1.0)
     alphas = np.linspace(0.0, 6.0, 25)
-    vals = [t.log_density(np.array([a])) for a in alphas]
+    vals = t.log_density(alphas[:, None])
     diffs = np.diff(vals)
     # increases along the separating direction, then the prior dominates
     assert diffs[0] > 0

@@ -12,7 +12,7 @@ from samplebench.vi import mfvi_train
 
 def test_logdensity_standard_at_zero():
     q = DiagonalGaussian(np.zeros(1), np.zeros(1))
-    assert q.log_density(np.zeros(1)) == pytest.approx(-0.918939, abs=1e-6)
+    assert q.log_density(np.zeros((1, 1)))[0] == pytest.approx(-0.918939, abs=1e-6)
 
 
 def test_logdensity_rejects_wrong_dimension():
@@ -27,14 +27,14 @@ def test_logdensity_shift_invariance():
     delta = rng.normal(3)
     q_shift = DiagonalGaussian(m, np.full(3, 0.3))
     q_zero = DiagonalGaussian(np.zeros(3), np.full(3, 0.3))
-    assert q_shift.log_density(m + delta) == pytest.approx(
-        q_zero.log_density(delta), abs=1e-12
+    assert q_shift.log_density((m + delta)[None, :])[0] == pytest.approx(
+        q_zero.log_density(delta[None, :])[0], abs=1e-12
     )
 
 
 def test_logdensity_integrates_to_one():
     q = DiagonalGaussian(np.array([0.4]), np.array([-0.2]))
-    val, _ = quad(lambda x: math.exp(q.log_density(np.array([x]))), -10, 10,
+    val, _ = quad(lambda x: math.exp(q.log_density(np.array([[x]]))[0]), -10, 10,
                   epsabs=1e-12)
     assert val == pytest.approx(1.0, abs=1e-10)
 
