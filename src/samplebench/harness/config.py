@@ -25,8 +25,19 @@ class Protocol:
     n_checkpoints: int = 100
     running_avg_len: int = 5
     eval_samples: int = 2000
-    ipm_subsample: int = 512
+    ipm_subsample: int = 512  # 0: no MMD or W2
     sinkhorn_iters: int = 300
+
+    def check(self):
+        """Reject a value outside the range its criteria are defined on."""
+        for key, low in (("n_checkpoints", 1), ("running_avg_len", 1), ("eval_samples", 2),
+                         ("sinkhorn_iters", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"protocol key {key!r} must be at least {low}, "
+                                  f"got {getattr(self, key)}")
+        if self.ipm_subsample != 0 and self.ipm_subsample < 2:
+            raise ConfigError("protocol key 'ipm_subsample' must be 0 (no MMD or W2) or at "
+                              f"least 2, got {self.ipm_subsample}")
 
 
 @dataclass
@@ -94,8 +105,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     protocol = doc.get("protocol", {})
     check_params(protocol, asdict(Protocol()), "protocol")
+    protocol = Protocol(**protocol)
+    protocol.check()
     config = ExperimentConfig(target_name, target_params, method_name, method_params,
-                              Protocol(**protocol),
+                              protocol,
                               **{k: doc[k] for k in ("seeds", "output_dir") if k in doc})
     seeds = config.seeds
     if not (seeds and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)

@@ -130,14 +130,47 @@ def _validate_mode_rows(mode_probs):
     return np.clip(p, 0.0, None)
 
 
+def _validate_cells(cells, n_modes):
+    c = np.asarray(cells)
+    if c.ndim != 1 or not np.issubdtype(c.dtype, np.integer):
+        raise UsageError(f"mode cells of shape {c.shape} and dtype {c.dtype} are not "
+                         "(n,) integers")
+    if n_modes < 2:
+        raise UsageError("mode cells need at least 2 modes")
+    if len(c) and (c.min() < 0 or c.max() >= n_modes):
+        raise UsageError(f"mode cells must lie in [0, {n_modes})")
+    return c
+
+
+def _emc_of_mean(q, n_modes) -> float:
+    """EMC of the sample-averaged mode distribution q."""
+    nz = q > 0
+    # + 0.0 turns the -0.0 of samples in one mode (-(1 * log 1)) into 0.0
+    return float(-(q[nz] * np.log(q[nz])).sum() / np.log(n_modes)) + 0.0
+
+
+def _js_rows(p, q):
+    """JS divergence (nats) of each row of p from q."""
+    mid = 0.5 * (p + q)
+
+    def kl(a, b):
+        # entries with a = 0 add 0; b > 0 wherever a > 0, and 1 stands in elsewhere
+        nz = a > 0
+        log_ratio = np.log(np.where(nz, a, 1.0)) - np.log(np.where(nz, b, 1.0))
+        return np.sum(np.where(nz, a * log_ratio, 0.0), axis=-1)
+
+    return 0.5 * kl(p, mid) + 0.5 * kl(q[None, :], mid)
+
+
+def _ejs_of_js(js) -> float:
+    return float(np.mean(js) / np.log(2.0))
+
+
 def emc(mode_probs) -> float:
     """Entropic mode coverage in [0, 1]: the base-M entropy of the sample-averaged
     mode distribution."""
     p = _validate_mode_rows(mode_probs)
-    q = p.mean(axis=0)
-    nz = q > 0
-    # + 0.0 turns the -0.0 of samples in one mode (-(1 * log 1)) into 0.0
-    return float(-(q[nz] * np.log(q[nz])).sum() / np.log(p.shape[1])) + 0.0
+    return _emc_of_mean(p.mean(axis=0), p.shape[1])
 
 
 def ejs(mode_probs, true_probs) -> float:
@@ -146,18 +179,36 @@ def ejs(mode_probs, true_probs) -> float:
     q = np.asarray(true_probs, dtype=float)
     if q.shape != (p.shape[1],):
         raise UsageError("true_probs must be one probability vector over the modes")
-    mid = 0.5 * (p + q)
+    return _ejs_of_js(_js_rows(p, q))
 
-    def kl(a, b):
-        nz = a > 0
-        return np.sum(np.where(nz, a * (np.log(np.where(nz, a, 1.0)) - np.log(b)), 0.0), axis=-1)
 
-    js = 0.5 * kl(p, mid) + 0.5 * kl(q[None, :], mid)
-    return float(np.mean(js) / np.log(2.0))
+def emc_from_cells(cells, n_modes: int) -> float:
+    """`emc` of the one-hot rows of mode cells `cells` in [0, n_modes), bit for bit.
+
+    The column means of exact 0/1 rows are the cell counts over n.
+    """
+    c = _validate_cells(cells, n_modes)
+    return _emc_of_mean(np.bincount(c, minlength=n_modes) / len(c), n_modes)
+
+
+def ejs_from_cells(cells, true_probs) -> float:
+    """`ejs` of the one-hot rows of mode cells `cells`, bit for bit.
+
+    A one-hot row's JS value is the row of the (M, M) table over np.eye(M)
+    that has the same contents, so each sample gathers it by its cell.
+    """
+    q = np.asarray(true_probs, dtype=float)
+    if q.ndim != 1:
+        raise UsageError("true_probs must be one probability vector over the modes")
+    c = _validate_cells(cells, len(q))
+    return _ejs_of_js(_js_rows(np.eye(len(q)), q)[c])
 
 
 # ------------------------------------------------- integral probability metrics
 _DIST_BLOCK = 64  # rows per block of the distance loop
+# sinkhorn_w2's default regularization and tolerance
+_EPSILON = 1e-3
+_TOL = 1e-6
 
 
 def _sq_distances(x, y=None):
@@ -198,29 +249,38 @@ def _pooled_sq_distances(x, y):
 
 
 def _median_upper(d2) -> float:
-    """np.median of the strict upper triangle, by the same partition.
+    """np.median of the strict upper triangle, bit for bit, from one partition.
 
-    np.median also partitions at the last index, which holds NaN if any entry
-    is NaN; computing it here keeps np.median's lazy NaN check (and the
-    numpy.ma import it costs) out of the run.
+    After partitioning at the upper middle index, the lower middle value is the
+    largest entry before it.  Any NaN entry makes the median NaN, as in np.median.
+    Computing it here keeps np.median's lazy NaN check (and the numpy.ma import
+    it costs) out of the run.
     """
     # row slices give np.triu_indices' row-major order without its index arrays
     vals = np.concatenate([row[i + 1 :] for i, row in enumerate(d2)])
-    half = len(vals) // 2
-    even = len(vals) % 2 == 0
-    vals.partition([half - 1, half, -1] if even else [half, -1])
-    if np.isnan(vals[-1]):
+    if np.isnan(vals).any():
         return float("nan")
-    return float((vals[half - 1] + vals[half]) / 2.0 if even else vals[half])
+    half = len(vals) // 2
+    vals.partition(half)
+    if len(vals) % 2:
+        return float(vals[half])
+    return float((vals[:half].max() + vals[half]) / 2.0)
 
 
 def mmd_squared(x, y, bandwidth: Optional[float] = None) -> float:
     """Unbiased MMD^2 estimate (may be negative) with a squared-exponential kernel."""
     x, y = _clouds(x, y)
-    n, m = len(x), len(y)
-    if n < 2 or m < 2:
+    if len(x) < 2 or len(y) < 2:
         raise UsageError("mmd needs at least 2 points in each sample")
-    d2 = _pooled_sq_distances(x, y)
+    return _mmd_squared_pooled(_pooled_sq_distances(x, y), len(x), bandwidth)
+
+
+def _mmd_squared_pooled(d2, n, bandwidth=None) -> float:
+    """MMD^2 from the pooled squared distances of n x-points then the y-points.
+
+    The kernel matrix is built in `d2`, which is overwritten.
+    """
+    m = len(d2) - n
     alpha = _median_upper(d2) if bandwidth is None else float(bandwidth)
     if alpha <= 0:
         raise UsageError("mmd bandwidth must be positive")
@@ -239,15 +299,39 @@ def _sorted_sum(mat) -> float:
     return float(np.sum(np.sort(mat.ravel())))
 
 
+def _root(sq) -> float:
+    return float(np.sqrt(max(sq, 0.0)))
+
+
 def mmd(x, y, bandwidth: Optional[float] = None) -> float:
     """Square root of the unbiased MMD^2 estimate, clamped at 0 before the root.
 
     The bandwidth defaults to the median heuristic on the pooled sample.
     """
-    return float(np.sqrt(max(mmd_squared(x, y, bandwidth), 0.0)))
+    return _root(mmd_squared(x, y, bandwidth))
 
 
-def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float = 1e-6):
+def _ipm_pair(x, y, max_iters: int):
+    """(mmd(x, y), *sinkhorn_w2(x, y, max_iters=max_iters)) from one pooled distance matrix.
+
+    Sinkhorn's cost is the pooled matrix's cross block in the canonical order,
+    [:n, n:] or, swapped, [n:, :n]: the symmetric fill mirrors (a - b)^2 =
+    (b - a)^2, so either is _sq_distances of that order bit for bit.  Sinkhorn
+    reads it in place, through elementwise operations and a max, which do not
+    depend on its strides; MMD then builds its kernel in the pooled matrix.
+    """
+    x, y = _clouds(x, y)
+    n = len(x)
+    if n < 2 or len(y) < 2:
+        raise UsageError("mmd needs at least 2 points in each sample")
+    d2 = _pooled_sq_distances(x, y)
+    w2, converged = _sinkhorn(d2[n:, :n] if _swapped(x, y) else d2[:n, n:],
+                              _EPSILON, max_iters, _TOL)
+    return _root(_mmd_squared_pooled(d2, n)), w2, converged
+
+
+def sinkhorn_w2(x, y, epsilon: float = _EPSILON, max_iters: int = 10_000,
+                tol: float = _TOL):
     """Entropy-regularized 2-Wasserstein distance via stabilised scaling Sinkhorn.
 
     Uniform marginals a = 1/n, b = 1/m and cost C = |x-y|^2; returns
@@ -281,24 +365,41 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
     the next u-update: after a v-update the column marginals are exact up to
     rounding.  A converged exit returns the checked iterate, so W2 is the value
     a check over the full plan would give.
+
+    Scaling iterations run in windows of up to _WINDOW, whose scalings are
+    range-checked once, together, when the window ends.  A window with a
+    scaling out of range or NaN is run again from its start one checked
+    iteration at a time, so the iterates, the log-form steps and the converged
+    exit are the ones of checking every iteration.
     """
     x, y = _clouds(x, y)
     if len(x) < 1 or len(y) < 1:
         raise UsageError("sinkhorn_w2 needs nonempty samples")
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
-    # canonical argument order: swapped inputs run the identical computation
-    if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
+    if _swapped(x, y):
         x, y = y, x
-    n, m = len(x), len(y)
-    cost = _sq_distances(x, y)
+    return _sinkhorn(_sq_distances(x, y), epsilon, max_iters, tol)
+
+
+def _swapped(x, y) -> bool:
+    """Whether (y, x) is the canonical argument order, in which swapped inputs run."""
+    return (x.shape, x.tobytes()) > (y.shape, y.tobytes())
+
+
+def _sinkhorn(cost, epsilon, max_iters, tol):
+    """sinkhorn_w2 on the cost matrix of its canonical argument order."""
+    n, m = cost.shape
     a, b = 1.0 / n, 1.0 / m
     log_a = -np.log(n)
     f = np.zeros(n)
     g = np.zeros(m)
     u = np.ones(n)
     v = np.ones(m)
-    kernel = np.empty_like(cost)  # K, made by the log-form steps and the squared starts
+    kernel = np.empty(cost.shape)  # K, made by the log-form steps and the squared starts
+    # a window's scalings, row i holding (u, v) after its iteration i, and the products' buffers
+    scalings = np.empty((min(_WINDOW, max(max_iters, 1)), n + m))
+    kv, ku, resid = np.empty(n), np.empty(m), np.empty(n)
 
     span = float(cost.max()) if cost.size else 1.0
     eps_levels = []
@@ -345,8 +446,43 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
             return
         v = v_next
 
-    def row_error(kv):
-        return np.abs(u * kv - a).sum()
+    def row_error(u, kv):
+        np.multiply(u, kv, out=resid)
+        np.subtract(resid, a, out=resid)
+        np.abs(resid, out=resid)
+        return resid.sum()
+
+    def checked(eps, iters, check):
+        # iterations that check their scalings one by one; True on a converged exit
+        for _ in range(iters):
+            kv_now = kernel @ v
+            # checks the previous iteration's iterate; only iterates made at this eps count
+            if check and row_error(u, kv_now) < tol:
+                return True
+            iterate(eps, kv_now)
+        return False
+
+    def window(iters, check):
+        # iterations whose scalings are checked together at the end: True on a
+        # converged exit, None (with u and v as they were) if a scaling left the range
+        nonlocal u, v
+        rows = scalings[:iters]
+        u_i, v_i = u, v
+        done, converged = 0, False
+        with np.errstate(all="ignore"):  # past a scaling out of range, the rows are discarded
+            for row in rows:
+                np.matmul(kernel, v_i, out=kv)
+                if check and row_error(u_i, kv) < tol:
+                    converged = True
+                    break
+                u_i = np.divide(a, kv, out=row[:n])
+                v_i = np.divide(b, np.matmul(u_i, kernel, out=ku), out=row[n:])
+                done += 1
+        if done:
+            if not _in_scaling_range(rows[:done]):
+                return None
+            u, v = u_i.copy(), v_i.copy()
+        return converged
 
     def sweep(eps, scale_eps, iters, check):
         # a level's iterations; the scalings arrive at the last level's epsilon, scale_eps
@@ -357,13 +493,14 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
         else:
             fold(scale_eps)
             log_step(eps, update_f=True)
-        for _ in range(iters - 1):
-            kv = kernel @ v
-            # checks the previous iteration's iterate; only iterates made at this eps count
-            if check and row_error(kv) < tol:
+        for start in range(1, iters, _WINDOW):
+            size = min(_WINDOW, iters - start)
+            converged = window(size, check)
+            if converged is None:
+                converged = checked(eps, size, check)
+            if converged:
                 return True
-            iterate(eps, kv)
-        return check and row_error(kernel @ v) < tol
+        return check and row_error(u, kernel @ v) < tol
 
     budget = max_iters
     scale_eps = eps_levels[0]  # u = v = 1 so far, which fold at any epsilon
@@ -383,12 +520,12 @@ def sinkhorn_w2(x, y, epsilon: float = 1e-3, max_iters: int = 10_000, tol: float
     np.divide(kernel, epsilon, out=kernel)
     exp_clamped_inplace(kernel)
     np.multiply(kernel, cost, out=kernel)
-    total = float(np.sum(np.sort(kernel.ravel())))
-    return float(np.sqrt(max(total, 0.0))), bool(converged)
+    return _root(_sorted_sum(kernel)), bool(converged)
 
 
 # scalings beyond [1/tau, tau] are folded into the potentials and the step redone in log form
 _SCALING_BOUND = 1e50
+_WINDOW = 32  # scaling iterations per range check
 _KERNEL_FLOOR = math.exp(EXP_FLOOR)
 
 

@@ -15,6 +15,15 @@ in reverse-mode training.  The callables may assume 2-D input: the public
 methods of `TargetDensity` raise `UsageError` on any other shape or on a
 non-finite point, count one NFE per point per call and return the callables'
 output as is.
+
+Mode-model contract.  A target with modes supplies a `ModeModel` of M >= 2
+disjoint mode cells and `cell(x) -> (n,)`, the integer cell in [0, M) of each
+point of an (n, d) batch; it is not a target query and counts no NFE.
+`ModeModel.prob(x)` is the same assignment as (n, M) one-hot rows.  EMC and
+EJS of those rows (`metrics.emc`, `metrics.ejs`) equal, bit for bit, the cell
+forms (`metrics.emc_from_cells`, `metrics.ejs_from_cells`) that the
+checkpoint evaluation computes.  `true_mode_probs`, when known, is the
+target's mass in each cell.
 """
 
 from __future__ import annotations
@@ -49,11 +58,15 @@ class NfeCounter:
 
 @dataclass
 class ModeModel:
-    """Mode descriptors: per-sample probability over M disjoint mode cells."""
+    """Mode descriptors: each point's cell among M disjoint mode cells (see above)."""
 
     n_modes: int
-    prob: Callable[[np.ndarray], np.ndarray]  # (n, d) -> (n, M) rows summing to 1
+    cell: Callable[[np.ndarray], np.ndarray]  # (n, d) -> (n,) integers in [0, M)
     true_mode_probs: Optional[np.ndarray] = None
+
+    def prob(self, x) -> np.ndarray:
+        """(n, M) one-hot rows of the points' cells."""
+        return np.eye(self.n_modes)[self.cell(x)]
 
 
 @dataclass

@@ -120,11 +120,8 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
             noise = rng.standard_t(2.0, (n, spec.dim))
         return means[comps] + noise
 
-    def mode_probs(x):
-        idx = np.argmax(log_terms(x), axis=1)  # ties resolve to the lowest index
-        out = np.zeros((len(idx), k))
-        out[np.arange(len(idx)), idx] = 1.0
-        return out
+    def mode_cell(x):
+        return np.argmax(log_terms(x), axis=1)  # ties resolve to the lowest index
 
     return TargetDensity(
         dim=spec.dim,
@@ -132,7 +129,7 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
         log_unnorm_and_grad=log_unnorm_and_grad,
         true_log_z=0.0,
         exact_sampler=sampler,
-        mode_model=ModeModel(k, mode_probs, np.full(k, 1.0 / k)),
+        mode_model=ModeModel(k, mode_cell, np.full(k, 1.0 / k)),
         score_hvp=hvp,
         name=f"{'mog' if spec.kind == 'gaussian' else 'mos'}_d{spec.dim}_k{k}",
     )

@@ -155,6 +155,36 @@ def test_seeds_must_be_distinct_ints(seeds):
         parse_config(tiny_config(seeds=seeds))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_checkpoints", 0), ("running_avg_len", 0), ("eval_samples", 1), ("sinkhorn_iters", 0),
+    ("sinkhorn_iters", -5), ("ipm_subsample", 1), ("ipm_subsample", -2),
+])
+def test_protocol_value_out_of_range_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key}.* must be"):
+        parse_config(tiny_config(protocol={key: value}))
+
+
+def test_protocol_bounds_are_inclusive_and_ipm_subsample_0_means_no_ipm():
+    edges = {"n_checkpoints": 1, "running_avg_len": 1, "eval_samples": 2, "sinkhorn_iters": 1}
+    for ipm_subsample in (0, 2):
+        config = parse_config(tiny_config(protocol={**edges, "ipm_subsample": ipm_subsample}))
+        assert config.protocol.ipm_subsample == ipm_subsample
+
+
+@pytest.mark.parametrize("key, value", [("running_avg_len", 0), ("ipm_subsample", 1),
+                                        ("sinkhorn_iters", -5)])
+def test_cli_run_protocol_out_of_range_exits_2(tmp_path, capsys, key, value):
+    # before, the first two ran to exit 0 with criteria silently dropped
+    from samplebench.cli import main
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tiny_config(protocol={key: value},
+                                          output_dir=str(tmp_path / "out"))))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_int_fills_a_float_key():
     config = parse_config(tiny_config(method={"name": "dds", "sigma_max": 12, "sigma0": 3}))
     assert config.method_params == {"sigma_max": 12, "sigma0": 3}
@@ -714,6 +744,33 @@ def test_evaluation_queries_the_exact_draws_once_per_seed(monkeypatch, method):
     _, nfe_eval = _eval_run(monkeypatch, method)
     # mfvi: C n + n; dds: C 2n(T + 1) - (C - 1) n; craft: the closed forms, less (C - 1) n
     assert nfe_eval == EVAL_C * EVAL_NFE_PER_CHECKPOINT[method] - (EVAL_C - 1) * EVAL_N
+
+
+class _FixedSampler:
+    """Returns the same points at every call; nothing to transport backward."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def sample_with_logweights(self, n, rng):
+        return self.x[:n], None
+
+
+def test_evaluation_mode_criteria_equal_the_row_forms_bitwise():
+    # samples spread over some of the 40 MoG modes, a cluster on one, and exact draws
+    from samplebench.harness.evaluate import evaluate_sampler
+    from samplebench.metrics import ejs, emc
+
+    target = make_mog_target(2)
+    modes = target.mode_model
+    exact = target.exact_sampler(RngStream(50, 0), 600)
+    clouds = (exact, exact[modes.cell(exact) < 9], exact[:1] + RngStream(50, 1).normal((50, 2)))
+    for x in clouds:
+        report = evaluate_sampler(_FixedSampler(x), target, len(x), RngStream(50, 2), None, 0, 1)
+        rows = modes.prob(x)
+        assert np.float64(report.emc).tobytes() == np.float64(emc(rows)).tobytes()
+        assert (np.float64(report.ejs).tobytes()
+                == np.float64(ejs(rows, modes.true_mode_probs)).tobytes())
 
 
 class _Unqueried:

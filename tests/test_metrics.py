@@ -15,8 +15,10 @@ from samplebench.metrics import (
     _median_upper,
     _sq_distances,
     ejs,
+    ejs_from_cells,
     elbo,
     emc,
+    emc_from_cells,
     ess_estimates,
     eubo,
     log_z_estimates,
@@ -25,6 +27,7 @@ from samplebench.metrics import (
     sinkhorn_w2,
 )
 from samplebench.numerics import RngStream
+from samplebench.numerics.logspace import exp_clamped_inplace, exp_shifted_inplace
 from samplebench.targets.mixtures import MixtureSpec, make_mog_target
 
 
@@ -171,6 +174,58 @@ def test_ejs_onehot_vs_uniform_oracle():
     kl_qm = sum(qi * math.log2(qi / mi) for qi, mi in zip(q, m) if qi > 0)
     expected = 0.5 * kl_pm + 0.5 * kl_qm
     assert ejs(p[None, :], q) == pytest.approx(expected, rel=1e-12)
+
+
+# ---------------------------------------------------------------- mode cells
+def _cells_and_truths(n, n_modes, seed):
+    # cells drawn from half the modes, so some stay empty; a truth with zero entries
+    rng = RngStream(40, seed)
+    used = rng.integers(n_modes, size=max(1, n_modes // 2))
+    cells = used[rng.integers(len(used), size=n)]
+    raw = rng.uniform(size=n_modes)
+    raw[rng.uniform(size=n_modes) < 0.3] = 0.0
+    raw[0] = max(raw[0], 0.5)
+    return cells, (np.full(n_modes, 1.0 / n_modes), raw / raw.sum())
+
+
+@pytest.mark.parametrize("n, n_modes", [(2, 2), (3, 80), (5, 2), (50, 7), (777, 40),
+                                        (2000, 40), (5000, 2), (5000, 80)])
+def test_cell_criteria_bitwise_equal_row_forms_on_one_hot_rows(n, n_modes):
+    cells, truths = _cells_and_truths(n, n_modes, 7 * n + n_modes)
+    rows = np.eye(n_modes)[cells]
+    assert len(np.unique(cells)) < n_modes
+    _assert_same_bits(emc_from_cells(cells, n_modes), emc(rows))
+    for q in truths:
+        _assert_same_bits(ejs_from_cells(cells, q), ejs(rows, q))
+
+
+def _assert_same_bits(a, b):
+    assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_cell_criteria_one_cell_is_zero_coverage():
+    cells = np.full(10, 2)
+    assert math.copysign(1.0, emc_from_cells(cells, 4)) == 1.0 and emc_from_cells(cells, 4) == 0.0
+    assert ejs_from_cells(np.zeros(5, dtype=int), np.array([0.0, 1.0])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("cells, n_modes", [
+    (np.array([0, 4]), 4),  # a cell past the last mode
+    (np.array([-1, 0]), 4),
+    (np.array([0.0, 1.0]), 4),  # not integers
+    (np.array([[0, 1]]), 4),  # not (n,)
+    (np.array([0, 0]), 1),  # one mode
+])
+def test_cell_criteria_invalid_cells(cells, n_modes):
+    with pytest.raises(UsageError):
+        emc_from_cells(cells, n_modes)
+    with pytest.raises(UsageError):
+        ejs_from_cells(cells, np.full(n_modes, 1.0 / n_modes))
+
+
+def test_ejs_from_cells_rejects_a_truth_that_is_not_a_vector():
+    with pytest.raises(UsageError):
+        ejs_from_cells(np.array([0, 1]), np.full((2, 2), 0.25))
 
 
 # ------------------------------------------------------------ distance matrix
@@ -514,6 +569,201 @@ def test_sinkhorn_matches_reference_on_budgets_shorter_than_warmup(dim, max_iter
     assert ref_val > 1.0
     assert val == pytest.approx(ref_val, rel=1e-9)
     assert converged == ref_converged
+
+
+def _per_iteration_sinkhorn_w2(x, y, epsilon=1e-3, max_iters=10_000, tol=1e-6, misses=None):
+    """sinkhorn_w2 as it was before its scaling windows: every scaling range-checked as made.
+
+    Each scaling out of range appends (level, iteration, half) to `misses`; the
+    level's first iteration is iteration 0.
+    """
+    if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
+        x, y = y, x
+    n, m = len(x), len(y)
+    cost = _sq_distances(x, y)
+    a, b = 1.0 / n, 1.0 / m
+    log_a = -np.log(n)
+    f = np.zeros(n)
+    g = np.zeros(m)
+    u = np.ones(n)
+    v = np.ones(m)
+    kernel = np.empty_like(cost)
+    misses = [] if misses is None else misses
+    where = [0, 0]  # level, iteration
+
+    span = float(cost.max()) if cost.size else 1.0
+    eps_levels = []
+    eps = max(span / 8.0, epsilon)
+    while eps > epsilon:
+        eps_levels.append(eps)
+        eps /= 2.0
+    eps_levels.append(epsilon)
+    warmup_iters = 10
+
+    def fold(eps):
+        nonlocal f, g, u, v
+        f = f + eps * np.log(u)
+        g = g + eps * np.log(v)
+        u = np.ones(n)
+        v = np.ones(m)
+
+    def log_step(eps, update_f):
+        nonlocal f, g, v
+        fold(eps)
+        if update_f:
+            np.subtract(g[None, :], cost, out=kernel)
+            np.divide(kernel, eps, out=kernel)
+            f = eps * (log_a - _lse_inplace(kernel, axis=1))
+        np.subtract(f[:, None], cost, out=kernel)
+        np.divide(kernel, eps, out=kernel)
+        g = -eps * exp_shifted_inplace(kernel, axis=0)
+        v = b / kernel.sum(axis=0)
+
+    def iterate(eps, kv):
+        nonlocal u, v
+        u_next = a / kv
+        if not metrics._in_scaling_range(u_next):
+            misses.append((*where, "u"))
+            log_step(eps, update_f=True)
+            return
+        u = u_next
+        v_next = b / (u @ kernel)
+        if not metrics._in_scaling_range(v_next):
+            misses.append((*where, "v"))
+            log_step(eps, update_f=False)
+            return
+        v = v_next
+
+    def row_error(kv):
+        return np.abs(u * kv - a).sum()
+
+    def sweep(eps, scale_eps, iters, check):
+        where[1] = 0
+        if eps == scale_eps / 2.0:
+            metrics._square_folded_kernel(kernel, u, v)
+            fold(scale_eps)
+            iterate(eps, kernel @ v)
+        else:
+            fold(scale_eps)
+            log_step(eps, update_f=True)
+        for i in range(1, iters):
+            where[1] = i
+            kv = kernel @ v
+            if check and row_error(kv) < tol:
+                return True
+            iterate(eps, kv)
+        return check and row_error(kernel @ v) < tol
+
+    budget = max_iters
+    scale_eps = eps_levels[0]
+    for level, eps in enumerate(eps_levels[:-1]):
+        where[0] = level
+        iters = min(warmup_iters, budget)
+        if iters > 0:
+            sweep(eps, scale_eps, iters, check=False)
+            scale_eps = eps
+        budget -= iters
+    where[0] = len(eps_levels) - 1
+    converged = sweep(epsilon, scale_eps, max(budget, 1), check=True)
+    fold(epsilon)
+
+    np.add(f[:, None], g[None, :], out=kernel)
+    np.subtract(kernel, cost, out=kernel)
+    np.divide(kernel, epsilon, out=kernel)
+    exp_clamped_inplace(kernel)
+    np.multiply(kernel, cost, out=kernel)
+    total = float(np.sum(np.sort(kernel.ravel())))
+    return float(np.sqrt(max(total, 0.0))), bool(converged)
+
+
+def _assert_matches_per_iteration(x, y, misses=None, **kwargs):
+    val, converged = sinkhorn_w2(x, y, **kwargs)
+    ref_val, ref_converged = _per_iteration_sinkhorn_w2(x, y, misses=misses, **kwargs)
+    assert np.float64(val).tobytes() == np.float64(ref_val).tobytes()
+    assert converged is ref_converged
+    return converged
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+def test_sinkhorn_windows_bitwise_equal_per_iteration_checks_on_bench_shaped_clouds(dim):
+    misses = []
+    _assert_matches_per_iteration(*_bench_shaped(dim), misses=misses, max_iters=300)
+    assert misses == []  # every window passes its range check
+
+
+def test_sinkhorn_windows_bitwise_equal_per_iteration_checks_in_a_narrow_range(monkeypatch):
+    # [1/1.2, 1.2] sends nearly every window back to checked iterations
+    monkeypatch.setattr(metrics, "_SCALING_BOUND", 1.2)
+    misses = []
+    _assert_matches_per_iteration(*_uneven_exact(2), misses=misses, max_iters=300)
+    assert {half for *_, half in misses} == {"u", "v"}
+
+
+def _mid_window(iteration):
+    # a level's iterations after its first run in windows from iteration 1
+    return 0 < (iteration - 1) % metrics._WINDOW < metrics._WINDOW - 1
+
+
+@pytest.mark.parametrize("clouds, dim, bound, miss", [
+    (_uneven_exact, 50, 5e3, (1, 4, "u")),
+    (_bench_shaped, 50, 1e4, (2, 8, "v")),
+    (_bench_shaped, 2, 1e5, (21, 31, "v")),
+], ids=["u-half", "v-half", "checking-level"])
+def test_sinkhorn_window_with_a_miss_replays_per_iteration_checks(monkeypatch, clouds, dim,
+                                                                  bound, miss):
+    # (level, iteration, half) of a scaling out of range, inside a window; the last
+    # case is on the checking level, the 22nd of the bench-shaped d=2 clouds
+    in_range = metrics._in_scaling_range
+    window_misses = []
+
+    def noting_in_range(w):
+        ok = in_range(w)
+        if w.ndim == 2 and not ok:
+            window_misses.append(len(w))
+        return ok
+
+    monkeypatch.setattr(metrics, "_SCALING_BOUND", bound)
+    monkeypatch.setattr(metrics, "_in_scaling_range", noting_in_range)
+    x, y = clouds(dim)
+    misses = []
+    _assert_matches_per_iteration(x, y, misses=misses, max_iters=300)
+    assert miss in misses and _mid_window(miss[1])
+    assert window_misses  # the windowed run found it and replayed its window
+
+
+@pytest.mark.parametrize("max_iters, expected", [(78, False), (79, True), (10_000, True)])
+def test_sinkhorn_converged_exit_inside_a_window_bitwise_equals_per_iteration(max_iters,
+                                                                              expected):
+    # the clouds of test_sinkhorn_matches_reference_when_converging_early: 10_000
+    # exits at iteration 49 of the checking level, inside a window
+    rng = RngStream(16, 0)
+    x = rng.normal((20, 2))
+    y = rng.normal((20, 2)) + 1.0
+    converged = _assert_matches_per_iteration(x, y, epsilon=0.5, max_iters=max_iters)
+    assert converged is expected
+    assert _mid_window(49)
+
+
+def test_sinkhorn_window_misses_on_a_converging_run_replay(monkeypatch):
+    # a narrow range makes the windows of a converging run miss; the exit still matches
+    monkeypatch.setattr(metrics, "_SCALING_BOUND", 3.0)
+    rng = RngStream(16, 0)
+    x = rng.normal((20, 2))
+    y = rng.normal((20, 2)) + 1.0
+    misses = []
+    _assert_matches_per_iteration(x, y, misses=misses, epsilon=0.5, max_iters=10_000)
+    assert misses
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+def test_ipm_pair_bitwise_equals_mmd_and_sinkhorn(dim):
+    # one pooled distance matrix gives both criteria, in either canonical order
+    x, y = _bench_shaped(dim)
+    x, y = x[:128], y[:128]
+    assert metrics._swapped(x, y) != metrics._swapped(y, x)
+    for a, b in ((x, y), (y, x)):
+        got = metrics._ipm_pair(a, b, 300)
+        assert repr(got) == repr((mmd(a, b), *sinkhorn_w2(a, b, max_iters=300)))  # equal bits
 
 
 @pytest.mark.parametrize("axis", [0, 1])

@@ -209,6 +209,18 @@ def test_mode_rows_are_probability_vectors():
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "student_t2"])
+def test_mode_prob_is_the_one_hot_of_the_cell(kind):
+    t = make_mixture_target(MixtureSpec(7, 3, kind, -10, 10, seed=2))
+    x = RngStream(4, 1).normal((300, 3)) * 10
+    cells = t.mode_model.cell(x)
+    assert cells.shape == (300,) and np.issubdtype(cells.dtype, np.integer)
+    assert np.all((0 <= cells) & (cells < 7))
+    expected = np.zeros((300, 7))
+    expected[np.arange(300), cells] = 1.0
+    np.testing.assert_array_equal(t.mode_model.prob(x), expected)
+
+
 def test_mode_assign_tie_breaks_low_index():
     spec = MixtureSpec(2, 1, "gaussian", -10, 10, seed=0)
     means = spec.draw_means()
