@@ -21,7 +21,7 @@ vals, grads = mog.logdensity_and_grad(x)
 print("MoG d=2:")
 for xi, v in zip(x, vals):
     print(f"  log gamma({xi.round(2)}) = {v:.3f}")
-print("  mode descriptors:", np.argmax(mog.mode_model.prob(x), axis=1))
+print("  mode descriptors:", mog.mode_model.cell(x))
 
 # The Student-t mixture has much heavier tails: compare the decay of the two
 # log-densities along a ray.

@@ -31,7 +31,7 @@ kernel = HmcConfig(leapfrog_steps=10, step_size_low=2.0, step_size_high=0.7)
 for resampling in (True, False):
     res = smc_run(path, kernel, n_particles=512, rng=RngStream(2, 0),
                   resampling_enabled=resampling)
-    modes = np.argmax(mog.mode_model.prob(res.particles.positions), axis=1)
+    modes = mog.mode_model.cell(res.particles.positions)
     n_resamples = sum(d["resampled"] for d in res.diagnostics)
     print(f"resampling={resampling!s:5}: ELBO {res.elbo:8.2f}  log Z {res.log_z:7.2f}  "
           f"modes covered {len(set(modes.tolist()))}/40  resample events {n_resamples}")

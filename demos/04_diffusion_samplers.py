@@ -15,6 +15,7 @@ from samplebench.numerics import RngStream
 from samplebench.targets import make_mog_target
 
 target = make_mog_target(dim=2, seed=0)
+modes = target.mode_model
 rng = RngStream(0, 0)
 
 # ULA's forward and backward kernels share one expression; MCD only corrects
@@ -30,13 +31,13 @@ spec = DiffusionSpec.create("dds", 2, RngStream(1, 0), n_steps=16, sigma0=60.0,
                             sigma_max=12.0, guidance=True)
 before = simulate_forward(spec, target, 1000, RngStream(2, 0))
 print(f"before training: ELBO {np.mean(before.log_w_values):9.2f}  "
-      f"EMC {emc(target.mode_model.prob(before.final_states)):.3f}")
+      f"EMC {emc(modes.cell(before.final_states), modes.n_modes):.3f}")
 
 train_diffusion(spec, target, "elbo", iterations=300, batch_size=64,
                 rng=RngStream(3, 0), learning_rate=3e-3)
 after = simulate_forward(spec, target, 1000, RngStream(4, 0))
 print(f"after  training: ELBO {np.mean(after.log_w_values):9.2f}  "
-      f"EMC {emc(target.mode_model.prob(after.final_states)):.3f}")
+      f"EMC {emc(modes.cell(after.final_states), modes.n_modes):.3f}")
 
 # Forward criteria run the backward kernels from exact target samples.
 samples = target.exact_sampler(RngStream(5, 0), 1000)

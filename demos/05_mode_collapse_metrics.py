@@ -37,6 +37,8 @@ for name, q in (("collapsed", collapsed), ("blanket", blanket)):
     w2, _ = sinkhorn_w2(x[:200], truth[:200], max_iters=200)
     print(f"{name:9s}: ELBO {elbo(rev):8.2f}  EUBO {eubo(fwd):9.2f}  "
           f"ESS_r {ess_estimates(rev):.3f}  ESS_f {ess_estimates(fwd):.2e}")
-    probs = target.mode_model.prob(x)
-    print(f"           EMC {emc(probs):.3f}  EJS {ejs(probs, target.mode_model.true_mode_probs):.3f}  "
+    modes = target.mode_model
+    cells = modes.cell(x)
+    print(f"           EMC {emc(cells, modes.n_modes):.3f}  "
+          f"EJS {ejs(cells, modes.true_mode_probs):.3f}  "
           f"MMD {mmd(x[:500], truth[:500]):.3f}  W2 {w2:.1f}")

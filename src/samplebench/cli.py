@@ -137,7 +137,13 @@ def _cmd_metrics(args) -> int:
         raise ConfigError(f"samples have dimension {x.shape[1]}, target has {target.dim}")
 
     protocol = Protocol()
-    ipm_samples = args.ipm_samples if args.ipm_samples is not None else protocol.ipm_subsample
+    if args.ipm_samples is not None:
+        protocol.ipm_subsample = args.ipm_samples
+        try:
+            protocol.check()
+        except ConfigError as exc:
+            raise ConfigError(f"--ipm-samples {args.ipm_samples}: {exc}") from exc
+    ipm_samples = protocol.ipm_subsample
     y = None
     if target.exact_sampler is not None:
         y = target.exact_sampler(RngStream(args.target_seed or 0, 999), min(ipm_samples, len(x)))

@@ -14,16 +14,16 @@ from ..metrics import (
     MetricReport,
     WeightedSamples,
     _ipm_pair,
-    ejs_from_cells,
+    ejs,
     elbo,
-    emc_from_cells,
+    emc,
     ess_estimates,
     eubo,
     log_z_estimates,
 )
-# the row and cloud forms of the criteria sample_criteria computes; perfbench's
+# the cloud forms of the criteria _ipm_pair computes together; perfbench's
 # tracer looks these names up here
-from ..metrics import ejs, emc, mmd, sinkhorn_w2  # noqa: F401
+from ..metrics import mmd, sinkhorn_w2  # noqa: F401
 from ..numerics.rng import RngStream
 
 
@@ -56,11 +56,10 @@ def sample_criteria(x, log_w, target, target_samples, ipm_subsample: int,
 
     modes = target.mode_model
     if modes is not None:
-        # the criteria of the one-hot rows modes.prob(x), from the cells alone
         cells = modes.cell(x)
-        report.emc = emc_from_cells(cells, modes.n_modes)
+        report.emc = emc(cells, modes.n_modes)
         if modes.true_mode_probs is not None:
-            report.ejs = ejs_from_cells(cells, modes.true_mode_probs)
+            report.ejs = ejs(cells, modes.true_mode_probs)
 
     if target_samples is not None:
         y = target_samples

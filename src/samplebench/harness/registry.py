@@ -19,7 +19,7 @@ from ..diffusion import ALL_METHODS as DIFFUSION_METHODS
 from ..diffusion import (METHOD_PARTS, OPTIONAL_TRAINABLE, DiffusionSpec,
                          simulate_backward_logweights, simulate_forward, train_diffusion,
                          trainable_parameters)
-from ..errors import ConfigError
+from ..errors import ConfigError, UsageError
 from ..kernels import AnnealedPath, HmcConfig, MhConfig
 from ..numerics.rng import RngStream
 from ..sis import AffineFlow, backward_transport_logweights, craft_train, smc_run
@@ -162,13 +162,25 @@ class DiffusionSampler:
 
 # -------------------------------------------------------------------- drivers
 def make_kernel_config(p: dict):
-    if p["kernel"] == "hmc":
-        return HmcConfig(leapfrog_steps=p["leapfrog_steps"], step_size_low=p["step_size_low"],
-                         step_size_high=p["step_size_high"])
-    if p["kernel"] == "mh":
-        return MhConfig(n_substeps=p["mh_substeps"], scale_low=p["scale_low"],
-                        scale_high=p["scale_high"])
+    try:
+        if p["kernel"] == "hmc":
+            return HmcConfig(leapfrog_steps=p["leapfrog_steps"], step_size_low=p["step_size_low"],
+                             step_size_high=p["step_size_high"])
+        if p["kernel"] == "mh":
+            return MhConfig(n_substeps=p["mh_substeps"], scale_low=p["scale_low"],
+                            scale_high=p["scale_high"])
+    except UsageError as exc:
+        raise ConfigError(f"MCMC kernel {p['kernel']!r}: {exc}") from exc
     raise ConfigError(f"unknown MCMC kernel {p['kernel']!r}")
+
+
+def _smc_sampler(p: dict, proposal, target, flows=None) -> SmcSampler:
+    """The sampler of an SMC or CRAFT config, on the linear path from `proposal`."""
+    for key, low in (("n_steps", 1), ("particles", 2)):
+        if p[key] < low:
+            raise ConfigError(f"method key {key!r} must be at least {low}, got {p[key]}")
+    return SmcSampler(AnnealedPath.linear(proposal, target, p["n_steps"]), make_kernel_config(p),
+                      p["particles"], p["resample_threshold"], p["resampling"], flows=flows)
 
 
 def _checkpoint_marks(iterations, n_checkpoints):
@@ -200,20 +212,14 @@ class MethodDriver:
             )
             return
         if self.name == "smc":
-            path = AnnealedPath.linear(DiagonalGaussian.isotropic(target.dim, sigma0),
-                                       target, p["n_steps"])
-            sampler = SmcSampler(path, make_kernel_config(p), p["particles"],
-                                 p["resample_threshold"], p["resampling"])
+            sampler = _smc_sampler(p, DiagonalGaussian.isotropic(target.dim, sigma0), target)
             checkpoint_cb(1, sampler)  # nothing to train: one evaluation point
             return
         if self.name == "craft":
-            path = AnnealedPath.linear(_proposal_from_params(p, target.dim, sigma0), target,
-                                       p["n_steps"])
             flows = [AffineFlow.identity(target.dim) for _ in range(p["n_steps"])]
-            sampler = SmcSampler(path, make_kernel_config(p), p["particles"],
-                                 p["resample_threshold"], p["resampling"], flows=flows)
-            craft_train(path, flows, sampler.kernel_cfg, p["iterations"], sampler.n_particles,
-                        rng, learning_rate=p["learning_rate"],
+            sampler = _smc_sampler(p, _proposal_from_params(p, target.dim, sigma0), target, flows)
+            craft_train(sampler.path, flows, sampler.kernel_cfg, p["iterations"],
+                        sampler.n_particles, rng, learning_rate=p["learning_rate"],
                         resample_threshold=sampler.resample_threshold,
                         resampling_enabled=sampler.resampling_enabled,
                         checkpoints=_checkpoint_marks(p["iterations"], n_checkpoints),

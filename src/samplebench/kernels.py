@@ -89,6 +89,10 @@ class MhConfig:
     scale_low: float = 1.0
     scale_high: float = 1.0
 
+    def __post_init__(self):
+        if self.n_substeps < 1 or self.scale_low <= 0 or self.scale_high <= 0:
+            raise UsageError("n_substeps >= 1 and positive scales required")
+
     def scale(self, beta: float) -> float:
         return self.scale_high if beta >= 0.5 else self.scale_low
 

@@ -119,17 +119,6 @@ def ess_estimates(ws: WeightedSamples) -> float:
 
 
 # ------------------------------------------------------------- mode coverage
-def _validate_mode_rows(mode_probs):
-    p = np.asarray(mode_probs, dtype=float)
-    if p.ndim != 2:
-        raise UsageError(f"mode probabilities of shape {p.shape} are not (n, M) rows")
-    if p.shape[1] < 2:
-        raise UsageError("mode probabilities need at least 2 modes")
-    if np.any(p < -1e-12) or not np.allclose(p.sum(axis=1), 1.0, atol=1e-9):
-        raise UsageError("mode probability rows must be nonnegative and sum to 1")
-    return np.clip(p, 0.0, None)
-
-
 def _validate_cells(cells, n_modes):
     c = np.asarray(cells)
     if c.ndim != 1 or not np.issubdtype(c.dtype, np.integer):
@@ -140,13 +129,6 @@ def _validate_cells(cells, n_modes):
     if len(c) and (c.min() < 0 or c.max() >= n_modes):
         raise UsageError(f"mode cells must lie in [0, {n_modes})")
     return c
-
-
-def _emc_of_mean(q, n_modes) -> float:
-    """EMC of the sample-averaged mode distribution q."""
-    nz = q > 0
-    # + 0.0 turns the -0.0 of samples in one mode (-(1 * log 1)) into 0.0
-    return float(-(q[nz] * np.log(q[nz])).sum() / np.log(n_modes)) + 0.0
 
 
 def _js_rows(p, q):
@@ -162,37 +144,19 @@ def _js_rows(p, q):
     return 0.5 * kl(p, mid) + 0.5 * kl(q[None, :], mid)
 
 
-def _ejs_of_js(js) -> float:
-    return float(np.mean(js) / np.log(2.0))
-
-
-def emc(mode_probs) -> float:
-    """Entropic mode coverage in [0, 1]: the base-M entropy of the sample-averaged
-    mode distribution."""
-    p = _validate_mode_rows(mode_probs)
-    return _emc_of_mean(p.mean(axis=0), p.shape[1])
-
-
-def ejs(mode_probs, true_probs) -> float:
-    """Expected Jensen-Shannon divergence (base 2) between rows and the truth."""
-    p = _validate_mode_rows(mode_probs)
-    q = np.asarray(true_probs, dtype=float)
-    if q.shape != (p.shape[1],):
-        raise UsageError("true_probs must be one probability vector over the modes")
-    return _ejs_of_js(_js_rows(p, q))
-
-
-def emc_from_cells(cells, n_modes: int) -> float:
-    """`emc` of the one-hot rows of mode cells `cells` in [0, n_modes), bit for bit.
-
-    The column means of exact 0/1 rows are the cell counts over n.
-    """
+def emc(cells, n_modes: int) -> float:
+    """Entropic mode coverage in [0, 1]: the base-M entropy of the share of the
+    samples in each of the M = n_modes modes, from their mode cells in [0, M)."""
     c = _validate_cells(cells, n_modes)
-    return _emc_of_mean(np.bincount(c, minlength=n_modes) / len(c), n_modes)
+    q = np.bincount(c, minlength=n_modes) / len(c)
+    nz = q > 0
+    # + 0.0 turns the -0.0 of samples in one mode (-(1 * log 1)) into 0.0
+    return float(-(q[nz] * np.log(q[nz])).sum() / np.log(n_modes)) + 0.0
 
 
-def ejs_from_cells(cells, true_probs) -> float:
-    """`ejs` of the one-hot rows of mode cells `cells`, bit for bit.
+def ejs(cells, true_probs) -> float:
+    """Expected Jensen-Shannon divergence (base 2) between the samples' one-hot
+    mode assignments, from their mode cells `cells`, and the truth `true_probs`.
 
     A one-hot row's JS value is the row of the (M, M) table over np.eye(M)
     that has the same contents, so each sample gathers it by its cell.
@@ -201,7 +165,7 @@ def ejs_from_cells(cells, true_probs) -> float:
     if q.ndim != 1:
         raise UsageError("true_probs must be one probability vector over the modes")
     c = _validate_cells(cells, len(q))
-    return _ejs_of_js(_js_rows(np.eye(len(q)), q)[c])
+    return float(np.mean(_js_rows(np.eye(len(q)), q)[c]) / np.log(2.0))
 
 
 # ------------------------------------------------- integral probability metrics
@@ -367,10 +331,12 @@ def sinkhorn_w2(x, y, epsilon: float = _EPSILON, max_iters: int = 10_000,
     a check over the full plan would give.
 
     Scaling iterations run in windows of up to _WINDOW, whose scalings are
-    range-checked once, together, when the window ends.  A window with a
-    scaling out of range or NaN is run again from its start one checked
-    iteration at a time, so the iterates, the log-form steps and the converged
-    exit are the ones of checking every iteration.
+    range-checked once, together, when the window ends.  In a window with a
+    scaling out of range or NaN, the first iteration that made one keeps the
+    scalings before it and redoes its bad half in log form; the iterations
+    after it are dropped, and the level resumes from there.  So the iterates,
+    the log-form steps and the converged exit are the ones of checking every
+    scaling as it is made.
     """
     x, y = _clouds(x, y)
     if len(x) < 1 or len(y) < 1:
@@ -432,39 +398,15 @@ def _sinkhorn(cost, epsilon, max_iters, tol):
         g = -eps * exp_shifted_inplace(kernel, axis=0)
         v = b / kernel.sum(axis=0)
 
-    def iterate(eps, kv):
-        # a scaling iteration from kv = K v; a scaling out of range redoes its half in log form
-        nonlocal u, v
-        u_next = a / kv
-        if not _in_scaling_range(u_next):
-            log_step(eps, update_f=True)
-            return
-        u = u_next
-        v_next = b / (u @ kernel)
-        if not _in_scaling_range(v_next):
-            log_step(eps, update_f=False)
-            return
-        v = v_next
-
     def row_error(u, kv):
         np.multiply(u, kv, out=resid)
         np.subtract(resid, a, out=resid)
         np.abs(resid, out=resid)
         return resid.sum()
 
-    def checked(eps, iters, check):
-        # iterations that check their scalings one by one; True on a converged exit
-        for _ in range(iters):
-            kv_now = kernel @ v
-            # checks the previous iteration's iterate; only iterates made at this eps count
-            if check and row_error(u, kv_now) < tol:
-                return True
-            iterate(eps, kv_now)
-        return False
-
-    def window(iters, check):
-        # iterations whose scalings are checked together at the end: True on a
-        # converged exit, None (with u and v as they were) if a scaling left the range
+    def window(eps, iters, check):
+        # up to `iters` scaling iterations whose scalings are range-checked together
+        # at the end; returns (iterations made, converged)
         nonlocal u, v
         rows = scalings[:iters]
         u_i, v_i = u, v
@@ -472,34 +414,46 @@ def _sinkhorn(cost, epsilon, max_iters, tol):
         with np.errstate(all="ignore"):  # past a scaling out of range, the rows are discarded
             for row in rows:
                 np.matmul(kernel, v_i, out=kv)
+                # checks the previous iteration's iterate; only iterates made at this eps count
                 if check and row_error(u_i, kv) < tol:
                     converged = True
                     break
                 u_i = np.divide(a, kv, out=row[:n])
                 v_i = np.divide(b, np.matmul(u_i, kernel, out=ku), out=row[n:])
                 done += 1
-        if done:
-            if not _in_scaling_range(rows[:done]):
-                return None
-            u, v = u_i.copy(), v_i.copy()
-        return converged
+        if not done or _in_scaling_range(rows[:done]):
+            if done:
+                u, v = u_i.copy(), v_i.copy()
+            return done, converged
+        # the first bad row's iteration redoes its bad half in log form, as checking
+        # each scaling when made would; the rows after it, and a converged exit
+        # among them, are dropped
+        for bad, row in enumerate(rows[:done]):
+            u_ok = _in_scaling_range(row[:n])
+            if not (u_ok and _in_scaling_range(row[n:])):
+                break
+        if bad:
+            u, v = rows[bad - 1, :n], rows[bad - 1, n:]
+        if u_ok:
+            u = row[:n]
+        log_step(eps, update_f=not u_ok)  # folds u and v before the rows are reused
+        return bad + 1, False
 
     def sweep(eps, scale_eps, iters, check):
         # a level's iterations; the scalings arrive at the last level's epsilon, scale_eps
         if eps == scale_eps / 2.0:
             _square_folded_kernel(kernel, u, v)
             fold(scale_eps)
-            iterate(eps, kernel @ v)
+            made, _ = window(eps, 1, check=False)
         else:
             fold(scale_eps)
             log_step(eps, update_f=True)
-        for start in range(1, iters, _WINDOW):
-            size = min(_WINDOW, iters - start)
-            converged = window(size, check)
-            if converged is None:
-                converged = checked(eps, size, check)
+            made = 1
+        while made < iters:
+            done, converged = window(eps, min(_WINDOW, iters - made), check)
             if converged:
                 return True
+            made += done
         return check and row_error(u, kernel @ v) < tol
 
     budget = max_iters

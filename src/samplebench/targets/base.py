@@ -19,11 +19,9 @@ output as is.
 Mode-model contract.  A target with modes supplies a `ModeModel` of M >= 2
 disjoint mode cells and `cell(x) -> (n,)`, the integer cell in [0, M) of each
 point of an (n, d) batch; it is not a target query and counts no NFE.
-`ModeModel.prob(x)` is the same assignment as (n, M) one-hot rows.  EMC and
-EJS of those rows (`metrics.emc`, `metrics.ejs`) equal, bit for bit, the cell
-forms (`metrics.emc_from_cells`, `metrics.ejs_from_cells`) that the
-checkpoint evaluation computes.  `true_mode_probs`, when known, is the
-target's mass in each cell.
+EMC and EJS (`metrics.emc`, `metrics.ejs`) take these cells.
+`ModeModel.prob(x)` is the same assignment as (n, M) one-hot rows.
+`true_mode_probs`, when known, is the target's mass in each cell.
 """
 
 from __future__ import annotations

@@ -349,6 +349,39 @@ def test_config_error_during_training_is_not_a_seed_failure():
         run_experiment(parse_config(doc), clock=FakeClock())
 
 
+SAMPLER_VALUES_OUT_OF_RANGE = [
+    ("smc", {"leapfrog_steps": 0}),
+    ("smc", {"step_size_low": 0.0}),
+    ("smc", {"kernel": "mh", "scale_low": -1.0}),
+    ("smc", {"kernel": "mh", "mh_substeps": 0}),
+    ("smc", {"particles": 1}),
+    ("smc", {"n_steps": 0}),
+    ("craft", {"step_size_high": -0.1}),
+    ("craft", {"kernel": "mh", "scale_high": 0.0}),
+    ("craft", {"particles": 1}),
+    ("craft", {"n_steps": -1}),
+]
+
+
+@pytest.mark.parametrize("method, values", SAMPLER_VALUES_OUT_OF_RANGE,
+                         ids=[f"{m}-{list(v)[-1]}" for m, v in SAMPLER_VALUES_OUT_OF_RANGE])
+def test_sampler_values_out_of_range_are_config_errors(tmp_path, method, values):
+    # before, each failed every seed and exited 3, except mh_substeps 0, which
+    # exited 0 without a single MCMC move
+    from samplebench.cli import main
+
+    budget = {"iterations": 2} if method == "craft" else {}
+    doc = tiny_config(target={"name": "gaussian", "dim": 2},
+                      method={"name": method, "particles": 8, "n_steps": 2, **budget, **values},
+                      output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="MCMC kernel|method key"):
+        run_experiment(parse_config(doc), clock=FakeClock())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("vectors", [
     {"proposal_mean": [0.0, 0.0]},
     {"proposal_log_std": [0.0, 0.0]},
@@ -759,7 +792,7 @@ class _FixedSampler:
 def test_evaluation_mode_criteria_equal_the_row_forms_bitwise():
     # samples spread over some of the 40 MoG modes, a cluster on one, and exact draws
     from samplebench.harness.evaluate import evaluate_sampler
-    from samplebench.metrics import ejs, emc
+    from test_metrics import _row_ejs, _row_emc
 
     target = make_mog_target(2)
     modes = target.mode_model
@@ -768,9 +801,9 @@ def test_evaluation_mode_criteria_equal_the_row_forms_bitwise():
     for x in clouds:
         report = evaluate_sampler(_FixedSampler(x), target, len(x), RngStream(50, 2), None, 0, 1)
         rows = modes.prob(x)
-        assert np.float64(report.emc).tobytes() == np.float64(emc(rows)).tobytes()
+        assert np.float64(report.emc).tobytes() == np.float64(_row_emc(rows)).tobytes()
         assert (np.float64(report.ejs).tobytes()
-                == np.float64(ejs(rows, modes.true_mode_probs)).tobytes())
+                == np.float64(_row_ejs(rows, modes.true_mode_probs)).tobytes())
 
 
 class _Unqueried:
@@ -931,6 +964,25 @@ def test_cli_metrics_subcommand(tmp_path, capsys):
     assert 0.9 < report["emc"] <= 1.0  # exact samples cover the modes
     assert report["w2"] > 0.0
     assert isinstance(report["w2_converged"], bool)
+
+
+@pytest.mark.parametrize("ipm_samples, code", [("1", 2), ("-3", 2), ("0", 0), ("2", 0)])
+def test_cli_metrics_ipm_samples_takes_the_protocol_bound(tmp_path, capsys, ipm_samples, code):
+    # 0 or at least 2, as the protocol's ipm_subsample; before, 1 exited 0 with MMD
+    # and W2 missing, and -3 failed inside numpy
+    from samplebench.cli import main
+
+    x = make_mog_target(2).exact_sampler(RngStream(3, 0), 50)
+    path = tmp_path / "samples.csv"
+    path.write_text("\n".join(["x_1,x_2"] + [f"{a},{b}" for a, b in x]) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["metrics", "--samples", str(path), "--target", "mog",
+                 "--ipm-samples", ipm_samples, "--out", str(out)]) == code
+    if code:
+        assert "--ipm-samples" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert ("w2" in json.loads(out.read_text())) == (ipm_samples == "2")
 
 
 def test_cli_metrics_default_mog_layout_is_the_run_layout(tmp_path, capsys):

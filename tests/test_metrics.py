@@ -15,10 +15,8 @@ from samplebench.metrics import (
     _median_upper,
     _sq_distances,
     ejs,
-    ejs_from_cells,
     elbo,
     emc,
-    emc_from_cells,
     ess_estimates,
     eubo,
     log_z_estimates,
@@ -124,45 +122,34 @@ def test_ess_in_unit_interval():
 
 # ----------------------------------------------------------------------- emc
 def test_emc_single_mode_is_zero():
-    rows = np.zeros((10, 4))
-    rows[:, 2] = 1.0
-    assert emc(rows) == 0.0
-    assert math.copysign(1.0, emc(rows)) == 1.0  # the mode-collapse value prints as 0.0, not -0.0
+    cells = np.full(10, 2)
+    assert emc(cells, 4) == 0.0
+    assert math.copysign(1.0, emc(cells, 4)) == 1.0  # mode collapse prints as 0.0, not -0.0
 
 
 def test_emc_uniform_coverage_is_one():
-    rows = np.eye(4)[np.arange(20) % 4]
-    assert emc(rows) == pytest.approx(1.0)
+    assert emc(np.arange(20) % 4, 4) == pytest.approx(1.0)
 
 
 def test_emc_two_of_four_modes():
-    rows = np.eye(4)[np.arange(20) % 2]
-    assert emc(rows) == pytest.approx(0.5)  # log_4(2)
+    assert emc(np.arange(20) % 2, 4) == pytest.approx(0.5)  # log_4(2)
 
 
 def test_emc_aggregate_row_order_invariant():
     rng = RngStream(8, 0)
-    raw = rng.uniform(size=(30, 5))
-    rows = raw / raw.sum(axis=1, keepdims=True)
+    cells = rng.integers(5, size=30)
     perm = np.argsort(rng.uniform(size=30))
-    assert emc(rows) == emc(rows[perm])
-
-
-def test_emc_invalid_rows():
-    with pytest.raises(UsageError):
-        emc(np.array([[0.5, 0.6]]))
+    assert emc(cells, 5) == emc(cells[perm], 5)
 
 
 # ----------------------------------------------------------------------- ejs
 def test_ejs_matching_rows_zero():
-    p_star = np.array([0.2, 0.3, 0.5])
-    rows = np.tile(p_star, (6, 1))
-    assert ejs(rows, p_star) == pytest.approx(0.0, abs=1e-12)
+    # every sample in the one mode that holds all of the truth's mass
+    assert ejs(np.full(6, 1), np.array([0.0, 1.0, 0.0])) == 0.0
 
 
 def test_ejs_disjoint_support_is_one():
-    rows = np.tile([1.0, 0.0], (5, 1))
-    assert ejs(rows, np.array([0.0, 1.0])) == pytest.approx(1.0)
+    assert ejs(np.zeros(5, dtype=int), np.array([0.0, 1.0])) == pytest.approx(1.0)
 
 
 def test_ejs_onehot_vs_uniform_oracle():
@@ -173,10 +160,22 @@ def test_ejs_onehot_vs_uniform_oracle():
     kl_pm = sum(pi * math.log2(pi / mi) for pi, mi in zip(p, m) if pi > 0)
     kl_qm = sum(qi * math.log2(qi / mi) for qi, mi in zip(q, m) if qi > 0)
     expected = 0.5 * kl_pm + 0.5 * kl_qm
-    assert ejs(p[None, :], q) == pytest.approx(expected, rel=1e-12)
+    assert ejs(np.array([0]), q) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------- mode cells
+def _row_emc(rows):
+    """EMC of (n, M) mode-probability rows: the base-M entropy of their mean."""
+    q = rows.mean(axis=0)
+    nz = q > 0
+    return float(-(q[nz] * np.log(q[nz])).sum() / np.log(rows.shape[1])) + 0.0
+
+
+def _row_ejs(rows, true_probs):
+    """EJS of (n, M) mode-probability rows: their mean JS divergence from the truth, in bits."""
+    return float(np.mean(metrics._js_rows(rows, true_probs)) / np.log(2.0))
+
+
 def _cells_and_truths(n, n_modes, seed):
     # cells drawn from half the modes, so some stay empty; a truth with zero entries
     rng = RngStream(40, seed)
@@ -194,19 +193,13 @@ def test_cell_criteria_bitwise_equal_row_forms_on_one_hot_rows(n, n_modes):
     cells, truths = _cells_and_truths(n, n_modes, 7 * n + n_modes)
     rows = np.eye(n_modes)[cells]
     assert len(np.unique(cells)) < n_modes
-    _assert_same_bits(emc_from_cells(cells, n_modes), emc(rows))
+    _assert_same_bits(emc(cells, n_modes), _row_emc(rows))
     for q in truths:
-        _assert_same_bits(ejs_from_cells(cells, q), ejs(rows, q))
+        _assert_same_bits(ejs(cells, q), _row_ejs(rows, q))
 
 
 def _assert_same_bits(a, b):
     assert np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
-def test_cell_criteria_one_cell_is_zero_coverage():
-    cells = np.full(10, 2)
-    assert math.copysign(1.0, emc_from_cells(cells, 4)) == 1.0 and emc_from_cells(cells, 4) == 0.0
-    assert ejs_from_cells(np.zeros(5, dtype=int), np.array([0.0, 1.0])) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("cells, n_modes", [
@@ -218,14 +211,14 @@ def test_cell_criteria_one_cell_is_zero_coverage():
 ])
 def test_cell_criteria_invalid_cells(cells, n_modes):
     with pytest.raises(UsageError):
-        emc_from_cells(cells, n_modes)
+        emc(cells, n_modes)
     with pytest.raises(UsageError):
-        ejs_from_cells(cells, np.full(n_modes, 1.0 / n_modes))
+        ejs(cells, np.full(n_modes, 1.0 / n_modes))
 
 
-def test_ejs_from_cells_rejects_a_truth_that_is_not_a_vector():
+def test_ejs_rejects_a_truth_that_is_not_a_vector():
     with pytest.raises(UsageError):
-        ejs_from_cells(np.array([0, 1]), np.full((2, 2), 0.25))
+        ejs(np.array([0, 1]), np.full((2, 2), 0.25))
 
 
 # ------------------------------------------------------------ distance matrix
@@ -699,20 +692,32 @@ def test_sinkhorn_windows_bitwise_equal_per_iteration_checks_in_a_narrow_range(m
     assert {half for *_, half in misses} == {"u", "v"}
 
 
+def _window_position(iteration):
+    # where a level's iteration falls: its first iteration runs alone, and the
+    # windows run from iteration 1 on while the level has had no miss
+    if iteration == 0:
+        return "level-start"
+    row = (iteration - 1) % metrics._WINDOW
+    return "first" if row == 0 else "last" if row == metrics._WINDOW - 1 else "mid"
+
+
 def _mid_window(iteration):
-    # a level's iterations after its first run in windows from iteration 1
-    return 0 < (iteration - 1) % metrics._WINDOW < metrics._WINDOW - 1
+    return _window_position(iteration) == "mid"
 
 
-@pytest.mark.parametrize("clouds, dim, bound, miss", [
-    (_uneven_exact, 50, 5e3, (1, 4, "u")),
-    (_bench_shaped, 50, 1e4, (2, 8, "v")),
-    (_bench_shaped, 2, 1e5, (21, 31, "v")),
-], ids=["u-half", "v-half", "checking-level"])
+@pytest.mark.parametrize("clouds, dim, bound, miss, position", [
+    (_uneven_exact, 50, 5e3, (1, 4, "u"), "mid"),
+    (_bench_shaped, 50, 1e4, (2, 8, "v"), "mid"),
+    (_bench_shaped, 2, 1e5, (21, 31, "v"), "mid"),
+    (_uneven_exact, 2, 1.8e5, (21, 65, "v"), "first"),
+    (_bench_shaped, 50, 6e5, (24, 32, "v"), "last"),
+    (_bench_shaped, 2, 5e4, (1, 0, "u"), "level-start"),
+], ids=["u-half", "v-half", "checking-level", "first-row", "last-row", "level-start"])
 def test_sinkhorn_window_with_a_miss_replays_per_iteration_checks(monkeypatch, clouds, dim,
-                                                                  bound, miss):
-    # (level, iteration, half) of a scaling out of range, inside a window; the last
-    # case is on the checking level, the 22nd of the bench-shaped d=2 clouds
+                                                                  bound, miss, position):
+    # (level, iteration, half) of a scaling out of range, at `position` in its window;
+    # the first and last rows hold their level's first miss.  The checking level is
+    # the 22nd of the bench-shaped d=2 clouds, and level 1 starts from the squared kernel
     in_range = metrics._in_scaling_range
     window_misses = []
 
@@ -727,8 +732,8 @@ def test_sinkhorn_window_with_a_miss_replays_per_iteration_checks(monkeypatch, c
     x, y = clouds(dim)
     misses = []
     _assert_matches_per_iteration(x, y, misses=misses, max_iters=300)
-    assert miss in misses and _mid_window(miss[1])
-    assert window_misses  # the windowed run found it and replayed its window
+    assert miss in misses and _window_position(miss[1]) == position
+    assert window_misses  # the windowed run found it and resumed after it
 
 
 @pytest.mark.parametrize("max_iters, expected", [(78, False), (79, True), (10_000, True)])

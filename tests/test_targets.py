@@ -5,7 +5,7 @@ import pytest
 
 from samplebench.errors import IngestionError, UsageError
 from samplebench.harness.registry import DEFAULT_SIGMA0, TARGETS, build_target
-from samplebench.metrics import REVERSE, WeightedSamples, ejs, emc, mmd, mmd_squared, sinkhorn_w2
+from samplebench.metrics import REVERSE, WeightedSamples, mmd, mmd_squared, sinkhorn_w2
 from samplebench.numerics import RngStream
 from samplebench.numerics.nets import DriftNet, drift_forward
 from samplebench.targets import mixtures
@@ -83,8 +83,6 @@ def _one_dimensional_calls():
         "mmd_squared": lambda: mmd_squared(x, y),
         "mmd": lambda: mmd(x, y),
         "sinkhorn_w2": lambda: sinkhorn_w2(x, y),
-        "emc": lambda: emc(np.array([0.5, 0.5])),
-        "ejs": lambda: ejs(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
         "drift_forward": lambda: drift_forward(net, np.zeros(2), 0.5, np.zeros(2)),
     }
 
