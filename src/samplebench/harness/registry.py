@@ -185,8 +185,8 @@ def _smc_sampler(p: dict, proposal, target, flows=None) -> SmcSampler:
 
 def _checkpoint_marks(iterations, n_checkpoints):
     """Evaluation iterations: evenly spaced from 1 to the last; one checkpoint is the last."""
-    if iterations <= 0 or n_checkpoints <= 0:
-        return []
+    if iterations < 1:  # every method that trains takes its marks here
+        raise ConfigError(f"method key 'iterations' must be at least 1, got {iterations}")
     if n_checkpoints == 1:
         return [iterations]
     # a set, not np.unique: np.unique imports numpy.ma on first use

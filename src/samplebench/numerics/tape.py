@@ -3,8 +3,9 @@
 Nodes hold numpy arrays; the node list is a Wengert list (every parent index
 precedes its consumer), so the backward pass is a single reverse sweep that
 visits each node exactly once.  This is deliberately small: matmul, elementwise
-arithmetic, tanh/exp, reductions and custom primitives are enough to train
-two-layer drift networks, diagonal affine flows and diagonal Gaussians.
+arithmetic, tanh/exp, reductions and custom primitives are enough to train the
+diffusion samplers.  MFVI and CRAFT fit diagonal affine maps, whose
+reparameterized gradients are closed form, and take no tape.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ from .kernels import (AnnealedPath, HmcConfig, MhConfig, annealed_logdensity, an
 from .numerics.adam import AdamState, adam_step
 from .numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
 from .numerics.rng import RngStream
-from .numerics.tape import Tape
 
 
 @dataclass
@@ -232,8 +231,10 @@ def craft_train(path: AnnealedPath, flows: list, kernel_cfg, iterations: int,
     """Train one diagonal affine flow per temperature on the running SMC sweep.
 
     Before each temperature's reweight, that temperature's flow takes one Adam
-    step on the negative expected log incremental weight; gradients flow
-    through shift and log_scale on the tape.  The flows are updated in place,
+    step on the negative expected log incremental weight.  With y_i = s * x_i
+    + shift and s = exp(log_scale), its reparameterized gradient is closed
+    form: sum_i w_i in shift and -1 + sum_i (w_i * x_i) * s in log_scale, where
+    w_i = -grad log pi_t(y_i) / n.  The flows are updated in place,
     and `checkpoint_hook(iteration, flows)` fires after each iteration in
     `checkpoints`.  Returns (flows, elbo_trace), the trace holding each
     iteration's mean final log weight.
@@ -241,19 +242,14 @@ def craft_train(path: AnnealedPath, flows: list, kernel_cfg, iterations: int,
     adam_states = [AdamState.init(2 * len(f.shift), learning_rate=learning_rate) for f in flows]
 
     def update_flow(t, x):
-        # tape loss: - mean[ log gamma_t(T(x)) + log|det T| ]
+        # loss: - mean[ log pi_t(T(x)) ] - log|det T|
         flow = flows[t - 1]
-        tape = Tape()
-        shift = tape.leaf(flow.shift)
-        log_scale = tape.leaf(flow.log_scale)
-        y = log_scale.exp() * x + shift
-        val, grad = annealed_logdensity(path, t, y.value)
-        dens = tape.custom(np.sum(val) / n_particles, [y],
-                           lambda adj: (adj * grad / n_particles,), op="annealed_logdensity")
-        loss = -(dens + log_scale.sum())
-        if not np.isfinite(loss.value):
+        scale = np.exp(flow.log_scale)
+        val, grad = annealed_logdensity(path, t, scale * x + flow.shift)
+        if not np.isfinite(np.sum(val) / n_particles + np.sum(flow.log_scale)):
             raise TrainingError(f"non-finite CRAFT loss at temperature {t}")
-        g_shift, g_ls = tape.grad(loss, [shift, log_scale])
+        w = -grad / n_particles  # d loss / d y_i
+        g_shift, g_ls = w.sum(axis=0), -1.0 + (w * x).sum(axis=0) * scale
         packed, adam_states[t - 1] = adam_step(np.concatenate([flow.shift, flow.log_scale]),
                                                np.concatenate([g_shift, g_ls]),
                                                adam_states[t - 1])

@@ -547,6 +547,22 @@ def test_checkpoints_fire_at_the_harness_marks(method, n_checkpoints):
         assert fired == list(range(1, iterations + 1))
 
 
+@pytest.mark.parametrize("method", sorted(CONTRACT_METHODS))
+def test_zero_iterations_is_a_config_error(tmp_path, method):
+    # with nothing trained there is no checkpoint: the run would emit no criteria
+    from samplebench.cli import main
+
+    doc = tiny_config(target={"name": "gaussian", "dim": 2},
+                      method={"name": method, **CONTRACT_METHODS[method], "iterations": 0},
+                      output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="'iterations' must be at least 1"):
+        run_experiment(parse_config(doc), clock=FakeClock())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("n_checkpoints", [2, 4])
 def test_craft_trains_once_whatever_the_checkpoint_count(n_checkpoints):
     # one craft_train call keeps each flow's Adam state across checkpoints

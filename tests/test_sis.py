@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from samplebench import sis
-from samplebench.errors import DegenerateWeightsError, UsageError
+from samplebench.errors import DegenerateWeightsError, TrainingError, UsageError
 from samplebench.kernels import (
     AnnealedPath,
     HmcConfig,
@@ -14,7 +14,7 @@ from samplebench.kernels import (
     hmc_step,
     mh_step,
 )
-from samplebench.numerics import RngStream
+from samplebench.numerics import AdamState, RngStream, Tape, adam_step
 from samplebench.numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
 from samplebench.sis import (
     AffineFlow,
@@ -26,6 +26,7 @@ from samplebench.sis import (
 )
 from samplebench.targets import (
     DiagonalGaussian,
+    TargetDensity,
     make_gaussian_target,
     make_mog_target,
     make_mos_target,
@@ -323,6 +324,19 @@ def test_craft_zero_learning_rate_iteration_matches_flow_sweep(kernel, resamplin
     assert trace[0] == pytest.approx(np.mean(res.particles.log_weights), abs=1e-12)
 
 
+def test_craft_non_finite_tempered_density_is_a_training_error():
+    # a standard normal cut off at radius 1; proposal draws at std 100 lie beyond it
+    def fused(x):
+        val = -0.5 * np.sum(x**2, axis=1)
+        return np.where(np.linalg.norm(x, axis=1) < 1.0, val, -np.inf), -x
+
+    target = TargetDensity(2, lambda x: fused(x)[0], fused)
+    path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 100.0), target, 4)
+    flows = [AffineFlow.identity(2) for _ in range(4)]
+    with pytest.raises(TrainingError, match="non-finite CRAFT loss at temperature 1"):
+        craft_train(path, flows, hmc_cfg(), 1, 16, RngStream(22, 0))
+
+
 # ------------------------------------------ bit-identity with the former loops
 # The AIS loops of smc_run and backward_transport_logweights as they stood
 # before the shared sweep, kept verbatim (flow branches and the diagnostics
@@ -510,3 +524,57 @@ def test_backward_ais_bitwise_with_uneven_rows(target_name, kernel):
     samples = path.target.exact_sampler(RngStream(3, 1), 37)
     lw = backward_transport_logweights(path, cfg, samples, RngStream(4, 1))
     _assert_bitwise(lw, _reference_backward(path, cfg, samples, RngStream(4, 1)))
+
+
+# craft_train as it stood when each flow update took its gradient from the
+# autodiff tape, kept verbatim as the reference for the closed-form gradient.
+def _reference_craft_train(path, flows, kernel_cfg, iterations, n_particles, rng,
+                           learning_rate=1e-2, resample_threshold=0.3, resampling_enabled=True):
+    adam_states = [AdamState.init(2 * len(f.shift), learning_rate=learning_rate) for f in flows]
+
+    def update_flow(t, x):
+        # tape loss: - mean[ log gamma_t(T(x)) + log|det T| ]
+        flow = flows[t - 1]
+        tape = Tape()
+        shift = tape.leaf(flow.shift)
+        log_scale = tape.leaf(flow.log_scale)
+        y = log_scale.exp() * x + shift
+        val, grad = annealed_logdensity(path, t, y.value)
+        dens = tape.custom(np.sum(val) / n_particles, [y],
+                           lambda adj: (adj * grad / n_particles,), op="annealed_logdensity")
+        loss = -(dens + log_scale.sum())
+        if not np.isfinite(loss.value):
+            raise TrainingError(f"non-finite CRAFT loss at temperature {t}")
+        g_shift, g_ls = tape.grad(loss, [shift, log_scale])
+        packed, adam_states[t - 1] = adam_step(np.concatenate([flow.shift, flow.log_scale]),
+                                               np.concatenate([g_shift, g_ls]),
+                                               adam_states[t - 1])
+        flow.shift, flow.log_scale = np.split(packed, 2)
+
+    elbo_trace = []
+    for it in range(1, iterations + 1):
+        x = path.proposal.sample(rng, n_particles)
+        ps, _ = sis._sweep(path, kernel_cfg, x, rng, flows,
+                           resample_threshold=resample_threshold,
+                           resampling_enabled=resampling_enabled, before_reweight=update_flow)
+        elbo_trace.append(float(np.mean(ps.log_weights)))
+    return flows, elbo_trace
+
+
+@pytest.mark.parametrize("kernel", ["hmc", "mh"])
+@pytest.mark.parametrize("target_name", sorted(REFERENCE_TARGETS))
+def test_craft_closed_form_bitwise_equals_tape_update(target_name, kernel):
+    path = _reference_path(target_name)
+    cfg = REFERENCE_KERNELS[kernel]
+    flows, trace = craft_train(path, [AffineFlow.identity(path.target.dim)
+                                      for _ in range(path.n_steps)],
+                               cfg, 20, 37, RngStream(7, 3), learning_rate=5e-2)
+    ref_flows, ref_trace = _reference_craft_train(path, [AffineFlow.identity(path.target.dim)
+                                                         for _ in range(path.n_steps)],
+                                                  cfg, 20, 37, RngStream(7, 3),
+                                                  learning_rate=5e-2)
+    for flow, ref in zip(flows, ref_flows):
+        _assert_bitwise(flow.shift, ref.shift)
+        _assert_bitwise(flow.log_scale, ref.log_scale)
+    _assert_bitwise(np.array(trace), np.array(ref_trace))
+    assert not np.array_equal(flows[0].shift, np.zeros(path.target.dim))
