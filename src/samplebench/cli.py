@@ -116,7 +116,7 @@ def _load_samples_csv(path, weights_col):
 def _cmd_metrics(args) -> int:
     from .errors import ConfigError
     from .harness import Protocol, build_target
-    from .harness.config import check_target
+    from .harness.config import RANGES, check_target
     from .harness.evaluate import sample_criteria
     from .metrics import MetricReport
     from .numerics.rng import RngStream
@@ -138,11 +138,10 @@ def _cmd_metrics(args) -> int:
 
     protocol = Protocol()
     if args.ipm_samples is not None:
+        in_range, text = RANGES["ipm_subsample"]
+        if not in_range(args.ipm_samples):
+            raise ConfigError(f"--ipm-samples must be {text}, got {args.ipm_samples}")
         protocol.ipm_subsample = args.ipm_samples
-        try:
-            protocol.check()
-        except ConfigError as exc:
-            raise ConfigError(f"--ipm-samples {args.ipm_samples}: {exc}") from exc
     ipm_samples = protocol.ipm_subsample
     y = None
     if target.exact_sampler is not None:

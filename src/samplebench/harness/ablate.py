@@ -13,7 +13,8 @@ from ..metrics import MetricReport
 from ..numerics.rng import RngStream
 from .config import ExperimentConfig
 from .emit import _atomic_write, format_cell
-from .registry import ABLATION_GRIDS, ABLATION_KINDS, build_target, resolve_method_params
+from .registry import (ABLATION_GRIDS, ABLATION_KINDS, build_target, grid_fills,
+                       resolve_method_params)
 from .run import RunRecord, run_experiment
 
 
@@ -52,13 +53,10 @@ def ablation_cells(kind: str, config: ExperimentConfig) -> list:
                     cells.append((label, {"trainable_sigma": sig, "trainable_betas": bet,
                                           "trainable_proposal": prop}))
         return cells
-    if kind == "num_steps":
-        grid = _grid("n_steps_grid", config)
-        return [(f"n_steps={t}", {"n_steps": int(t)}) for t in grid]
-    if kind == "batchsize":
-        grid = _grid("batch_grid", config)
-        key = "particles" if config.method_name in ("smc", "craft") else "batch_size"
-        return [(f"{key}={b}", {key: int(b)}) for b in grid]
+    if kind in ("num_steps", "batchsize"):
+        grid = "n_steps_grid" if kind == "num_steps" else "batch_grid"
+        key = grid_fills(grid, config.method_name)
+        return [(f"{key}={v}", {key: v}) for v in _grid(grid, config)]
     if kind == "grad_network":
         return [("guidance=0", {"guidance": False}), ("guidance=1", {"guidance": True})]
     if kind == "loss_fn":

@@ -2,7 +2,9 @@
 
 A target section sets its builder's parameters and a method section the keys of
 its `registry.METHOD_PARAMS` entry, plus the grids of the ablations that apply
-to the method. Each value must have the type of its key's default.
+to the method. Each value must have the type of its key's default, and each
+method and protocol value must lie in its key's range in `RANGES`; each entry of
+an ablation grid must have the type and the range of the method key it fills.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
-from .registry import ABLATION_GRIDS, ABLATION_KINDS, METHOD_PARAMS, TARGETS, target_params
+from .registry import (ABLATION_GRIDS, ABLATION_KINDS, METHOD_PARAMS, TARGETS, grid_fills,
+                       target_params)
 
 SCHEMA_VERSION = 1
 
@@ -27,17 +30,6 @@ class Protocol:
     eval_samples: int = 2000
     ipm_subsample: int = 512  # 0: no MMD or W2
     sinkhorn_iters: int = 300
-
-    def check(self):
-        """Reject a value outside the range its criteria are defined on."""
-        for key, low in (("n_checkpoints", 1), ("running_avg_len", 1), ("eval_samples", 2),
-                         ("sinkhorn_iters", 1)):
-            if getattr(self, key) < low:
-                raise ConfigError(f"protocol key {key!r} must be at least {low}, "
-                                  f"got {getattr(self, key)}")
-        if self.ipm_subsample != 0 and self.ipm_subsample < 2:
-            raise ConfigError("protocol key 'ipm_subsample' must be 0 (no MMD or W2) or at "
-                              f"least 2, got {self.ipm_subsample}")
 
 
 @dataclass
@@ -68,6 +60,39 @@ def check_params(section: dict, declared: dict, where: str):
         if (not isinstance(value, (int, float) if kind is float else kind)
                 or (isinstance(value, bool) and kind is not bool)):
             raise ConfigError(f"{where} key {key!r} takes a {kind.__name__}, got {value!r}")
+
+
+def _at_least(low):
+    return lambda v: v >= low, f"at least {low}"
+
+
+def _one_of(*choices):
+    return lambda v: v in choices, f"one of {choices}"
+
+
+_POSITIVE = (lambda v: v > 0, "greater than 0")
+
+# The valid values of every method and protocol key, as (test, text): a key means
+# the same for every method that declares it.
+RANGES = {
+    **dict.fromkeys(("iterations", "batch_size", "n_steps", "leapfrog_steps", "mh_substeps",
+                     "n_checkpoints", "running_avg_len", "sinkhorn_iters"), _at_least(1)),
+    **dict.fromkeys(("particles", "eval_samples"), _at_least(2)),
+    "ipm_subsample": (lambda v: v == 0 or v >= 2, "0 (no MMD or W2) or at least 2"),
+    **dict.fromkeys(("sigma0", "sigma_max", "learning_rate", "step_size_low", "step_size_high",
+                     "scale_low", "scale_high"), _POSITIVE),
+    "resample_threshold": (lambda v: 0 <= v <= 1, "between 0 and 1"),
+    "kernel": _one_of("hmc", "mh"),
+    "sigma_schedule": _one_of("cosine", "constant"),
+    "loss": _one_of("elbo", "vargrad"),
+}
+
+
+def check_ranges(section: dict, where: str):
+    """Reject a value outside its key's range; `check_params` has checked its type."""
+    for key, value in section.items():
+        if key in RANGES and not RANGES[key][0](value):
+            raise ConfigError(f"{where} key {key!r} must be {RANGES[key][1]}, got {value!r}")
 
 
 def check_target(name: str, params: dict):
@@ -102,13 +127,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
              if method_name in ABLATION_KINDS[kind]}
     check_params(method_params, {**METHOD_PARAMS[method_name], **grids},
                  f"method {method_name!r}")
+    check_ranges(method_params, "method")
+    for grid in grids.keys() & method_params.keys():  # each entry, as the key it fills
+        key = grid_fills(grid, method_name)
+        for entry in method_params[grid]:
+            check_params({key: entry}, METHOD_PARAMS[method_name],
+                         f"{grid} entry: method {method_name!r}")
+            check_ranges({key: entry}, f"{grid} entry: method")
 
     protocol = doc.get("protocol", {})
     check_params(protocol, asdict(Protocol()), "protocol")
-    protocol = Protocol(**protocol)
-    protocol.check()
+    check_ranges(protocol, "protocol")
     config = ExperimentConfig(target_name, target_params, method_name, method_params,
-                              protocol,
+                              Protocol(**protocol),
                               **{k: doc[k] for k in ("seeds", "output_dir") if k in doc})
     seeds = config.seeds
     if not (seeds and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)

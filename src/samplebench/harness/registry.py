@@ -19,7 +19,7 @@ from ..diffusion import ALL_METHODS as DIFFUSION_METHODS
 from ..diffusion import (METHOD_PARTS, OPTIONAL_TRAINABLE, DiffusionSpec,
                          simulate_backward_logweights, simulate_forward, train_diffusion,
                          trainable_parameters)
-from ..errors import ConfigError, UsageError
+from ..errors import ConfigError
 from ..kernels import AnnealedPath, HmcConfig, MhConfig
 from ..numerics.rng import RngStream
 from ..sis import AffineFlow, backward_transport_logweights, craft_train, smc_run
@@ -83,6 +83,13 @@ ABLATION_KINDS = {
 ABLATION_GRIDS = {"sigma0_grid": ("init_support", [1.0, 10.0, 30.0, 60.0]),
                   "n_steps_grid": ("num_steps", [8, 32, 128]),
                   "batch_grid": ("batchsize", [64, 128, 512])}
+
+
+def grid_fills(grid: str, method: str) -> str:
+    """The method key each entry of an ablation grid fills: SMC and CRAFT batch particles."""
+    if grid == "batch_grid":
+        return "particles" if method in ("smc", "craft") else "batch_size"
+    return grid.removesuffix("_grid")
 
 
 def target_params(name: str) -> dict:
@@ -162,31 +169,21 @@ class DiffusionSampler:
 
 # -------------------------------------------------------------------- drivers
 def make_kernel_config(p: dict):
-    try:
-        if p["kernel"] == "hmc":
-            return HmcConfig(leapfrog_steps=p["leapfrog_steps"], step_size_low=p["step_size_low"],
-                             step_size_high=p["step_size_high"])
-        if p["kernel"] == "mh":
-            return MhConfig(n_substeps=p["mh_substeps"], scale_low=p["scale_low"],
-                            scale_high=p["scale_high"])
-    except UsageError as exc:
-        raise ConfigError(f"MCMC kernel {p['kernel']!r}: {exc}") from exc
-    raise ConfigError(f"unknown MCMC kernel {p['kernel']!r}")
+    if p["kernel"] == "hmc":
+        return HmcConfig(leapfrog_steps=p["leapfrog_steps"], step_size_low=p["step_size_low"],
+                         step_size_high=p["step_size_high"])
+    return MhConfig(n_substeps=p["mh_substeps"], scale_low=p["scale_low"],
+                    scale_high=p["scale_high"])
 
 
 def _smc_sampler(p: dict, proposal, target, flows=None) -> SmcSampler:
     """The sampler of an SMC or CRAFT config, on the linear path from `proposal`."""
-    for key, low in (("n_steps", 1), ("particles", 2)):
-        if p[key] < low:
-            raise ConfigError(f"method key {key!r} must be at least {low}, got {p[key]}")
     return SmcSampler(AnnealedPath.linear(proposal, target, p["n_steps"]), make_kernel_config(p),
                       p["particles"], p["resample_threshold"], p["resampling"], flows=flows)
 
 
 def _checkpoint_marks(iterations, n_checkpoints):
     """Evaluation iterations: evenly spaced from 1 to the last; one checkpoint is the last."""
-    if iterations < 1:  # every method that trains takes its marks here
-        raise ConfigError(f"method key 'iterations' must be at least 1, got {iterations}")
     if n_checkpoints == 1:
         return [iterations]
     # a set, not np.unique: np.unique imports numpy.ma on first use

@@ -1,9 +1,11 @@
 """The demos run to completion: the targets, the SIS API, the diffusion samplers
-(kernel pairs, training, backward transport), the criteria and the harness."""
+(kernel pairs, training, backward transport), the criteria and the harness; the
+full-experiment demo cleans up its temporary output folder."""
 
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,3 +21,15 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_full_experiment_demo_leaves_no_temp_folder():
+    # the demo writes its outputs to a temporary folder and removes it
+    tmp = Path(tempfile.gettempdir())
+    before = set(tmp.glob("samplebench_demo_*"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "06_full_experiment.py")],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "wrote mfvi_mog_checkpoints.csv" in proc.stdout
+    assert set(tmp.glob("samplebench_demo_*")) <= before
