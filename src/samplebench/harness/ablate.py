@@ -11,7 +11,7 @@ from pathlib import Path
 from ..errors import ConfigError
 from ..metrics import MetricReport
 from ..numerics.rng import RngStream
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_pairings
 from .emit import _atomic_write, format_cell
 from .registry import (ABLATION_GRIDS, ABLATION_KINDS, build_target, grid_fills,
                        resolve_method_params)
@@ -86,6 +86,8 @@ class AblationRecord:
 
 def run_ablation(kind: str, config: ExperimentConfig, clock=time.perf_counter) -> AblationRecord:
     cells = ablation_cells(kind, config)
+    for label, overrides in cells:  # every cell's values, before any cell runs
+        check_pairings(config.method_name, {**config.method_params, **overrides}, f"cell {label}")
     record = AblationRecord(kind, config)
     for label, overrides in cells:
         cell_config = copy.deepcopy(config)

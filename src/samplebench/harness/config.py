@@ -3,8 +3,8 @@
 A target section sets its builder's parameters and a method section the keys of
 its `registry.METHOD_PARAMS` entry, plus the grids of the ablations that apply
 to the method. Each value must have the type of its key's default, and each
-method and protocol value must lie in its key's range in `RANGES`; each entry of
-an ablation grid must have the type and the range of the method key it fills.
+method and protocol value must lie in its key's range in `RANGES`; an ablation
+grid must be nonempty, each entry with the type and the range of the key it fills.
 """
 
 from __future__ import annotations
@@ -95,6 +95,13 @@ def check_ranges(section: dict, where: str):
             raise ConfigError(f"{where} key {key!r} must be {RANGES[key][1]}, got {value!r}")
 
 
+def check_pairings(method: str, params: dict, where: str):
+    """Reject in-range values that do not go together: VarGrad needs a batch of 2 or more."""
+    p = {**METHOD_PARAMS[method], **params}
+    if p.get("loss") == "vargrad" and p["batch_size"] < 2:
+        raise ConfigError(f"{where}: loss 'vargrad' needs batch_size at least 2")
+
+
 def check_target(name: str, params: dict):
     if name not in TARGETS:
         raise ConfigError(f"unknown target {name!r}; expected one of {tuple(TARGETS)}")
@@ -128,7 +135,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     check_params(method_params, {**METHOD_PARAMS[method_name], **grids},
                  f"method {method_name!r}")
     check_ranges(method_params, "method")
+    check_pairings(method_name, method_params, "method")
     for grid in grids.keys() & method_params.keys():  # each entry, as the key it fills
+        if not method_params[grid]:
+            raise ConfigError(f"method key {grid!r} must have at least one entry")
         key = grid_fills(grid, method_name)
         for entry in method_params[grid]:
             check_params({key: entry}, METHOD_PARAMS[method_name],

@@ -231,11 +231,19 @@ def _median_upper(d2) -> float:
     return float((vals[:half].max() + vals[half]) / 2.0)
 
 
+def _canonical(x, y, min_points):
+    """The clouds as point sets: rows sorted lexicographically (+ 0.0 ties -0.0 with 0.0),
+    the pair in byte order; UsageError unless each has `min_points` (n, d) points."""
+    x, y = _clouds(x, y)
+    if len(x) < min_points or len(y) < min_points:
+        raise UsageError(f"need at least {min_points} point(s) in each sample")
+    x, y = (c[np.lexsort(c.T[::-1])] + 0.0 for c in (x, y))
+    return (y, x) if (x.shape, x.tobytes()) > (y.shape, y.tobytes()) else (x, y)
+
+
 def mmd_squared(x, y, bandwidth: Optional[float] = None) -> float:
     """Unbiased MMD^2 estimate (may be negative) with a squared-exponential kernel."""
-    x, y = _clouds(x, y)
-    if len(x) < 2 or len(y) < 2:
-        raise UsageError("mmd needs at least 2 points in each sample")
+    x, y = _canonical(x, y, 2)
     return _mmd_squared_pooled(_pooled_sq_distances(x, y), len(x), bandwidth)
 
 
@@ -253,14 +261,9 @@ def _mmd_squared_pooled(d2, n, bandwidth=None) -> float:
     np.divide(d2, alpha, out=d2)
     np.exp(d2, out=d2)
     np.fill_diagonal(d2, 0.0)
-    # order-independent sums keep the estimate bit-identical under permutations
-    term_x = _sorted_sum(d2[:n, :n]) / (n * (n - 1))
-    term_y = _sorted_sum(d2[n:, n:]) / (m * (m - 1))
-    return float(term_x + term_y - 2.0 * _sorted_sum(d2[:n, n:]) / (n * m))
-
-
-def _sorted_sum(mat) -> float:
-    return float(np.sum(np.sort(mat.ravel())))
+    term_x = d2[:n, :n].sum() / (n * (n - 1))
+    term_y = d2[n:, n:].sum() / (m * (m - 1))
+    return float(term_x + term_y - 2.0 * d2[:n, n:].sum() / (n * m))
 
 
 def _root(sq) -> float:
@@ -278,19 +281,13 @@ def mmd(x, y, bandwidth: Optional[float] = None) -> float:
 def _ipm_pair(x, y, max_iters: int):
     """(mmd(x, y), *sinkhorn_w2(x, y, max_iters=max_iters)) from one pooled distance matrix.
 
-    Sinkhorn's cost is the pooled matrix's cross block in the canonical order,
-    [:n, n:] or, swapped, [n:, :n]: the symmetric fill mirrors (a - b)^2 =
-    (b - a)^2, so either is _sq_distances of that order bit for bit.  Sinkhorn
-    reads it in place, through elementwise operations and a max, which do not
-    depend on its strides; MMD then builds its kernel in the pooled matrix.
+    Sinkhorn's cost is the pooled matrix's cross block, _sq_distances(x, y) bit for
+    bit; MMD then builds its kernel in the pooled matrix.
     """
-    x, y = _clouds(x, y)
+    x, y = _canonical(x, y, 2)
     n = len(x)
-    if n < 2 or len(y) < 2:
-        raise UsageError("mmd needs at least 2 points in each sample")
     d2 = _pooled_sq_distances(x, y)
-    w2, converged = _sinkhorn(d2[n:, :n] if _swapped(x, y) else d2[:n, n:],
-                              _EPSILON, max_iters, _TOL)
+    w2, converged = _sinkhorn(d2[:n, n:], _EPSILON, max_iters, _TOL)
     return _root(_mmd_squared_pooled(d2, n)), w2, converged
 
 
@@ -301,9 +298,8 @@ def sinkhorn_w2(x, y, epsilon: float = _EPSILON, max_iters: int = 10_000,
     Uniform marginals a = 1/n, b = 1/m and cost C = |x-y|^2; returns
     (sqrt(transport cost), converged).  Epsilon is annealed geometrically from
     span/8 down to its target, 10 warm-up iterations per level, so small-epsilon
-    runs make progress.  The updates alternate (g uses the new f); exact
-    symmetry in (x, y) comes from running both argument orders as one
-    canonical order, plus an order-independent final summation.
+    runs make progress.  The updates alternate (g uses the new f) on the clouds in
+    canonical order, so any order of the rows or of the arguments gives the same bits.
 
     The iterate is held in scaling form (Schmitzer 2019): potentials (f, g)
     absorbed into a kernel K = exp(max((f + g - C)/eps, -700)) and scalings
@@ -338,23 +334,14 @@ def sinkhorn_w2(x, y, epsilon: float = _EPSILON, max_iters: int = 10_000,
     the log-form steps and the converged exit are the ones of checking every
     scaling as it is made.
     """
-    x, y = _clouds(x, y)
-    if len(x) < 1 or len(y) < 1:
-        raise UsageError("sinkhorn_w2 needs nonempty samples")
+    x, y = _canonical(x, y, 1)
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
-    if _swapped(x, y):
-        x, y = y, x
     return _sinkhorn(_sq_distances(x, y), epsilon, max_iters, tol)
 
 
-def _swapped(x, y) -> bool:
-    """Whether (y, x) is the canonical argument order, in which swapped inputs run."""
-    return (x.shape, x.tobytes()) > (y.shape, y.tobytes())
-
-
 def _sinkhorn(cost, epsilon, max_iters, tol):
-    """sinkhorn_w2 on the cost matrix of its canonical argument order."""
+    """sinkhorn_w2 on the cost matrix of its clouds in canonical order."""
     n, m = cost.shape
     a, b = 1.0 / n, 1.0 / m
     log_a = -np.log(n)
@@ -367,7 +354,7 @@ def _sinkhorn(cost, epsilon, max_iters, tol):
     scalings = np.empty((min(_WINDOW, max(max_iters, 1)), n + m))
     kv, ku, resid = np.empty(n), np.empty(m), np.empty(n)
 
-    span = float(cost.max()) if cost.size else 1.0
+    span = float(cost.max())
     eps_levels = []
     eps = max(span / 8.0, epsilon)
     while eps > epsilon:
@@ -474,7 +461,7 @@ def _sinkhorn(cost, epsilon, max_iters, tol):
     np.divide(kernel, epsilon, out=kernel)
     exp_clamped_inplace(kernel)
     np.multiply(kernel, cost, out=kernel)
-    return _root(_sorted_sum(kernel)), bool(converged)
+    return _root(kernel.sum()), bool(converged)
 
 
 # scalings beyond [1/tau, tau] are folded into the potentials and the step redone in log form

@@ -283,6 +283,63 @@ def test_batch_grid_fills_particles_for_smc_and_craft_and_batch_size_otherwise()
                                                        (f"{key}=8", {key: 8})]
 
 
+@pytest.mark.parametrize("grid, kind", [("n_steps_grid", "num_steps"),
+                                        ("batch_grid", "batchsize"),
+                                        ("sigma0_grid", "init_support")])
+def test_empty_ablation_grid_exits_2_with_nothing_written(tmp_path, capsys, monkeypatch,
+                                                         grid, kind):
+    # before, an empty grid ran no cell and wrote a header-only CSV with exit 0
+    from samplebench.cli import main
+
+    trained = []
+    monkeypatch.setattr(MethodDriver, "train", lambda *args: trained.append(args))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(target={"name": "gaussian", "dim": 2},
+                                               method={"name": "dds", grid: []},
+                                               output_dir=str(tmp_path / "out"))))
+    assert main(["ablate", "--config", str(cfg_path), "--kind", kind]) == 2
+    assert f"{grid!r} must have at least one entry" in capsys.readouterr().err
+    assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
+VARGRAD_BATCH_OF_ONE = [
+    ("run", None, {"loss": "vargrad", "batch_size": 1}),
+    ("ablate", "batchsize", {"loss": "vargrad", "batch_grid": [8, 1]}),
+    ("ablate", "loss_fn", {"batch_size": 1}),  # the loss=vargrad cell
+    ("ablate", "num_steps", {"loss": "vargrad", "batch_size": 1}),
+]
+
+
+@pytest.mark.parametrize("command, kind, values", VARGRAD_BATCH_OF_ONE,
+                         ids=["run", "batch_grid", "loss_fn", "base-of-an-ablation"])
+def test_vargrad_with_a_batch_below_2_exits_2_before_anything_runs(tmp_path, capsys,
+                                                                  monkeypatch, command, kind,
+                                                                  values):
+    # before, every seed of such a run or cell failed in training (exit 3)
+    from samplebench.cli import main
+
+    trained = []
+    monkeypatch.setattr(MethodDriver, "train", lambda *args: trained.append(args))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(
+        target={"name": "gaussian", "dim": 2},
+        method={"name": "dds", "iterations": 2, "n_steps": 4, **values},
+        output_dir=str(tmp_path / "out"))))
+    args = [command, "--config", str(cfg_path)] + (["--kind", kind] if kind else [])
+    assert main(args) == 2
+    assert "loss 'vargrad' needs batch_size at least 2" in capsys.readouterr().err
+    assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_vargrad_takes_a_batch_of_2_and_elbo_a_batch_of_1():
+    for loss, batch_size in (("vargrad", 2), ("elbo", 1)):
+        config = parse_config(tiny_config(method={"name": "dds", "loss": loss,
+                                                  "batch_size": batch_size}))
+        assert config.method_params["batch_size"] == batch_size
+
+
 def test_int_fills_a_float_key():
     config = parse_config(tiny_config(method={"name": "dds", "sigma_max": 12, "sigma0": 3}))
     assert config.method_params == {"sigma_max": 12, "sigma0": 3}

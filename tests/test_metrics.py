@@ -386,10 +386,7 @@ def test_sinkhorn_monotone_as_clouds_merge():
 
 def _reference_sinkhorn_w2(x, y, epsilon=1e-3, max_iters=10_000, tol=1e-6):
     """The straightforward loop: fresh temporaries, unclamped exp, both marginals checked."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
-        x, y = y, x
+    x, y = metrics._canonical(x, y, 1)
     n, m = len(x), len(y)
     cost = cdist(x, y, "sqeuclidean")
     log_a = -np.log(n)
@@ -570,8 +567,7 @@ def _per_iteration_sinkhorn_w2(x, y, epsilon=1e-3, max_iters=10_000, tol=1e-6, m
     Each scaling out of range appends (level, iteration, half) to `misses`; the
     level's first iteration is iteration 0.
     """
-    if (x.shape, x.tobytes()) > (y.shape, y.tobytes()):
-        x, y = y, x
+    x, y = metrics._canonical(x, y, 1)
     n, m = len(x), len(y)
     cost = _sq_distances(x, y)
     a, b = 1.0 / n, 1.0 / m
@@ -665,7 +661,7 @@ def _per_iteration_sinkhorn_w2(x, y, epsilon=1e-3, max_iters=10_000, tol=1e-6, m
     np.divide(kernel, epsilon, out=kernel)
     exp_clamped_inplace(kernel)
     np.multiply(kernel, cost, out=kernel)
-    total = float(np.sum(np.sort(kernel.ravel())))
+    total = float(kernel.sum())
     return float(np.sqrt(max(total, 0.0))), bool(converged)
 
 
@@ -762,13 +758,51 @@ def test_sinkhorn_window_misses_on_a_converging_run_replay(monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 50])
 def test_ipm_pair_bitwise_equals_mmd_and_sinkhorn(dim):
-    # one pooled distance matrix gives both criteria, in either canonical order
+    # one pooled distance matrix gives both criteria, the same in either argument
+    # order: with the pair in one order, the cross block is never summed transposed
     x, y = _bench_shaped(dim)
     x, y = x[:128], y[:128]
-    assert metrics._swapped(x, y) != metrics._swapped(y, x)
-    for a, b in ((x, y), (y, x)):
-        got = metrics._ipm_pair(a, b, 300)
-        assert repr(got) == repr((mmd(a, b), *sinkhorn_w2(a, b, max_iters=300)))  # equal bits
+    got = [metrics._ipm_pair(a, b, 300) for a, b in ((x, y), (y, x))]
+    assert repr(got[0]) == repr(got[1]) == repr((mmd(x, y), *sinkhorn_w2(x, y, max_iters=300)))
+    assert mmd(y, x) == mmd(x, y)
+
+
+def _flipping_row_swap(x, y):
+    """x with its first row swapped for a later one so that the raw bytes of x
+    compare with those of y the other way round."""
+    first = x.tobytes() > y.tobytes()
+    row = next(i for i in range(1, len(x)) if (x[i].tobytes() > y[0].tobytes()) != first)
+    order = np.arange(len(x))
+    order[[0, row]] = order[[row, 0]]
+    assert (x[order].tobytes() > y.tobytes()) != first
+    return x[order]
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+def test_ipm_criteria_bitwise_invariant_under_row_permutations(dim):
+    # 300 iterations do not converge, so a change of solve or summation order would show
+    x, y = _bench_shaped(dim)
+    rng = RngStream(40, 0)
+    shuffled = [(_flipping_row_swap(x, y), y), (x, _flipping_row_swap(y, x))]
+    shuffled += [(x[np.argsort(rng.uniform(size=len(x)))], y[np.argsort(rng.uniform(size=len(y)))])
+                 for _ in range(3)]
+    w2 = sinkhorn_w2(x, y, max_iters=300)
+    pair = metrics._ipm_pair(x, y, 300)
+    for a, b in shuffled:
+        assert repr(sinkhorn_w2(a, b, max_iters=300)) == repr(w2)  # equal bits
+        assert repr(metrics._ipm_pair(a, b, 300)) == repr(pair)
+
+
+def test_ipm_criteria_read_negative_zero_as_zero():
+    # clouds whose first coordinates are all zero: a -0.0 there would flip which
+    # cloud comes first in byte order, and the unconverged W2 with it
+    x, y = _bench_shaped(2)
+    zero_x, neg_x, zero_y, neg_y = x.copy(), x.copy(), y.copy(), y.copy()
+    zero_x[:, 0] = zero_y[:, 0] = 0.0
+    neg_x[:, 0] = neg_y[:, 0] = -0.0
+    pair = repr(metrics._ipm_pair(zero_x, zero_y, 300))
+    assert repr(metrics._ipm_pair(neg_x, zero_y, 300)) == pair
+    assert repr(metrics._ipm_pair(zero_x, neg_y, 300)) == pair
 
 
 @pytest.mark.parametrize("axis", [0, 1])
