@@ -283,11 +283,15 @@ class _Anchor:
 
     It queries the target only when a kernel uses the score (the Langevin
     methods, and guidance) or at the endpoint x_T, whose log gamma the weight
-    reads; only there is log gamma kept.  `query`, a fused query (log gamma,
-    grad log gamma) at x already made, stands in for its own.  Without a
-    target, `score` stands in for the query: the target score that guidance
-    reads, and for the Langevin methods the annealed score itself.  Each drift
-    net runs at most once per anchor, however many kernel sides use its output.
+    reads; only there is log gamma kept.  The query is one counted call: where
+    the score goes on the tape (x is a tape variable and the score's gradient
+    is not stopped) it is the target's fused value, score and HVP query, whose
+    `hvp` closure is the `target_score` node's VJP; elsewhere it is the fused
+    value and score.  `query`, a fused (log gamma, grad log gamma) at x already
+    made, stands in for the latter.  Without a target, `score` stands in for
+    the query: the target score that guidance reads, and for the Langevin
+    methods the annealed score itself.  Each drift net runs at most once per
+    anchor, however many kernel sides use its output.
     """
 
     def __init__(self, spec, sched, target, x, index, score=None, query=None):
@@ -302,21 +306,19 @@ class _Anchor:
         if target is None or not (uses_score or endpoint):
             return
         xv = _value(x)
-        val, grad = target.logdensity_and_grad(xv) if query is None else query
+        on_tape = uses_score and isinstance(x, Var) and not spec.score_stop_gradient
+        if on_tape:
+            val, grad, hvp = target.logdensity_grad_and_hvp(xv)
+        else:
+            val, grad = target.logdensity_and_grad(xv) if query is None else query
         if endpoint:
             self.log_gamma = _node(val, "log_gamma", (x, lambda adj: adj[:, None] * grad))
         if not uses_score:
             return
-        if not isinstance(x, Var) or spec.score_stop_gradient:
-            self.score = grad  # a plain array: no gradient flows back through the score
-        elif target.score_hvp is not None:
-            hvp = target.score_hvp
-            self.score = x.tape.custom(grad, [x], lambda adj: (hvp(xv, adj),), op="target_score")
+        if on_tape:
+            self.score = x.tape.custom(grad, [x], lambda adj: (hvp(adj),), op="target_score")
         else:
-            raise UsageError(
-                f"target {target.name!r} has no score_hvp; training through the "
-                "score needs one (or set score_stop_gradient)"
-            )
+            self.score = grad  # a plain array: no gradient flows back through the score
         if langevin:  # (1 - beta) * proposal score + beta * target score
             beta = sched.betas[index]
             self.annealed_score = ((sched.mean - x) * sched.precision * (1.0 - beta)
@@ -533,6 +535,20 @@ class TrainTrace:
     losses: list = field(default_factory=list)
 
 
+def _train_step(spec, target, loss_kind, params, batch_size, rng):
+    """One step's (loss, gradients in `params` order), recorded on a tape of its
+    own; the gradients are None when the loss is non-finite."""
+    tape = Tape()
+    leaves = [tape.leaf(v) for v in params.values()]
+    batch = simulate_forward(spec, target, batch_size, rng,
+                             params=dict(zip(params, leaves)), tape=tape)
+    loss = loss_extended_elbo(batch) if loss_kind == "elbo" else loss_vargrad(batch)
+    loss_val = float(loss.value)
+    if not np.isfinite(loss_val):
+        return loss_val, None
+    return loss_val, tape.grad(loss, leaves)
+
+
 def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
                     iterations: int, batch_size: int, rng: RngStream,
                     learning_rate: float = 1e-3, checkpoints=(),
@@ -540,8 +556,10 @@ def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
     """Adam training loop over the spec's trainable parameters.
 
     `checkpoint_hook(iteration, spec)` fires after the update at each
-    iteration in `checkpoints`.  Aborts with the trace if the loss is
-    non-finite three steps in a row.
+    iteration in `checkpoints`.  Raises `TrainingError`, naming the last three
+    losses, if the loss is non-finite three steps in a row.  Each step's tape
+    lives only inside `_train_step`: it is gone before the update, the hook and
+    the next step's recording.
     """
     if loss_kind not in ("elbo", "vargrad"):
         raise UsageError(f"unknown loss {loss_kind!r}")
@@ -551,13 +569,9 @@ def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
     bad_streak = 0
 
     for it in range(1, iterations + 1):
-        tape = Tape()
-        leaves = {k: tape.leaf(v) for k, v in params.items()}
-        batch = simulate_forward(spec, target, batch_size, rng, params=leaves, tape=tape)
-        loss = loss_extended_elbo(batch) if loss_kind == "elbo" else loss_vargrad(batch)
-        loss_val = float(loss.value)
+        loss_val, grads = _train_step(spec, target, loss_kind, params, batch_size, rng)
         trace.losses.append(loss_val)
-        if not np.isfinite(loss_val):  # skip the update; a mark still fires
+        if grads is None:  # skip the update; a mark still fires
             bad_streak += 1
             if bad_streak >= 3:
                 raise TrainingError(
@@ -566,7 +580,6 @@ def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
                 )
         else:
             bad_streak = 0
-            grads = tape.grad(loss, list(leaves.values()))
             for (name, value), grad in zip(list(params.items()), grads):
                 flat, adam[name] = adam_step(value.ravel(), grad.ravel(), adam[name])
                 params[name] = flat.reshape(np.shape(value))

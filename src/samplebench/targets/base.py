@@ -9,12 +9,16 @@ batch callables over (n, d) arrays of finite points:
   grad log gamma(x) from one pass, so that both share the work they have in
   common (difference tensors, logits, mixture responsibilities).
 
-Both must return the same value.  `score_hvp(x, v) -> (n, d)`, when present,
-is the Hessian-vector product of log gamma at x; it lets the score take part
-in reverse-mode training.  The callables may assume 2-D input: the public
+Both must return the same value.  A target may also supply the fused query
+`score_hvp(x) -> ((n,), (n, d), hvp)`: the value and score of
+`log_unnorm_and_grad`, bitwise, and `hvp(v) -> (n, d)`, the Hessian-vector
+product of log gamma at x for an (n, d) batch v.  `hvp` is a closure over the
+forward pass's intermediates (the mixture responsibilities, the logistic
+sigmoid), so it recomputes none of them; it lets the score take part in
+reverse-mode training.  The callables may assume 2-D input: the public
 methods of `TargetDensity` raise `UsageError` on any other shape or on a
-non-finite point, count one NFE per point per call and return the callables'
-output as is.
+non-finite point, count one NFE per point per call (an `hvp` call counts
+none) and return the callables' output as is.
 
 Mode-model contract.  A target with modes supplies a `ModeModel` of M >= 2
 disjoint mode cells and `cell(x) -> (n,)`, the integer cell in [0, M) of each
@@ -83,7 +87,7 @@ class TargetDensity:
     true_log_z: Optional[float] = None
     exact_sampler: Optional[Callable] = None  # (RngStream, n) -> (n, d)
     mode_model: Optional[ModeModel] = None
-    score_hvp: Optional[Callable] = None  # (x, v) -> (n, d)
+    score_hvp: Optional[Callable] = None  # x -> ((n,), (n, d), hvp), hvp: v -> (n, d)
     name: str = ""
     nfe: NfeCounter = field(default_factory=NfeCounter)
     grad_log_unnorm: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False,
@@ -111,3 +115,10 @@ class TargetDensity:
     def logdensity_and_grad(self, x):
         """Fused value+gradient from one `log_unnorm_and_grad` pass; one NFE per point."""
         return self.log_unnorm_and_grad(self._batch(x))
+
+    def logdensity_grad_and_hvp(self, x):
+        """Fused value, score and `hvp(v)` closure from one `score_hvp` pass; one NFE per point."""
+        if self.score_hvp is None:
+            raise UsageError(f"target {self.name!r} has no score_hvp; training through the "
+                             "score needs one (or set score_stop_gradient)")
+        return self.score_hvp(self._batch(x))

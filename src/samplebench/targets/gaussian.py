@@ -47,16 +47,19 @@ def make_gaussian_target(dim: int = 2, scale: float = 1.0, mean: float = 0.0) ->
     dist = DiagonalGaussian.isotropic(dim, scale, mean)
     var = float(scale) ** 2
 
-    def hvp(x, v):
+    def log_unnorm_and_grad(x):
+        return dist.log_density(x), dist.grad_log_density(x)
+
+    def hvp(v):
         return -v / var
 
     return TargetDensity(
         dim=dim,
         log_unnorm=dist.log_density,
-        log_unnorm_and_grad=lambda x: (dist.log_density(x), dist.grad_log_density(x)),
+        log_unnorm_and_grad=log_unnorm_and_grad,
         true_log_z=0.0,
         exact_sampler=lambda rng, n: dist.sample(rng, n),
-        score_hvp=hvp,
+        score_hvp=lambda x: (*log_unnorm_and_grad(x), hvp),
         name=f"gaussian_d{dim}",
     )
 
@@ -72,6 +75,9 @@ def make_unnormalized_gaussian_target(dim: int, scale: float = 1.0) -> TargetDen
     def log_unnorm_and_grad(x):
         return log_unnorm(x), -x / var
 
+    def hvp(v):
+        return -v / var
+
     dist = DiagonalGaussian.isotropic(dim, scale)
     return TargetDensity(
         dim=dim,
@@ -79,6 +85,6 @@ def make_unnormalized_gaussian_target(dim: int, scale: float = 1.0) -> TargetDen
         log_unnorm_and_grad=log_unnorm_and_grad,
         true_log_z=log_z,
         exact_sampler=lambda rng, n: dist.sample(rng, n),
-        score_hvp=lambda x, v: -v / var,
+        score_hvp=lambda x: (*log_unnorm_and_grad(x), hvp),
         name=f"unnorm_gaussian_d{dim}",
     )

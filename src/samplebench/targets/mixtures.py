@@ -6,8 +6,9 @@ sampler.  Mode descriptors assign each point to the argmax-density component,
 taken over the same (n, K) log-terms the value queries build.
 
 Gaussian-mixture values, scores and HVPs are computed by matmul through the
-expansion |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2; Student-t mixtures have no such
-expansion and share one (n, K, d) offset tensor between value and score.
+expansion |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2, and the HVP closure reuses the
+query's responsibilities; Student-t mixtures have no such expansion and share
+one (n, K, d) offset tensor between value and score.
 
 Every query takes one softmax over the (n, K) log-terms, in place in that
 temporary, through the shared clamped exp (`numerics.logspace`).  Far-apart
@@ -67,7 +68,7 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
     means = spec.draw_means()
     k = spec.n_components
     log_k = np.log(k)
-    hvp = None
+    score_hvp = None
 
     if spec.kind == "gaussian":
         # log N(x | mu_k, I) = x.mu_k - |mu_k|^2/2 - |x|^2/2 - d log(2 pi)/2: the
@@ -84,17 +85,25 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
             lse, _ = _log_sum_and_resp(log_terms(x))
             return lse - 0.5 * np.sum(x * x, axis=1) - offset
 
-        def log_unnorm_and_grad(x):
+        def forward(x):
+            # value, score, and the responsibilities r and m = r.mu the HVP reads
             lse, r = _log_sum_and_resp(log_terms(x))
-            return lse - 0.5 * np.sum(x * x, axis=1) - offset, r @ means - x
-
-        def hvp(x, v):
-            # Hessian of log gamma = Cov_r(mu) - I, applied as E_r[mu mu^T] v - m m^T v - v
-            _, r = _log_sum_and_resp(log_terms(x))
             m = r @ means
-            rv = v @ means.T
-            rv *= r
-            return rv @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
+            return lse - 0.5 * np.sum(x * x, axis=1) - offset, m - x, r, m
+
+        def log_unnorm_and_grad(x):
+            return forward(x)[:2]
+
+        def score_hvp(x):
+            value, score, r, m = forward(x)
+
+            def hvp(v):
+                # Hessian of log gamma = Cov_r(mu) - I, applied as E_r[mu mu^T] v - m m^T v - v
+                rv = v @ means.T
+                rv *= r
+                return rv @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
+
+            return value, score, hvp
 
     else:
 
@@ -130,7 +139,7 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
         true_log_z=0.0,
         exact_sampler=sampler,
         mode_model=ModeModel(k, mode_cell, np.full(k, 1.0 / k)),
-        score_hvp=hvp,
+        score_hvp=score_hvp,
         name=f"{'mog' if spec.kind == 'gaussian' else 'mos'}_d{spec.dim}_k{k}",
     )
 

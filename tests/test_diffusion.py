@@ -188,6 +188,33 @@ def test_training_step_frees_its_tape(method, monkeypatch):
     assert alive == [False]
 
 
+def test_one_tape_alive_at_a_time(monkeypatch):
+    # step 1's tape, leaves, batch and loss die with its step: before the
+    # checkpoint hook fires and before step 2 records, with no cyclic collector
+    tapes, alive_at_step_2, alive_at_hook = [], [], []
+
+    class TrackedTape(Tape):
+        def __init__(self):
+            alive_at_step_2.extend(ref() is not None for ref in tapes)
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    def hook(iteration, spec):
+        alive_at_hook.append([ref() is not None for ref in tapes])
+
+    monkeypatch.setattr(diffusion, "Tape", TrackedTape)
+    spec = make_spec("dds", n_steps=4, guidance=True, seed=46)
+    gc.disable()
+    try:
+        train_diffusion(spec, make_mog_target(2), "elbo", 2, 8, RngStream(47, 0),
+                        checkpoints=(1,), checkpoint_hook=hook)
+    finally:
+        gc.enable()
+    assert len(tapes) == 2
+    assert alive_at_hook == [[False]]
+    assert alive_at_step_2 == [False]
+
+
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_training_step_records_only_what_the_weight_reads(method):
     # with a constant sigma the drawn side's density is a plain array, and only
@@ -513,7 +540,7 @@ def test_training_divergence_aborts():
     bad = make_gaussian_target(1)
     bad.log_unnorm = lambda x: np.full(len(np.atleast_2d(x)), np.nan)
     bad.log_unnorm_and_grad = lambda x: (bad.log_unnorm(x), np.zeros_like(np.atleast_2d(x)))
-    bad.score_hvp = lambda x, v: np.zeros_like(v)
+    bad.score_hvp = lambda x: (*bad.log_unnorm_and_grad(x), np.zeros_like)
     with pytest.raises(TrainingError):
         train_diffusion(spec, bad, "elbo", 10, 8, RngStream(24, 0))
 
@@ -524,7 +551,7 @@ def test_training_without_hvp_is_rejected():
     spec = make_spec("cmcd", dim=1, n_steps=2, guidance=True, seed=25)
     target = make_gaussian_target(1)
     target.score_hvp = None
-    with pytest.raises(UsageError, match="score_hvp"):
+    with pytest.raises(UsageError, match="has no score_hvp"):
         train_diffusion(spec, target, "elbo", 2, 8, RngStream(26, 0))
     spec.score_stop_gradient = True
     train_diffusion(spec, target, "elbo", 2, 8, RngStream(26, 0))  # now allowed
@@ -536,7 +563,9 @@ def test_training_without_hvp_is_rejected():
 
 
 def test_score_stop_gradient_holds_where_the_target_has_an_hvp(monkeypatch):
-    # with the flag the score is a plain array, even where score_hvp could carry it
+    # with the flag the score is a plain array, even where score_hvp could carry
+    # it, and no anchor makes the fused HVP query; without it every anchor on
+    # the tape (x_1 .. x_T) makes that one query and no other
     tapes = []
 
     class KeptTape(Tape):
@@ -547,13 +576,23 @@ def test_score_stop_gradient_holds_where_the_target_has_an_hvp(monkeypatch):
     monkeypatch.setattr(diffusion, "Tape", KeptTape)
     target = make_gaussian_target(2)
     assert target.score_hvp is not None
+    queries = collections.Counter()
+    for name in ("logdensity_and_grad", "logdensity_grad_and_hvp"):
+        real = getattr(target, name)
+        monkeypatch.setattr(target, name,
+                            lambda x, real=real, name=name: queries.update([name]) or real(x))
+    calls = []
     for stop in (False, True):
         spec = make_spec("dds", n_steps=4, guidance=True, seed=52)
         spec.score_stop_gradient = stop
+        queries.clear()
         train_diffusion(spec, target, "elbo", 1, 8, RngStream(53, 0))
+        calls.append(dict(queries))
     scores = [collections.Counter(node.op for node in tape.nodes)["target_score"]
               for tape in tapes]
-    assert scores[0] > 0 and scores[1] == 0
+    assert scores == [4, 0]
+    assert calls == [{"logdensity_and_grad": 1, "logdensity_grad_and_hvp": 4},
+                     {"logdensity_and_grad": 5}]
 
 
 def test_train_on_gaussian_improves_elbo():

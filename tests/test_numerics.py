@@ -73,7 +73,7 @@ def test_shifted_exp_never_passes_exp_an_input_below_its_floor(monkeypatch):
     target = make_mog_target(50)
     x = rng.uniform(-40.0, 40.0, (128, 50))
     target.log_unnorm_and_grad(x)
-    target.score_hvp(x, rng.normal(x.shape))
+    target.score_hvp(x)[2](rng.normal(x.shape))
     # Sinkhorn's squared level starts make K with no exp; their own clamp keeps it at or
     # above e^-700 (a 200-iteration solve squares entries past that floor, 30 do not)
     square = metrics._square_folded_kernel

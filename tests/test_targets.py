@@ -18,6 +18,7 @@ from samplebench.targets import (
     make_mixture_target,
     make_mog_target,
     make_mos_target,
+    make_unnormalized_gaussian_target,
     load_regression_target,
 )
 
@@ -67,6 +68,9 @@ def test_fused_call_counts_one_nfe_per_point():
     assert t.nfe.value == 1
     t.log_density(np.zeros((7, 2)))
     assert t.nfe.value == 8
+    _, _, hvp = t.logdensity_grad_and_hvp(np.zeros((5, 2)))
+    hvp(np.ones((5, 2)))
+    assert t.nfe.value == 13  # the HVP closure counts none
 
 
 def _one_dimensional_calls():
@@ -77,6 +81,7 @@ def _one_dimensional_calls():
         "target.log_density": lambda: target.log_density(np.zeros(2)),
         "target.grad": lambda: target.grad(np.zeros(2)),
         "target.logdensity_and_grad": lambda: target.logdensity_and_grad(np.zeros(2)),
+        "target.logdensity_grad_and_hvp": lambda: target.logdensity_grad_and_hvp(np.zeros(2)),
         "DiagonalGaussian.log_density": lambda: DiagonalGaussian.isotropic(2).log_density(
             np.zeros(2)),
         "WeightedSamples": lambda: WeightedSamples(x, np.zeros(4), REVERSE),
@@ -295,7 +300,9 @@ def test_mog_expansion_matches_direct_form_out_to_3_sigma(dim):
     assert np.all(np.abs(value_mm - value) <= 1e-14 * scale)
     assert np.all(np.abs(target.log_unnorm(x) - value) <= 1e-14 * scale)
     assert np.all(np.abs(score_mm - score).max(axis=1) <= 1e-13 * scale)
-    hvp_err = np.abs(target.score_hvp(x, v) - hvp).max(axis=1)
+    value_q, score_q, hvp_q = target.score_hvp(x)
+    assert np.array_equal(value_q, value_mm) and np.array_equal(score_q, score_mm)
+    hvp_err = np.abs(hvp_q(v) - hvp).max(axis=1)
     assert np.all(hvp_err <= 1e-13 * scale * np.linalg.norm(v, axis=1))
 
 
@@ -309,7 +316,10 @@ def _unclamped_log_sum_and_resp(comp):
 
 def _mixture_queries(target, x, v):
     out = [target.log_unnorm(x), *target.log_unnorm_and_grad(x)]
-    return out + ([target.score_hvp(x, v)] if target.score_hvp is not None else [])
+    if target.score_hvp is None:
+        return out
+    value, score, hvp = target.score_hvp(x)
+    return out + [value, score, hvp(v)]
 
 
 @pytest.mark.parametrize("kind,dim,half_width", [
@@ -417,6 +427,95 @@ def test_logistic_rejects_constant_column(tmp_path):
     path.write_text("f1,f2,label\n1.0,0.3,0\n1.0,0.9,1\n")
     with pytest.raises(IngestionError, match="f1"):
         load_regression_target(path)
+
+
+# ---------------------------------------------------------------- score HVPs
+# The former `score_hvp(x, v)` formulas, each recomputing its forward pass, kept
+# as oracles: the fused query's `hvp` closure must equal them bitwise.
+def _mog_hvp_oracle(means):
+    half_sq_means = 0.5 * np.sum(means**2, axis=1)
+
+    def hvp(x, v):
+        comp = x @ means.T
+        comp -= half_sq_means
+        _, r = mixtures._log_sum_and_resp(comp)
+        m = r @ means
+        rv = v @ means.T
+        rv *= r
+        return rv @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
+
+    return hvp
+
+
+def _logistic_hvp_oracle(u, var_w):
+    def hvp(x, v):
+        sig = 1.0 / (1.0 + np.exp(-(x @ u.T)))
+        w = sig * (1.0 - sig)
+        return -v / var_w - (w * (v @ u.T)) @ u
+
+    return hvp
+
+
+def _hvp_case(name, csv_path):
+    """(target, points, former HVP, bound on the Hessian's spectral norm)."""
+    rng = RngStream(60, 0)
+    if name.startswith("mog"):
+        dim = int(name[len("mog_d"):])
+        target = make_mog_target(dim)
+        means = MixtureSpec(40, dim, "gaussian", -40, 40, seed=12).draw_means()
+        # exact draws, where the mass is, and midpoints of two means, where the
+        # responsibilities turn fastest; Cov_r(mu) - I has norm <= max |mu|^2 + 1
+        mid = 0.5 * (means[rng.integers(40, size=64)] + means[rng.integers(40, size=64)])
+        x = np.concatenate([target.exact_sampler(rng, 64), mid])
+        return target, x, _mog_hvp_oracle(means), np.max(np.sum(means**2, axis=1)) + 1.0
+    if name == "logistic":
+        target = load_regression_target(csv_path, prior_scale=1.5)
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        features = data[:, :-1]
+        u = (features - features.mean(axis=0)) / features.std(axis=0)
+        # -I/var - U^T diag(s(1-s)) U, with s(1-s) <= 1/4
+        return (target, 2.0 * rng.normal((64, target.dim)), _logistic_hvp_oracle(u, 2.25),
+                1.0 / 2.25 + 0.25 * np.linalg.norm(u, 2) ** 2)
+    target = (make_gaussian_target(3, 2.0, 1.0) if name == "gaussian"
+              else make_unnormalized_gaussian_target(3, 0.5))
+    var = 4.0 if name == "gaussian" else 0.25
+    return target, 3.0 * rng.normal((64, 3)), lambda x, v: -v / var, 1.0 / var
+
+
+HVP_TARGETS = ["mog_d2", "mog_d50", "logistic", "gaussian", "unnorm_gaussian"]
+
+
+@pytest.mark.parametrize("name", HVP_TARGETS)
+def test_score_hvp_closure_matches_central_difference_symmetry_and_former_formula(name, toy_csv):
+    target, x, former_hvp, h_norm = _hvp_case(name, toy_csv)
+    rng = RngStream(61, 0)
+    v, w = rng.normal(x.shape), rng.normal(x.shape)
+    value, score, hvp = target.score_hvp(x)
+    hv, hw = hvp(v), hvp(w)
+    # the value and score are the fused query's, and the HVP the former formula's, bitwise
+    value_fused, score_fused = target.log_unnorm_and_grad(x)
+    assert np.array_equal(value, value_fused) and np.array_equal(score, score_fused)
+    assert np.array_equal(hv, former_hvp(x, v)) and np.array_equal(hw, former_hvp(x, w))
+
+    # central difference of the score along v.  Truncation is h^2 |D^3 log gamma|;
+    # rounding is that of the score divided by 2h, largest at the d=50 ties, whose
+    # log-terms |x.mu| ~ 1e4 make the responsibilities' rounding about 4e-6 of |Hv|
+    h = 1e-5
+    fd = (target.log_unnorm_and_grad(x + h * v)[1]
+          - target.log_unnorm_and_grad(x - h * v)[1]) / (2.0 * h)
+    norm = np.linalg.norm
+    assert np.all(norm(fd - hv, axis=1) <= 1e-5 * (norm(hv, axis=1) + norm(v, axis=1)))
+
+    # symmetry w^T H v = v^T H w; each side rounds at about d eps |H| |v| |w| (d <= 50)
+    asym = np.abs(np.sum(w * hv, axis=1) - np.sum(v * hw, axis=1))
+    assert np.all(asym <= 1e-13 * h_norm * norm(v, axis=1) * norm(w, axis=1))
+
+
+def test_hvp_cases_cover_every_shipped_target_that_has_one(toy_csv):
+    with_hvp = {name for name in TARGETS
+                if build_target(name, {"csv_path": str(toy_csv)} if name == "logistic" else {})
+                .score_hvp is not None}
+    assert {name.split("_d")[0] for name in HVP_TARGETS} >= with_hvp
 
 
 # ------------------------------------------------------------------- brownian
