@@ -1,5 +1,6 @@
 # The mode-collapse criteria side by side: a collapsed model can look good on
-# reverse criteria while the forward criteria and EMC expose it.
+# reverse criteria while the forward criteria, EMC and EJS (the JS divergence
+# of its mode histogram from the true mode weights) expose it.
 
 import numpy as np
 

@@ -155,17 +155,18 @@ def emc(cells, n_modes: int) -> float:
 
 
 def ejs(cells, true_probs) -> float:
-    """Expected Jensen-Shannon divergence (base 2) between the samples' one-hot
-    mode assignments, from their mode cells `cells`, and the truth `true_probs`.
+    """Jensen-Shannon divergence (base 2) of the samples' mode histogram, from
+    their mode cells `cells`, from the truth `true_probs`.
 
-    A one-hot row's JS value is the row of the (M, M) table over np.eye(M)
-    that has the same contents, so each sample gathers it by its cell.
+    It reads 0 when the samples put each mode's true share in it and 1 when
+    they miss the truth's support, so it shows mode collapse under any truth.
     """
     q = np.asarray(true_probs, dtype=float)
     if q.ndim != 1:
         raise UsageError("true_probs must be one probability vector over the modes")
     c = _validate_cells(cells, len(q))
-    return float(np.mean(_js_rows(np.eye(len(q)), q)[c]) / np.log(2.0))
+    hist = np.bincount(c, minlength=len(q)) / len(c)
+    return float(_js_rows(hist[None, :], q)[0] / np.log(2.0))
 
 
 # ------------------------------------------------- integral probability metrics

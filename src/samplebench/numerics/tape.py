@@ -1,11 +1,15 @@
 """Reverse-mode autodiff over an append-only tape of vectorized primitives.
 
-Nodes hold numpy arrays; the node list is a Wengert list (every parent index
-precedes its consumer), so the backward pass is a single reverse sweep that
-visits each node exactly once.  This is deliberately small: matmul, elementwise
-arithmetic, tanh/exp, reductions and custom primitives are enough to train the
-diffusion samplers.  MFVI and CRAFT fit diagonal affine maps, whose
-reparameterized gradients are closed form, and take no tape.
+A node holds its op, its parents and its vector-Jacobian product (VJP); the
+forward value lives on the `Var` handle, and each VJP closure captures only
+what it reads (shapes, where that is all it needs).  So an intermediate is
+freed as soon as no handle and no closure holds it.  The node list is a
+Wengert list (every parent index precedes its consumer), so `Tape.grad` is a
+single reverse sweep that visits each node exactly once and drops a node's
+adjoint as soon as its VJP has run.  This is deliberately small: matmul,
+elementwise arithmetic, tanh/exp, reductions and custom primitives are enough
+to train the diffusion samplers.  MFVI and CRAFT fit diagonal affine maps,
+whose reparameterized gradients are closed form, and take no tape.
 """
 
 from __future__ import annotations
@@ -29,28 +33,25 @@ def _unbroadcast(grad, shape):
 
 
 class _Node:
-    __slots__ = ("op", "parents", "vjp", "value")
+    __slots__ = ("op", "parents", "vjp")
 
-    def __init__(self, op, parents, vjp, value):
+    def __init__(self, op, parents, vjp):
         self.op = op
         self.parents = parents
         self.vjp = vjp
-        self.value = value
 
 
 class Var:
-    """Handle to one tape node; supports the arithmetic the samplers need."""
+    """Handle to one tape node and its forward value; supports the arithmetic the
+    samplers need."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "value")
     __array_ufunc__ = None  # make ndarray <op> Var defer to our reflected ops
 
-    def __init__(self, tape: "Tape", index: int):
+    def __init__(self, tape: "Tape", index: int, value: np.ndarray):
         self.tape = tape
         self.index = index
-
-    @property
-    def value(self):
-        return self.tape.nodes[self.index].value
+        self.value = value
 
     @property
     def shape(self):
@@ -59,17 +60,17 @@ class Var:
     # -- elementwise arithmetic -------------------------------------------
     def __add__(self, other):
         if isinstance(other, Var):
-            a, b = self.value, other.value
+            sa, sb = self.shape, other.shape
             return self.tape._record(
-                a + b,
+                self.value + other.value,
                 (self.index, other.index),
-                lambda g: (_unbroadcast(g, np.shape(a)), _unbroadcast(g, np.shape(b))),
+                lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
                 "add",
             )
         c = np.asarray(other, dtype=float)
-        a = self.value
+        sa = self.shape
         return self.tape._record(
-            a + c, (self.index,), lambda g: (_unbroadcast(g, np.shape(a)),), "add_const"
+            self.value + c, (self.index,), lambda g: (_unbroadcast(g, sa),), "add_const"
         )
 
     __radd__ = __add__
@@ -93,9 +94,9 @@ class Var:
                 "mul",
             )
         c = np.asarray(other, dtype=float)
-        a = self.value
+        sa = self.shape
         return self.tape._record(
-            a * c, (self.index,), lambda g: (_unbroadcast(g * c, np.shape(a)),), "mul_const"
+            self.value * c, (self.index,), lambda g: (_unbroadcast(g * c, sa),), "mul_const"
         )
 
     __rmul__ = __mul__
@@ -127,15 +128,14 @@ class Var:
 
     # -- reductions and shaping ---------------------------------------------
     def sum(self, axis=None):
-        a = self.value
-        out = np.sum(a, axis=axis)
+        shape = self.shape
 
         def vjp(g):
             if axis is None:
-                return (np.broadcast_to(g, np.shape(a)).copy(),)
-            return (np.broadcast_to(np.expand_dims(g, axis), np.shape(a)).copy(),)
+                return (np.broadcast_to(g, shape).copy(),)
+            return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-        return self.tape._record(out, (self.index,), vjp, "sum")
+        return self.tape._record(np.sum(self.value, axis=axis), (self.index,), vjp, "sum")
 
     def mean(self, axis=None):
         a = self.value
@@ -164,18 +164,18 @@ class Var:
         )
 
     def __getitem__(self, key):
-        a = self.value
+        shape = self.shape
 
         def vjp(g):
-            out = np.zeros_like(a)
+            out = np.zeros(shape)
             out[key] = g
             return (out,)
 
-        return self.tape._record(a[key], (self.index,), vjp, "getitem")
+        return self.tape._record(self.value[key], (self.index,), vjp, "getitem")
 
 
 class Tape:
-    """Append-only record of one computation; build, then backward once."""
+    """Append-only record of one computation; build, then take `grad` once."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
@@ -184,8 +184,8 @@ class Tape:
         idx = len(self.nodes)
         if any(p >= idx for p in parents):
             raise AssertionError("tape nodes must reference earlier indices only")
-        self.nodes.append(_Node(op, parents, vjp, np.asarray(value, dtype=float)))
-        return Var(self, idx)
+        self.nodes.append(_Node(op, parents, vjp))
+        return Var(self, idx, np.asarray(value, dtype=float))
 
     def leaf(self, value) -> Var:
         return self._record(value, (), None, "leaf")
@@ -194,35 +194,33 @@ class Tape:
         """Register a primitive with a caller-supplied vector-Jacobian product."""
         return self._record(value, tuple(p.index for p in parents), vjp, op)
 
-    def backward(self, output: Var):
-        """Adjoints of a scalar output w.r.t. every node; one visit per node."""
-        out_node = self.nodes[output.index]
-        if np.ndim(out_node.value) != 0:
-            raise UsageError("backward output must be scalar")
-        adjoints = [None] * len(self.nodes)
+    def grad(self, output: Var, wrt) -> list[np.ndarray]:
+        """Adjoints of a scalar `output` w.r.t. each variable in `wrt`, leaves or not.
+
+        One reverse sweep visits each node once.  A node's adjoint is complete
+        when the sweep reaches it and is dropped there, after its VJP has run;
+        only those of the variables in `wrt` are kept.
+        """
+        if np.ndim(output.value) != 0:
+            raise UsageError("grad output must be scalar")
+        wanted = {v.index for v in wrt}
+        kept = {}
+        adjoints = [None] * (output.index + 1)
         adjoints[output.index] = np.ones(())
         for i in range(output.index, -1, -1):
-            g = adjoints[i]
+            g, adjoints[i] = adjoints[i], None
             if g is None:
                 continue
+            if i in wanted:
+                kept[i] = g
             node = self.nodes[i]
             if not node.parents:
                 continue
-            parent_grads = node.vjp(g)
-            for p, pg in zip(node.parents, parent_grads):
+            for p, pg in zip(node.parents, node.vjp(g)):
                 if pg is None:
                     continue
                 if adjoints[p] is None:
                     adjoints[p] = np.array(pg, dtype=float)
                 else:
                     adjoints[p] = adjoints[p] + pg
-        return adjoints
-
-    def grad(self, output: Var, leaves) -> list[np.ndarray]:
-        adjoints = self.backward(output)
-        return [
-            adjoints[v.index]
-            if adjoints[v.index] is not None
-            else np.zeros_like(np.asarray(v.value, dtype=float))
-            for v in leaves
-        ]
+        return [kept[v.index] if v.index in kept else np.zeros_like(v.value) for v in wrt]

@@ -6,9 +6,9 @@ sampler.  Mode descriptors assign each point to the argmax-density component,
 taken over the same (n, K) log-terms the value queries build.
 
 Gaussian-mixture values, scores and HVPs are computed by matmul through the
-expansion |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2, and the HVP closure reuses the
-query's responsibilities; Student-t mixtures have no such expansion and share
-one (n, K, d) offset tensor between value and score.
+expansion |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2, and the HVP closure keeps only
+the query's (n, K) responsibilities; Student-t mixtures have no such expansion
+and share one (n, K, d) offset tensor between value and score.
 
 Every query takes one softmax over the (n, K) log-terms, in place in that
 temporary, through the shared clamped exp (`numerics.logspace`).  Far-apart
@@ -86,19 +86,20 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
             return lse - 0.5 * np.sum(x * x, axis=1) - offset
 
         def forward(x):
-            # value, score, and the responsibilities r and m = r.mu the HVP reads
+            # value, score = m - x with m = r.mu, and the responsibilities r the HVP reads
             lse, r = _log_sum_and_resp(log_terms(x))
-            m = r @ means
-            return lse - 0.5 * np.sum(x * x, axis=1) - offset, m - x, r, m
+            return lse - 0.5 * np.sum(x * x, axis=1) - offset, r @ means - x, r
 
         def log_unnorm_and_grad(x):
             return forward(x)[:2]
 
         def score_hvp(x):
-            value, score, r, m = forward(x)
+            value, score, r = forward(x)
 
             def hvp(v):
-                # Hessian of log gamma = Cov_r(mu) - I, applied as E_r[mu mu^T] v - m m^T v - v
+                # Hessian of log gamma = Cov_r(mu) - I, applied as E_r[mu mu^T] v - m m^T v - v;
+                # m is remade by forward's own matmul, so the closure holds no (n, d) array
+                m = r @ means
                 rv = v @ means.T
                 rv *= r
                 return rv @ means - m * np.sum(m * v, axis=1, keepdims=True) - v

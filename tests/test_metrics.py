@@ -163,6 +163,24 @@ def test_ejs_onehot_vs_uniform_oracle():
     assert ejs(np.array([0]), q) == pytest.approx(expected, rel=1e-12)
 
 
+def test_ejs_tells_two_histograms_apart_under_a_uniform_truth():
+    # every one-hot cell is equally far from a uniform truth, so a per-sample
+    # mean would read the same for both; the histogram is what differs
+    q = np.full(4, 0.25)
+    spread = np.arange(40) % 4
+    collapsed = np.zeros(40, dtype=int)
+    assert ejs(spread, q) == 0.0
+    assert ejs(collapsed, q) > 0.5
+    assert ejs(np.arange(40) % 2, q) not in (ejs(spread, q), ejs(collapsed, q))
+
+
+def test_ejs_reads_exact_draws_lower_than_collapse_onto_the_heavy_mode():
+    q = np.array([0.9, 0.1])
+    exact = (RngStream(9, 0).uniform(size=5000) < q[1]).astype(int)
+    collapsed = np.zeros(5000, dtype=int)
+    assert ejs(exact, q) < 1e-3 < ejs(collapsed, q)
+
+
 # ---------------------------------------------------------------- mode cells
 def _row_emc(rows):
     """EMC of (n, M) mode-probability rows: the base-M entropy of their mean."""
@@ -172,8 +190,9 @@ def _row_emc(rows):
 
 
 def _row_ejs(rows, true_probs):
-    """EJS of (n, M) mode-probability rows: their mean JS divergence from the truth, in bits."""
-    return float(np.mean(metrics._js_rows(rows, true_probs)) / np.log(2.0))
+    """EJS of (n, M) mode-probability rows: the JS divergence of their mean from the
+    truth, in bits."""
+    return float(metrics._js_rows(rows.mean(axis=0)[None, :], true_probs)[0] / np.log(2.0))
 
 
 def _cells_and_truths(n, n_modes, seed):

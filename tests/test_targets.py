@@ -511,6 +511,20 @@ def test_score_hvp_closure_matches_central_difference_symmetry_and_former_formul
     assert np.all(asym <= 1e-13 * h_norm * norm(v, axis=1) * norm(w, axis=1))
 
 
+@pytest.mark.parametrize("name", ["mog_d2", "mog_d50"])
+def test_mog_hvp_closure_holds_no_n_by_d_array(name):
+    # the closure keeps the (n, K) responsibilities and remakes m = r.mu per call;
+    # its output stays the former formula's (m kept from the forward pass) bitwise
+    target, x, former_hvp, _ = _hvp_case(name, None)
+    n, d = x.shape
+    assert n != 40
+    _, _, hvp = target.score_hvp(x)
+    held = [cell.cell_contents for cell in hvp.__closure__]
+    assert not [a for a in held if isinstance(a, np.ndarray) and a.shape == (n, d)]
+    v = RngStream(62, 0).normal(x.shape)
+    assert np.array_equal(hvp(v), former_hvp(x, v))
+
+
 def test_hvp_cases_cover_every_shipped_target_that_has_one(toy_csv):
     with_hvp = {name for name in TARGETS
                 if build_target(name, {"csv_path": str(toy_csv)} if name == "logistic" else {})
