@@ -28,10 +28,10 @@ mog = make_mog_target(dim=2, seed=0)
 path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 60.0), mog, n_steps=64)
 kernel = HmcConfig(leapfrog_steps=10, step_size_low=2.0, step_size_high=0.7)
 
-for resampling in (True, False):
+for threshold in (0.3, 0.0):  # no ESS fraction falls below 0: no resampling
     res = smc_run(path, kernel, n_particles=512, rng=RngStream(2, 0),
-                  resampling_enabled=resampling)
+                  resample_threshold=threshold)
     modes = mog.mode_model.cell(res.particles.positions)
     n_resamples = sum(d["resampled"] for d in res.diagnostics)
-    print(f"resampling={resampling!s:5}: ELBO {res.elbo:8.2f}  log Z {res.log_z:7.2f}  "
+    print(f"resample threshold {threshold}: ELBO {res.elbo:8.2f}  log Z {res.log_z:7.2f}  "
           f"modes covered {len(set(modes.tolist()))}/40  resample events {n_resamples}")

@@ -1,11 +1,10 @@
-# Diffusion-based samplers: simulate the kernel pairs, train a short DDS run,
-# and compare against an untrained baseline.
+# Diffusion-based samplers: train a short DDS run, compare it against the
+# untrained sampler, and transport exact target samples backward.
 
 import numpy as np
 
 from samplebench.diffusion import (
     DiffusionSpec,
-    kernel_pair,
     simulate_backward_logweights,
     simulate_forward,
     train_diffusion,
@@ -16,15 +15,6 @@ from samplebench.targets import make_mog_target
 
 target = make_mog_target(dim=2, seed=0)
 modes = target.mode_model
-rng = RngStream(0, 0)
-
-# ULA's forward and backward kernels share one expression; MCD only corrects
-# the backward one, so with a zeroed drift they coincide.
-ula = DiffusionSpec.create("ula", 2, rng, n_steps=16, sigma0=60.0, sigma_max=8.0)
-x = np.array([[1.0, -2.0]])
-score = target.grad(x)
-(fm, fv), (bm, bv) = kernel_pair(ula, 8, x, score)
-print(f"ULA hop 8 at {x[0]}: forward mean {fm[0].round(3)}, backward mean {bm[0].round(3)}")
 
 # A short DDS training run on the 40-mode mixture (desk scale: small T, batch).
 spec = DiffusionSpec.create("dds", 2, RngStream(1, 0), n_steps=16, sigma0=60.0,

@@ -12,7 +12,7 @@ what the weight reads is recorded.
 
 Hop s in 1..T moves x_{s-1} to x_s and uses sigma_s, so the vanishing cosine
 endpoint sigma_0 = 0 is never evaluated.  Kernels anchored at a state use that
-state's own temperature for scores and drift-net times.
+state's own temperature for scores and its index as the drift nets' step.
 """
 
 from __future__ import annotations
@@ -288,22 +288,20 @@ class _Anchor:
     is not stopped) it is the target's fused value, score and HVP query, whose
     `hvp` closure is the `target_score` node's VJP; elsewhere it is the fused
     value and score.  `query`, a fused (log gamma, grad log gamma) at x already
-    made, stands in for the latter.  Without a target, `score` stands in for
-    the query: the target score that guidance reads, and for the Langevin
-    methods the annealed score itself.  Each drift net runs at most once per
+    made, stands in for the latter.  Each drift net runs at most once per
     anchor, however many kernel sides use its output.
     """
 
-    def __init__(self, spec, sched, target, x, index, score=None, query=None):
+    def __init__(self, spec, sched, target, x, index, query=None):
         self.x = x
-        self.time_frac = index / spec.n_steps
-        self.score = self.annealed_score = score
+        self.index = index
+        self.score = self.annealed_score = None
         self.log_gamma = None
         self._nets = {}
         langevin = spec.method in LANGEVIN_METHODS
         uses_score = langevin or _needs_guidance(spec)
         endpoint = index == spec.n_steps
-        if target is None or not (uses_score or endpoint):
+        if not (uses_score or endpoint):
             return
         xv = _value(x)
         on_tape = uses_score and isinstance(x, Var) and not spec.score_stop_gradient
@@ -329,7 +327,7 @@ class _Anchor:
         if backward_net not in self._nets:
             base = spec.backward_net if backward_net else spec.drift_net
             self._nets[backward_net] = drift_forward(
-                base, self.x, self.time_frac, self.score if base.guidance else None,
+                base, self.x, self.index, self.score if base.guidance else None,
                 params=sched.net_params[backward_net])
         return self._nets[backward_net]
 
@@ -389,22 +387,6 @@ def _hop(spec, sched, target, anchor, s, draws, forward):
         mean, var = _kernel_means(spec, sched, new, s, not forward)
         scored = log_normal_diag(anchor.x, mean, var, spec.dim)
     return (new, scored, drawn) if forward else (new, drawn, scored)
-
-
-def kernel_pair(spec: DiffusionSpec, t: int, x, score=None):
-    """Exact Gaussian parameters of the hop-t forward and backward kernels at x.
-
-    `score` is the annealed score for Langevin methods (computed by the caller
-    at this state's own temperature) or the target score feeding guidance.
-    Returns ((f_mean, f_var), (b_mean, b_var)).
-    """
-    if not 1 <= t <= spec.n_steps:
-        raise UsageError(f"hop index {t} outside 1..{spec.n_steps}")
-    if score is None and spec.method in LANGEVIN_METHODS:
-        raise UsageError("Langevin methods need the annealed score at the anchor state")
-    sched = _resolve_schedule(spec)
-    anchor = _Anchor(spec, sched, None, x, t, score)
-    return tuple(_kernel_means(spec, sched, anchor, t, forward) for forward in (True, False))
 
 
 # ------------------------------------------------------------------ simulation

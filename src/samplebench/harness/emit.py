@@ -56,9 +56,14 @@ def render_summary_json(record) -> str:
 
 
 def _atomic_write(path: Path, text: str):
+    """Write through `<name>.tmp`, which a failed write or rename removes."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def emit_results(record, out_dir) -> dict:

@@ -136,13 +136,11 @@ class SmcSampler:
     kernel_cfg: object
     n_particles: int
     resample_threshold: float
-    resampling_enabled: bool
     flows: object = None
 
     def sample_with_logweights(self, n, rng):
         res = smc_run(self.path, self.kernel_cfg, self.n_particles, rng,
-                      resample_threshold=self.resample_threshold,
-                      resampling_enabled=self.resampling_enabled, flows=self.flows)
+                      resample_threshold=self.resample_threshold, flows=self.flows)
         ps = res.particles
         if n < ps.n_particles:
             return ps.positions[:n], ps.log_weights[:n]
@@ -177,9 +175,11 @@ def make_kernel_config(p: dict):
 
 
 def _smc_sampler(p: dict, proposal, target, flows=None) -> SmcSampler:
-    """The sampler of an SMC or CRAFT config, on the linear path from `proposal`."""
+    """The sampler of an SMC or CRAFT config, on the linear path from `proposal`;
+    `resampling: false` is the threshold 0, below which no ESS fraction falls."""
+    threshold = p["resample_threshold"] if p["resampling"] else 0.0
     return SmcSampler(AnnealedPath.linear(proposal, target, p["n_steps"]), make_kernel_config(p),
-                      p["particles"], p["resample_threshold"], p["resampling"], flows=flows)
+                      p["particles"], threshold, flows=flows)
 
 
 def _checkpoint_marks(iterations, n_checkpoints):
@@ -218,7 +218,6 @@ class MethodDriver:
             craft_train(sampler.path, flows, sampler.kernel_cfg, p["iterations"],
                         sampler.n_particles, rng, learning_rate=p["learning_rate"],
                         resample_threshold=sampler.resample_threshold,
-                        resampling_enabled=sampler.resampling_enabled,
                         checkpoints=_checkpoint_marks(p["iterations"], n_checkpoints),
                         checkpoint_hook=lambda it, _flows: checkpoint_cb(it, sampler))
             return

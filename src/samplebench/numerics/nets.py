@@ -55,20 +55,17 @@ class DriftNet:
         net.params = p
         return net
 
-    def step_index(self, t: float) -> int:
-        if not 0.0 <= t <= 1.0:
-            raise UsageError(f"time {t} outside [0, 1]")
-        return int(round(t * self.n_steps))
 
-
-def drift_forward(net: DriftNet, x, t: float, score=None, params=None):
-    """Evaluate f1(x, t) + f2(t) * score (or f1 alone with guidance off).
+def drift_forward(net: DriftNet, x, idx: int, score=None, params=None):
+    """Evaluate f1(x, t) + f2(t) * score (or f1 alone with guidance off) at the
+    state index `idx` in 0..n_steps, which picks the time embedding and f2 entry.
 
     When `x`, `score` or a parameter value is a tape variable, the whole net is
     recorded as one tape node whose parents are exactly those variables.
     """
+    if not (isinstance(idx, (int, np.integer)) and 0 <= idx <= net.n_steps):
+        raise UsageError(f"step index {idx!r} is not an integer in 0..{net.n_steps}")
     p = net.params if params is None else params
-    idx = net.step_index(t)
     names = [f"{kind}{layer}" for layer in range(net.hidden_layers) for kind in ("W", "b")]
     names += ["Wout", "bout"] + (["f2"] if net.guidance else [])
     inputs = [x, score] + [p[name] for name in names]
@@ -125,12 +122,12 @@ def _drift_vjp(is_var, x, score, weights, hidden, emb, idx, guidance):
         dh = g @ weights[head].T
         for layer in range(len(hidden) - 1, -1, -1):
             dz = dh * (1 - hidden[layer] ** 2)
-            grads[3 + 2 * layer] = dz.sum(axis=0)
+            grads[3 + 2 * layer] = db = dz.sum(axis=0)
             if layer:
                 grads[2 + 2 * layer] = hidden[layer - 1].T @ dz
                 dh = dz @ weights[2 * layer].T
             else:  # W0's rows split into the x rows and the embedding rows
-                grads[2] = np.concatenate([x.T @ dz, emb.T @ dz.sum(axis=0, keepdims=True)])
+                grads[2] = np.concatenate([x.T @ dz, emb.T @ db[None]])
                 grads[0] = dz @ weights[0][:d].T
         return tuple(gr for gr, var in zip(grads, is_var) if var)
 

@@ -1,8 +1,9 @@
 """Sequential importance sampling: one annealed sweep behind AIS/SMC, CRAFT
 flow training, log-Z estimation and backward transport of target samples.
 
-Per temperature the sweep reweights, then (forward only) checks the ESS and
-maybe resamples, then makes an MCMC move at the new temperature.  The
+Per temperature the sweep reweights, then (forward only) resamples when the
+ESS fraction, which lies in (0, 1], is below the threshold, so a threshold of
+0 never resamples; then it makes an MCMC move at the new temperature.  The
 particles carry the raw target query (log gamma, and its gradient for HMC)
 at their positions, as the last move left it; pi_t and its gradient follow
 from it and the analytic proposal at no NFE.  The AIS increment
@@ -152,7 +153,7 @@ def _reweight(path, a, b, ps, flow, backward, with_grad):
 
 
 def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_threshold=0.3,
-           resampling_enabled=True, before_reweight=lambda t, x: None, query=None):
+           before_reweight=lambda t, x: None, query=None):
     """The annealed sweep from x with zero weights; returns (ParticleSystem, diagnostics).
 
     Forward runs t = 1..T from pi_{t-1} to pi_t.  Backward runs t = T..1 from
@@ -182,7 +183,7 @@ def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_thresh
             if not np.isfinite(ps.log_weights).any():
                 raise DegenerateWeightsError(t)
             ess = ess_fraction(ps.log_weights)
-            resampled = bool(resampling_enabled and ess < resample_threshold)
+            resampled = bool(ess < resample_threshold)
             if resampled:
                 ps = resample_multinomial(ps, rng)
 
@@ -196,16 +197,14 @@ def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_thresh
 
 
 def smc_run(path: AnnealedPath, kernel_cfg, n_particles: int, rng: RngStream,
-            resample_threshold: float = 0.3, resampling_enabled: bool = True,
-            flows: Optional[list] = None) -> SmcResult:
+            resample_threshold: float = 0.3, flows: Optional[list] = None) -> SmcResult:
     """The forward sweep from proposal draws, in the AIS form or, with flows given
     (one AffineFlow per temperature, index 1..T), the flow form."""
     if n_particles < 2:
         raise UsageError("need at least 2 particles")
     x = path.proposal.sample(rng, n_particles)
     ps, diagnostics = _sweep(path, kernel_cfg, x, rng, flows,
-                             resample_threshold=resample_threshold,
-                             resampling_enabled=resampling_enabled)
+                             resample_threshold=resample_threshold)
     log_w = ps.log_weights
     return SmcResult(ps, float(log_mean_exp(log_w)), float(np.mean(log_w[np.isfinite(log_w)])),
                      diagnostics)
@@ -226,8 +225,7 @@ def backward_transport_logweights(path: AnnealedPath, kernel_cfg, target_samples
 
 def craft_train(path: AnnealedPath, flows: list, kernel_cfg, iterations: int,
                 n_particles: int, rng: RngStream, learning_rate: float = 1e-2,
-                resample_threshold: float = 0.3, resampling_enabled: bool = True,
-                checkpoints=(), checkpoint_hook=None):
+                resample_threshold: float = 0.3, checkpoints=(), checkpoint_hook=None):
     """Train one diagonal affine flow per temperature on the running SMC sweep.
 
     Before each temperature's reweight, that temperature's flow takes one Adam
@@ -259,7 +257,7 @@ def craft_train(path: AnnealedPath, flows: list, kernel_cfg, iterations: int,
     for it in range(1, iterations + 1):
         x = path.proposal.sample(rng, n_particles)
         ps, _ = _sweep(path, kernel_cfg, x, rng, flows, resample_threshold=resample_threshold,
-                       resampling_enabled=resampling_enabled, before_reweight=update_flow)
+                       before_reweight=update_flow)
         elbo_trace.append(float(np.mean(ps.log_weights)))
         if it in checkpoints:
             checkpoint_hook(it, flows)

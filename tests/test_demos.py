@@ -1,5 +1,5 @@
 """The demos run to completion: the targets, the SIS API, the diffusion samplers
-(kernel pairs, training, backward transport), the criteria and the harness; the
+(training, backward transport), the criteria and the harness; the
 full-experiment demo cleans up its temporary output folder."""
 
 import os

@@ -14,7 +14,6 @@ from samplebench.diffusion import (
     METHOD_PARTS,
     DiffusionSpec,
     TrajectoryBatch,
-    kernel_pair,
     log_normal_diag,
     loss_extended_elbo,
     loss_vargrad,
@@ -47,13 +46,32 @@ def zero_drift(spec):
 
 
 # ------------------------------------------------------------ kernel structure
+class ScoreStub:
+    """A target whose fused value+score query returns `score` at any batch."""
+
+    def __init__(self, score):
+        self.score = score
+
+    def logdensity_and_grad(self, x):
+        return np.zeros(len(x)), self.score
+
+
+def kernel_means_at(spec, t, x, score):
+    """((f_mean, f_var), (b_mean, b_var)) of the hop-t kernels anchored at x_t,
+    where the target's score is `score`."""
+    sched = diffusion._resolve_schedule(spec)
+    anchor = diffusion._Anchor(spec, sched, ScoreStub(score), x, t)
+    return tuple(diffusion._kernel_means(spec, sched, anchor, t, forward)
+                 for forward in (True, False))
+
+
 def test_ula_forward_backward_identical():
     spec = make_spec("ula")
     rng = RngStream(1, 0)
     for t in (1, 4, 8):
         x = rng.normal((5, 2))
         score = rng.normal((5, 2))
-        (fm, fv), (bm, bv) = kernel_pair(spec, t, x, score)
+        (fm, fv), (bm, bv) = kernel_means_at(spec, t, x, score)
         np.testing.assert_array_equal(fm, bm)
         assert fv == bv
 
@@ -67,9 +85,9 @@ def test_mcd_cmcd_degenerate_to_ula_with_zero_drift():
         t = int(rng.integers(8)) + 1
         x = rng.normal((4, 2))
         score = rng.normal((4, 2))
-        ref_f, ref_b = kernel_pair(ula, t, x, score)
+        ref_f, ref_b = kernel_means_at(ula, t, x, score)
         for spec in (mcd, cmcd):
-            (fm, fv), (bm, bv) = kernel_pair(spec, t, x, score)
+            (fm, fv), (bm, bv) = kernel_means_at(spec, t, x, score)
             np.testing.assert_array_equal(fm, ref_f[0])
             np.testing.assert_array_equal(bm, ref_b[0])
             assert fv == ref_f[1] and bv == ref_b[1]
@@ -82,7 +100,7 @@ def test_cmcd_constant_drift_mean_gap():
     spec.drift_net.params["bout"] = np.full(2, c)
     x = RngStream(4, 0).normal((3, 2))
     score = RngStream(5, 0).normal((3, 2))
-    (fm, _), (bm, _) = kernel_pair(spec, 3, x, score)
+    (fm, _), (bm, _) = kernel_means_at(spec, 3, x, score)
     np.testing.assert_allclose(fm - bm, 2 * c * spec.delta_t, atol=1e-12)
 
 

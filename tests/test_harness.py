@@ -658,6 +658,35 @@ def test_emit_unwritable_path_leaves_no_partial(tmp_path):
         os.chmod(blocked, stat.S_IRWXU)
 
 
+@pytest.mark.parametrize("blocked", ["csv", "summary"])
+@pytest.mark.parametrize("kind", ["results", "ablation"])
+def test_emit_failed_rename_leaves_no_temp_file(tmp_path, kind, blocked):
+    # a directory on an output file's name fails that file's rename, as root too:
+    # the error reaches the caller and the file's temporary copy is gone
+    from samplebench.harness import emit_ablation
+
+    if kind == "results":
+        record, emit = run_experiment(parse_config(tiny_config()), clock=FakeClock()), emit_results
+    else:
+        doc = tiny_config(method={"name": "mfvi", "iterations": 20, "batch_size": 16,
+                                  "learning_rate": 0.05, "sigma0_grid": [1.0, 3.0]},
+                          seeds=[0], protocol={"n_checkpoints": 2, "eval_samples": 32,
+                                               "ipm_subsample": 0})
+        record = run_ablation("init_support", parse_config(doc), clock=FakeClock())
+        emit = emit_ablation
+    written = emit(record, tmp_path / "unblocked")
+    out = tmp_path / "out"
+    (out / written[blocked].name).mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        emit(record, out)
+    left = {p.name: p.is_dir() for p in out.iterdir()}
+    if blocked == "csv":  # the first write fails: nothing else is written
+        assert left == {written["csv"].name: True}
+    else:  # the CSV is complete, and the summary's temporary file is gone
+        assert left == {written["csv"].name: False, written["summary"].name: True}
+        assert (out / written["csv"].name).read_text() == written["csv"].read_text()
+
+
 def test_nfe_monotone_within_run():
     config = parse_config(tiny_config())
     record = run_experiment(config, clock=FakeClock())
@@ -916,26 +945,55 @@ def _oracle_rounding(n):
     return 8 * np.finfo(float).eps * (ORACLE_LOG_Z + 2 * math.log(n))
 
 
-def _assert_exact_answers(criteria, n):
+def _mode_criteria_bounds(n_modes, n):
+    """The ranges of EMC and of EJS (bits) that n exact draws over K = n_modes
+    cells of mass 1/K fall outside of with a chance below about 1e-6 each.
+
+    With h the draws' cell histogram, to second order in h - 1/K both
+    2n ln K (1 - EMC) = 2n KL(h || 1/K) and 8n ln 2 EJS = 8n JS(h, 1/K) (nats)
+    are Pearson's statistic nK sum (h - 1/K)^2, whose law is chi^2(K - 1):
+    E[EMC] = 1 - (K - 1)/(2n ln K) and E[EJS] = (K - 1)/(8n ln 2).  The ranges
+    take its quantiles at 1e-9 on each side.  The slack covers two departures
+    from that law: the exact statistic's upper tail is heavier (a simulated 0.999
+    quantile lies up to 6% above chi^2's at n = 512), and the component overlap
+    moves the cells' masses off 1/K, a noncentrality nK sum (p - 1/K)^2 of
+    0.02 (MoG, K = 40) and 0.5 (MoS, K = 10) at n = 512, from 2e6 draws.
+    """
+    from scipy.stats import chi2
+
+    lo, hi = chi2.ppf(1e-9, n_modes - 1), chi2.isf(1e-9, n_modes - 1)
+    emc_scale, ejs_scale = 2 * n * math.log(n_modes), 8 * n * math.log(2.0)
+    return (1 - hi / emc_scale, 1 - lo / emc_scale), (lo / ejs_scale, hi / ejs_scale)
+
+
+def _assert_exact_answers(criteria, n, modes):
     tol = _oracle_rounding(n)
     assert criteria["elbo"] == ORACLE_LOG_Z and criteria["eubo"] == ORACLE_LOG_Z
     for direction in ("rev", "fwd"):
         assert abs(criteria[f"log_z_{direction}"] - ORACLE_LOG_Z) <= tol
         assert 0.0 <= criteria[f"delta_log_z_{direction}"] <= tol
         assert abs(criteria[f"ess_{direction}"] - 1.0) <= tol
+    if modes is None:  # funnel: no mode model, no EMC or EJS
+        assert criteria.get("emc") is None and criteria.get("ejs") is None
+        return
+    np.testing.assert_array_equal(modes.true_mode_probs, 1.0 / modes.n_modes)
+    (emc_lo, emc_hi), (ejs_lo, ejs_hi) = _mode_criteria_bounds(modes.n_modes, n)
+    assert emc_lo <= criteria["emc"] <= emc_hi
+    assert ejs_lo <= criteria["ejs"] <= ejs_hi
 
 
 @pytest.mark.parametrize("name", ["mog", "mos", "funnel"])
 def test_exact_oracle_reads_the_known_answers(name, monkeypatch):
-    # ELBO = EUBO = log Z, both log Z errors 0 and both ESS 1, through
-    # evaluate_sampler and through the emitted CSV row (EMC, EJS, MMD and W2
-    # are not checked here)
+    # ELBO = EUBO = log Z, both log Z errors 0, both ESS 1, and EMC and EJS within
+    # the multinomial error of 1 and 0, through evaluate_sampler and through the
+    # emitted CSV row (MMD and W2 are not checked here)
     n = 512
     target = _scaled_target(name)
     exact = ExactDraws(target.exact_sampler(RngStream(1, 0), n))
     report = evaluate_sampler(ExactOracle(target), target, n, RngStream(2, 0), exact,
                               ipm_subsample=32, sinkhorn_iters=20)
-    _assert_exact_answers({c: getattr(report, c) for c in MetricReport.CRITERIA}, n)
+    _assert_exact_answers({c: getattr(report, c) for c in MetricReport.CRITERIA}, n,
+                          target.mode_model)
 
     def train(driver, target, target_name, seed, n_checkpoints, checkpoint_cb):
         for it in range(1, n_checkpoints + 1):
@@ -958,7 +1016,8 @@ def test_exact_oracle_reads_the_known_answers(name, monkeypatch):
                                     "ess_fwd")} == {"elbo": "1.75", "eubo": "1.75",
                                                     "log_z_rev": "1.75", "log_z_fwd": "1.75",
                                                     "ess_rev": "1", "ess_fwd": "1"}
-        _assert_exact_answers({c: float(row[c]) for c in MetricReport.CRITERIA if row[c]}, n)
+        _assert_exact_answers({c: float(row[c]) for c in MetricReport.CRITERIA if row[c]}, n,
+                              target.mode_model)
 
 
 # -------------------------------------------------------------- NFE accounting

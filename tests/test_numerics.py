@@ -307,14 +307,14 @@ def test_driftnet_init_outputs_guided_score_exactly():
     net = DriftNet.init(dim=3, n_steps=16, rng=rng)
     x = rng.normal((5, 3))
     score = rng.normal((5, 3))
-    out = drift_forward(net, x, 0.5, score)
+    out = drift_forward(net, x, 8, score)
     np.testing.assert_array_equal(out, score)  # f1 == 0, f2 == 1 at init
 
 
 def test_driftnet_no_guidance_zero_at_init():
     rng = RngStream(8, 0)
     net = DriftNet.init(dim=2, n_steps=8, rng=rng, guidance=False)
-    out = drift_forward(net, np.array([[0.3, -0.7]]), 0.25)
+    out = drift_forward(net, np.array([[0.3, -0.7]]), 2)
     np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
 
@@ -322,7 +322,17 @@ def test_driftnet_dimension_mismatch():
     rng = RngStream(9, 0)
     net = DriftNet.init(dim=2, n_steps=8, rng=rng)
     with pytest.raises(UsageError):
-        drift_forward(net, np.zeros((1, 3)), 0.5, np.zeros((1, 3)))
+        drift_forward(net, np.zeros((1, 3)), 4, np.zeros((1, 3)))
+
+
+def test_driftnet_step_index_outside_zero_to_n_steps_raises():
+    net = DriftNet.init(dim=2, n_steps=8, rng=RngStream(9, 1))
+    x = np.zeros((1, 2))
+    for idx in (0, 8):
+        drift_forward(net, x, idx, x)
+    for idx in (-1, 9, 0.5):  # 0.5: a time in [0, 1], not a step index
+        with pytest.raises(UsageError, match=r"step index .* not an integer in 0\.\.8"):
+            drift_forward(net, x, idx, x)
 
 
 def test_driftnet_gradients_match_finite_differences():
@@ -336,12 +346,12 @@ def test_driftnet_gradients_match_finite_differences():
     proj = rng.normal((4, 2))
 
     def loss_at(params):
-        out = drift_forward(net, x_val, 0.5, score_val, params=params)
+        out = drift_forward(net, x_val, 4, score_val, params=params)
         return float(np.sum(out * proj))
 
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in net.params.items()}
-    out = drift_forward(net, x_val, 0.5, score_val, params=leaves)
+    out = drift_forward(net, x_val, 4, score_val, params=leaves)
     loss = (out * proj).sum()
     grads = dict(zip(leaves.keys(), tape.grad(loss, list(leaves.values()))))
 
@@ -368,12 +378,12 @@ def test_driftnet_composed_loss_through_full_net_fd():
     score_val = rng.normal((2, 3))
 
     def loss_at(params):
-        out = drift_forward(net, x_val, 0.75, score_val, params=params)
+        out = drift_forward(net, x_val, 3, score_val, params=params)
         return float(np.sum(out * out))
 
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in net.params.items()}
-    out = drift_forward(net, x_val, 0.75, score_val, params=leaves)
+    out = drift_forward(net, x_val, 3, score_val, params=leaves)
     loss = (out * out).sum()
     grads = dict(zip(leaves.keys(), tape.grad(loss, list(leaves.values()))))
 
@@ -398,10 +408,9 @@ def _tanh(v):
     return v.tanh() if isinstance(v, Var) else np.tanh(v)
 
 
-def _reference_drift_forward(net: DriftNet, x, t: float, score=None, params=None):
+def _reference_drift_forward(net: DriftNet, x, idx: int, score=None, params=None):
     """The former op-by-op recording of drift_forward, kept verbatim as a reference."""
     p = net.params if params is None else params
-    idx = net.step_index(t)
     single = not isinstance(x, Var) and np.ndim(x) == 1
     if single:
         x = np.asarray(x, dtype=float)[None, :]
@@ -438,7 +447,7 @@ def _drift_value_and_grads(forward, net, x_val, score_val, proj, x_var, score_va
     leaves = {k: tape.leaf(v) for k, v in net.params.items()}
     x = tape.leaf(x_val) if x_var else x_val
     score = tape.leaf(score_val) if score_var and net.guidance else score_val
-    out = forward(net, x, 0.375, score if net.guidance else None, params=leaves)
+    out = forward(net, x, 3, score if net.guidance else None, params=leaves)
     loss = (out * proj).tanh().sum() + (out * out).sum()
     wrt = dict(leaves)
     if x_var:

@@ -128,7 +128,7 @@ def test_smc_gaussian_to_gaussian_unbiased():
 def test_smc_no_resampling_logz_identity():
     target = make_unnormalized_gaussian_target(2, scale=1.5)
     path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 3.0), target, 10)
-    res = smc_run(path, hmc_cfg(0.4), 128, RngStream(8, 0), resampling_enabled=False)
+    res = smc_run(path, hmc_cfg(0.4), 128, RngStream(8, 0), resample_threshold=0.0)
     lw = res.particles.log_weights
     assert res.log_z == pytest.approx(log_sum_exp(lw) - math.log(len(lw)), abs=1e-12)
 
@@ -203,8 +203,8 @@ def test_identity_flow_reduces_to_ais_increment():
     path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 3.0), target, 5)
     flows = [AffineFlow.identity(2) for _ in range(5)]
     res_flow = smc_run(path, hmc_cfg(0.4), 64, RngStream(11, 0), flows=flows,
-                       resampling_enabled=False)
-    res_ais = smc_run(path, hmc_cfg(0.4), 64, RngStream(11, 0), resampling_enabled=False)
+                       resample_threshold=0.0)
+    res_ais = smc_run(path, hmc_cfg(0.4), 64, RngStream(11, 0), resample_threshold=0.0)
     assert res_flow.log_z == pytest.approx(res_ais.log_z, abs=1e-9)
     np.testing.assert_allclose(res_flow.particles.log_weights,
                                res_ais.particles.log_weights, atol=1e-9)
@@ -316,7 +316,7 @@ def test_craft_zero_learning_rate_iteration_matches_flow_sweep(kernel, resamplin
     flows = [AffineFlow(0.3 * rng.normal(2), 0.1 * rng.normal(2)) for _ in range(6)]
     cfg = hmc_cfg(0.3) if kernel == "hmc" else MhConfig(n_substeps=3, scale_low=0.5,
                                                           scale_high=0.5)
-    settings = {"resample_threshold": 0.9, "resampling_enabled": resampling}
+    settings = {"resample_threshold": 0.9 if resampling else 0.0}
     res = smc_run(path, cfg, 64, RngStream(21, 0), flows=flows, **settings)
     _, trace = craft_train(path, flows, cfg, 1, 64, RngStream(21, 0), learning_rate=0.0,
                            **settings)
@@ -461,8 +461,7 @@ def _assert_bitwise(actual, expected):
 def test_smc_run_ais_bitwise_equals_reference_loop(target_name, kernel, resampling):
     path = _reference_path(target_name)
     cfg = REFERENCE_KERNELS[kernel]
-    res = smc_run(path, cfg, 64, RngStream(5, 1), resample_threshold=0.5,
-                  resampling_enabled=resampling)
+    res = smc_run(path, cfg, 64, RngStream(5, 1), resample_threshold=0.5 if resampling else 0.0)
     x, log_w, log_z, elbo, diagnostics = _reference_smc_run(
         path, cfg, 64, RngStream(5, 1), resample_threshold=0.5, resampling_enabled=resampling)
     _assert_bitwise(res.particles.positions, x)
@@ -529,7 +528,7 @@ def test_backward_ais_bitwise_with_uneven_rows(target_name, kernel):
 # craft_train as it stood when each flow update took its gradient from the
 # autodiff tape, kept verbatim as the reference for the closed-form gradient.
 def _reference_craft_train(path, flows, kernel_cfg, iterations, n_particles, rng,
-                           learning_rate=1e-2, resample_threshold=0.3, resampling_enabled=True):
+                           learning_rate=1e-2, resample_threshold=0.3):
     adam_states = [AdamState.init(2 * len(f.shift), learning_rate=learning_rate) for f in flows]
 
     def update_flow(t, x):
@@ -555,8 +554,7 @@ def _reference_craft_train(path, flows, kernel_cfg, iterations, n_particles, rng
     for it in range(1, iterations + 1):
         x = path.proposal.sample(rng, n_particles)
         ps, _ = sis._sweep(path, kernel_cfg, x, rng, flows,
-                           resample_threshold=resample_threshold,
-                           resampling_enabled=resampling_enabled, before_reweight=update_flow)
+                           resample_threshold=resample_threshold, before_reweight=update_flow)
         elbo_trace.append(float(np.mean(ps.log_weights)))
     return flows, elbo_trace
 
@@ -578,3 +576,37 @@ def test_craft_closed_form_bitwise_equals_tape_update(target_name, kernel):
         _assert_bitwise(flow.log_scale, ref.log_scale)
     _assert_bitwise(np.array(trace), np.array(ref_trace))
     assert not np.array_equal(flows[0].shift, np.zeros(path.target.dim))
+
+
+@pytest.mark.parametrize("kernel,target_name,n", [("hmc", "mog_d2", 37), ("mh", "mog_d50", 33)])
+def test_resampling_false_is_threshold_zero_and_the_former_switch_bitwise(kernel, target_name,
+                                                                          n, monkeypatch):
+    # a config's `resampling: false` reaches the sweep as the threshold 0, which no
+    # ESS fraction in (0, 1] falls below: SMC is bitwise the former loop with its
+    # switch off, diagnostics included, and CRAFT training never resamples
+    from samplebench.harness.registry import _smc_sampler
+
+    path = _reference_path(target_name)
+    cfg = REFERENCE_KERNELS[kernel]
+    p = {"kernel": kernel, "leapfrog_steps": 5, "step_size_low": 0.5, "step_size_high": 0.3,
+         "mh_substeps": 4, "scale_low": 2.0, "scale_high": 1.0, "n_steps": path.n_steps,
+         "particles": n, "resample_threshold": 0.9, "resampling": False}
+    sampler = _smc_sampler(p, path.proposal, path.target)
+    assert (sampler.kernel_cfg, sampler.resample_threshold) == (cfg, 0.0)
+    res = smc_run(sampler.path, sampler.kernel_cfg, n, RngStream(6, 2),
+                  resample_threshold=sampler.resample_threshold)
+    x, log_w, log_z, elbo, diagnostics = _reference_smc_run(
+        path, cfg, n, RngStream(6, 2), resample_threshold=0.9, resampling_enabled=False)
+    _assert_bitwise(res.particles.positions, x)
+    _assert_bitwise(res.particles.log_weights, log_w)
+    assert (res.log_z, res.elbo) == (log_z, elbo)
+    assert res.diagnostics == diagnostics
+    assert min(d["ess_fraction"] for d in diagnostics) < 0.9  # the switch, not the ESS, held
+
+    def no_resampling(ps, rng):
+        raise AssertionError("resampled at threshold 0")
+
+    monkeypatch.setattr(sis, "resample_multinomial", no_resampling)
+    flows = [AffineFlow.identity(path.target.dim) for _ in range(path.n_steps)]
+    craft_train(sampler.path, flows, sampler.kernel_cfg, 3, n, RngStream(7, 3),
+                learning_rate=5e-2, resample_threshold=sampler.resample_threshold)

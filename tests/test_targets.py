@@ -88,7 +88,7 @@ def _one_dimensional_calls():
         "mmd_squared": lambda: mmd_squared(x, y),
         "mmd": lambda: mmd(x, y),
         "sinkhorn_w2": lambda: sinkhorn_w2(x, y),
-        "drift_forward": lambda: drift_forward(net, np.zeros(2), 0.5, np.zeros(2)),
+        "drift_forward": lambda: drift_forward(net, np.zeros(2), 4, np.zeros(2)),
     }
 
 
