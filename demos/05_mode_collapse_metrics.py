@@ -13,7 +13,6 @@ from samplebench.metrics import (
     emc,
     ess_estimates,
     eubo,
-    log_z_estimates,
     mmd,
     sinkhorn_w2,
 )

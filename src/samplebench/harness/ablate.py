@@ -129,6 +129,6 @@ def emit_ablation(record: AblationRecord, out_dir) -> dict:
     base = f"ablation_{record.kind}_{record.config.label()}"
     csv_path = out / f"{base}.csv"
     json_path = out / f"{base}_summary.json"
-    _atomic_write(csv_path, render_ablation_csv(record))
-    _atomic_write(json_path, render_ablation_summary(record))
+    _atomic_write([(csv_path, render_ablation_csv(record)),
+                   (json_path, render_ablation_summary(record))])
     return {"csv": csv_path, "summary": json_path}

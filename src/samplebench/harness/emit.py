@@ -55,29 +55,38 @@ def render_summary_json(record) -> str:
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
-def _atomic_write(path: Path, text: str):
-    """Write through `<name>.tmp`, which a failed write or rename removes."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
+def _atomic_write(files):
+    """Write each (path, text) of `files` through `<name>.tmp`: all of them or none.
+
+    Every temporary file is written before the first rename.  A failed write or
+    rename removes the temporary files and the files this call already put in place.
+    """
+    moves = [(path.with_suffix(path.suffix + ".tmp"), path, text) for path, text in files]
+    placed = []
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        for tmp, _, text in moves:
+            tmp.write_text(text)
+        for tmp, path, _ in moves:
+            os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _, _ in moves:
+            tmp.unlink(missing_ok=True)
+        for path in placed:
+            path.unlink(missing_ok=True)
         raise
 
 
 def emit_results(record, out_dir) -> dict:
-    """Write <label>_checkpoints.csv and <label>_summary.json atomically.
+    """Write <label>_checkpoints.csv and <label>_summary.json atomically, both or neither.
 
-    On an unwritable path no partial file is left behind.  Returns the paths.
+    On an unwritable path no file of this call is left behind.  Returns the paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     label = record.config.label()
     csv_path = out / f"{label}_checkpoints.csv"
     json_path = out / f"{label}_summary.json"
-    csv_text = render_checkpoint_csv(record)
-    json_text = render_summary_json(record)
-    _atomic_write(csv_path, csv_text)
-    _atomic_write(json_path, json_text)
+    _atomic_write([(csv_path, render_checkpoint_csv(record)),
+                   (json_path, render_summary_json(record))])
     return {"csv": csv_path, "summary": json_path}

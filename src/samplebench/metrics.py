@@ -170,66 +170,160 @@ def ejs(cells, true_probs) -> float:
 
 
 # ------------------------------------------------- integral probability metrics
-_DIST_BLOCK = 64  # rows per block of the distance loop
+_DIST_BLOCK = 64  # rows per block of the distance loops and of the median's band reads
 # sinkhorn_w2's default regularization and tolerance
 _EPSILON = 1e-3
 _TOL = 1e-6
 
 
-def _sq_distances(x, y=None):
-    """Pairwise squared Euclidean distances, (n, m), with the bits of scipy's cdist.
+def _fill_sq_distances(out, rows, cols_t, diff):
+    """out[i, j] = sum over k of (rows[i, k] - cols_t[k, j])^2, accumulated in `out`.
 
-    Each entry sums (x_k - y_k)^2 over k = 1..d in order, the summation order of
-    scipy's C loop, one coordinate at a time over a block of rows held in two
-    reused contiguous buffers.  With y omitted it is the (n, n) matrix within x:
-    a block fills only the columns from its first row on and mirrors them, as
-    (a - b)^2 and (b - a)^2 are equal.
+    The sum runs over k = 1..d in order, the summation order of scipy's C loop,
+    one coordinate at a time over the whole block; `diff` is scratch of out's shape.
     """
-    symmetric = y is None
-    y = x if symmetric else y
+    out.fill(0.0)
+    for k, col in enumerate(cols_t):
+        np.subtract(rows[:, k, None], col, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(out, diff, out=out)
+
+
+def _sq_distances(x, y):
+    """Pairwise squared Euclidean distances, (n, m), with the bits of scipy's cdist,
+    filled _DIST_BLOCK rows at a time."""
     n, m = len(x), len(y)
     out = np.empty((n, m))
-    acc_buf = np.empty(min(n, _DIST_BLOCK) * m)
-    diff_buf = np.empty_like(acc_buf)
+    diff = np.empty((min(n, _DIST_BLOCK), m))
     y_cols = np.ascontiguousarray(y.T)
     for start in range(0, n, _DIST_BLOCK):
         stop = min(start + _DIST_BLOCK, n)
-        first = start if symmetric else 0
-        shape = (stop - start, m - first)
-        acc = acc_buf[:shape[0] * shape[1]].reshape(shape)
-        diff = diff_buf[:acc.size].reshape(shape)
-        acc.fill(0.0)
-        for k, y_k in enumerate(y_cols):
-            np.subtract(x[start:stop, k, None], y_k[first:], out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.add(acc, diff, out=acc)
-        out[start:stop, first:] = acc
-        if symmetric:
-            out[stop:, start:stop] = acc[:, stop - start:].T
+        _fill_sq_distances(out[start:stop], x[start:stop], y_cols, diff[:stop - start])
     return out
 
 
-def _pooled_sq_distances(x, y):
-    return _sq_distances(np.concatenate([x, y], axis=0))
+def _pooled_blocks(x, y):
+    """The pooled sample's squared distances in three blocks, with the bits of scipy's cdist.
 
+    Returns (top, yy): top = [xx | xy], the pooled matrix's n rows of x, and yy,
+    an (m, m) view of an (m, m + 1) buffer.  The yx block, a transposed copy of
+    xy, is never held.  The loop is the pooled matrix's, so it makes as many
+    ufunc calls: each block of _DIST_BLOCK pooled rows is filled in a scratch
+    block from its first row's column on, one pass per coordinate, copied out
+    and mirrored below, as (a - b)^2 and (b - a)^2 are equal.  The scratch of
+    a block across the two clouds holds its y rows' x columns, which go unread.
 
-def _median_upper(d2) -> float:
-    """np.median of the strict upper triangle, bit for bit, from one partition.
-
-    After partitioning at the upper middle index, the lower middle value is the
-    largest entry before it.  Any NaN entry makes the median NaN, as in np.median.
-    Computing it here keeps np.median's lazy NaN check (and the numpy.ma import
-    it costs) out of the run.
+    Each block is a non-contiguous view, which numpy sums row by row whatever
+    its row stride, as it summed the pooled matrix's blocks; the pad column
+    keeps yy one (numpy sums a contiguous block in another order).
     """
-    # row slices give np.triu_indices' row-major order without its index arrays
-    vals = np.concatenate([row[i + 1 :] for i, row in enumerate(d2)])
-    if np.isnan(vals).any():
-        return float("nan")
-    half = len(vals) // 2
-    vals.partition(half)
-    if len(vals) % 2:
-        return float(vals[half])
-    return float((vals[:half].max() + vals[half]) / 2.0)
+    n, m = len(x), len(y)
+    size = n + m
+    top = np.empty((n, size))
+    yy = None  # allocated with the first y row, after the widest scratch blocks
+    z = np.concatenate([x, y])
+    z_cols = np.ascontiguousarray(z.T)
+    for start in range(0, size, _DIST_BLOCK):
+        stop = min(start + _DIST_BLOCK, size)
+        mid = min(max(start, n), stop)  # the block's first row of y
+        acc, diff = np.empty((2, stop - start, size - start))
+        _fill_sq_distances(acc, z[start:stop], z_cols[:, start:], diff)
+        top[start:mid, start:] = acc[:mid - start]
+        top[mid:, start:mid] = top[start:mid, mid:n].T
+        if mid < stop:
+            if yy is None:
+                yy = np.empty((m, m + 1))[:, :m]
+            yy[mid - n:stop - n, mid - n:] = acc[mid - start:, mid - start:]
+            yy[stop - n:, mid - n:stop - n] = yy[mid - n:stop - n, stop - n:].T
+        del acc, diff  # before the next block's scratch
+    return top, yy
+
+
+def _median_sq_distance(xx, xy, yy) -> float:
+    """np.median of the pooled sample's pairwise squared distances, bit for bit:
+    of the strict upper triangles of xx and yy and all of xy, read in place.
+
+    The two middle order statistics are selected exactly.  A fixed strided
+    sample of the entries gives a bracket around their ranks; the entries below
+    the bracket are counted and those inside it gathered and partitioned.  When
+    the bracket misses a middle rank, the band widens to every entry.  A NaN
+    entry lies inside any band and makes the median NaN, as in np.median;
+    computing it here keeps np.median's NaN check (and the numpy.ma import it
+    costs) out of the run.
+    """
+    n, m = xy.shape
+    blocks = ((xx, True), (xy, False), (yy, True))
+    total = n * (n - 1) // 2 + n * m + m * (m - 1) // 2
+    half = total // 2  # the upper middle rank; the lower one is half - 1 when total is even
+    low = (total - 1) // 2
+    for lo, hi in (_bracket(blocks, total, low, half), (-np.inf, np.inf)):
+        below, band = _band(blocks, lo, hi)
+        if np.isnan(band).any():
+            return float("nan")
+        if below <= low and half < below + len(band):
+            break
+    band.partition(half - below)
+    upper = band[half - below]
+    if total % 2:
+        return float(upper)
+    return float((band[:half - below].max() + upper) / 2.0)
+
+
+def _bracket(blocks, total, low, high):
+    """Bounds around the entries of ranks low to high: the order statistics of a
+    sample of about total^(2/3) entries four binomial standard deviations
+    outside those ranks, or -inf and inf past the sample's ends.
+
+    The sample is every stride-th entry of each block in row-major order; a
+    stride prime to the row lengths moves the sampled columns from row to row.
+    """
+    n, m = blocks[1][0].shape  # the xy block's; xx's rows hold n entries, yy's m
+    stride = max(1, round(total ** (1 / 3)))
+    while math.gcd(stride, n * m) > 1:
+        stride += 1
+    sample = np.concatenate([_strided_sample(d2, stride, upper) for d2, upper in blocks])
+    size = len(sample)
+    margin = 2.0 * math.sqrt(size)
+    i = math.floor(low * size / total - margin)
+    j = math.ceil(high * size / total + margin)
+    kth = [r for r in (i, j) if 0 <= r < size]
+    if kth:
+        sample.partition(kth)
+    return (sample[i] if i >= 0 else -np.inf), (sample[j] if j < size else np.inf)
+
+
+def _strided_sample(d2, stride, upper):
+    """Every stride-th entry of d2 in row-major order; only those above the
+    diagonal when `upper`."""
+    rows, cols = np.divmod(np.arange(0, d2.size, stride), d2.shape[1])
+    if upper:
+        keep = rows < cols
+        rows, cols = rows[keep], cols[keep]
+    return d2[rows, cols]
+
+
+def _band(blocks, lo, hi):
+    """(the number of entries below lo, the entries neither below lo nor above hi)
+    over the strict upper triangle of a block marked `upper` and all of another.
+
+    The blocks are read _DIST_BLOCK rows at a time, so that the masks stay small.
+    """
+    below, band = 0, []
+    for d2, upper in blocks:
+        for start in range(0, len(d2), _DIST_BLOCK):
+            stop = min(start + _DIST_BLOCK, len(d2))
+            # the strict upper triangle of these rows lies right of the diagonal
+            rows = d2[start:stop, start:] if upper else d2[start:stop]
+            keep = ~np.tri(*rows.shape, dtype=bool) if upper else True
+            under = np.less(rows, lo)
+            under &= keep
+            below += np.count_nonzero(under)
+            inside = np.greater(rows, hi)
+            inside |= under
+            np.logical_not(inside, out=inside)
+            inside &= keep
+            band.append(rows[inside])
+    return below, np.concatenate(band)
 
 
 def _canonical(x, y, min_points):
@@ -245,26 +339,41 @@ def _canonical(x, y, min_points):
 def mmd_squared(x, y, bandwidth: Optional[float] = None) -> float:
     """Unbiased MMD^2 estimate (may be negative) with a squared-exponential kernel."""
     x, y = _canonical(x, y, 2)
-    return _mmd_squared_pooled(_pooled_sq_distances(x, y), len(x), bandwidth)
+    top, yy = _pooled_blocks(x, y)
+    alpha = _bandwidth(top, yy, bandwidth)
+    return _mmd_squared_blocks(top, alpha, _off_diagonal_mean(_kernel(yy, alpha)))
 
 
-def _mmd_squared_pooled(d2, n, bandwidth=None) -> float:
-    """MMD^2 from the pooled squared distances of n x-points then the y-points.
-
-    The kernel matrix is built in `d2`, which is overwritten.
-    """
-    m = len(d2) - n
-    alpha = _median_upper(d2) if bandwidth is None else float(bandwidth)
+def _bandwidth(top, yy, bandwidth) -> float:
+    """`bandwidth`, or by default the median heuristic on the pooled sample."""
+    n = len(top)
+    alpha = (_median_sq_distance(top[:, :n], top[:, n:], yy) if bandwidth is None
+             else float(bandwidth))
     if alpha <= 0:
         raise UsageError("mmd bandwidth must be positive")
-    # the kernel matrix of the pooled sample, built in place; its blocks are kxx, kyy, kxy
+    return alpha
+
+
+def _kernel(d2, alpha):
+    """The squared-exponential kernel exp(-d2 / alpha), built in `d2`; returns it."""
     np.negative(d2, out=d2)
     np.divide(d2, alpha, out=d2)
-    np.exp(d2, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    term_x = d2[:n, :n].sum() / (n * (n - 1))
-    term_y = d2[n:, n:].sum() / (m * (m - 1))
-    return float(term_x + term_y - 2.0 * d2[:n, n:].sum() / (n * m))
+    return np.exp(d2, out=d2)
+
+
+def _off_diagonal_mean(kernel):
+    """The mean of a within-cloud kernel block over pairs of distinct points."""
+    np.fill_diagonal(kernel, 0.0)
+    return kernel.sum() / (len(kernel) * (len(kernel) - 1))
+
+
+def _mmd_squared_blocks(top, alpha, term_y) -> float:
+    """MMD^2 from the x rows' blocks top = [xx | xy], whose kernel is built in
+    place, and the yy block's kernel mean `term_y`."""
+    n = len(top)
+    _kernel(top, alpha)
+    term_x = _off_diagonal_mean(top[:, :n])
+    return float(term_x + term_y - 2.0 * top[:, n:].sum() / (n * (top.shape[1] - n)))
 
 
 def _root(sq) -> float:
@@ -280,16 +389,20 @@ def mmd(x, y, bandwidth: Optional[float] = None) -> float:
 
 
 def _ipm_pair(x, y, max_iters: int):
-    """(mmd(x, y), *sinkhorn_w2(x, y, max_iters=max_iters)) from one pooled distance matrix.
+    """(mmd(x, y), *sinkhorn_w2(x, y, max_iters=max_iters)) from the pooled sample's
+    three distance blocks.
 
-    Sinkhorn's cost is the pooled matrix's cross block, _sq_distances(x, y) bit for
-    bit; MMD then builds its kernel in the pooled matrix.
+    Sinkhorn's cost is the xy block, _sq_distances(x, y) bit for bit.  It runs
+    once the yy block has given its kernel mean and gone, so its own kernel
+    matrix joins two blocks, not three.
     """
     x, y = _canonical(x, y, 2)
-    n = len(x)
-    d2 = _pooled_sq_distances(x, y)
-    w2, converged = _sinkhorn(d2[:n, n:], _EPSILON, max_iters, _TOL)
-    return _root(_mmd_squared_pooled(d2, n)), w2, converged
+    top, yy = _pooled_blocks(x, y)
+    alpha = _bandwidth(top, yy, None)
+    term_y = _off_diagonal_mean(_kernel(yy, alpha))
+    del yy
+    w2, converged = _sinkhorn(top[:, len(x):], _EPSILON, max_iters, _TOL)
+    return _root(_mmd_squared_blocks(top, alpha, term_y)), w2, converged
 
 
 def sinkhorn_w2(x, y, epsilon: float = _EPSILON, max_iters: int = 10_000,

@@ -25,7 +25,6 @@ from samplebench.diffusion import (
 )
 from samplebench.errors import TrainingError, UsageError
 from samplebench.numerics import RngStream, Tape, Var
-from samplebench.numerics.logspace import log_mean_exp
 from samplebench.targets import make_gaussian_target, make_mog_target
 
 LOG_2PI = math.log(2 * math.pi)

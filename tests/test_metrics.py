@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,6 @@ from samplebench.metrics import (
     REVERSE,
     WeightedSamples,
     _lse_inplace,
-    _median_upper,
     _sq_distances,
     ejs,
     elbo,
@@ -244,12 +244,17 @@ def test_ejs_rejects_a_truth_that_is_not_a_vector():
 @pytest.mark.parametrize("dim", [1, 2, 10, 50])
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 40), (40, 1), (64, 64), (65, 30), (150, 70)])
 def test_sq_distances_bitwise_equals_cdist(dim, n, m):
-    # row counts on, below and off the block size, with n != m
+    # row counts on, below and off the block size, with n != m; pooled blocks of
+    # rows from one cloud and across the two
     rng = RngStream(30, dim)
     x = 3.0 * rng.normal((n, dim))
     y = 3.0 * rng.normal((m, dim)) + 1.0
     _assert_bitwise(_sq_distances(x, y), cdist(x, y, "sqeuclidean"))
-    _assert_bitwise(_sq_distances(x), cdist(x, x, "sqeuclidean"))
+    pooled = np.concatenate([x, y])
+    expected = cdist(pooled, pooled, "sqeuclidean")
+    top, yy = metrics._pooled_blocks(x, y)
+    _assert_bitwise(top, expected[:n])
+    _assert_bitwise(yy, expected[n:, n:])
 
 
 def _assert_bitwise(actual, expected):
@@ -261,43 +266,109 @@ def _upper(d2):
     return d2[np.triu_indices(len(d2), k=1)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 64, 65])
+def _pooled_median(x, y):
+    """(the selected median of the pooled distance blocks, np.median of the
+    pooled cdist matrix's strict upper triangle)."""
+    top, yy = metrics._pooled_blocks(x, y)
+    n = len(x)
+    pooled = np.concatenate([x, y])
+    expected = np.median(_upper(cdist(pooled, pooled, "sqeuclidean")))
+    return metrics._median_sq_distance(top[:, :n], top[:, n:], yy), expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 64, 65, 300, 301])
 def test_median_upper_bitwise_equals_np_median(n):
-    # n(n-1)/2 pairs: odd and even counts, on continuous and on tied values
+    # n(n-1)/2 pooled pairs: odd and even counts, on continuous values and on
+    # points of an integer lattice, whose distances tie
     rng = RngStream(31, n)
-    x = rng.normal((n, 3))
-    tied = rng.integers(3, size=(n, 2)).astype(float)
-    for pts in (x, tied):
-        d2 = cdist(pts, pts, "sqeuclidean")
-        expected = np.median(_upper(d2))
-        assert np.float64(_median_upper(d2)).tobytes() == expected.tobytes()
+    for pts in (rng.normal((n, 3)), rng.integers(3, size=(n, 2)).astype(float)):
+        got, expected = _pooled_median(pts[:n // 2], pts[n // 2:])
+        assert np.float64(got).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_median_upper_nan_entry_gives_nan(n):
+    # a NaN in either cloud's triangle or in the cross block
     pts = RngStream(32, n).normal((n, 2))
-    d2 = cdist(pts, pts, "sqeuclidean")
-    d2[0, n - 1] = np.nan
-    assert math.isnan(_median_upper(d2))
-    assert math.isnan(np.median(_upper(d2)))
+    x, y = pts[:2], pts[2:]
+    for block in range(3):
+        top, yy = metrics._pooled_blocks(x, y)
+        xx, xy = top[:, :2], top[:, 2:]
+        d2 = (xx, xy, yy)[block]
+        d2[0, 1] = d2[1, 0] = np.nan
+        assert math.isnan(metrics._median_sq_distance(xx, xy, yy))
+    assert math.isnan(_pooled_median(np.array([[np.nan, 0.0], [1.0, 2.0]]), pts)[0])
 
 
-def _cdist_mmd(monkeypatch, x, y):
-    """mmd as it was computed before the numpy distance routine: cdist and np.median."""
-    with monkeypatch.context() as patch:
-        patch.setattr(metrics, "_pooled_sq_distances",
-                      lambda a, b: cdist(np.concatenate([a, b]), np.concatenate([a, b]),
-                                         "sqeuclidean"))
-        patch.setattr(metrics, "_median_upper", lambda d2: float(np.median(_upper(d2))))
-        return mmd(x, y)
+def test_median_selection_falls_back_to_every_entry_when_the_bracket_misses(monkeypatch):
+    # the entries the strided sample reads are set to 0, below every other one,
+    # so the bracket lies under both middle ranks and the band must widen
+    target = make_mog_target(2, seed=0)
+    x = target.exact_sampler(RngStream(34, 0), 90)
+    y = target.exact_sampler(RngStream(34, 1), 70)
+    top, yy = metrics._pooled_blocks(x, y)
+    blocks = [top[:, :90], top[:, 90:], yy]
+    strides, bands = [], []
+    sample = metrics._strided_sample
+    monkeypatch.setattr(metrics, "_strided_sample",
+                        lambda d2, stride, upper: strides.append(stride) or sample(d2, stride, upper))
+    metrics._median_sq_distance(*blocks)
+    for d2, upper in zip(blocks, (True, False, True)):
+        index = np.arange(d2.size, dtype=float).reshape(d2.shape)
+        rows, cols = np.divmod(sample(index, strides[0], upper).astype(int), d2.shape[1])
+        d2[rows, cols] = 0.0
+        if upper:
+            d2[cols, rows] = 0.0
+    band = metrics._band
+    monkeypatch.setattr(metrics, "_band",
+                        lambda blocks, lo, hi: bands.append((lo, hi)) or band(blocks, lo, hi))
+    got = metrics._median_sq_distance(*blocks)
+    assert bands[-1] == (-np.inf, np.inf) and len(bands) == 2
+    values = np.concatenate([_upper(blocks[0]), blocks[1].ravel(), _upper(blocks[2])])
+    assert np.float64(got).tobytes() == np.median(values).tobytes()
+
+
+def _cdist_mmd(x, y):
+    """mmd as the pooled form computed it: scipy's cdist of the pooled sample,
+    np.median of its strict upper triangle, and the kernel sums over the pooled
+    matrix's blocks."""
+    x, y = metrics._canonical(x, y, 2)
+    n, m = len(x), len(y)
+    pooled = np.concatenate([x, y])
+    d2 = cdist(pooled, pooled, "sqeuclidean")
+    alpha = float(np.median(_upper(d2)))
+    kernel = np.exp(np.negative(d2) / alpha)
+    np.fill_diagonal(kernel, 0.0)
+    sq = (kernel[:n, :n].sum() / (n * (n - 1)) + kernel[n:, n:].sum() / (m * (m - 1))
+          - 2.0 * kernel[:n, n:].sum() / (n * m))
+    return float(np.sqrt(max(float(sq), 0.0)))
 
 
 @pytest.mark.parametrize("dim", [2, 50])
-def test_mmd_bitwise_equals_cdist_form_on_bench_shaped_clouds(monkeypatch, dim):
+def test_mmd_bitwise_equals_cdist_form_on_bench_shaped_clouds(dim):
+    # 37 points put a pooled block of rows across the two clouds; 128 do not
     target = make_mog_target(dim, seed=0)
-    x = target.exact_sampler(RngStream(33, 0), 128)
-    y = target.exact_sampler(RngStream(33, 1), 128) + 0.5 * RngStream(33, 2).normal((128, dim))
-    assert mmd(x, y) == _cdist_mmd(monkeypatch, x, y)
+    for k in (37, 128):
+        x = target.exact_sampler(RngStream(33, 0), k)
+        y = target.exact_sampler(RngStream(33, 1), k) + 0.5 * RngStream(33, 2).normal((k, dim))
+        assert mmd(x, y) == _cdist_mmd(x, y)
+
+
+@pytest.mark.parametrize("k", [256, 512])
+def test_ipm_pair_holds_three_distance_blocks(k):
+    # xx, xy and yy are 3k^2 floats; the pooled matrix and a copy of its upper
+    # triangle were 6k^2
+    target = make_mog_target(2, seed=0)
+    x = target.exact_sampler(RngStream(35, 0), k)
+    y = target.exact_sampler(RngStream(35, 1), k) + 0.5 * RngStream(35, 2).normal((k, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        metrics._ipm_pair(x, y, 300)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * k * k * 8
 
 
 # ----------------------------------------------------------------------- mmd
