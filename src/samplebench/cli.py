@@ -100,17 +100,25 @@ def _load_samples_csv(path, weights_col):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows, line_nums = [], []
+        for row in reader:
+            if row:
+                rows.append([float(v) for v in row])
+                line_nums.append(reader.line_num)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
     if not x_cols:
         raise ValueError("samples CSV needs x_1..x_d columns")
-    log_w = None
-    if weights_col in header:
-        log_w = data[:, header.index(weights_col)]
-    return data[:, x_cols], log_w
+    w_cols = [header.index(weights_col)] if weights_col in header else []
+    read = sorted(x_cols + w_cols)
+    bad = np.argwhere(~np.isfinite(data[:, read]))
+    if len(bad):
+        row, col = bad[0][0], read[bad[0][1]]
+        raise IngestionError(f"{path}: line {line_nums[row]}, column {col + 1} "
+                             f"({header[col]}) is {data[row, col]}, not a finite number")
+    return data[:, x_cols], (data[:, w_cols[0]] if w_cols else None)
 
 
 def _cmd_metrics(args) -> int:

@@ -15,7 +15,7 @@ from .config import ExperimentConfig, check_pairings
 from .emit import _atomic_write, format_cell
 from .registry import (ABLATION_GRIDS, ABLATION_KINDS, build_target, grid_fills,
                        resolve_method_params)
-from .run import RunRecord, run_experiment
+from .run import run_experiment
 
 
 def _grid(key: str, config: ExperimentConfig) -> list:

@@ -170,35 +170,31 @@ def ejs(cells, true_probs) -> float:
 
 
 # ------------------------------------------------- integral probability metrics
-_DIST_BLOCK = 64  # rows per block of the distance loops and of the median's band reads
+_DIST_BLOCK = 64  # rows per block of the distance fill and of the median's band reads
 # sinkhorn_w2's default regularization and tolerance
 _EPSILON = 1e-3
 _TOL = 1e-6
+# the largest coordinate magnitude times sqrt(d) that MMD and W2 accept: every
+# squared distance then stays finite, at most 4e300
+_COORD_BOUND = 1e150
 
 
-def _fill_sq_distances(out, rows, cols_t, diff):
-    """out[i, j] = sum over k of (rows[i, k] - cols_t[k, j])^2, accumulated in `out`.
+def _sq_distances(rows, cols, out):
+    """out[i, j] = |rows[i] - cols[j]|^2 with the bits of scipy's cdist; returns `out`.
 
-    The sum runs over k = 1..d in order, the summation order of scipy's C loop,
-    one coordinate at a time over the whole block; `diff` is scratch of out's shape.
+    The sum runs over the coordinates in order, scipy's summation order, one
+    pass per coordinate over _DIST_BLOCK rows at a time.
     """
-    out.fill(0.0)
-    for k, col in enumerate(cols_t):
-        np.subtract(rows[:, k, None], col, out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add(out, diff, out=out)
-
-
-def _sq_distances(x, y):
-    """Pairwise squared Euclidean distances, (n, m), with the bits of scipy's cdist,
-    filled _DIST_BLOCK rows at a time."""
-    n, m = len(x), len(y)
-    out = np.empty((n, m))
-    diff = np.empty((min(n, _DIST_BLOCK), m))
-    y_cols = np.ascontiguousarray(y.T)
-    for start in range(0, n, _DIST_BLOCK):
-        stop = min(start + _DIST_BLOCK, n)
-        _fill_sq_distances(out[start:stop], x[start:stop], y_cols, diff[:stop - start])
+    cols_t = np.ascontiguousarray(cols.T)
+    diff = np.empty((min(len(rows), _DIST_BLOCK), len(cols)))
+    for start in range(0, len(rows), _DIST_BLOCK):
+        block = out[start:start + _DIST_BLOCK]
+        scratch = diff[:len(block)]
+        block.fill(0.0)
+        for k, col in enumerate(cols_t):
+            np.subtract(rows[start:start + _DIST_BLOCK, k, None], col, out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            np.add(block, scratch, out=block)
     return out
 
 
@@ -206,37 +202,13 @@ def _pooled_blocks(x, y):
     """The pooled sample's squared distances in three blocks, with the bits of scipy's cdist.
 
     Returns (top, yy): top = [xx | xy], the pooled matrix's n rows of x, and yy,
-    an (m, m) view of an (m, m + 1) buffer.  The yx block, a transposed copy of
-    xy, is never held.  The loop is the pooled matrix's, so it makes as many
-    ufunc calls: each block of _DIST_BLOCK pooled rows is filled in a scratch
-    block from its first row's column on, one pass per coordinate, copied out
-    and mirrored below, as (a - b)^2 and (b - a)^2 are equal.  The scratch of
-    a block across the two clouds holds its y rows' x columns, which go unread.
-
-    Each block is a non-contiguous view, which numpy sums row by row whatever
-    its row stride, as it summed the pooled matrix's blocks; the pad column
-    keeps yy one (numpy sums a contiguous block in another order).
+    an (m, m) view of an (m, m + 1) buffer.  Each block is a non-contiguous
+    view, which numpy sums row by row, as it sums the pooled matrix's blocks
+    (a contiguous block is summed in another order).
     """
     n, m = len(x), len(y)
-    size = n + m
-    top = np.empty((n, size))
-    yy = None  # allocated with the first y row, after the widest scratch blocks
-    z = np.concatenate([x, y])
-    z_cols = np.ascontiguousarray(z.T)
-    for start in range(0, size, _DIST_BLOCK):
-        stop = min(start + _DIST_BLOCK, size)
-        mid = min(max(start, n), stop)  # the block's first row of y
-        acc, diff = np.empty((2, stop - start, size - start))
-        _fill_sq_distances(acc, z[start:stop], z_cols[:, start:], diff)
-        top[start:mid, start:] = acc[:mid - start]
-        top[mid:, start:mid] = top[start:mid, mid:n].T
-        if mid < stop:
-            if yy is None:
-                yy = np.empty((m, m + 1))[:, :m]
-            yy[mid - n:stop - n, mid - n:] = acc[mid - start:, mid - start:]
-            yy[stop - n:, mid - n:stop - n] = yy[mid - n:stop - n, stop - n:].T
-        del acc, diff  # before the next block's scratch
-    return top, yy
+    top = _sq_distances(x, np.concatenate([x, y]), np.empty((n, n + m)))
+    return top, _sq_distances(y, y, np.empty((m, m + 1))[:, :m])
 
 
 def _median_sq_distance(xx, xy, yy) -> float:
@@ -328,10 +300,16 @@ def _band(blocks, lo, hi):
 
 def _canonical(x, y, min_points):
     """The clouds as point sets: rows sorted lexicographically (+ 0.0 ties -0.0 with 0.0),
-    the pair in byte order; UsageError unless each has `min_points` (n, d) points."""
+    the pair in byte order; UsageError unless each has `min_points` (n, d) points
+    whose coordinates are finite and at most _COORD_BOUND / sqrt(d) in magnitude."""
     x, y = _clouds(x, y)
     if len(x) < min_points or len(y) < min_points:
         raise UsageError(f"need at least {min_points} point(s) in each sample")
+    bound = _COORD_BOUND / math.sqrt(max(x.shape[1], 1))
+    peak = np.maximum(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0))
+    if not peak <= bound:  # also on NaN
+        raise UsageError(f"point coordinates must be finite and at most {bound:.3g} in "
+                         f"magnitude, got {peak}")
     x, y = (c[np.lexsort(c.T[::-1])] + 0.0 for c in (x, y))
     return (y, x) if (x.shape, x.tobytes()) > (y.shape, y.tobytes()) else (x, y)
 
@@ -392,9 +370,10 @@ def _ipm_pair(x, y, max_iters: int):
     """(mmd(x, y), *sinkhorn_w2(x, y, max_iters=max_iters)) from the pooled sample's
     three distance blocks.
 
-    Sinkhorn's cost is the xy block, _sq_distances(x, y) bit for bit.  It runs
-    once the yy block has given its kernel mean and gone, so its own kernel
-    matrix joins two blocks, not three.
+    The three blocks come from _pooled_blocks, and Sinkhorn's cost is the xy
+    block, the matrix sinkhorn_w2 fills, bit for bit.  Sinkhorn runs once the
+    yy block has given its kernel mean and gone, so its own kernel matrix joins
+    two blocks, not three.
     """
     x, y = _canonical(x, y, 2)
     top, yy = _pooled_blocks(x, y)
@@ -451,7 +430,7 @@ def sinkhorn_w2(x, y, epsilon: float = _EPSILON, max_iters: int = 10_000,
     x, y = _canonical(x, y, 1)
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
-    return _sinkhorn(_sq_distances(x, y), epsilon, max_iters, tol)
+    return _sinkhorn(_sq_distances(x, y, np.empty((len(x), len(y)))), epsilon, max_iters, tol)
 
 
 def _sinkhorn(cost, epsilon, max_iters, tol):
@@ -469,6 +448,8 @@ def _sinkhorn(cost, epsilon, max_iters, tol):
     kv, ku, resid = np.empty(n), np.empty(m), np.empty(n)
 
     span = float(cost.max())
+    if not math.isfinite(span):  # the schedule below would halve span / 8 forever
+        raise UsageError(f"W2 needs finite squared distances, got a largest one of {span}")
     eps_levels = []
     eps = max(span / 8.0, epsilon)
     while eps > epsilon:

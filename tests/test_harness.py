@@ -1,3 +1,4 @@
+import ast
 import copy
 import inspect
 import json
@@ -40,6 +41,7 @@ from samplebench.numerics import RngStream
 from samplebench.numerics.nets import DriftNet
 from samplebench.sis import AffineFlow, backward_transport_logweights, craft_train, smc_run
 from samplebench.targets import DiagonalGaussian, make_mog_target
+from samplebench.targets.mixtures import MixtureSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -1014,6 +1016,164 @@ def test_exact_oracle_reads_the_known_answers(name, monkeypatch):
                               target.mode_model)
 
 
+def test_exact_oracle_mmd_lies_inside_its_permutation_null():
+    # under exact sampling the pooled 2k points are exchangeable, so the reported
+    # pair's MMD^2 estimate ranks uniformly among those of random splits of the
+    # pool, and lies outside all 999 of them with chance 2/1000.  The pooled-median
+    # bandwidth is the same for every split, so each split's estimate is read off
+    # one kernel matrix of the pool; the reported MMD is its root, clamped at 0
+    from scipy.spatial.distance import cdist
+
+    n, k, n_splits = 512, 128, 999
+    target = _scaled_target("mog")
+    exact = ExactDraws(target.exact_sampler(RngStream(1, 0), n))
+    report = evaluate_sampler(ExactOracle(target), target, n, RngStream(2, 0), exact,
+                              ipm_subsample=k, sinkhorn_iters=20)
+    x = ExactOracle(target).sample_with_logweights(n, RngStream(2, 0))[0]
+    pool = np.concatenate([x[:k], exact.points[:k]])
+    d2 = cdist(pool, pool, "sqeuclidean")
+    kernel = np.exp(-d2 / np.median(d2[np.triu_indices(2 * k, 1)]))
+    np.fill_diagonal(kernel, 0.0)
+    rng = RngStream(3, 0)
+    orders = [np.arange(2 * k)] + [np.argsort(rng.uniform(size=2 * k)) for _ in range(n_splits)]
+    first = np.zeros((2 * k, len(orders)))
+    for j, order in enumerate(orders):
+        first[order[:k], j] = 1.0
+    second = 1.0 - first
+    within = np.sum(first * (kernel @ first), axis=0) + np.sum(second * (kernel @ second), axis=0)
+    cross = np.sum(first * (kernel @ second), axis=0)
+    split_sq = within / (k * (k - 1)) - 2.0 * cross / (k * k)
+    # the identity split is the reported pair: means of k^2 kernel entries, each in
+    # [0, 1], round at about 1e-15, far inside 1e-12
+    assert report.mmd ** 2 == pytest.approx(max(split_sq[0], 0.0), abs=1e-12)
+    assert split_sq[1:].min() <= split_sq[0] <= split_sq[1:].max()
+
+
+class ModeDroppedOracle:
+    """Exact draws from the kept components S of an equal-weight unit-Gaussian mixture:
+    the model q is the mixture over S, and each log weight is log gamma - log q."""
+
+    def __init__(self, target, means, kept):
+        self.target, self.means, self.kept = target, means, kept
+
+    def log_q(self, x):
+        from scipy.special import logsumexp
+
+        d2 = np.sum((x[:, None, :] - self.means[self.kept]) ** 2, axis=2)
+        return (logsumexp(-0.5 * d2, axis=1) - math.log(len(self.kept))
+                - 0.5 * x.shape[1] * math.log(2.0 * math.pi))
+
+    def sample_with_logweights(self, n, rng):
+        comps = self.kept[rng.integers(len(self.kept), size=n)]
+        x = self.means[comps] + rng.normal((n, self.target.dim))
+        return x, self.target.log_unnorm(x) - self.log_q(x)
+
+    def backward_logweights(self, y, rng, query=None):
+        return (self.target.log_unnorm(y) if query is None else query[0]) - self.log_q(y)
+
+
+def _mode_dropped_setup(dim):
+    """(target scaled to log Z = ORACLE_LOG_Z, its K means, the kept components S):
+    S holds the components whose mean has a negative first coordinate."""
+    target = _scaled_target("mog", {"dim": dim})
+    means = MixtureSpec(40, dim, "gaussian", -40.0, 40.0, 12).draw_means()
+    np.testing.assert_array_equal(target.mode_model.cell(means), np.arange(40))
+    return target, means, np.flatnonzero(means[:, 0] < 0)
+
+
+def _assert_mode_dropped_answers(criteria, exact_criteria, y, means, kept, n, printed=0.0):
+    """The mode-dropped oracle's known answers, from its criteria, the exact oracle's
+    MMD and W2, and the exact draws y; `printed` is the relative rounding of the
+    values when they are read back from the CSV.
+
+    - ELBO = log Z - log(K/|S|) + mean(log(1 + r)), r the dropped components' share of
+      gamma over the kept ones' at a draw.  That term is at least 0, and its mean over
+      2e6 draws is 2.8e-9 at d=2 (the closest kept and dropped means lie 10.3 apart)
+      and 0 at d=50 (180 apart), so by Markov's inequality it exceeds 1e-3 with a
+      chance below 3e-6.  A log weight adds gamma's terms of size up to
+      (|x|^2 + |mu|^2) / 2, below 4e4 (|mu|^2 <= 3.3e4 at d=50), so 32 roundings of
+      1.1e-16 of that stay below 1e-9.
+    - EMC = H(h) / log K for the histogram h of the draws' mode cells.  No draw of
+      2e6 at d=2 fell outside S's cells, so 2n ln|S| (1 - H(h)/ln|S|) follows
+      chi^2(|S| - 1), as in _mode_criteria_bounds with |S| cells, whose noncentrality
+      is 0.022 (d=2) and 0.078 (d=50) at n = 512.
+    - EUBO and the forward ESS: gamma(y)/Z lies between N_near/K and N_near, and q(y)
+      between N_S/|S| and N_S, with N_near the density of y's nearest component and N_S
+      that of its nearest kept one.  So each forward log weight less log Z lies in
+      [gap - log K, gap + log|S|], gap = log(N_near/N_S), which bounds EUBO on both
+      sides, and the ESS n^2 / (sum w sum 1/w) from above by n^2 exp(min of the upper
+      ends - max of the lower ends).
+    - MMD and W2 exceed the exact oracle's at the same k and seed.
+    """
+    k_all, k_kept = len(means), len(kept)
+    rounding = 1e-9
+    answer = ORACLE_LOG_Z - math.log(k_all / k_kept)
+    tol = rounding + printed * abs(criteria["elbo"])
+    assert answer - tol <= criteria["elbo"] <= answer + 1e-3 + tol
+    (emc_lo, emc_hi), _ = _mode_criteria_bounds(k_kept, n)
+    scale = math.log(k_kept) / math.log(k_all)
+    assert emc_lo * scale * (1 - printed) <= criteria["emc"] <= emc_hi * scale * (1 + printed)
+
+    d2 = np.sum((y[:, None, :] - means) ** 2, axis=2)
+    gap = 0.5 * (d2[:, kept].min(axis=1) - d2.min(axis=1))
+    lower, upper = gap - math.log(k_all), gap + math.log(k_kept)
+    assert lower.mean() > 1.0  # the exact oracle's EUBO reads log Z
+    tol = rounding + printed * abs(criteria["eubo"])
+    assert lower.mean() - tol <= criteria["eubo"] - ORACLE_LOG_Z <= upper.mean() + tol
+    log_ess_bound = 2 * math.log(n) + upper.min() - lower.max()
+    assert log_ess_bound < math.log(1e-6)  # the exact oracle's forward ESS reads 1
+    ess = criteria["ess_fwd"]
+    assert ess == 0.0 or math.log(ess) <= log_ess_bound + 2 * printed
+    assert criteria["mmd"] > exact_criteria["mmd"]
+    assert criteria["w2"] > exact_criteria["w2"]
+
+
+def _oracle_csv_rows(make_oracle, dim, n, k, monkeypatch):
+    """The emitted CSV rows of one seed whose every checkpoint is make_oracle(target)."""
+
+    def train(driver, target, target_name, seed, n_checkpoints, checkpoint_cb):
+        for it in range(1, n_checkpoints + 1):
+            checkpoint_cb(it, make_oracle(target))
+
+    monkeypatch.setattr(run_module, "build_target", _scaled_target)
+    monkeypatch.setattr(MethodDriver, "train", train)
+    record = run_experiment(parse_config(tiny_config(
+        target={"name": "mog", "dim": dim}, seeds=[0],
+        protocol={"n_checkpoints": 3, "running_avg_len": 2, "eval_samples": n,
+                  "ipm_subsample": k, "sinkhorn_iters": 300})), clock=FakeClock())
+    assert record.failures == []
+    lines = render_checkpoint_csv(record).strip().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 4
+    return [dict(zip(header, line.split(","), strict=True)) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+def test_mode_dropped_oracle_reads_the_known_answers(dim, monkeypatch):
+    # exact draws from the components left of x_1 = 0 only: ELBO misses log Z by
+    # log(K/|S|) and EMC reads log|S| / log K, EUBO and the forward ESS flag the
+    # dropped mass, and MMD and W2 exceed the exact oracle's; through
+    # evaluate_sampler and through the emitted CSV row
+    n, k = 512, 128
+    target, means, kept = _mode_dropped_setup(dim)
+    exact = ExactDraws(target.exact_sampler(RngStream(1, 0), n))
+    reports = [evaluate_sampler(sampler, target, n, RngStream(2, 0), exact, ipm_subsample=k,
+                                sinkhorn_iters=300)
+               for sampler in (ModeDroppedOracle(target, means, kept), ExactOracle(target))]
+    dropped, exact_oracle = ({c: getattr(r, c) for c in MetricReport.CRITERIA} for r in reports)
+    _assert_mode_dropped_answers(dropped, exact_oracle, exact.points, means, kept, n)
+
+    dropped_rows = _oracle_csv_rows(lambda t: ModeDroppedOracle(t, means, kept), dim, n, k,
+                                    monkeypatch)
+    exact_rows = _oracle_csv_rows(ExactOracle, dim, n, k, monkeypatch)
+    y = target.exact_sampler(RngStream(0, 20_000), n)  # the run's exact draws for seed 0
+    for dropped_row, exact_row in zip(dropped_rows, exact_rows, strict=True):
+        # six significant digits: a printed value is within 5e-6 of it, relatively
+        _assert_mode_dropped_answers(
+            {c: float(v) for c, v in dropped_row.items() if c in MetricReport.CRITERIA},
+            {c: float(exact_row[c]) for c in ("mmd", "w2")}, y, means, kept, n, printed=5e-6)
+
+
 # -------------------------------------------------------------- NFE accounting
 def test_smc_nfe_closed_form_hmc():
     target = make_mog_target(2, seed=0)
@@ -1384,6 +1544,26 @@ def test_cli_metrics_header_only_csv_is_a_usage_error(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, column, cell", [(3, 2, "nan"), (4, 3, "inf"), (2, 3, "-inf")])
+def test_cli_metrics_rejects_a_cell_that_is_not_finite(tmp_path, capsys, line, column, cell):
+    # before, a nan coordinate exited 0 with "mmd": NaN and "w2": NaN, which is not
+    # JSON; a +inf log weight failed in log_sum_exp after a RuntimeWarning; and a
+    # -inf one reported "elbo": -Infinity
+    from samplebench.cli import main
+
+    x = make_mog_target(2).exact_sampler(RngStream(3, 0), 4)
+    rows = [["x_1", "x_2", "log_w"]] + [[f"{a}", f"{b}", "0.0"] for a, b in x]
+    rows[line - 1][column - 1] = cell
+    path = tmp_path / "samples.csv"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["metrics", "--samples", str(path), "--target", "mog", "--ipm-samples", "4",
+                 "--out", str(out)]) == 2
+    name = rows[0][column - 1]
+    assert f"line {line}, column {column} ({name}) is {cell}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- imports
 def _run_python(code):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -1391,6 +1571,41 @@ def _run_python(code):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _unused_imports(path):
+    """(line, name) of each name that the module at `path` imports and never reads.
+
+    Names in its __all__, __future__ imports and lines marked `# noqa: F401` count as read.
+    """
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append((node.lineno, name))
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted(p for top in ("src", "tests", "demos") for p in (ROOT / top).rglob("*.py"))
+    assert len(paths) > 30
+    unused = {str(p.relative_to(ROOT)): found for p in paths if (found := _unused_imports(p))}
+    assert unused == {}
 
 
 def test_harness_import_loads_no_scipy():

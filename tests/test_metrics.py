@@ -244,12 +244,12 @@ def test_ejs_rejects_a_truth_that_is_not_a_vector():
 @pytest.mark.parametrize("dim", [1, 2, 10, 50])
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 40), (40, 1), (64, 64), (65, 30), (150, 70)])
 def test_sq_distances_bitwise_equals_cdist(dim, n, m):
-    # row counts on, below and off the block size, with n != m; pooled blocks of
-    # rows from one cloud and across the two
+    # row counts on, below and off the block size, with n != m, into a contiguous
+    # buffer and into the pooled blocks' [xx | xy] buffer and padded yy view
     rng = RngStream(30, dim)
     x = 3.0 * rng.normal((n, dim))
     y = 3.0 * rng.normal((m, dim)) + 1.0
-    _assert_bitwise(_sq_distances(x, y), cdist(x, y, "sqeuclidean"))
+    _assert_bitwise(_sq_distances(x, y, np.empty((n, m))), cdist(x, y, "sqeuclidean"))
     pooled = np.concatenate([x, y])
     expected = cdist(pooled, pooled, "sqeuclidean")
     top, yy = metrics._pooled_blocks(x, y)
@@ -432,6 +432,42 @@ def test_ipm_clouds_of_different_dimension_raise(criterion):
     rng = RngStream(23, 0)
     with pytest.raises(UsageError):
         criterion(rng.normal((5, 2)), rng.normal((5, 3)))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+def test_ipm_criteria_reject_points_they_cannot_measure(bad, side):
+    # an inf coordinate, or one whose square overflows, made the largest squared
+    # distance inf, and Sinkhorn's epsilon schedule then halved inf / 8 forever,
+    # a level more each time, until memory ran out; a NaN one made mmd NaN
+    clouds = [RngStream(42, 0).normal((20, 3)), RngStream(42, 1).normal((15, 3))]
+    clouds[side][3, 1] = bad
+    criteria = (mmd, lambda x, y: mmd(x, y, bandwidth=1.0), sinkhorn_w2,
+                lambda x, y: metrics._ipm_pair(x, y, 50))
+    for criterion in criteria:
+        with pytest.raises(UsageError, match="must be finite"):
+            criterion(*clouds)
+
+
+@pytest.mark.parametrize("dim", [1, 50])
+def test_ipm_criteria_measure_points_at_the_coordinate_bound(dim):
+    # two points at opposite corners of the bound are 4 * 1e300 apart squared,
+    # and every distance stays finite
+    bound = metrics._COORD_BOUND / math.sqrt(dim)
+    x = RngStream(43, 0).normal((20, dim))
+    y = RngStream(43, 1).normal((15, dim))
+    x[0], y[0] = bound, -bound
+    assert math.isfinite(mmd(x, y))
+    assert math.isfinite(mmd(x, y, bandwidth=1.0))
+    top, _ = metrics._pooled_blocks(*metrics._canonical(x, y, 2))
+    assert top.max() == pytest.approx(4e300, rel=1e-12)
+
+
+def test_sinkhorn_rejects_a_cost_that_is_not_finite():
+    cost = np.ones((3, 4))
+    cost[1, 2] = np.inf
+    with pytest.raises(UsageError, match="finite squared distances"):
+        metrics._sinkhorn(cost, 1e-3, 10, 1e-6)
 
 
 # ------------------------------------------------------------------- sinkhorn
@@ -642,7 +678,7 @@ def test_sinkhorn_starts_only_non_halving_levels_in_log_form(monkeypatch, clouds
 def test_sinkhorn_matches_reference_on_budgets_shorter_than_warmup(dim, max_iters):
     # the warm-up schedule wants 10 iterations per epsilon level; the last levels get none
     x, y = _collapsed_and_exact(dim)
-    n_levels = math.ceil(math.log2(_sq_distances(x, y).max() / 8.0 / 1e-3))
+    n_levels = math.ceil(math.log2(cdist(x, y, "sqeuclidean").max() / 8.0 / 1e-3))
     assert max_iters < 10 * n_levels
     val, converged = sinkhorn_w2(x, y, max_iters=max_iters)
     ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=max_iters)
@@ -659,7 +695,7 @@ def _per_iteration_sinkhorn_w2(x, y, epsilon=1e-3, max_iters=10_000, tol=1e-6, m
     """
     x, y = metrics._canonical(x, y, 1)
     n, m = len(x), len(y)
-    cost = _sq_distances(x, y)
+    cost = _sq_distances(x, y, np.empty((n, m)))
     a, b = 1.0 / n, 1.0 / m
     log_a = -np.log(n)
     f = np.zeros(n)
