@@ -103,7 +103,7 @@ def _load_samples_csv(path, weights_col):
         rows, line_nums = [], []
         for row in reader:
             if row:
-                rows.append([float(v) for v in row])
+                rows.append(_csv_row(path, reader.line_num, header, row))
                 line_nums.append(reader.line_num)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
@@ -119,6 +119,26 @@ def _load_samples_csv(path, weights_col):
         raise IngestionError(f"{path}: line {line_nums[row]}, column {col + 1} "
                              f"({header[col]}) is {data[row, col]}, not a finite number")
     return data[:, x_cols], (data[:, w_cols[0]] if w_cols else None)
+
+
+def _csv_row(path, line, header, row):
+    """The row's cells as floats; IngestionError naming the line and column of a
+    missing, extra or non-numeric cell."""
+    from .errors import IngestionError
+
+    if len(row) < len(header):
+        col = len(row)
+        raise IngestionError(f"{path}: line {line}, column {col + 1} ({header[col]}) is missing")
+    if len(row) > len(header):
+        raise IngestionError(f"{path}: line {line}, column {len(header) + 1} has no header")
+    values = []
+    for col, (name, cell) in enumerate(zip(header, row), start=1):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise IngestionError(f"{path}: line {line}, column {col} ({name}) is {cell!r}, "
+                                 "not a number") from None
+    return values
 
 
 def _cmd_metrics(args) -> int:

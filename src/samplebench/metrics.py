@@ -15,14 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .numerics.logspace import (
-    EXP_FLOOR,
-    ess_fraction,
-    exp_clamped_inplace,
-    exp_shifted_inplace,
-    log_mean_exp,
-    log_sum_exp,
-)
+from .numerics.logspace import ess_fraction, exp_clamped_inplace, log_mean_exp, log_sum_exp
 
 REVERSE = "reverse"
 FORWARD = "forward"
@@ -171,9 +164,12 @@ def ejs(cells, true_probs) -> float:
 
 # ------------------------------------------------- integral probability metrics
 _DIST_BLOCK = 64  # rows per block of the distance fill and of the median's band reads
-# sinkhorn_w2's default regularization and tolerance
-_EPSILON = 1e-3
-_TOL = 1e-6
+# Sinkhorn's regularization as a share of the mean cost, and its tolerance on
+# the L1 error of the row marginals, whose total mass is 1
+_EPSILON_FRACTION = 0.05
+_TOL = 1e-3
+# a scaling beyond [1/tau, tau] is folded into the potentials and the kernel rebuilt
+_SCALING_BOUND = 1e50
 # the largest coordinate magnitude times sqrt(d) that MMD and W2 accept: every
 # squared distance then stays finite, at most 4e300
 _COORD_BOUND = 1e150
@@ -380,212 +376,92 @@ def _ipm_pair(x, y, max_iters: int):
     alpha = _bandwidth(top, yy, None)
     term_y = _off_diagonal_mean(_kernel(yy, alpha))
     del yy
-    w2, converged = _sinkhorn(top[:, len(x):], _EPSILON, max_iters, _TOL)
+    w2, converged = _sinkhorn(top[:, len(x):], max_iters)
     return _root(_mmd_squared_blocks(top, alpha, term_y)), w2, converged
 
 
-def sinkhorn_w2(x, y, epsilon: float = _EPSILON, max_iters: int = 10_000,
-                tol: float = _TOL):
+def sinkhorn_w2(x, y, max_iters: int = 10_000):
     """Entropy-regularized 2-Wasserstein distance via stabilised scaling Sinkhorn.
 
     Uniform marginals a = 1/n, b = 1/m and cost C = |x-y|^2; returns
-    (sqrt(transport cost), converged).  Epsilon is annealed geometrically from
-    span/8 down to its target, 10 warm-up iterations per level, so small-epsilon
-    runs make progress.  The updates alternate (g uses the new f) on the clouds in
-    canonical order, so any order of the rows or of the arguments gives the same bits.
+    (sqrt(transport cost of the entropic plan), converged).  The
+    regularization is eps = _EPSILON_FRACTION times the mean cost, so W2
+    carries an entropic bias of that size whatever the clouds' scale.  The
+    updates alternate (g uses the new f) on the clouds in canonical order, so
+    any order of the rows or of the arguments gives the same bits.
 
     The iterate is held in scaling form (Schmitzer 2019): potentials (f, g)
     absorbed into a kernel K = exp(max((f + g - C)/eps, -700)) and scalings
     (u, v) on top, so the dual potentials are f + eps*log(u) and g + eps*log(v).
     An iteration is two matrix-vector products, u = a/(K v) and v = b/(K^T u).
+    A scaling that leaves [1/tau, tau] is folded into (f, g) and K rebuilt.
+    K's entries are the plan's at the last fold, so at most 1; a row or
+    column of clamped entries sends its scaling out of range at once, and it
+    is folded before it can overflow.
 
-    A level at exactly half the previous epsilon starts from the squared
-    kernel: folding the scalings into K makes it exp((f + g - C)/eps) for the
-    folded potentials, and its square is the kernel at eps/2, made in four
-    passes with no exp; its first iteration is a scaling one.  The square is
-    clamped at e^-700 again, so K and the scalings stay normal numbers and the
-    matrix-vector products stay off the slow subnormal path (squaring u and v
-    instead of folding them would not).  The first level, a level at any other
-    ratio (the last one, and one after levels a short budget skipped) and any
-    iteration whose u or v leaves [1/tau, tau] or is not finite run in log form
-    instead (log-sum-exp over the cost), once the scalings are folded into
-    (f, g), and leave K behind.  Within that range a clamped entry of K weighs
-    at most about 1e-200 of its row, and folds to at most e^-470, so its square
-    is clamped as the log form would clamp it: the iterates are the log-domain
-    ones up to rounding.
-
-    Convergence is the L1 error of the row marginals, |u*(K v) - a|, read off
-    the next u-update: after a v-update the column marginals are exact up to
-    rounding.  A converged exit returns the checked iterate, so W2 is the value
-    a check over the full plan would give.
-
-    Scaling iterations run in windows of up to _WINDOW, whose scalings are
-    range-checked once, together, when the window ends.  In a window with a
-    scaling out of range or NaN, the first iteration that made one keeps the
-    scalings before it and redoes its bad half in log form; the iterations
-    after it are dropped, and the level resumes from there.  So the iterates,
-    the log-form steps and the converged exit are the ones of checking every
-    scaling as it is made.
+    Convergence is the L1 error of the row marginals, |u*(K v) - a| < _TOL,
+    read off the next u-update: after a v-update the column marginals are
+    exact up to rounding.  A converged exit returns the checked iterate.
     """
     x, y = _canonical(x, y, 1)
-    if epsilon <= 0:
-        raise UsageError("epsilon must be positive")
-    return _sinkhorn(_sq_distances(x, y, np.empty((len(x), len(y)))), epsilon, max_iters, tol)
+    return _sinkhorn(_sq_distances(x, y, np.empty((len(x), len(y)))), max_iters)
 
 
-def _sinkhorn(cost, epsilon, max_iters, tol):
+def _sinkhorn(cost, max_iters):
     """sinkhorn_w2 on the cost matrix of its clouds in canonical order."""
     n, m = cost.shape
     a, b = 1.0 / n, 1.0 / m
-    log_a = -np.log(n)
-    f = np.zeros(n)
-    g = np.zeros(m)
-    u = np.ones(n)
-    v = np.ones(m)
-    kernel = np.empty(cost.shape)  # K, made by the log-form steps and the squared starts
-    # a window's scalings, row i holding (u, v) after its iteration i, and the products' buffers
-    scalings = np.empty((min(_WINDOW, max(max_iters, 1)), n + m))
+    span = float(cost.max())
+    if not math.isfinite(span):
+        raise UsageError(f"W2 needs finite squared distances, got a largest one of {span}")
+    if span == 0.0:
+        return 0.0, True
+    kernel = np.empty(cost.shape)  # K, and at the end the plan
+    # the mean cost, summed as cost / span: a sum of costs near 4e300 would overflow
+    eps = _EPSILON_FRACTION * span * float(np.divide(cost, span, out=kernel).mean())
+    f, g = np.zeros(n), np.zeros(m)
+    u, v = np.ones(n), np.ones(m)
     kv, ku, resid = np.empty(n), np.empty(m), np.empty(n)
 
-    span = float(cost.max())
-    if not math.isfinite(span):  # the schedule below would halve span / 8 forever
-        raise UsageError(f"W2 needs finite squared distances, got a largest one of {span}")
-    eps_levels = []
-    eps = max(span / 8.0, epsilon)
-    while eps > epsilon:
-        eps_levels.append(eps)
-        eps /= 2.0
-    eps_levels.append(epsilon)
-    warmup_iters = 10
-
-    def fold(eps):
-        # moves the scalings into the potentials; the iterate is unchanged
-        nonlocal f, g, u, v
-        f = f + eps * np.log(u)
-        g = g + eps * np.log(v)
-        u = np.ones(n)
-        v = np.ones(m)
-
-    def log_step(eps, update_f):
-        # an iteration (or its v-half) in log form; the g-update's exp terms are K
-        # for g = -eps * (column peak), and v = b / (column sum) carries the rest
-        nonlocal f, g, v
-        fold(eps)
-        if update_f:
-            np.subtract(g[None, :], cost, out=kernel)
-            np.divide(kernel, eps, out=kernel)
-            f = eps * (log_a - _lse_inplace(kernel, axis=1))
-        np.subtract(f[:, None], cost, out=kernel)
+    def rebuild():
+        # folds the scalings into (f, g), which leaves the iterate as it is, and
+        # builds K = exp((f + g - C)/eps), clamped
+        f[:] += eps * np.log(u)
+        g[:] += eps * np.log(v)
+        u.fill(1.0)
+        v.fill(1.0)
+        np.add(f[:, None], g[None, :], out=kernel)
+        np.subtract(kernel, cost, out=kernel)
         np.divide(kernel, eps, out=kernel)
-        g = -eps * exp_shifted_inplace(kernel, axis=0)
-        v = b / kernel.sum(axis=0)
+        exp_clamped_inplace(kernel)
 
-    def row_error(u, kv):
+    def row_error():
+        np.matmul(kernel, v, out=kv)
         np.multiply(u, kv, out=resid)
         np.subtract(resid, a, out=resid)
         np.abs(resid, out=resid)
         return resid.sum()
 
-    def window(eps, iters, check):
-        # up to `iters` scaling iterations whose scalings are range-checked together
-        # at the end; returns (iterations made, converged)
-        nonlocal u, v
-        rows = scalings[:iters]
-        u_i, v_i = u, v
-        done, converged = 0, False
-        with np.errstate(all="ignore"):  # past a scaling out of range, the rows are discarded
-            for row in rows:
-                np.matmul(kernel, v_i, out=kv)
-                # checks the previous iteration's iterate; only iterates made at this eps count
-                if check and row_error(u_i, kv) < tol:
-                    converged = True
-                    break
-                u_i = np.divide(a, kv, out=row[:n])
-                v_i = np.divide(b, np.matmul(u_i, kernel, out=ku), out=row[n:])
-                done += 1
-        if not done or _in_scaling_range(rows[:done]):
-            if done:
-                u, v = u_i.copy(), v_i.copy()
-            return done, converged
-        # the first bad row's iteration redoes its bad half in log form, as checking
-        # each scaling when made would; the rows after it, and a converged exit
-        # among them, are dropped
-        for bad, row in enumerate(rows[:done]):
-            u_ok = _in_scaling_range(row[:n])
-            if not (u_ok and _in_scaling_range(row[n:])):
-                break
-        if bad:
-            u, v = rows[bad - 1, :n], rows[bad - 1, n:]
-        if u_ok:
-            u = row[:n]
-        log_step(eps, update_f=not u_ok)  # folds u and v before the rows are reused
-        return bad + 1, False
-
-    def sweep(eps, scale_eps, iters, check):
-        # a level's iterations; the scalings arrive at the last level's epsilon, scale_eps
-        if eps == scale_eps / 2.0:
-            _square_folded_kernel(kernel, u, v)
-            fold(scale_eps)
-            made, _ = window(eps, 1, check=False)
-        else:
-            fold(scale_eps)
-            log_step(eps, update_f=True)
-            made = 1
-        while made < iters:
-            done, converged = window(eps, min(_WINDOW, iters - made), check)
-            if converged:
-                return True
-            made += done
-        return check and row_error(u, kernel @ v) < tol
-
-    budget = max_iters
-    scale_eps = eps_levels[0]  # u = v = 1 so far, which fold at any epsilon
-    for eps in eps_levels[:-1]:
-        iters = min(warmup_iters, budget)
-        if iters > 0:
-            sweep(eps, scale_eps, iters, check=False)
-            scale_eps = eps
-        budget -= iters
-    converged = sweep(epsilon, scale_eps, max(budget, 1), check=True)
-    fold(epsilon)
+    rebuild()
+    for _ in range(max_iters):
+        if row_error() < _TOL:
+            converged = True
+            break
+        np.divide(a, kv, out=u)
+        if not _in_scaling_range(u):
+            rebuild()
+        np.divide(b, np.matmul(u, kernel, out=ku), out=v)
+        if not _in_scaling_range(v):
+            rebuild()
+    else:
+        converged = row_error() < _TOL
 
     # the plan, built in the kernel's buffer: its mass is about 1, so a clamped
     # entry (at most e^-700) is absorbed in the transport cost
-    np.add(f[:, None], g[None, :], out=kernel)
-    np.subtract(kernel, cost, out=kernel)
-    np.divide(kernel, epsilon, out=kernel)
-    exp_clamped_inplace(kernel)
+    rebuild()
     np.multiply(kernel, cost, out=kernel)
     return _root(kernel.sum()), bool(converged)
 
 
-# scalings beyond [1/tau, tau] are folded into the potentials and the step redone in log form
-_SCALING_BOUND = 1e50
-_WINDOW = 32  # scaling iterations per range check
-_KERNEL_FLOOR = math.exp(EXP_FLOOR)
-
-
-def _square_folded_kernel(kernel, u, v):
-    """K <- max((u K v)^2, e^-700) in place: the kernel at half the epsilon.
-
-    u K v is exp((f + g - C)/eps) for the potentials with u and v folded in;
-    its square is the same for eps/2.
-    """
-    np.multiply(kernel, u[:, None], out=kernel)
-    np.multiply(kernel, v[None, :], out=kernel)
-    np.square(kernel, out=kernel)
-    np.maximum(kernel, _KERNEL_FLOOR, out=kernel)
-
-
 def _in_scaling_range(w) -> bool:
     return bool(1.0 / _SCALING_BOUND <= w.min() and w.max() <= _SCALING_BOUND)  # False on NaN
-
-
-def _lse_inplace(buf, axis):
-    """Log-sum-exp of `buf` along `axis`, using `buf` as scratch (it is overwritten).
-
-    By the clamp argument of exp_shifted_inplace the result equals the
-    unclamped form.
-    """
-    peak = exp_shifted_inplace(buf, axis)
-    return np.log(buf.sum(axis=axis)) + peak

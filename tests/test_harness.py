@@ -619,7 +619,7 @@ def test_csv_roundtrip_six_significant_digits(tmp_path):
         assert float(emitted) == pytest.approx(getattr(rep, name), rel=1e-5)
 
 
-def test_w2_converged_column_is_the_windows_sinkhorn_flag():
+def test_w2_converged_column_is_the_sinkhorn_flag():
     record = run_experiment(parse_config(tiny_config(protocol={"ipm_subsample": 16})),
                             clock=FakeClock())
     lines = render_checkpoint_csv(record).strip().splitlines()
@@ -634,6 +634,39 @@ def test_w2_converged_column_is_the_windows_sinkhorn_flag():
             assert next(rows).split(",")[header.index("w2_converged")] == str(
                 int(rep.w2_converged))
     assert "w2_converged" not in record.summary
+
+
+# the benchmark's three workload configs at seed 0: (target, method, protocol)
+_BENCH_WORKLOADS = {
+    "smc_mog50": ({"name": "mog", "dim": 50},
+                  {"name": "smc", "particles": 128, "n_steps": 8, "kernel": "hmc",
+                   "leapfrog_steps": 10, "step_size_low": 1.0, "step_size_high": 0.25,
+                   "resampling": True},
+                  {"n_checkpoints": 1, "running_avg_len": 1, "eval_samples": 256,
+                   "ipm_subsample": 256}),
+    "dds_mog2": ({"name": "mog", "dim": 2},
+                 {"name": "dds", "iterations": 16, "batch_size": 128, "n_steps": 32,
+                  "sigma_max": 12.0, "guidance": True, "learning_rate": 0.003},
+                 {"n_checkpoints": 2, "running_avg_len": 5, "eval_samples": 500,
+                  "ipm_subsample": 128}),
+    "mfvi_mog2": ({"name": "mog", "dim": 2},
+                  {"name": "mfvi", "iterations": 120, "batch_size": 512, "learning_rate": 0.005},
+                  {"n_checkpoints": 3, "running_avg_len": 5, "eval_samples": 2000,
+                   "ipm_subsample": 256}),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_BENCH_WORKLOADS))
+def test_every_w2_of_the_bench_workloads_converges(workload):
+    # with an epsilon of 1e-3 on MoG costs in the thousands, 5 of these 6
+    # checkpoints ran out of Sinkhorn iterations
+    target, method, protocol = _BENCH_WORKLOADS[workload]
+    config = parse_config({"schema_version": 1, "target": target, "method": method,
+                           "protocol": protocol, "seeds": [0], "output_dir": "unused"})
+    record = run_experiment(config, clock=FakeClock())
+    flags = [r.w2_converged for r in record.seed_records[0].raw_reports]
+    assert len(flags) == protocol["n_checkpoints"]
+    assert all(flag is True for flag in flags)
 
 
 def test_smoothed_w2_converged_needs_every_flag_in_window():
@@ -1562,6 +1595,30 @@ def test_cli_metrics_rejects_a_cell_that_is_not_finite(tmp_path, capsys, line, c
     name = rows[0][column - 1]
     assert f"line {line}, column {column} ({name}) is {cell}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x_1,x_2\n0.5,1.0\n3\n", "line 3, column 2 (x_2) is missing"),
+    ("x_1,x_2\n0.5,1.0,2.0\n", "line 2, column 3 has no header"),
+], ids=["short", "long"])
+def test_cli_metrics_names_the_line_and_column_of_a_ragged_row(tmp_path, capsys, text, message):
+    # before, numpy's "inhomogeneous shape" error named neither
+    from samplebench.cli import main
+
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    assert main(["metrics", "--samples", str(path), "--target", "mog"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_metrics_names_the_line_and_column_of_a_cell_that_is_not_a_number(tmp_path, capsys):
+    # before, the error was float's "could not convert string to float: 'abc'"
+    from samplebench.cli import main
+
+    path = tmp_path / "samples.csv"
+    path.write_text("x_1,x_2,log_w\n0.5,1.0,0.0\n0.5,abc,0.0\n")
+    assert main(["metrics", "--samples", str(path), "--target", "mog"]) == 2
+    assert "line 3, column 2 (x_2) is 'abc', not a number" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- imports

@@ -4,7 +4,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
 from samplebench import metrics
 from samplebench.errors import UsageError
@@ -12,7 +14,6 @@ from samplebench.metrics import (
     FORWARD,
     REVERSE,
     WeightedSamples,
-    _lse_inplace,
     _sq_distances,
     ejs,
     elbo,
@@ -25,7 +26,6 @@ from samplebench.metrics import (
     sinkhorn_w2,
 )
 from samplebench.numerics import RngStream
-from samplebench.numerics.logspace import exp_clamped_inplace, exp_shifted_inplace
 from samplebench.targets.mixtures import MixtureSpec, make_mog_target
 
 
@@ -437,9 +437,8 @@ def test_ipm_clouds_of_different_dimension_raise(criterion):
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
 def test_ipm_criteria_reject_points_they_cannot_measure(bad, side):
-    # an inf coordinate, or one whose square overflows, made the largest squared
-    # distance inf, and Sinkhorn's epsilon schedule then halved inf / 8 forever,
-    # a level more each time, until memory ran out; a NaN one made mmd NaN
+    # an inf coordinate, or one whose square overflows, makes a squared distance, and
+    # so Sinkhorn's epsilon, inf; a NaN one makes mmd NaN
     clouds = [RngStream(42, 0).normal((20, 3)), RngStream(42, 1).normal((15, 3))]
     clouds[side][3, 1] = bad
     criteria = (mmd, lambda x, y: mmd(x, y, bandwidth=1.0), sinkhorn_w2,
@@ -467,7 +466,7 @@ def test_sinkhorn_rejects_a_cost_that_is_not_finite():
     cost = np.ones((3, 4))
     cost[1, 2] = np.inf
     with pytest.raises(UsageError, match="finite squared distances"):
-        metrics._sinkhorn(cost, 1e-3, 10, 1e-6)
+        metrics._sinkhorn(cost, 10)
 
 
 # ------------------------------------------------------------------- sinkhorn
@@ -475,6 +474,8 @@ def test_sinkhorn_identical_point():
     val, converged = sinkhorn_w2(np.zeros((1, 1)), np.zeros((1, 1)))
     assert val == 0.0
     assert converged
+    # clouds of one point repeated: an all-zero cost is solved without iterating
+    assert sinkhorn_w2(np.ones((3, 2)), np.ones((5, 2)), max_iters=0) == (0.0, True)
 
 
 def test_sinkhorn_single_pair_distance():
@@ -482,11 +483,57 @@ def test_sinkhorn_single_pair_distance():
     assert val == pytest.approx(3.0, abs=1e-3)
 
 
+def _entropic_w2_sq_bounds(x, y):
+    """[OT0 - tol * max C, OT0 + eps * log n + tol * max C], the range of the
+    entropic W2^2 of two clouds of n points each, with OT0 their exact OT cost.
+
+    OT0 is the mean cost of an optimal assignment.  The entropic plan P minimizes
+    <P, C> - eps * H(P) over the couplings, so <P, C> <= OT0 + eps * (H(P) - H(P0))
+    for the assignment's plan P0, with H(P0) = log n and H(P) <= H(a) + H(b) = 2 log n;
+    as a coupling, P costs at least OT0.  The solver's plan meets its row marginals
+    only to _TOL in L1, and moving that much mass moves its cost by at most
+    _TOL * max C.
+    """
+    cost = cdist(x, y, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    ot0 = cost[rows, cols].mean()
+    eps = metrics._EPSILON_FRACTION * cost.mean()
+    slack = metrics._TOL * cost.max()
+    return ot0 - slack, ot0 + eps * math.log(len(x)) + slack
+
+
 def test_sinkhorn_scalar_samples_as_one_column():
-    # four scalar samples against the same shifted by 10: W2 is the shift
-    val, converged = sinkhorn_w2(np.arange(4.0)[:, None], np.arange(10.0, 14.0)[:, None])
-    assert val == pytest.approx(10.0, abs=1e-6)
+    # four scalar samples against the same shifted by 10: exact W2 is the shift,
+    # and the entropic one reads about 10.07
+    x, y = np.arange(4.0)[:, None], np.arange(10.0, 14.0)[:, None]
+    val, converged = sinkhorn_w2(x, y)
+    low, high = _entropic_w2_sq_bounds(x, y)
+    assert low <= val ** 2 <= high
     assert converged
+
+
+def _bench_shaped(dim):
+    # 256 exact MoG draws against 256 perturbed draws
+    target = make_mog_target(dim, seed=0)
+    x = target.exact_sampler(RngStream(15, 0), 256)
+    y = target.exact_sampler(RngStream(15, 1), 256) + 0.5 * RngStream(15, 2).normal((256, dim))
+    return x, y
+
+
+def _exact_pair(dim):
+    # two independent sets of 256 exact MoG draws
+    target = make_mog_target(dim, seed=0)
+    return target.exact_sampler(RngStream(36, 0), 256), target.exact_sampler(RngStream(36, 1), 256)
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+@pytest.mark.parametrize("clouds", [_exact_pair, _bench_shaped], ids=["exact", "bench-shaped"])
+def test_sinkhorn_w2_lies_within_its_entropic_bounds_of_exact_ot(clouds, dim):
+    x, y = clouds(dim)
+    val, converged = sinkhorn_w2(x, y, max_iters=300)
+    low, high = _entropic_w2_sq_bounds(x, y)
+    assert converged
+    assert low <= val ** 2 <= high
 
 
 def test_sinkhorn_swap_symmetry_bit_identical():
@@ -510,82 +557,54 @@ def test_sinkhorn_monotone_as_clouds_merge():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def _reference_sinkhorn_w2(x, y, epsilon=1e-3, max_iters=10_000, tol=1e-6):
-    """The straightforward loop: fresh temporaries, unclamped exp, both marginals checked."""
+def _log_domain_sinkhorn_w2(x, y, max_iters=10_000):
+    """Sinkhorn as plain log-domain updates of the potentials, unclamped, at the
+    solver's epsilon and tolerance: the row-marginal error is checked before each
+    f-update and once more after the last iteration."""
     x, y = metrics._canonical(x, y, 1)
-    n, m = len(x), len(y)
     cost = cdist(x, y, "sqeuclidean")
-    log_a = -np.log(n)
-    log_b = -np.log(m)
-    f = np.zeros(n)
-    g = np.zeros(m)
+    n, m = cost.shape
+    eps = metrics._EPSILON_FRACTION * cost.mean()
+    f, g = np.zeros(n), np.zeros(m)
 
-    span = float(cost.max()) if cost.size else 1.0
-    eps_levels = []
-    eps = max(span / 8.0, epsilon)
-    while eps > epsilon:
-        eps_levels.append(eps)
-        eps /= 2.0
-    eps_levels.append(epsilon)
-    warmup_iters = 10
+    def log_plan():
+        return (f[:, None] + g[None, :] - cost) / eps
 
-    def sweep(eps, iters, check):
-        nonlocal f, g
-        for _ in range(iters):
-            f = eps * (log_a - _lse_rows((g[None, :] - cost) / eps))
-            g = eps * (log_b - _lse_cols((f[:, None] - cost) / eps))
-            if check:
-                log_plan = (f[:, None] + g[None, :] - cost) / eps
-                err = np.abs(np.exp(_lse_rows(log_plan)) - 1.0 / n).sum()
-                err += np.abs(np.exp(_lse_cols(log_plan)) - 1.0 / m).sum()
-                if err < tol:
-                    return True
-        return False
+    def row_error():
+        return np.abs(np.exp(logsumexp(log_plan(), axis=1)) - 1.0 / n).sum()
 
-    budget = max_iters
-    for eps in eps_levels[:-1]:
-        iters = min(warmup_iters, budget)
-        sweep(eps, iters, check=False)
-        budget -= iters
-    converged = sweep(epsilon, max(budget, 1), check=True)
-
-    plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
-    total = float(np.sum(np.sort((plan * cost).ravel())))
-    return float(np.sqrt(max(total, 0.0))), converged
+    for _ in range(max_iters):
+        if row_error() < metrics._TOL:
+            break
+        f = -eps * (math.log(n) + logsumexp((g[None, :] - cost) / eps, axis=1))
+        g = -eps * (math.log(m) + logsumexp((f[:, None] - cost) / eps, axis=0))
+    return math.sqrt((np.exp(log_plan()) * cost).sum()), bool(row_error() < metrics._TOL)
 
 
-def _lse_rows(mat):
-    m = mat.max(axis=1, keepdims=True)
-    return (np.log(np.exp(mat - m).sum(axis=1, keepdims=True)) + m)[:, 0]
-
-
-def _lse_cols(mat):
-    m = mat.max(axis=0, keepdims=True)
-    return (np.log(np.exp(mat - m).sum(axis=0, keepdims=True)) + m)[0, :]
+# the scaling iterates are the log-domain ones up to rounding (and to the clamp
+# of K at e^-700, which changes no sum here), so the two agree far inside this
+_REFERENCE_REL = 1e-9
 
 
 @pytest.mark.parametrize("dim", [2, 50])
 def test_sinkhorn_matches_reference_on_bench_shaped_clouds(dim):
-    # 256 exact MoG draws against 256 perturbed draws; 300 iterations do not converge
-    target = make_mog_target(dim, seed=0)
-    x = target.exact_sampler(RngStream(15, 0), 256)
-    y = target.exact_sampler(RngStream(15, 1), 256) + 0.5 * RngStream(15, 2).normal((256, dim))
+    x, y = _bench_shaped(dim)
     val, converged = sinkhorn_w2(x, y, max_iters=300)
-    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=300)
-    assert val == pytest.approx(ref_val, rel=1e-9)
-    assert converged == ref_converged
-    assert not converged
+    ref_val, ref_converged = _log_domain_sinkhorn_w2(x, y, max_iters=300)
+    assert val == pytest.approx(ref_val, rel=_REFERENCE_REL)
+    assert converged and ref_converged
 
 
-@pytest.mark.parametrize("max_iters, expected", [(78, False), (79, True), (10_000, True)])
+@pytest.mark.parametrize("max_iters, expected", [(57, False), (58, True), (10_000, True)])
 def test_sinkhorn_matches_reference_when_converging_early(max_iters, expected):
-    # the check first passes on the last iteration of a 79-iteration budget; 10_000 exits early
+    # the check first passes after the last iteration of a 58-iteration budget;
+    # 10_000 exits early
     rng = RngStream(16, 0)
     x = rng.normal((20, 2))
     y = rng.normal((20, 2)) + 1.0
-    val, converged = sinkhorn_w2(x, y, epsilon=0.5, max_iters=max_iters)
-    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, epsilon=0.5, max_iters=max_iters)
-    assert val == pytest.approx(ref_val, rel=1e-9)
+    val, converged = sinkhorn_w2(x, y, max_iters=max_iters)
+    ref_val, ref_converged = _log_domain_sinkhorn_w2(x, y, max_iters=max_iters)
+    assert val == pytest.approx(ref_val, rel=_REFERENCE_REL)
     assert converged is ref_converged is expected
 
 
@@ -608,278 +627,75 @@ def _uneven_exact(dim):
 def test_sinkhorn_matches_reference_on_collapsed_and_uneven_clouds(clouds, dim):
     x, y = clouds(dim)
     val, converged = sinkhorn_w2(x, y, max_iters=300)
-    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=300)
-    assert val == pytest.approx(ref_val, rel=1e-9)
-    assert converged == ref_converged
+    ref_val, ref_converged = _log_domain_sinkhorn_w2(x, y, max_iters=300)
+    assert val == pytest.approx(ref_val, rel=_REFERENCE_REL)
+    assert converged and ref_converged
 
 
 def test_sinkhorn_restabilised_steps_match_reference(monkeypatch):
-    # a scaling range of [1/1.2, 1.2] sends many u- and v-steps back to log form,
-    # among them first steps after a squared level start
+    # a scaling range of [1/1.2, 1.2] folds the scalings and rebuilds the kernel
+    # after the u half and after the v half of many iterations; folding leaves
+    # the iterate as it is
     in_range = metrics._in_scaling_range
-    square = metrics._square_folded_kernel
     rejected = Counter()
-    events = []
 
     def counting_in_range(w):
         ok = in_range(w)
         rejected[len(w)] += not ok
-        events.append(ok)
         return ok
-
-    def noting_square(kernel, u, v):
-        events.append("squared")
-        square(kernel, u, v)
 
     monkeypatch.setattr(metrics, "_SCALING_BOUND", 1.2)
     monkeypatch.setattr(metrics, "_in_scaling_range", counting_in_range)
-    monkeypatch.setattr(metrics, "_square_folded_kernel", noting_square)
     x, y = _uneven_exact(2)
     val, converged = sinkhorn_w2(x, y, max_iters=300)
-    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=300)
-    assert rejected[200] > 0 and rejected[90] > 0  # both halves of an iteration fell back
-    assert ("squared", False) in zip(events, events[1:])  # so did a squared start
-    assert val == pytest.approx(ref_val, rel=1e-9)
-    assert converged == ref_converged
+    ref_val, ref_converged = _log_domain_sinkhorn_w2(x, y, max_iters=300)
+    assert rejected[200] > 0 and rejected[90] > 0  # both halves of an iteration folded
+    assert val == pytest.approx(ref_val, rel=_REFERENCE_REL)
+    assert converged and ref_converged
 
 
-def _bench_shaped(dim):
-    # the clouds of test_sinkhorn_matches_reference_on_bench_shaped_clouds
-    target = make_mog_target(dim, seed=0)
-    x = target.exact_sampler(RngStream(15, 0), 256)
-    y = target.exact_sampler(RngStream(15, 1), 256) + 0.5 * RngStream(15, 2).normal((256, dim))
+def _cauchy(dim):
+    # 100 and 80 points with standard Cauchy coordinates
+    rng = RngStream(37, dim)
+    return tuple(rng.normal((k, dim)) / rng.normal((k, dim)) for k in (100, 80))
+
+
+def _one_outlier(dim):
+    # 100 and 80 standard normal points, one of them moved to 1e4
+    rng = RngStream(38, dim)
+    x, y = rng.normal((100, dim)), rng.normal((80, dim))
+    y[0] = 1e4
     return x, y
 
 
-@pytest.mark.parametrize("clouds, max_iters", [(_bench_shaped, 300), (_collapsed_and_exact, 30)],
-                         ids=["bench-shaped", "short-budget"])
-def test_sinkhorn_starts_only_non_halving_levels_in_log_form(monkeypatch, clouds, max_iters):
-    # the first level and the last, whose epsilon is not half the one before, make the
-    # two log-form f-updates; 30 iterations run 3 warm-up levels and skip the rest, so
-    # the last level starts in log form after skipped ones
-    lse = metrics._lse_inplace
-    f_updates = []
-
-    def counting_lse(buf, axis):
-        f_updates.append(axis)
-        return lse(buf, axis)
-
-    monkeypatch.setattr(metrics, "_lse_inplace", counting_lse)
+@pytest.mark.parametrize("clouds", [_cauchy, _one_outlier], ids=["cauchy", "outlier"])
+def test_sinkhorn_converges_through_kernel_rebuilds_on_heavy_tails(monkeypatch, clouds):
+    # a far point's row of the kernel is clamped at e^-700, its scaling leaves the
+    # range, and the kernel is rebuilt.  Each plan meets its row marginals to _TOL
+    # in L1 only, which moves its cost by at most _TOL * max C, so the two W2^2
+    # differ by at most twice that
+    builds = []
+    build = metrics.exp_clamped_inplace
+    monkeypatch.setattr(metrics, "exp_clamped_inplace", lambda buf: builds.append(1) or build(buf))
     x, y = clouds(2)
-    val, converged = sinkhorn_w2(x, y, max_iters=max_iters)
-    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=max_iters)
-    assert len(f_updates) == 2
-    assert val == pytest.approx(ref_val, rel=1e-9)
-    assert converged == ref_converged
+    val, converged = sinkhorn_w2(x, y)
+    ref_val, ref_converged = _log_domain_sinkhorn_w2(x, y)
+    assert len(builds) > 2  # the first kernel, at least one rebuild, and the plan
+    assert converged and ref_converged
+    bound = 2.0 * metrics._TOL * cdist(x, y, "sqeuclidean").max()
+    assert abs(val ** 2 - ref_val ** 2) <= bound
 
 
-@pytest.mark.parametrize("dim", [2, 50])
-@pytest.mark.parametrize("max_iters", [1, 5, 30, 100])
-def test_sinkhorn_matches_reference_on_budgets_shorter_than_warmup(dim, max_iters):
-    # the warm-up schedule wants 10 iterations per epsilon level; the last levels get none
-    x, y = _collapsed_and_exact(dim)
-    n_levels = math.ceil(math.log2(cdist(x, y, "sqeuclidean").max() / 8.0 / 1e-3))
-    assert max_iters < 10 * n_levels
-    val, converged = sinkhorn_w2(x, y, max_iters=max_iters)
-    ref_val, ref_converged = _reference_sinkhorn_w2(x, y, max_iters=max_iters)
-    assert ref_val > 1.0
-    assert val == pytest.approx(ref_val, rel=1e-9)
-    assert converged == ref_converged
-
-
-def _per_iteration_sinkhorn_w2(x, y, epsilon=1e-3, max_iters=10_000, tol=1e-6, misses=None):
-    """sinkhorn_w2 as it was before its scaling windows: every scaling range-checked as made.
-
-    Each scaling out of range appends (level, iteration, half) to `misses`; the
-    level's first iteration is iteration 0.
-    """
-    x, y = metrics._canonical(x, y, 1)
-    n, m = len(x), len(y)
-    cost = _sq_distances(x, y, np.empty((n, m)))
-    a, b = 1.0 / n, 1.0 / m
-    log_a = -np.log(n)
-    f = np.zeros(n)
-    g = np.zeros(m)
-    u = np.ones(n)
-    v = np.ones(m)
-    kernel = np.empty_like(cost)
-    misses = [] if misses is None else misses
-    where = [0, 0]  # level, iteration
-
-    span = float(cost.max()) if cost.size else 1.0
-    eps_levels = []
-    eps = max(span / 8.0, epsilon)
-    while eps > epsilon:
-        eps_levels.append(eps)
-        eps /= 2.0
-    eps_levels.append(epsilon)
-    warmup_iters = 10
-
-    def fold(eps):
-        nonlocal f, g, u, v
-        f = f + eps * np.log(u)
-        g = g + eps * np.log(v)
-        u = np.ones(n)
-        v = np.ones(m)
-
-    def log_step(eps, update_f):
-        nonlocal f, g, v
-        fold(eps)
-        if update_f:
-            np.subtract(g[None, :], cost, out=kernel)
-            np.divide(kernel, eps, out=kernel)
-            f = eps * (log_a - _lse_inplace(kernel, axis=1))
-        np.subtract(f[:, None], cost, out=kernel)
-        np.divide(kernel, eps, out=kernel)
-        g = -eps * exp_shifted_inplace(kernel, axis=0)
-        v = b / kernel.sum(axis=0)
-
-    def iterate(eps, kv):
-        nonlocal u, v
-        u_next = a / kv
-        if not metrics._in_scaling_range(u_next):
-            misses.append((*where, "u"))
-            log_step(eps, update_f=True)
-            return
-        u = u_next
-        v_next = b / (u @ kernel)
-        if not metrics._in_scaling_range(v_next):
-            misses.append((*where, "v"))
-            log_step(eps, update_f=False)
-            return
-        v = v_next
-
-    def row_error(kv):
-        return np.abs(u * kv - a).sum()
-
-    def sweep(eps, scale_eps, iters, check):
-        where[1] = 0
-        if eps == scale_eps / 2.0:
-            metrics._square_folded_kernel(kernel, u, v)
-            fold(scale_eps)
-            iterate(eps, kernel @ v)
-        else:
-            fold(scale_eps)
-            log_step(eps, update_f=True)
-        for i in range(1, iters):
-            where[1] = i
-            kv = kernel @ v
-            if check and row_error(kv) < tol:
-                return True
-            iterate(eps, kv)
-        return check and row_error(kernel @ v) < tol
-
-    budget = max_iters
-    scale_eps = eps_levels[0]
-    for level, eps in enumerate(eps_levels[:-1]):
-        where[0] = level
-        iters = min(warmup_iters, budget)
-        if iters > 0:
-            sweep(eps, scale_eps, iters, check=False)
-            scale_eps = eps
-        budget -= iters
-    where[0] = len(eps_levels) - 1
-    converged = sweep(epsilon, scale_eps, max(budget, 1), check=True)
-    fold(epsilon)
-
-    np.add(f[:, None], g[None, :], out=kernel)
-    np.subtract(kernel, cost, out=kernel)
-    np.divide(kernel, epsilon, out=kernel)
-    exp_clamped_inplace(kernel)
-    np.multiply(kernel, cost, out=kernel)
-    total = float(kernel.sum())
-    return float(np.sqrt(max(total, 0.0))), bool(converged)
-
-
-def _assert_matches_per_iteration(x, y, misses=None, **kwargs):
-    val, converged = sinkhorn_w2(x, y, **kwargs)
-    ref_val, ref_converged = _per_iteration_sinkhorn_w2(x, y, misses=misses, **kwargs)
-    assert np.float64(val).tobytes() == np.float64(ref_val).tobytes()
-    assert converged is ref_converged
-    return converged
-
-
-@pytest.mark.parametrize("dim", [2, 50])
-def test_sinkhorn_windows_bitwise_equal_per_iteration_checks_on_bench_shaped_clouds(dim):
-    misses = []
-    _assert_matches_per_iteration(*_bench_shaped(dim), misses=misses, max_iters=300)
-    assert misses == []  # every window passes its range check
-
-
-def test_sinkhorn_windows_bitwise_equal_per_iteration_checks_in_a_narrow_range(monkeypatch):
-    # [1/1.2, 1.2] sends nearly every window back to checked iterations
-    monkeypatch.setattr(metrics, "_SCALING_BOUND", 1.2)
-    misses = []
-    _assert_matches_per_iteration(*_uneven_exact(2), misses=misses, max_iters=300)
-    assert {half for *_, half in misses} == {"u", "v"}
-
-
-def _window_position(iteration):
-    # where a level's iteration falls: its first iteration runs alone, and the
-    # windows run from iteration 1 on while the level has had no miss
-    if iteration == 0:
-        return "level-start"
-    row = (iteration - 1) % metrics._WINDOW
-    return "first" if row == 0 else "last" if row == metrics._WINDOW - 1 else "mid"
-
-
-def _mid_window(iteration):
-    return _window_position(iteration) == "mid"
-
-
-@pytest.mark.parametrize("clouds, dim, bound, miss, position", [
-    (_uneven_exact, 50, 5e3, (1, 4, "u"), "mid"),
-    (_bench_shaped, 50, 1e4, (2, 8, "v"), "mid"),
-    (_bench_shaped, 2, 1e5, (21, 31, "v"), "mid"),
-    (_uneven_exact, 2, 1.8e5, (21, 65, "v"), "first"),
-    (_bench_shaped, 50, 6e5, (24, 32, "v"), "last"),
-    (_bench_shaped, 2, 5e4, (1, 0, "u"), "level-start"),
-], ids=["u-half", "v-half", "checking-level", "first-row", "last-row", "level-start"])
-def test_sinkhorn_window_with_a_miss_replays_per_iteration_checks(monkeypatch, clouds, dim,
-                                                                  bound, miss, position):
-    # (level, iteration, half) of a scaling out of range, at `position` in its window;
-    # the first and last rows hold their level's first miss.  The checking level is
-    # the 22nd of the bench-shaped d=2 clouds, and level 1 starts from the squared kernel
-    in_range = metrics._in_scaling_range
-    window_misses = []
-
-    def noting_in_range(w):
-        ok = in_range(w)
-        if w.ndim == 2 and not ok:
-            window_misses.append(len(w))
-        return ok
-
-    monkeypatch.setattr(metrics, "_SCALING_BOUND", bound)
-    monkeypatch.setattr(metrics, "_in_scaling_range", noting_in_range)
-    x, y = clouds(dim)
-    misses = []
-    _assert_matches_per_iteration(x, y, misses=misses, max_iters=300)
-    assert miss in misses and _window_position(miss[1]) == position
-    assert window_misses  # the windowed run found it and resumed after it
-
-
-@pytest.mark.parametrize("max_iters, expected", [(78, False), (79, True), (10_000, True)])
-def test_sinkhorn_converged_exit_inside_a_window_bitwise_equals_per_iteration(max_iters,
-                                                                              expected):
-    # the clouds of test_sinkhorn_matches_reference_when_converging_early: 10_000
-    # exits at iteration 49 of the checking level, inside a window
-    rng = RngStream(16, 0)
-    x = rng.normal((20, 2))
-    y = rng.normal((20, 2)) + 1.0
-    converged = _assert_matches_per_iteration(x, y, epsilon=0.5, max_iters=max_iters)
-    assert converged is expected
-    assert _mid_window(49)
-
-
-def test_sinkhorn_window_misses_on_a_converging_run_replay(monkeypatch):
-    # a narrow range makes the windows of a converging run miss; the exit still matches
-    monkeypatch.setattr(metrics, "_SCALING_BOUND", 3.0)
-    rng = RngStream(16, 0)
-    x = rng.normal((20, 2))
-    y = rng.normal((20, 2)) + 1.0
-    misses = []
-    _assert_matches_per_iteration(x, y, misses=misses, epsilon=0.5, max_iters=10_000)
-    assert misses
+@pytest.mark.parametrize("half_width", [1e8, 1e10])
+def test_sinkhorn_w2_on_wide_clouds_is_at_most_the_largest_distance(half_width):
+    # 30 and 20 points uniform on +-half_width (d=1); with an epsilon of 1e-3 on
+    # costs near 4e20, W2 read 8.1e88 on +-1e8 and inf on +-1e10
+    x = RngStream(39, 0).uniform(-half_width, half_width, (30, 1))
+    y = RngStream(39, 1).uniform(-half_width, half_width, (20, 1))
+    largest = math.sqrt(cdist(x, y, "sqeuclidean").max())
+    for w2, converged in (sinkhorn_w2(x, y), metrics._ipm_pair(x, y, 300)[1:]):
+        assert math.isfinite(w2) and w2 <= largest
+        assert converged
 
 
 @pytest.mark.parametrize("dim", [2, 50])
@@ -906,7 +722,7 @@ def _flipping_row_swap(x, y):
 
 @pytest.mark.parametrize("dim", [2, 50])
 def test_ipm_criteria_bitwise_invariant_under_row_permutations(dim):
-    # 300 iterations do not converge, so a change of solve or summation order would show
+    # a change of solve or summation order would change the last bits of W2
     x, y = _bench_shaped(dim)
     rng = RngStream(40, 0)
     shuffled = [(_flipping_row_swap(x, y), y), (x, _flipping_row_swap(y, x))]
@@ -921,7 +737,7 @@ def test_ipm_criteria_bitwise_invariant_under_row_permutations(dim):
 
 def test_ipm_criteria_read_negative_zero_as_zero():
     # clouds whose first coordinates are all zero: a -0.0 there would flip which
-    # cloud comes first in byte order, and the unconverged W2 with it
+    # cloud comes first in byte order, and the last bits of W2 with it
     x, y = _bench_shaped(2)
     zero_x, neg_x, zero_y, neg_y = x.copy(), x.copy(), y.copy(), y.copy()
     zero_x[:, 0] = zero_y[:, 0] = 0.0
@@ -929,21 +745,3 @@ def test_ipm_criteria_read_negative_zero_as_zero():
     pair = repr(metrics._ipm_pair(zero_x, zero_y, 300))
     assert repr(metrics._ipm_pair(neg_x, zero_y, 300)) == pair
     assert repr(metrics._ipm_pair(zero_x, neg_y, 300)) == pair
-
-
-@pytest.mark.parametrize("axis", [0, 1])
-def test_lse_clamp_matches_unclamped_form(axis):
-    rng = RngStream(17, 0)
-    shape = (64, 64)
-    subnormal = rng.uniform(-745.0, -708.0, size=shape)  # exp gives subnormals
-    zero = rng.uniform(-2000.0, -745.5, size=shape)  # exp gives exactly 0
-    normal = rng.uniform(-30.0, 0.0, size=shape)
-    mixed = np.where(rng.uniform(size=shape) < 0.5, subnormal, normal)
-    for rows in (subnormal, zero, mixed):
-        rows = rows.copy()
-        rows[:, 0] = 0.0  # the shifted maximum of every row
-        rows += rng.normal((64, 1))  # an offset per row
-        mat = np.ascontiguousarray(rows if axis == 1 else rows.T)
-        peak = mat.max(axis=axis, keepdims=True)
-        expected = (np.log(np.exp(mat - peak).sum(axis=axis, keepdims=True)) + peak).squeeze(axis)
-        assert np.array_equal(_lse_inplace(mat, axis=axis), expected)  # bitwise

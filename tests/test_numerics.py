@@ -76,24 +76,15 @@ def test_shifted_exp_never_passes_exp_an_input_below_its_floor(monkeypatch):
     x = rng.uniform(-40.0, 40.0, (128, 50))
     target.log_unnorm_and_grad(x)
     target.score_hvp(x)[2](rng.normal(x.shape))
-    # Sinkhorn's squared level starts make K with no exp; their own clamp keeps it at or
-    # above e^-700 (a 200-iteration solve squares entries past that floor, 30 do not)
-    square = metrics._square_folded_kernel
-    squared = []
-
-    def noting_square(kernel, u, v):
-        unclamped_min = np.square(u[:, None] * kernel * v).min()
-        square(kernel, u, v)
-        squared.append((unclamped_min, kernel.min()))
-
-    monkeypatch.setattr(metrics, "_square_folded_kernel", noting_square)
-    x, y = rng.uniform(-40.0, 40.0, (64, 2)), rng.normal((48, 2))
-    for max_iters in (30, 200):
-        sinkhorn_w2(x, y, max_iters=max_iters)
+    # Sinkhorn builds its kernel and plan through the clamped exp; one far point puts
+    # the first kernel's exponents -C/eps below the floor
+    x, y = rng.normal((64, 2)), rng.normal((48, 2))
+    y[0] = 1e4
+    cost = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+    assert (-cost / (metrics._EPSILON_FRACTION * cost.mean())).min() < EXP_FLOOR
+    sinkhorn_w2(x, y)
     log_sum_exp(mat, axis=0)
     assert len(inputs) > 5 and min(inputs) >= EXP_FLOOR
-    assert min(unclamped for unclamped, _ in squared) < math.exp(EXP_FLOOR)
-    assert min(clamped for _, clamped in squared) >= math.exp(EXP_FLOOR)
 
 
 def test_lse_empty_is_usage_error():
