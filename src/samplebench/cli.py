@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -100,30 +101,22 @@ def _load_samples_csv(path, weights_col):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows, line_nums = [], []
-        for row in reader:
-            if row:
-                rows.append(_csv_row(path, reader.line_num, header, row))
-                line_nums.append(reader.line_num)
+        x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
+        w_cols = [header.index(weights_col)] if weights_col in header else []
+        rows = [_csv_row(path, reader.line_num, header, row, x_cols + w_cols)
+                for row in reader if row]
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
     if not x_cols:
         raise ValueError("samples CSV needs x_1..x_d columns")
-    w_cols = [header.index(weights_col)] if weights_col in header else []
-    read = sorted(x_cols + w_cols)
-    bad = np.argwhere(~np.isfinite(data[:, read]))
-    if len(bad):
-        row, col = bad[0][0], read[bad[0][1]]
-        raise IngestionError(f"{path}: line {line_nums[row]}, column {col + 1} "
-                             f"({header[col]}) is {data[row, col]}, not a finite number")
-    return data[:, x_cols], (data[:, w_cols[0]] if w_cols else None)
+    data = np.asarray(rows, dtype=float)
+    return data[:, : len(x_cols)], (data[:, -1] if w_cols else None)
 
 
-def _csv_row(path, line, header, row):
-    """The row's cells as floats; IngestionError naming the line and column of a
-    missing, extra or non-numeric cell."""
+def _csv_row(path, line, header, row, cols):
+    """The row's cells in columns `cols` as finite floats; IngestionError naming
+    the line and column of a missing or extra cell, or of a read cell that is
+    not a finite number.  Columns outside `cols` are never parsed."""
     from .errors import IngestionError
 
     if len(row) < len(header):
@@ -132,12 +125,15 @@ def _csv_row(path, line, header, row):
     if len(row) > len(header):
         raise IngestionError(f"{path}: line {line}, column {len(header) + 1} has no header")
     values = []
-    for col, (name, cell) in enumerate(zip(header, row), start=1):
+    for col in cols:
+        where = f"{path}: line {line}, column {col + 1} ({header[col]}) is"
         try:
-            values.append(float(cell))
+            value = float(row[col])
         except ValueError:
-            raise IngestionError(f"{path}: line {line}, column {col} ({name}) is {cell!r}, "
-                                 "not a number") from None
+            raise IngestionError(f"{where} {row[col]!r}, not a number") from None
+        if not math.isfinite(value):
+            raise IngestionError(f"{where} {value}, not a finite number")
+        values.append(value)
     return values
 
 

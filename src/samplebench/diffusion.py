@@ -58,7 +58,7 @@ class DiffusionSpec:
     trainable: frozenset = frozenset()          # the parts in OPTIONAL_TRAINABLE to train
     betas: Optional[np.ndarray] = None          # annealing grid for Langevin methods
     beta_phi: Optional[np.ndarray] = None       # raw increments when betas are trainable
-    sigma_raw: Optional[float] = None           # log sigma_max when sigma is trainable
+    sigma_raw: Optional[np.ndarray] = None      # log sigma_max (0-d) when sigma is trainable
     score_stop_gradient: bool = False
 
     @classmethod
@@ -87,7 +87,7 @@ class DiffusionSpec:
         if "betas" in trainable:
             spec.beta_phi = np.zeros(n_steps)
         if "sigma" in trainable:
-            spec.sigma_raw = float(np.log(sigma_max))
+            spec.sigma_raw = np.array(np.log(sigma_max))
         return spec
 
     def sigma_at(self, s: int, sigma_max=None):
@@ -481,35 +481,21 @@ def loss_vargrad(batch: TrajectoryBatch):
 
 # ---------------------------------------------------------------------- training
 def trainable_parameters(spec: DiffusionSpec) -> dict:
-    """Flat name -> array view of everything the optimizer may touch."""
+    """Name -> the spec's own array, not a copy, for everything the optimizer
+    may touch: the nets' weights, and sigma_raw, beta_phi and the proposal's
+    mean and log-std where trainable.  Training updates these arrays in place."""
     params = {}
     for prefix, net in (("net.", spec.drift_net), ("bnet.", spec.backward_net)):
         if net is not None:
             params.update({f"{prefix}{k}": v for k, v in net.params.items()})
     if "sigma" in spec.trainable:
-        params["sigma_raw"] = np.asarray(float(spec.sigma_raw))
+        params["sigma_raw"] = spec.sigma_raw
     if "betas" in spec.trainable:
-        params["beta_phi"] = spec.beta_phi.copy()
+        params["beta_phi"] = spec.beta_phi
     if "proposal" in spec.trainable:
-        params["proposal_mean"] = spec.proposal.mean.copy()
-        params["proposal_log_std"] = spec.proposal.log_std.copy()
+        params["proposal_mean"] = spec.proposal.mean
+        params["proposal_log_std"] = spec.proposal.log_std
     return params
-
-
-def _write_back(spec, params):
-    for k, v in params.items():
-        if k.startswith("net."):
-            spec.drift_net.params[k[4:]] = v
-        elif k.startswith("bnet."):
-            spec.backward_net.params[k[5:]] = v
-        elif k == "sigma_raw":
-            spec.sigma_raw = float(v)
-        elif k == "beta_phi":
-            spec.beta_phi = v
-        elif k == "proposal_mean":
-            spec.proposal.mean = v
-        elif k == "proposal_log_std":
-            spec.proposal.log_std = v
 
 
 @dataclass
@@ -535,7 +521,7 @@ def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
                     iterations: int, batch_size: int, rng: RngStream,
                     learning_rate: float = 1e-3, checkpoints=(),
                     checkpoint_hook=None) -> TrainTrace:
-    """Adam training loop over the spec's trainable parameters.
+    """Adam training loop over the spec's trainable parameters, updated in place.
 
     `checkpoint_hook(iteration, spec)` fires after the update at each
     iteration in `checkpoints`.  Raises `TrainingError`, naming the last three
@@ -546,7 +532,7 @@ def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
     if loss_kind not in ("elbo", "vargrad"):
         raise UsageError(f"unknown loss {loss_kind!r}")
     params = trainable_parameters(spec)
-    adam = {k: AdamState.init(v.size, learning_rate=learning_rate) for k, v in params.items()}
+    adam = AdamState.init(list(params.values()), learning_rate=learning_rate)
     trace = TrainTrace()
     bad_streak = 0
 
@@ -562,10 +548,7 @@ def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
                 )
         else:
             bad_streak = 0
-            for (name, value), grad in zip(list(params.items()), grads):
-                flat, adam[name] = adam_step(value.ravel(), grad.ravel(), adam[name])
-                params[name] = flat.reshape(np.shape(value))
-            _write_back(spec, params)
+            adam_step(list(params.values()), grads, adam)
         if it in checkpoints:
             checkpoint_hook(it, spec)
     return trace

@@ -232,12 +232,13 @@ def craft_train(path: AnnealedPath, flows: list, kernel_cfg, iterations: int,
     step on the negative expected log incremental weight.  With y_i = s * x_i
     + shift and s = exp(log_scale), its reparameterized gradient is closed
     form: sum_i w_i in shift and -1 + sum_i (w_i * x_i) * s in log_scale, where
-    w_i = -grad log pi_t(y_i) / n.  The flows are updated in place,
-    and `checkpoint_hook(iteration, flows)` fires after each iteration in
-    `checkpoints`.  Returns (flows, elbo_trace), the trace holding each
-    iteration's mean final log weight.
+    w_i = -grad log pi_t(y_i) / n.  Adam updates each flow's shift and
+    log_scale arrays in place, and `checkpoint_hook(iteration, flows)` fires
+    after each iteration in `checkpoints`.  Returns (flows, elbo_trace), the
+    trace holding each iteration's mean final log weight.
     """
-    adam_states = [AdamState.init(2 * len(f.shift), learning_rate=learning_rate) for f in flows]
+    adam_states = [AdamState.init([f.shift, f.log_scale], learning_rate=learning_rate)
+                   for f in flows]
 
     def update_flow(t, x):
         # loss: - mean[ log pi_t(T(x)) ] - log|det T|
@@ -248,10 +249,7 @@ def craft_train(path: AnnealedPath, flows: list, kernel_cfg, iterations: int,
             raise TrainingError(f"non-finite CRAFT loss at temperature {t}")
         w = -grad / n_particles  # d loss / d y_i
         g_shift, g_ls = w.sum(axis=0), -1.0 + (w * x).sum(axis=0) * scale
-        packed, adam_states[t - 1] = adam_step(np.concatenate([flow.shift, flow.log_scale]),
-                                               np.concatenate([g_shift, g_ls]),
-                                               adam_states[t - 1])
-        flow.shift, flow.log_scale = np.split(packed, 2)
+        adam_step([flow.shift, flow.log_scale], [g_shift, g_ls], adam_states[t - 1])
 
     elbo_trace = []
     for it in range(1, iterations + 1):

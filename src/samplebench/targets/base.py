@@ -77,8 +77,9 @@ class TargetDensity:
 
     See the module docstring for the contract of `log_unnorm`,
     `log_unnorm_and_grad` and `score_hvp`.  `grad_log_unnorm` is not a
-    constructor argument: it is the score-only view of `log_unnorm_and_grad`
-    that `grad` calls, kept as an attribute so instrumentation can wrap it.
+    constructor argument: it is the score-only view of `log_unnorm_and_grad`,
+    and the bench's tracer (`perfbench/tracing.py`), which wraps it, is its
+    only reader.
     """
 
     dim: int
@@ -108,9 +109,6 @@ class TargetDensity:
 
     def log_density(self, x) -> np.ndarray:
         return self.log_unnorm(self._batch(x))
-
-    def grad(self, x) -> np.ndarray:
-        return self.grad_log_unnorm(self._batch(x))
 
     def logdensity_and_grad(self, x):
         """Fused value+gradient from one `log_unnorm_and_grad` pass; one NFE per point."""

@@ -27,12 +27,13 @@ def mfvi_train(target: TargetDensity, init_scale: float, batch_size: int, iterat
     With x_i = mean + std * eps_i, the loss -ELBO has the closed-form
     reparameterized gradient sum_i w_i in the mean and
     -1 + sum_i (w_i * eps_i) * std in log_std, where w_i = -grad log gamma(x_i) / n.
-    q starts at mean 0 with every std `init_scale`.  Returns (q, trace), q a
-    DiagonalGaussian.  `checkpoint_hook(iteration, q)` fires after the update
-    at each iteration in `checkpoints`.
+    q starts at mean 0 with every std `init_scale`, and Adam updates its mean and
+    log_std arrays in place.  Returns (q, trace), q a DiagonalGaussian.
+    `checkpoint_hook(iteration, q)` fires after the update at each iteration in
+    `checkpoints`.
     """
     q = DiagonalGaussian.isotropic(target.dim, init_scale)
-    adam = AdamState.init(2 * target.dim, learning_rate=learning_rate)
+    adam = AdamState.init([q.mean, q.log_std], learning_rate=learning_rate)
     trace = MfviTrace()
     bad_streak = 0
 
@@ -53,9 +54,7 @@ def mfvi_train(target: TargetDensity, init_scale: float, batch_size: int, iterat
             bad_streak = 0
             w = gamma_grad * -(1.0 / batch_size)  # d loss / d x_i
             g_mean, g_ls = w.sum(axis=0), -1.0 + (w * eps).sum(axis=0) * std
-            packed, adam = adam_step(np.concatenate([q.mean, q.log_std]),
-                                     np.concatenate([g_mean, g_ls]), adam)
-            q.mean, q.log_std = packed[: target.dim], packed[target.dim :]
+            adam_step([q.mean, q.log_std], [g_mean, g_ls], adam)
         if it in checkpoints:
             checkpoint_hook(it, q)
     return q, trace

@@ -506,8 +506,9 @@ def test_training_gradients_match_finite_differences(method):
 
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_schedule_and_proposal_gradients_match_finite_differences(method):
-    # sigma_raw, beta_phi (off its zero start) and the proposal, perturbed through
-    # the spec as training writes them back; frozen noise, central differences
+    # sigma_raw, beta_phi (off its zero start) and the proposal, perturbed in place
+    # in the spec's own arrays, which training updates; frozen noise, central
+    # differences
     dim, big_t, batch = 2, 4, 8
     langevin = method in LANGEVIN_METHODS
     spec = make_spec(method, dim=dim, n_steps=big_t, sigma0=1.0, sigma_max=1.0,
@@ -531,25 +532,45 @@ def test_schedule_and_proposal_gradients_match_finite_differences(method):
     assert set(base) == {"sigma_raw"} | ({"beta_phi"} if langevin else set()) | (
         {"proposal_mean", "proposal_log_std"} if method != "pis" else set())
 
-    def loss_at(name, value):
-        diffusion._write_back(spec, {name: value})
+    def loss_at(value, j, step):
+        flat = value.reshape(-1)  # a view: the spec reads the bumped entry
+        saved = flat[j]
+        flat[j] = saved + step
         out = loss_extended_elbo(simulate_forward(spec, target, batch, RngStream(0, 0),
                                                   noise=frozen))
-        diffusion._write_back(spec, {name: base[name]})
+        flat[j] = saved
         return out
 
     eps = 1e-5
     for name, value in base.items():
-        flat = np.atleast_1d(value).ravel()
-        for j in range(flat.size):
-            bumped = []
-            for step in (eps, -eps):
-                f = flat.copy()
-                f[j] += step
-                bumped.append(loss_at(name, f.reshape(np.shape(value))))
-            fd = (bumped[0] - bumped[1]) / (2 * eps)
+        for j in range(value.size):
+            fd = (loss_at(value, j, eps) - loss_at(value, j, -eps)) / (2 * eps)
             g = np.ravel(grads[name])[j]
             assert abs(g - fd) <= 1e-6 * max(abs(fd), 1.0), (method, name, j, g, fd)
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_training_updates_the_specs_own_arrays_in_place(method):
+    # trainable_parameters hands out the arrays the nets, sigma_raw, beta_phi and
+    # the proposal hold, and training moves those very objects
+    spec = make_spec(method, dim=2, n_steps=4, guidance=True, seed=52, hidden_width=6,
+                     time_embedding_dim=4,
+                     trainable={"sigma"} | set(METHOD_PARTS[method]) & {"betas", "proposal"})
+    before = trainable_parameters(spec)
+    start = {k: v.copy() for k, v in before.items()}
+    train_diffusion(spec, make_gaussian_target(2), "elbo", 3, 8, RngStream(53, 0),
+                    learning_rate=1e-2)
+    after = trainable_parameters(spec)
+    held = {"sigma_raw": spec.sigma_raw, "beta_phi": spec.beta_phi}
+    if spec.proposal is not None:
+        held.update(proposal_mean=spec.proposal.mean, proposal_log_std=spec.proposal.log_std)
+    for prefix, net in (("net.", spec.drift_net), ("bnet.", spec.backward_net)):
+        if net is not None:
+            held.update({prefix + k: v for k, v in net.params.items()})
+    assert list(after) == list(before)
+    for name, value in after.items():
+        assert value is before[name] and value is held[name], name
+        assert not np.array_equal(value, start[name]), name
 
 
 def test_training_divergence_aborts():

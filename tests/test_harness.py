@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import samplebench.harness.run as run_module
-from samplebench.diffusion import (DiffusionSpec, simulate_backward_logweights,
-                                   trainable_parameters)
+from samplebench.diffusion import simulate_backward_logweights
 from samplebench.errors import ConfigError
 from samplebench.harness import (
     ExactDraws,
@@ -1621,6 +1620,26 @@ def test_cli_metrics_names_the_line_and_column_of_a_cell_that_is_not_a_number(tm
     assert "line 3, column 2 (x_2) is 'abc', not a number" in capsys.readouterr().err
 
 
+def test_cli_metrics_never_parses_a_column_it_does_not_read(tmp_path, capsys):
+    # before, a text column beside x_1..x_d exited 2 with "line 2, column 3
+    # (method) is 'smc', not a number"; now the report is the one without it
+    from samplebench.cli import main
+
+    x = make_mog_target(2).exact_sampler(RngStream(3, 0), 8)
+    reports = []
+    for name, text in (("plain", "x_1,x_2,log_w\n" + "".join(
+            f"{a},{b},{0.1 * i}\n" for i, (a, b) in enumerate(x))),
+                       ("text", "method,x_1,note,x_2,log_w\n" + "".join(
+            f"smc,{a},,{b},{0.1 * i}\n" for i, (a, b) in enumerate(x)))):
+        path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert main(["metrics", "--samples", str(path), "--target", "mog", "--ipm-samples",
+                     "4", "--out", str(out)]) == 0, capsys.readouterr().err
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0]["elbo"] is not None  # the log-weight column was read
+
+
 # ------------------------------------------------------------------- imports
 def _run_python(code):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -1737,8 +1756,7 @@ def test_bench_instruments_wrap_mfvi_and_craft_runs():
     assert out["adam_under_mfvi"] == 60  # one Adam step per MFVI iteration
     # DDS: three training steps, and at the marks [1, 3] a forward and a backward
     # simulation, each running the drift net once per hop
-    n_params = len(trainable_parameters(DiffusionSpec.create("dds", 1, RngStream(0, 0))))
-    assert out["adam_under_dds"] == 3 * n_params
+    assert out["adam_under_dds"] == 3  # one Adam step over every parameter per step
     spans = out["spans"]
     assert [spans[f"diffusion.{name}"] for name in (
         "train_diffusion", "forward_train", "forward_eval", "simulate_backward_logweights")

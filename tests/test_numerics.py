@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -105,34 +106,104 @@ def test_lse_shift_property(values, c):
 
 # ----------------------------------------------------------------------- adam
 def test_adam_zero_gradient_leaves_params():
-    state = AdamState.init(3, learning_rate=0.1)
-    params = np.array([1.0, -2.0, 0.5])
-    new_params, new_state = adam_step(params, np.zeros(3), state)
-    np.testing.assert_array_equal(new_params, params)
-    assert new_state.step_count == 1
+    params = [np.array([1.0, -2.0, 0.5]), np.array(0.25)]
+    before = [p.copy() for p in params]
+    state = AdamState.init(params, learning_rate=0.1)
+    adam_step(params, [np.zeros(3), np.zeros(())], state)
+    for p, b in zip(params, before):
+        np.testing.assert_array_equal(p, b)
+    assert state.step_count == 1
 
 
 def test_adam_first_step_magnitude():
     # step 1: m_hat/sqrt(v_hat) = g/|g|, so the move is lr in magnitude
-    state = AdamState.init(1, learning_rate=0.1)
-    new_params, _ = adam_step(np.array([0.0]), np.array([2.0]), state)
-    assert new_params[0] == pytest.approx(-0.1, rel=1e-6)
+    params = [np.array([0.0])]
+    adam_step(params, [np.array([2.0])], AdamState.init(params, learning_rate=0.1))
+    assert params[0][0] == pytest.approx(-0.1, rel=1e-6)
 
 
 def test_adam_two_steps_monotone():
-    state = AdamState.init(1, learning_rate=0.05)
     p = np.array([1.0])
+    state = AdamState.init([p], learning_rate=0.05)
     g = np.array([3.0])
-    p1, state = adam_step(p, g, state)
-    p2, state = adam_step(p1, g, state)
+    adam_step([p], [g], state)
+    p1 = p[0]
+    adam_step([p], [g], state)
     assert state.step_count == 2
-    assert p1[0] < p[0] and p2[0] < p1[0]  # moving opposite sign(g) > 0
+    assert p1 < 1.0 and p[0] < p1  # moving opposite sign(g) > 0
 
 
 def test_adam_length_mismatch():
-    state = AdamState.init(2)
+    state = AdamState.init([np.zeros(2)])
     with pytest.raises(UsageError):
-        adam_step(np.zeros(3), np.zeros(3), state)
+        adam_step([np.zeros(3)], [np.zeros(3)], state)  # params unlike the moments
+    with pytest.raises(UsageError):
+        adam_step([np.zeros(2)], [np.zeros(3)], state)  # a gradient unlike its array
+    with pytest.raises(UsageError):
+        adam_step([np.zeros(2), np.zeros(2)], [np.zeros(2), np.zeros(2)], state)
+    with pytest.raises(UsageError):  # nothing to update in place
+        adam_step([np.zeros(2, dtype=int)], [np.zeros(2)], state)
+    assert state.step_count == 0
+
+
+# adam_step as it stood when it updated one flat vector and returned a copy,
+# kept verbatim (with its state, renamed) as the reference for the in-place form.
+@dataclass
+class _ReferenceAdamState:
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    step_count: int = 0
+    learning_rate: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+
+    @classmethod
+    def init(cls, n_params: int, learning_rate: float = 1e-3, **kw) -> "_ReferenceAdamState":
+        return cls(np.zeros(n_params), np.zeros(n_params), 0, learning_rate, **kw)
+
+
+def _reference_adam_step(params, grads, state: _ReferenceAdamState):
+    """One Adam update; returns (new_params, new_state)."""
+    params = np.asarray(params, dtype=float)
+    grads = np.asarray(grads, dtype=float)
+    if params.shape != grads.shape or params.shape != state.first_moment.shape:
+        raise UsageError(
+            f"adam_step length mismatch: params {params.shape}, grads {grads.shape}, "
+            f"moments {state.first_moment.shape}"
+        )
+    t = state.step_count + 1
+    m = state.beta1 * state.first_moment + (1 - state.beta1) * grads
+    v = state.beta2 * state.second_moment + (1 - state.beta2) * grads**2
+    m_hat = m / (1 - state.beta1**t)
+    v_hat = v / (1 - state.beta2**t)
+    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    new_state = _ReferenceAdamState(m, v, t, state.learning_rate, state.beta1, state.beta2,
+                                    state.epsilon)
+    return new_params, new_state
+
+
+def test_adam_in_place_bitwise_equals_the_flat_copying_form():
+    # a (3, 4) matrix, a vector and a 0-d array over 150 steps, updated in place,
+    # against the former form on each array's flat copy; the gradients switch
+    # sign, run at scales from 1e-6 to 1e3, and are exactly zero on some steps
+    rng = RngStream(5, 0)
+    params = [rng.normal((3, 4)), rng.normal(5), np.array(0.7)]
+    objects = list(params)
+    state = AdamState.init(params, learning_rate=0.03)
+    refs = [(p.ravel().copy(), _ReferenceAdamState.init(p.size, learning_rate=0.03))
+            for p in params]
+    for step in range(150):
+        scale = 10.0 ** (step % 10 - 6)
+        grads = [rng.normal(np.shape(p)) * scale * (-1) ** step for p in params]
+        if step % 7 == 3:
+            grads[step % 3] = np.zeros(np.shape(params[step % 3]))
+        adam_step(params, grads, state)
+        refs = [_reference_adam_step(flat, g.ravel(), s) for (flat, s), g in zip(refs, grads)]
+        for p, (flat, _) in zip(params, refs):
+            assert p.ravel().tobytes() == flat.tobytes(), step
+    assert all(p is o for p, o in zip(params, objects)) and state.step_count == 150
+    assert [ref_state.step_count for _, ref_state in refs] == [150] * 3
 
 
 # ----------------------------------------------------------------------- tape

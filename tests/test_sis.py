@@ -292,6 +292,18 @@ def test_craft_identity_flows_match_ais_at_init():
         np.testing.assert_array_equal(f.log_scale, np.zeros(2))
 
 
+def test_craft_updates_each_flows_arrays_in_place():
+    path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 2.0), make_gaussian_target(2), 3)
+    flows = [AffineFlow.identity(2) for _ in range(3)]
+    held = [(f.shift, f.log_scale) for f in flows]
+    trained, _ = craft_train(path, flows, hmc_cfg(0.4), 3, 16, RngStream(20, 0),
+                             learning_rate=5e-2)
+    assert trained is flows
+    for f, (shift, log_scale) in zip(flows, held):
+        assert f.shift is shift and f.log_scale is log_scale
+        assert np.any(shift != 0.0) and np.any(log_scale != 0.0)
+
+
 def test_craft_training_improves_elbo_on_shifted_gaussian():
     # proposal N(0, 1), target N(3, 0.7^2): affine flows can bridge exactly
     rng = RngStream(19, 0)
@@ -526,10 +538,12 @@ def test_backward_ais_bitwise_with_uneven_rows(target_name, kernel):
 
 
 # craft_train as it stood when each flow update took its gradient from the
-# autodiff tape, kept verbatim as the reference for the closed-form gradient.
+# autodiff tape, kept verbatim as the reference for the closed-form gradient,
+# apart from its Adam update, which now takes the list of the flow's arrays.
 def _reference_craft_train(path, flows, kernel_cfg, iterations, n_particles, rng,
                            learning_rate=1e-2, resample_threshold=0.3):
-    adam_states = [AdamState.init(2 * len(f.shift), learning_rate=learning_rate) for f in flows]
+    adam_states = [AdamState.init([f.shift, f.log_scale], learning_rate=learning_rate)
+                   for f in flows]
 
     def update_flow(t, x):
         # tape loss: - mean[ log gamma_t(T(x)) + log|det T| ]
@@ -545,10 +559,7 @@ def _reference_craft_train(path, flows, kernel_cfg, iterations, n_particles, rng
         if not np.isfinite(loss.value):
             raise TrainingError(f"non-finite CRAFT loss at temperature {t}")
         g_shift, g_ls = tape.grad(loss, [shift, log_scale])
-        packed, adam_states[t - 1] = adam_step(np.concatenate([flow.shift, flow.log_scale]),
-                                               np.concatenate([g_shift, g_ls]),
-                                               adam_states[t - 1])
-        flow.shift, flow.log_scale = np.split(packed, 2)
+        adam_step([flow.shift, flow.log_scale], [g_shift, g_ls], adam_states[t - 1])
 
     elbo_trace = []
     for it in range(1, iterations + 1):

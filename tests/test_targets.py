@@ -79,7 +79,6 @@ def _one_dimensional_calls():
     x, y = np.arange(4.0), np.arange(10.0, 14.0)  # read as 4 scalar samples, their W2 is 10
     return {
         "target.log_density": lambda: target.log_density(np.zeros(2)),
-        "target.grad": lambda: target.grad(np.zeros(2)),
         "target.logdensity_and_grad": lambda: target.logdensity_and_grad(np.zeros(2)),
         "target.logdensity_grad_and_hvp": lambda: target.logdensity_grad_and_hvp(np.zeros(2)),
         "DiagonalGaussian.log_density": lambda: DiagonalGaussian.isotropic(2).log_density(
@@ -391,7 +390,7 @@ def test_logistic_value_at_zero(toy_csv):
 def test_logistic_gradient_at_zero(toy_csv):
     t = load_regression_target(toy_csv, prior_scale=1.0)
     # read back the standardized design matrix through the gradient identity
-    (g,) = t.grad(np.zeros((1, t.dim)))
+    (g,) = t.logdensity_and_grad(np.zeros((1, t.dim)))[1]
     fd = fd_grad(lambda p: t.log_unnorm(p[None, :])[0], np.zeros(t.dim))
     np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 

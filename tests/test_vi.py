@@ -73,6 +73,19 @@ def test_checkpoint_fires_at_a_mark_whose_step_is_skipped():
     assert np.array_equal(fired[0][1], fired[1][1])  # iteration 3 made no update
 
 
+def test_mfvi_updates_q_arrays_in_place():
+    # every checkpoint sees the same mean and log_std objects, and they move
+    held = []
+    q, _ = mfvi_train(make_gaussian_target(2, mean=1.0), 2.0, 16, 5, 0.05, RngStream(9, 0),
+                      checkpoints=[1, 5],
+                      checkpoint_hook=lambda it, q: held.append((q.mean, q.log_std,
+                                                                 q.mean.copy())))
+    for mean, log_std, _ in held:
+        assert mean is q.mean and log_std is q.log_std
+    assert not np.array_equal(held[0][2], q.mean)
+    assert not np.array_equal(q.log_std, np.full(2, np.log(2.0)))
+
+
 def test_mfvi_elbo_below_log_z():
     # ELBO estimate <= true log Z (= 0) up to 3 SE, at arbitrary parameters
     target = make_mog_target(2, seed=3)
@@ -164,10 +177,11 @@ def test_mfvi_finite_elbo_resets_the_divergence_streak():
 
 # ------------------------------------------ bit-identity with the former loop
 # mfvi_train as it stood when it took its gradient from the autodiff tape, kept
-# verbatim as the reference for the closed-form gradient.
+# verbatim as the reference for the closed-form gradient, apart from its Adam
+# update, which now takes the list of q's arrays.
 def _reference_mfvi_train(target, init_scale, batch_size, iterations, learning_rate, rng):
     q = DiagonalGaussian.isotropic(target.dim, init_scale)
-    adam = AdamState.init(2 * target.dim, learning_rate=learning_rate)
+    adam = AdamState.init([q.mean, q.log_std], learning_rate=learning_rate)
     trace = MfviTrace()
     bad_streak = 0
 
@@ -195,9 +209,7 @@ def _reference_mfvi_train(target, init_scale, batch_size, iterations, learning_r
         else:
             bad_streak = 0
             g_mean, g_ls = tape.grad(loss, [mean, log_std])
-            packed, adam = adam_step(np.concatenate([q.mean, q.log_std]),
-                                     np.concatenate([g_mean, g_ls]), adam)
-            q.mean, q.log_std = packed[: target.dim], packed[target.dim :]
+            adam_step([q.mean, q.log_std], [g_mean, g_ls], adam)
     return q, trace
 
 
