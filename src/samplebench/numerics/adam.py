@@ -27,13 +27,19 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState) -> None:
-    """One Adam update of each float array in `params`, in place; advances `state`."""
+    """One Adam update of each float64 array in `params`, in place; advances `state`.
+
+    Each gradient must be float64 too: a float32 one would be cast up silently
+    into the float64 moments, hiding a lower-precision path upstream.
+    """
     if not (len(params) == len(grads) == len(state.first_moments) and all(
-            isinstance(p, np.ndarray) and p.dtype == float and p.shape == np.shape(g) == m.shape
+            isinstance(p, np.ndarray) and p.dtype == float and np.asarray(g).dtype == float
+            and p.shape == np.shape(g) == m.shape
             for p, g, m in zip(params, grads, state.first_moments))):
         raise UsageError(f"adam_step: params {[np.shape(p) for p in params]} and grads "
-                         f"{[np.shape(g) for g in grads]} are not float arrays shaped like "
-                         f"the moments {[m.shape for m in state.first_moments]}")
+                         f"{[(np.shape(g), np.asarray(g).dtype.name) for g in grads]} are not "
+                         f"float64 arrays shaped like the moments "
+                         f"{[m.shape for m in state.first_moments]}")
     state.step_count += 1
     c1, c2 = 1 - BETA1**state.step_count, 1 - BETA2**state.step_count
     for p, g, m, v in zip(params, grads, state.first_moments, state.second_moments):

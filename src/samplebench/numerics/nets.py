@@ -3,6 +3,12 @@
 The network computes f1(x, t) + f2(t) * score, where f1 is an MLP whose final
 layer starts at zero and f2 is one learnable scalar per timestep initialized
 to 1, so a fresh network outputs exactly the guided score.
+
+The MLP f1 and its vector-Jacobian product compute in float32: each call casts
+x, the embedding row and the weights down, keeps the float32 input and hidden
+activations for the VJP, and casts f1 and every gradient back to float64.  The
+guidance term f2(t) * score and its gradients, the weights themselves (Adam's
+master copy), and everything outside the net stay float64.
 """
 
 from __future__ import annotations
@@ -80,55 +86,67 @@ def drift_forward(net: DriftNet, x, idx: int, score=None, params=None):
         if score.shape[-1] != net.dim:
             raise UsageError("score dimension does not match network dimension")
 
-    emb = net.emb_table[idx : idx + 1]  # (1, temb), constant w.r.t. parameters
     n_layers = net.hidden_layers
-    W0, b0 = weights[0], weights[1]
-    # split the first affine layer so the embedding term is computed once, not per row
-    hidden = [np.tanh(x @ W0[:d] + emb @ W0[d:] + b0)]
+    head = 2 * n_layers  # weights[head:] = Wout, bout (, f2)
+    # the MLP runs in float32 on per-call casts; f2 and the score stay float64
+    x32, emb, *mlp = (np.asarray(v, dtype=np.float32)
+                      for v in [x, net.emb_table[idx : idx + 1], *weights[: head + 2]])
+    W0, b0 = mlp[0], mlp[1]
+    # split the first affine layer so the embedding term is computed once, not per
+    # row; each tanh runs in place, in its pre-activation's buffer
+    z = x32 @ W0[:d] + (emb @ W0[d:] + b0)
+    hidden = [np.tanh(z, out=z)]
     for layer in range(1, n_layers):
-        hidden.append(np.tanh(hidden[-1] @ weights[2 * layer] + weights[2 * layer + 1]))
-    out = hidden[-1] @ weights[2 * n_layers] + weights[2 * n_layers + 1]
-    if net.guidance:
-        out = out + score * weights[-1][idx]
+        z = hidden[-1] @ mlp[2 * layer] + mlp[2 * layer + 1]
+        hidden.append(np.tanh(z, out=z))
+    out = (hidden[-1] @ mlp[head] + mlp[head + 1]).astype(float)
+    f2 = weights[-1] if net.guidance else None
+    if f2 is not None:
+        out += score * f2[idx]
     if not any(is_var):
         return out
     parents = [v for v, var in zip(inputs, is_var) if var]
-    vjp = _drift_vjp(is_var, x, score, weights, hidden, emb, idx, net.guidance)
+    vjp = _drift_vjp(is_var, x32, score, f2, mlp, hidden, emb, idx)
     return parents[0].tape.custom(out, parents, vjp, op="drift_net")
 
 
-def _drift_vjp(is_var, x, score, weights, hidden, emb, idx, guidance):
+def _drift_vjp(is_var, x32, score, f2, mlp, hidden, emb, idx):
     """Vector-Jacobian product of one drift-net call w.r.t. (x, score, *weights).
 
-    Each product and sum is the one the op-by-op recording of the same net takes,
-    in the same order, so the gradients are bitwise those of that recording.
+    The MLP's backward pass runs in float32 on the forward's float32 arrays: the
+    input `x32`, `mlp` (the W and b arrays, head included), the activations
+    `hidden` and the embedding row `emb`.  The guidance term's gradients (from
+    `score` and `f2`, None without guidance) and bout's (a column sum of the
+    adjoint) are computed in float64.  Every gradient returned is float64.
     The closure holds arrays and the `is_var` mask only: a tape variable here
     would tie the tape into a reference cycle that outlives the training step.
     """
-    d = x.shape[-1]
-    head = 2 * len(hidden)  # weights[head:] = Wout, bout (, f2)
+    d = x32.shape[-1]
+    head = 2 * len(hidden)
 
     def vjp(g):
         grads = [None] * len(is_var)  # aligned with (x, score, *weights)
-        if guidance:
-            f2 = weights[-1]
+        if f2 is not None:
             if is_var[1]:
                 grads[1] = g * f2[idx]
             g_f2 = np.zeros_like(f2)
-            g_f2[idx] = (g * score).sum(axis=(0, 1))
+            g_f2[idx] = np.vdot(g, score)
             grads[-1] = g_f2
-        grads[2 + head] = hidden[-1].T @ g
         grads[3 + head] = g.sum(axis=0)
-        dh = g @ weights[head].T
+        g = g.astype(np.float32)
+        grads[2 + head] = hidden[-1].T @ g
+        dh = g @ mlp[head].T
         for layer in range(len(hidden) - 1, -1, -1):
-            dz = dh * (1 - hidden[layer] ** 2)
+            dz = np.square(hidden[layer])  # dz = dh * (1 - h²), in one buffer
+            np.subtract(1, dz, out=dz)
+            dz *= dh
             grads[3 + 2 * layer] = db = dz.sum(axis=0)
             if layer:
                 grads[2 + 2 * layer] = hidden[layer - 1].T @ dz
-                dh = dz @ weights[2 * layer].T
+                dh = dz @ mlp[2 * layer].T
             else:  # W0's rows split into the x rows and the embedding rows
-                grads[2] = np.concatenate([x.T @ dz, emb.T @ db[None]])
-                grads[0] = dz @ weights[0][:d].T
-        return tuple(gr for gr, var in zip(grads, is_var) if var)
+                grads[2] = np.concatenate([x32.T @ dz, emb.T @ db[None]])
+                grads[0] = dz @ mlp[0][:d].T
+        return tuple(gr.astype(float, copy=False) for gr, var in zip(grads, is_var) if var)
 
     return vjp

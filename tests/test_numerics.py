@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samplebench import metrics
+from samplebench import diffusion, metrics
 from samplebench.errors import UsageError
 from samplebench.metrics import sinkhorn_w2
 from samplebench.numerics import (
@@ -22,6 +23,7 @@ from samplebench.numerics import (
     drift_forward,
     log_sum_exp,
 )
+from samplebench.numerics import nets
 from samplebench.numerics.logspace import EXP_FLOOR, exp_shifted_inplace
 from samplebench.targets import make_mog_target
 
@@ -144,6 +146,17 @@ def test_adam_length_mismatch():
     with pytest.raises(UsageError):  # nothing to update in place
         adam_step([np.zeros(2, dtype=int)], [np.zeros(2)], state)
     assert state.step_count == 0
+
+
+def test_adam_rejects_a_gradient_that_is_not_float64():
+    # a float32 gradient would be cast up silently into the float64 moments
+    params = [np.zeros(3), np.zeros(2)]
+    state = AdamState.init(params)
+    for bad in (np.ones(2, dtype=np.float32), np.ones(2, dtype=np.float16)):
+        with pytest.raises(UsageError, match="float64"):
+            adam_step(params, [np.ones(3), bad], state)
+    assert state.step_count == 0 and not any(p.any() for p in params)
+    assert not any(m.any() for m in state.first_moments + state.second_moments)
 
 
 # adam_step as it stood when it updated one flat vector and returned a copy,
@@ -397,81 +410,14 @@ def test_driftnet_step_index_outside_zero_to_n_steps_raises():
             drift_forward(net, x, idx, x)
 
 
-def test_driftnet_gradients_match_finite_differences():
-    rng = RngStream(10, 0)
-    net = DriftNet.init(dim=2, n_steps=8, rng=rng, hidden_width=8, time_embedding_dim=8)
-    # nonzero head so every parameter matters
-    net.params["Wout"] = rng.normal((8, 2)) * 0.5
-    net.params["bout"] = rng.normal(2) * 0.1
-    x_val = rng.normal((4, 2))
-    score_val = rng.normal((4, 2))
-    proj = rng.normal((4, 2))
-
-    def loss_at(params):
-        out = drift_forward(net, x_val, 4, score_val, params=params)
-        return float(np.sum(out * proj))
-
-    tape = Tape()
-    leaves = {k: tape.leaf(v) for k, v in net.params.items()}
-    out = drift_forward(net, x_val, 4, score_val, params=leaves)
-    loss = (out * proj).sum()
-    grads = dict(zip(leaves.keys(), tape.grad(loss, list(leaves.values()))))
-
-    eps = 1e-5
-    for name, base in net.params.items():
-        for j in range(min(base.size, 10)):
-            plus = base.copy().ravel()
-            plus[j] += eps
-            minus = base.copy().ravel()
-            minus[j] -= eps
-            p_plus = dict(net.params, **{name: plus.reshape(base.shape)})
-            p_minus = dict(net.params, **{name: minus.reshape(base.shape)})
-            fd = (loss_at(p_plus) - loss_at(p_minus)) / (2 * eps)
-            g = grads[name].ravel()[j]
-            assert abs(g - fd) <= 1e-4 * max(abs(fd), 1.0) + 1e-8, (name, j, g, fd)
-
-
-def test_driftnet_composed_loss_through_full_net_fd():
-    # full-size 2 x 64 x 64 x d network; spot-check coordinates of each block
-    rng = RngStream(11, 0)
-    net = DriftNet.init(dim=3, n_steps=4, rng=rng)
-    net.params["Wout"] = rng.normal((64, 3)) * 0.3
-    x_val = rng.normal((2, 3))
-    score_val = rng.normal((2, 3))
-
-    def loss_at(params):
-        out = drift_forward(net, x_val, 3, score_val, params=params)
-        return float(np.sum(out * out))
-
-    tape = Tape()
-    leaves = {k: tape.leaf(v) for k, v in net.params.items()}
-    out = drift_forward(net, x_val, 3, score_val, params=leaves)
-    loss = (out * out).sum()
-    grads = dict(zip(leaves.keys(), tape.grad(loss, list(leaves.values()))))
-
-    eps = 1e-5
-    check = {"W0": 6, "W1": 6, "b1": 6, "Wout": 6, "bout": 3, "f2": 2}
-    for name, n_coords in check.items():
-        base = net.params[name]
-        for j in range(min(n_coords, base.size)):
-            plus = base.copy().ravel()
-            plus[j] += eps
-            minus = base.copy().ravel()
-            minus[j] -= eps
-            fd = (
-                loss_at(dict(net.params, **{name: plus.reshape(base.shape)}))
-                - loss_at(dict(net.params, **{name: minus.reshape(base.shape)}))
-            ) / (2 * eps)
-            g = grads[name].ravel()[j]
-            assert abs(g - fd) <= 1e-4 * max(abs(fd), 1.0) + 1e-8, (name, j, g, fd)
-
-
+# The float64 op-by-op recording of the net is the oracle: the finite-difference
+# tests check it, and the float32 net is checked against it.
 def _tanh(v):
     return v.tanh() if isinstance(v, Var) else np.tanh(v)
 
 
 def _reference_drift_forward(net: DriftNet, x, idx: int, score=None, params=None):
-    """The former op-by-op recording of drift_forward, kept verbatim as a reference."""
+    """The former float64, op-by-op recording of drift_forward, kept verbatim as a reference."""
     p = net.params if params is None else params
     single = not isinstance(x, Var) and np.ndim(x) == 1
     if single:
@@ -501,6 +447,94 @@ def _reference_drift_forward(net: DriftNet, x, idx: int, score=None, params=None
     if single and not isinstance(out, Var):
         return out[0]
     return out
+
+
+def test_driftnet_gradients_match_finite_differences():
+    rng = RngStream(10, 0)
+    net = DriftNet.init(dim=2, n_steps=8, rng=rng, hidden_width=8, time_embedding_dim=8)
+    # nonzero head so every parameter matters
+    net.params["Wout"] = rng.normal((8, 2)) * 0.5
+    net.params["bout"] = rng.normal(2) * 0.1
+    x_val = rng.normal((4, 2))
+    score_val = rng.normal((4, 2))
+    proj = rng.normal((4, 2))
+
+    def loss_at(params):
+        out = _reference_drift_forward(net, x_val, 4, score_val, params=params)
+        return float(np.sum(out * proj))
+
+    tape = Tape()
+    leaves = {k: tape.leaf(v) for k, v in net.params.items()}
+    out = _reference_drift_forward(net, x_val, 4, score_val, params=leaves)
+    loss = (out * proj).sum()
+    grads = dict(zip(leaves.keys(), tape.grad(loss, list(leaves.values()))))
+
+    eps = 1e-5
+    for name, base in net.params.items():
+        for j in range(min(base.size, 10)):
+            plus = base.copy().ravel()
+            plus[j] += eps
+            minus = base.copy().ravel()
+            minus[j] -= eps
+            p_plus = dict(net.params, **{name: plus.reshape(base.shape)})
+            p_minus = dict(net.params, **{name: minus.reshape(base.shape)})
+            fd = (loss_at(p_plus) - loss_at(p_minus)) / (2 * eps)
+            g = grads[name].ravel()[j]
+            assert abs(g - fd) <= 1e-4 * max(abs(fd), 1.0) + 1e-8, (name, j, g, fd)
+
+
+def test_driftnet_composed_loss_through_full_net_fd():
+    # full-size 2 x 64 x 64 x d network; spot-check coordinates of each block
+    rng = RngStream(11, 0)
+    net = DriftNet.init(dim=3, n_steps=4, rng=rng)
+    net.params["Wout"] = rng.normal((64, 3)) * 0.3
+    x_val = rng.normal((2, 3))
+    score_val = rng.normal((2, 3))
+
+    def loss_at(params):
+        out = _reference_drift_forward(net, x_val, 3, score_val, params=params)
+        return float(np.sum(out * out))
+
+    tape = Tape()
+    leaves = {k: tape.leaf(v) for k, v in net.params.items()}
+    out = _reference_drift_forward(net, x_val, 3, score_val, params=leaves)
+    loss = (out * out).sum()
+    grads = dict(zip(leaves.keys(), tape.grad(loss, list(leaves.values()))))
+
+    eps = 1e-5
+    check = {"W0": 6, "W1": 6, "b1": 6, "Wout": 6, "bout": 3, "f2": 2}
+    for name, n_coords in check.items():
+        base = net.params[name]
+        for j in range(min(n_coords, base.size)):
+            plus = base.copy().ravel()
+            plus[j] += eps
+            minus = base.copy().ravel()
+            minus[j] -= eps
+            fd = (
+                loss_at(dict(net.params, **{name: plus.reshape(base.shape)}))
+                - loss_at(dict(net.params, **{name: minus.reshape(base.shape)}))
+            ) / (2 * eps)
+            g = grads[name].ravel()[j]
+            assert abs(g - fd) <= 1e-4 * max(abs(fd), 1.0) + 1e-8, (name, j, g, fd)
+
+
+# float32's unit roundoff.  Each of the float32 MLP's L affine layers rounds its
+# inputs (u), sums at most n products (n u, the dot-product bound, n the largest
+# fan-in or batch size a sum runs over) and takes a tanh (u), so its output is
+# within L (n + 2) u of the float64 reference; the VJP runs the L layers back,
+# so the gradients are within 2 L (n + 2) u.  Both are relative to the array's
+# largest entry.
+U32 = 2.0**-24
+
+
+def _float32_net_bounds(n_layers, n_terms):
+    """(output, gradient) error bounds of the float32 net against the reference."""
+    per_layer = (n_terms + 2) * U32
+    return n_layers * per_layer, 2 * n_layers * per_layer
+
+
+def _assert_close_to_largest(got, ref, tol, name=""):
+    np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.max(np.abs(ref)), err_msg=name)
 
 
 def _drift_value_and_grads(forward, net, x_val, score_val, proj, x_var, score_var):
@@ -543,12 +577,97 @@ def test_fused_drift_net_matches_op_by_op_reference(hidden_layers, guidance, x_v
     out, grads, n_nodes = _drift_value_and_grads(
         drift_forward, net, x_val, score_val, proj, x_var, score_var)
 
-    np.testing.assert_array_equal(out, ref_out)
+    # L = hidden layers + head; n = 9, the first layer's fan-in (3 + 6), above
+    # the width 7 and the batch 5
+    out_tol, grad_tol = _float32_net_bounds(hidden_layers + 1, 9)
+    assert out.dtype == np.float64
+    _assert_close_to_largest(out, ref_out, out_tol)
     assert n_nodes < ref_nodes
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
-        np.testing.assert_allclose(grads[name], ref, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(ref)), err_msg=name)
+        assert grads[name].dtype == np.float64, name
+        _assert_close_to_largest(grads[name], ref, grad_tol, name)
+
+
+def _dds_spec(seed, guidance=True, n_steps=32):
+    """DDS on MoG d=2 as the bench trains it, with a nonzero head so the MLP matters."""
+    rng = RngStream(seed, 0)
+    spec = diffusion.DiffusionSpec.create("dds", 2, rng, n_steps=n_steps, sigma_max=12.0,
+                                          guidance=guidance)
+    spec.drift_net.params["Wout"][...] = rng.normal((64, 2)) * 0.3
+    spec.drift_net.params["bout"][...] = rng.normal(2) * 0.1
+    return spec
+
+
+@pytest.mark.parametrize("guidance", [True, False])
+def test_drift_net_keeps_float32_activations_and_hands_out_float64(monkeypatch, guidance):
+    # over one training step and an evaluation pass: the activations the VJP holds
+    # are float32; the net's output, the adjoints its VJP returns, the parameters
+    # and Adam's moments and gradients are float64
+    held, adjoints, outputs, adam_calls = [], [], [], []
+    make_vjp, forward, step = nets._drift_vjp, diffusion.drift_forward, diffusion.adam_step
+
+    def recording_make_vjp(*args):
+        held.extend(inspect.signature(make_vjp).bind(*args).arguments["hidden"])
+        vjp = make_vjp(*args)
+
+        def recording_vjp(g):
+            grads = vjp(g)
+            adjoints.extend(grads)
+            return grads
+
+        return recording_vjp
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        outputs.append(out.value if isinstance(out, Var) else out)
+        return out
+
+    def recording_step(params, grads, state):
+        adam_calls.append((list(grads), state))
+        step(params, grads, state)
+
+    monkeypatch.setattr(nets, "_drift_vjp", recording_make_vjp)
+    monkeypatch.setattr(diffusion, "drift_forward", recording_forward)
+    monkeypatch.setattr(diffusion, "adam_step", recording_step)
+    spec, target = _dds_spec(3, guidance, n_steps=8), make_mog_target(2)
+    diffusion.train_diffusion(spec, target, "elbo", 1, 16, RngStream(3, 1))
+    n_taped = len(outputs)
+    diffusion.simulate_forward(spec, target, 16, RngStream(3, 2))  # off the tape
+
+    assert n_taped == 8 and len(outputs) == 16 and len(held) == 8 * 2
+    assert all(h.dtype == np.float32 for h in held)
+    assert all(out.dtype == np.float64 for out in outputs)
+    assert adjoints and all(a.dtype == np.float64 for a in adjoints)
+    assert all(p.dtype == np.float64 for p in diffusion.trainable_parameters(spec).values())
+    ((grads, state),) = adam_calls
+    assert all(g.dtype == np.float64 for g in grads)
+    assert all(m.dtype == np.float64 for m in state.first_moments + state.second_moments)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_train_step_gradients_match_a_float64_run_of_the_same_step(monkeypatch, seed):
+    # DDS on MoG d=2 (T=32, batch 64): the step with the float32 net against the
+    # same step with the float64 reference net, on the same noise.  Each hop's net
+    # call is within 2 L (n + 2) u of the reference (L = 3 layers, n = 66, the
+    # first layer's fan-in 2 + 64, above the width and batch 64), and the T hops
+    # of the chain add their errors: the tolerance is T times that, 7.8e-4.
+    def step_gradients(forward):
+        monkeypatch.setattr(diffusion, "drift_forward", forward)
+        spec = _dds_spec(seed)
+        params = diffusion.trainable_parameters(spec)
+        loss, grads = diffusion._train_step(spec, make_mog_target(2), "elbo", params, 64,
+                                            RngStream(seed, 1))
+        return loss, dict(zip(params, grads))
+
+    loss, grads = step_gradients(drift_forward)
+    ref_loss, ref_grads = step_gradients(_reference_drift_forward)
+    tol = 32 * _float32_net_bounds(3, 66)[1]
+    assert loss == pytest.approx(ref_loss, rel=tol)
+    assert grads.keys() == ref_grads.keys() and len(grads) == 7
+    for name, ref in ref_grads.items():
+        assert np.max(np.abs(ref)) > 0, name
+        _assert_close_to_largest(grads[name], ref, tol, name)
 
 
 # ------------------------------------------------------------------------ rng
