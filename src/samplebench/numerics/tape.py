@@ -220,7 +220,7 @@ class Tape:
                 if pg is None:
                     continue
                 if adjoints[p] is None:
-                    adjoints[p] = np.array(pg, dtype=float)
+                    adjoints[p] = np.asarray(pg, dtype=float)
                 else:
                     adjoints[p] = adjoints[p] + pg
         return [kept[v.index] if v.index in kept else np.zeros_like(v.value) for v in wrt]

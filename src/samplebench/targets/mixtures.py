@@ -3,17 +3,21 @@
 Components have uniform weights 1/K and means drawn i.i.d. per coordinate from
 a uniform range, so the mixture is normalized (log Z = 0) and admits an exact
 sampler.  Mode descriptors assign each point to the argmax-density component,
-taken over the same (n, K) log-terms the value queries build.
+taken over the same (K, n) log-terms the value queries build.
 
-Gaussian-mixture values, scores and HVPs are computed by matmul through the
-expansion |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2, and the HVP closure keeps only
-the query's (n, K) responsibilities; Student-t mixtures have no such expansion
-and share one (n, K, d) offset tensor between value and score.
+The log-terms are stored component-major, one row per component and one
+column per point, so every softmax reduction (max, sum) runs across the K rows
+of contiguous n-wide arrays rather than along each short K-wide row, which is
+numpy's slow direction.  Gaussian-mixture values, scores and HVPs are computed
+by matmul through the expansion |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2, and the
+HVP closure keeps only the query's (K, n) responsibilities; Student-t mixtures
+have no such expansion and share one (K, n, d) offset tensor between value and
+score.
 
-Every query takes one softmax over the (n, K) log-terms, in place in that
+Every query takes one softmax over the (K, n) log-terms, in place in that
 temporary, through the shared clamped exp (`numerics.logspace`).  Far-apart
 components put most shifted log-terms below -745, where numpy's exp underflows
-on a slow path; they are clamped at -700 first.  Each row holds its shifted
+on a slow path; they are clamped at -700 first.  Each column holds its shifted
 maximum exp(0) = 1, so a clamped term (at most e^-700, about 1e-304) is absorbed
 in rounding: the log-sum-exp, the score and the HVP keep their bits, and only
 responsibilities that would be 0 or subnormal read about 1e-304 instead.
@@ -47,19 +51,19 @@ class MixtureSpec:
 
 
 def _t2_logdensities(diff_sq: np.ndarray) -> np.ndarray:
-    """Products of independent univariate t_2 densities, from squared offsets (n, K, d)."""
+    """Products of independent univariate t_2 densities, from squared offsets (K, n, d)."""
     return np.sum(T2_LOG_NORM - 1.5 * np.log1p(diff_sq / 2.0), axis=-1)
 
 
 def _log_sum_and_resp(comp: np.ndarray):
-    """Row log-sum-exp of (n, K) log-terms and the softmax responsibilities.
+    """Column log-sum-exp of (K, n) log-terms and the softmax responsibilities.
 
     The responsibilities are computed in `comp`, which callers pass as a temporary.
     """
-    peak = exp_shifted_inplace(comp, axis=1)
-    total = comp.sum(axis=1, keepdims=True)
-    comp /= total
-    return np.log(total[:, 0]) + peak, comp
+    peak = exp_shifted_inplace(comp, axis=0)
+    total = comp.sum(axis=0)
+    comp *= 1.0 / total
+    return np.log(total) + peak, comp
 
 
 def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
@@ -73,11 +77,11 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
     if spec.kind == "gaussian":
         # log N(x | mu_k, I) = x.mu_k - |mu_k|^2/2 - |x|^2/2 - d log(2 pi)/2: the
         # first two terms decide the responsibilities and come from one matmul
-        half_sq_means = 0.5 * np.sum(means**2, axis=1)
+        half_sq_means = 0.5 * np.sum(means**2, axis=1, keepdims=True)
         offset = 0.5 * spec.dim * LOG_2PI + log_k
 
         def log_terms(x):
-            comp = x @ means.T
+            comp = means @ x.T
             comp -= half_sq_means
             return comp
 
@@ -88,7 +92,7 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
         def forward(x):
             # value, score = m - x with m = r.mu, and the responsibilities r the HVP reads
             lse, r = _log_sum_and_resp(log_terms(x))
-            return lse - 0.5 * np.sum(x * x, axis=1) - offset, r @ means - x, r
+            return lse - 0.5 * np.sum(x * x, axis=1) - offset, r.T @ means - x, r
 
         def log_unnorm_and_grad(x):
             return forward(x)[:2]
@@ -99,28 +103,28 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
             def hvp(v):
                 # Hessian of log gamma = Cov_r(mu) - I, applied as E_r[mu mu^T] v - m m^T v - v;
                 # m is remade by forward's own matmul, so the closure holds no (n, d) array
-                m = r @ means
-                rv = v @ means.T
+                m = r.T @ means
+                rv = means @ v.T
                 rv *= r
-                return rv @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
+                return rv.T @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
 
             return value, score, hvp
 
     else:
 
         def log_terms(x):
-            return _t2_logdensities((x[:, None, :] - means[None, :, :]) ** 2)
+            return _t2_logdensities((x[None, :, :] - means[:, None, :]) ** 2)
 
         def log_unnorm(x):
             lse, _ = _log_sum_and_resp(log_terms(x))
             return lse - log_k
 
         def log_unnorm_and_grad(x):
-            diff = x[:, None, :] - means[None, :, :]  # (n, K, d)
+            diff = x[None, :, :] - means[:, None, :]  # (K, n, d)
             diff_sq = diff**2
             lse, r = _log_sum_and_resp(_t2_logdensities(diff_sq))
             # d/dx log t_2 per coordinate: -3u/(2+u^2), u = x - mu
-            return lse - log_k, np.einsum("nk,nkd->nd", r, -3.0 * diff / (2.0 + diff_sq))
+            return lse - log_k, np.einsum("kn,knd->nd", r, -3.0 * diff / (2.0 + diff_sq))
 
     def sampler(rng: RngStream, n: int):
         comps = rng.integers(k, size=n)
@@ -131,7 +135,7 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
         return means[comps] + noise
 
     def mode_cell(x):
-        return np.argmax(log_terms(x), axis=1)  # ties resolve to the lowest index
+        return np.argmax(log_terms(x), axis=0)  # ties resolve to the lowest index
 
     return TargetDensity(
         dim=spec.dim,

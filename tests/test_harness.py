@@ -353,19 +353,25 @@ def test_absent_seeds_default_to_four():
     assert parse_config(doc).seeds == [0, 1, 2, 3]
 
 
-def test_shipped_configs_parse():
-    # configs/ and the benchmark's generated workloads name only declared keys
+def _bench_workloads():
+    """The benchmark's `perfbench/workloads.py`, which generates its run configs."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        from workloads import WORKLOADS, workload_config
+        import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+    return workloads
+
+
+def test_shipped_configs_parse():
+    # configs/ and the benchmark's generated workloads name only declared keys
+    bench = _bench_workloads()
     paths = sorted((ROOT / "configs").glob("*.json"))
     assert len(paths) == 3
     for path in paths:
         load_config(path)
-    for name in WORKLOADS:
-        parse_config(workload_config(name, 0, "unused"))
+    for name in bench.WORKLOADS:
+        parse_config(bench.workload_config(name, 0, "unused"))
 
 
 def test_readme_config_example_parses():
@@ -635,36 +641,14 @@ def test_w2_converged_column_is_the_sinkhorn_flag():
     assert "w2_converged" not in record.summary
 
 
-# the benchmark's three workload configs at seed 0: (target, method, protocol)
-_BENCH_WORKLOADS = {
-    "smc_mog50": ({"name": "mog", "dim": 50},
-                  {"name": "smc", "particles": 128, "n_steps": 8, "kernel": "hmc",
-                   "leapfrog_steps": 10, "step_size_low": 1.0, "step_size_high": 0.25,
-                   "resampling": True},
-                  {"n_checkpoints": 1, "running_avg_len": 1, "eval_samples": 256,
-                   "ipm_subsample": 256}),
-    "dds_mog2": ({"name": "mog", "dim": 2},
-                 {"name": "dds", "iterations": 16, "batch_size": 128, "n_steps": 32,
-                  "sigma_max": 12.0, "guidance": True, "learning_rate": 0.003},
-                 {"n_checkpoints": 2, "running_avg_len": 5, "eval_samples": 500,
-                  "ipm_subsample": 128}),
-    "mfvi_mog2": ({"name": "mog", "dim": 2},
-                  {"name": "mfvi", "iterations": 120, "batch_size": 512, "learning_rate": 0.005},
-                  {"n_checkpoints": 3, "running_avg_len": 5, "eval_samples": 2000,
-                   "ipm_subsample": 256}),
-}
-
-
-@pytest.mark.parametrize("workload", sorted(_BENCH_WORKLOADS))
+@pytest.mark.parametrize("workload", _bench_workloads().WORKLOADS)
 def test_every_w2_of_the_bench_workloads_converges(workload):
     # with an epsilon of 1e-3 on MoG costs in the thousands, 5 of these 6
     # checkpoints ran out of Sinkhorn iterations
-    target, method, protocol = _BENCH_WORKLOADS[workload]
-    config = parse_config({"schema_version": 1, "target": target, "method": method,
-                           "protocol": protocol, "seeds": [0], "output_dir": "unused"})
+    config = parse_config(_bench_workloads().workload_config(workload, 0, "unused"))
     record = run_experiment(config, clock=FakeClock())
     flags = [r.w2_converged for r in record.seed_records[0].raw_reports]
-    assert len(flags) == protocol["n_checkpoints"]
+    assert len(flags) == config.protocol.n_checkpoints
     assert all(flag is True for flag in flags)
 
 

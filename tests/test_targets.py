@@ -305,12 +305,79 @@ def test_mog_expansion_matches_direct_form_out_to_3_sigma(dim):
     assert np.all(hvp_err <= 1e-13 * scale * np.linalg.norm(v, axis=1))
 
 
+def _mos_direct(means, x):
+    """Value, score and per-component log-terms of the uniform MoS from the (n, K, d) offsets."""
+    diff = x[:, None, :] - means[None, :, :]
+    comp = np.sum(mixtures.T2_LOG_NORM - 1.5 * np.log1p(diff**2 / 2.0), axis=-1)
+    w = np.exp(comp - comp.max(axis=1, keepdims=True))
+    value = np.log(w.sum(axis=1)) + comp.max(axis=1) - math.log(len(means))
+    r = w / w.sum(axis=1, keepdims=True)
+    return value, np.einsum("nk,nkd->nd", r, -3.0 * diff / (2.0 + diff**2)), comp
+
+
+@pytest.mark.parametrize("n", [1, 7, 129, 2000])
+@pytest.mark.parametrize("dim", [2, 50])
+@pytest.mark.parametrize("kind", ["gaussian", "student_t2"])
+def test_component_major_queries_match_direct_form_at_every_batch_size(kind, dim, n):
+    # The shipped layouts, with the last two means copies of the first two, so
+    # that those components tie exactly.  Points: draws near the tied means
+    # first, then a shuffle of exact draws, midpoints of two means and proposal
+    # draws clipped at 3 sigma0.  Tolerances are those derived in
+    # test_mog_expansion_matches_direct_form_out_to_3_sigma, from s = |x|^2 + max|mu|^2:
+    # the MoS log-terms are as large as d log(1 + s), far below s, so they hold a fortiori.
+    gaussian = kind == "gaussian"
+    spec = (MixtureSpec(40, dim, kind, -40, 40, seed=12) if gaussian
+            else MixtureSpec(10, dim, kind, -10, 10, seed=0))
+    means = spec.draw_means()
+    k = len(means)
+    means[k - 2:] = means[:2]
+    spec.draw_means = lambda: means
+    target = make_mixture_target(spec)
+    rng = RngStream(32, dim)
+    sigma0 = DEFAULT_SIGMA0["mog" if gaussian else "mos"]
+    pool = np.concatenate([
+        target.exact_sampler(rng, 700),
+        0.5 * (means[rng.integers(k, size=700)] + means[rng.integers(k, size=700)]),
+        sigma0 * np.clip(rng.normal((598, dim)), -3, 3)])
+    pool = pool[np.argsort(rng.uniform(size=len(pool)))]
+    x = np.concatenate([means[:2] + rng.normal((2, dim)), pool])[:n]
+    v = rng.normal(x.shape)
+    scale = np.sum(x * x, axis=1) + np.max(np.sum(means**2, axis=1))
+
+    if gaussian:
+        value, score, hvp = _mog_direct(means, x, v)
+        value_q, score_q, hvp_q = target.score_hvp(x)
+        hvp_err = np.abs(hvp_q(v) - hvp).max(axis=1)
+        assert np.all(hvp_err <= 1e-13 * scale * np.linalg.norm(v, axis=1))
+    else:
+        value, score, comp = _mos_direct(means, x)
+        value_q, score_q = target.log_unnorm_and_grad(x)
+    assert np.all(np.abs(value_q - value) <= 1e-14 * scale)
+    assert np.all(np.abs(target.log_unnorm(x) - value) <= 1e-14 * scale)
+    assert np.all(np.abs(score_q - score).max(axis=1) <= 1e-13 * scale)
+
+    cells = target.mode_model.cell(x)
+    assert cells.shape == (n,) and not np.any(cells >= k - 2)  # ties go to the lowest index
+    if not gaussian:  # elementwise the same log-terms: the direct argmax, bitwise
+        assert np.array_equal(cells, np.argmax(comp, axis=1))
+        return
+    # the nearest mean, wherever the two nearest differ by more than the log-terms'
+    # rounding (1e-14 s each); elsewhere a mean within that rounding of the nearest
+    half_sq = 0.5 * np.sum((x[:, None, :] - means[None, :, :]) ** 2, axis=-1)
+    nearest = np.argmin(half_sq, axis=1)
+    gap = np.diff(np.sort(half_sq, axis=1)[:, :2], axis=1)[:, 0]
+    decided = gap > 2e-14 * scale
+    assert np.array_equal(cells[decided], nearest[decided])
+    assert np.all(half_sq[np.arange(n), cells] - half_sq.min(axis=1) <= 2e-14 * scale)
+
+
 def _unclamped_log_sum_and_resp(comp):
-    """The mixtures' softmax without clamp or in-place work, kept as a reference."""
-    m = comp.max(axis=1, keepdims=True)
+    """The mixtures' softmax over (K, n) log-terms without clamp or in-place work,
+    kept as a reference."""
+    m = comp.max(axis=0)
     w = np.exp(comp - m)
-    total = w.sum(axis=1, keepdims=True)
-    return np.log(total[:, 0]) + m[:, 0], w / total
+    total = w.sum(axis=0)
+    return np.log(total) + m, w * (1.0 / total)
 
 
 def _mixture_queries(target, x, v):
@@ -432,16 +499,16 @@ def test_logistic_rejects_constant_column(tmp_path):
 # The former `score_hvp(x, v)` formulas, each recomputing its forward pass, kept
 # as oracles: the fused query's `hvp` closure must equal them bitwise.
 def _mog_hvp_oracle(means):
-    half_sq_means = 0.5 * np.sum(means**2, axis=1)
+    half_sq_means = 0.5 * np.sum(means**2, axis=1, keepdims=True)
 
     def hvp(x, v):
-        comp = x @ means.T
+        comp = means @ x.T  # (K, n)
         comp -= half_sq_means
         _, r = mixtures._log_sum_and_resp(comp)
-        m = r @ means
-        rv = v @ means.T
+        m = r.T @ means
+        rv = means @ v.T
         rv *= r
-        return rv @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
+        return rv.T @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
 
     return hvp
 
@@ -512,7 +579,7 @@ def test_score_hvp_closure_matches_central_difference_symmetry_and_former_formul
 
 @pytest.mark.parametrize("name", ["mog_d2", "mog_d50"])
 def test_mog_hvp_closure_holds_no_n_by_d_array(name):
-    # the closure keeps the (n, K) responsibilities and remakes m = r.mu per call;
+    # the closure keeps the (K, n) responsibilities and remakes m = r.mu per call;
     # its output stays the former formula's (m kept from the forward pass) bitwise
     target, x, former_hvp, _ = _hvp_case(name, None)
     n, d = x.shape
