@@ -29,7 +29,7 @@ mos = make_mos_target(dim=2, seed=0)
 ray = np.linspace(1, 200, 5)[:, None] * np.ones((1, 2))
 print("\ntail decay along x = (r, r):")
 print("  r        MoG            MoS")
-for r, lg, ls in zip(ray[:, 0], mog.log_unnorm(ray), mos.log_unnorm(ray)):
+for r, lg, ls in zip(ray[:, 0], mog.log_density(ray), mos.log_density(ray)):
     print(f"  {r:6.0f} {lg:14.1f} {ls:12.1f}")
 
 # The funnel couples the first coordinate to the variance of the other nine.

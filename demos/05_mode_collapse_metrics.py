@@ -30,8 +30,8 @@ blanket = DiagonalGaussian(np.zeros(2), np.full(2, np.log(40.0)))
 
 for name, q in (("collapsed", collapsed), ("blanket", blanket)):
     x = q.sample(rng, 1000)
-    lw_rev = target.log_unnorm(x) - q.log_density(x)
-    lw_fwd = target.log_unnorm(truth) - q.log_density(truth)
+    lw_rev = target.log_density(x) - q.log_density(x)
+    lw_fwd = target.log_density(truth) - q.log_density(truth)
     rev = WeightedSamples(x, lw_rev, REVERSE)
     fwd = WeightedSamples(truth, lw_fwd, FORWARD)
     w2, _ = sinkhorn_w2(x[:200], truth[:200], max_iters=200)

@@ -49,9 +49,9 @@ OPTIONAL_TRAINABLE = ("sigma", "betas", "proposal")
 class DiffusionSpec:
     method: str
     dim: int
-    n_steps: int = 128
-    sigma_max: float = 1.0
-    sigma_schedule: str = "cosine"  # "cosine" or "constant"
+    n_steps: int
+    sigma_max: float
+    sigma_schedule: str  # "cosine" or "constant"
     proposal: Optional[DiagonalGaussian] = None
     drift_net: Optional[DriftNet] = None
     backward_net: Optional[DriftNet] = None

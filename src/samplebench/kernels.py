@@ -1,8 +1,12 @@
 """Geometric annealing path and MCMC transition kernels.
 
 The annealed family is gamma_t(x) = pi0(x)^(1-beta_t) * gamma(x)^beta_t on a
-strictly increasing beta grid with endpoints exactly 0 and 1.  Kernels are
-vectorized over chains; each fused target query counts one NFE per point.
+strictly increasing beta grid with endpoints exactly 0 and 1.  The kernels
+move chains (the rows of x) towards pi_t on that path.  Each is given the raw
+target query at x (log gamma, with its gradient for HMC) and returns the one
+at x', so a caller that carries the query never queries x again; pi_t and its
+score follow from it and the analytic proposal.  Each target query counts one
+NFE per point.
 """
 
 from __future__ import annotations
@@ -97,65 +101,59 @@ class MhConfig:
         return self.scale_high if beta >= 0.5 else self.scale_low
 
 
-def mh_step(x, logdensity, proposal_scale, rng: RngStream, current_logdensity=None):
-    """One Gaussian random-walk Metropolis step, vectorized over rows of x.
+def mh_step(path: AnnealedPath, t: int, x, log_gamma, cfg: MhConfig, rng: RngStream):
+    """`cfg.n_substeps` Gaussian random-walk Metropolis steps targeting pi_t, vectorized
+    over rows of x, given log gamma at x; each substep queries the target at its proposals.
 
-    Returns (x', accepted, logdensity at x').
+    Returns (x', accepted in any substep, log gamma at x').
     """
-    if proposal_scale <= 0:
-        raise UsageError("proposal_scale must be positive")
-    lp = logdensity(x) if current_logdensity is None else np.asarray(current_logdensity)
-    prop = x + proposal_scale * rng.normal(x.shape)
-    lp_prop = logdensity(prop)
-    log_u = np.log(rng.uniform(size=len(x)))
-    accepted = log_u < (lp_prop - lp)
-    new_x = np.where(accepted[:, None], prop, x)
-    new_lp = np.where(accepted, lp_prop, lp)
-    return new_x, accepted, new_lp
+    scale = cfg.scale(path.betas[t])
+    lp = annealed_logdensity(path, t, x, with_grad=False, query=(log_gamma, None))
+    accept_any = np.zeros(len(x), dtype=bool)
+    for _ in range(cfg.n_substeps):
+        prop = x + scale * rng.normal(x.shape)
+        lg_prop = path.target.log_density(prop)
+        lp_prop = annealed_logdensity(path, t, prop, with_grad=False, query=(lg_prop, None))
+        accepted = np.log(rng.uniform(size=len(x))) < (lp_prop - lp)
+        x = np.where(accepted[:, None], prop, x)
+        lp, log_gamma = np.where(accepted, lp_prop, lp), np.where(accepted, lg_prop, log_gamma)
+        accept_any |= accepted
+    return x, accept_any, log_gamma
 
 
-def _leapfrog(x, p, eps, n_steps, fused, val0, grad0, score=None):
-    """Leapfrog integration of H = -logdensity + |p|^2/2.
+def _leapfrog(path: AnnealedPath, t: int, x, p, eps, n_steps, score):
+    """Leapfrog integration of H = -log pi_t + |p|^2/2 from x, where pi_t's score is `score`.
 
-    The initial (value, gradient) is supplied by the caller; fresh queries
-    happen only at the visited positions x_1..x_L.  The momentum updates at
-    x_1..x_{L-1} read the gradient alone, from `score(x)` when given; the
-    value is read only at x_L, for the Metropolis test.
+    Each position x_1..x_L costs one target query per row; the momentum
+    updates read pi_t's score alone.  Returns (x_L, p_L, raw target query at x_L).
     """
-    p = p + 0.5 * eps * grad0
-    xn = x
+    p = p + 0.5 * eps * score
     for _ in range(n_steps - 1):
-        xn = xn + eps * p
-        p = p + eps * (fused(xn)[1] if score is None else score(xn))
-    xn = xn + eps * p
-    val, grad = fused(xn)
-    p = p + 0.5 * eps * grad
-    return xn, p, val, grad
+        x = x + eps * p
+        p = p + eps * annealed_score(path, t, x, path.target.logdensity_and_grad(x)[1])
+    x = x + eps * p
+    query = path.target.logdensity_and_grad(x)
+    p = p + 0.5 * eps * annealed_score(path, t, x, query[1])
+    return x, p, query
 
 
-def hmc_step(x, fused_logdensity_and_grad, cfg: HmcConfig, rng: RngStream, beta: float = 1.0,
-             current=None, score=None):
-    """One HMC step with fresh momenta and a Metropolis correction on total energy.
+def hmc_step(path: AnnealedPath, t: int, x, query, cfg: HmcConfig, rng: RngStream):
+    """One HMC step targeting pi_t with fresh momenta and a Metropolis correction on
+    total energy, given the raw target query (log gamma, grad log gamma) at x.
 
-    `current` may carry a cached (value, grad) at x to avoid re-querying, and
-    `score` a gradient-only view of the density for the leapfrog's inner
-    positions, where no value is read.
-    Returns (x', accepted, (value, grad) at x').
+    pi_t's value is built only at x and at the proposed point x_L, where the
+    test reads it; a non-finite energy rejects.  Costs L target queries per row.
+    Returns (x', accepted, raw target query at x').
     """
-    eps = cfg.step_size(beta)
-    if current is None:
-        val0, grad0 = fused_logdensity_and_grad(x)
-    else:
-        val0, grad0 = current
+    val0, score0 = annealed_logdensity(path, t, x, query=query)
     p0 = rng.normal(x.shape)
-    xn, p, val, grad = _leapfrog(x, p0, eps, cfg.leapfrog_steps, fused_logdensity_and_grad,
-                                 val0, grad0, score)
+    xn, p, new = _leapfrog(path, t, x, p0, cfg.step_size(path.betas[t]), cfg.leapfrog_steps,
+                           score0)
+    val = annealed_logdensity(path, t, xn, with_grad=False, query=new)
     h0 = -val0 + 0.5 * np.sum(p0**2, axis=1)
     h1 = -val + 0.5 * np.sum(p**2, axis=1)
     delta = h0 - h1
     delta = np.where(np.isfinite(delta), delta, -np.inf)  # non-finite energy: reject
     accepted = np.log(rng.uniform(size=len(x))) < delta
-    new_x = np.where(accepted[:, None], xn, x)
-    new_val = np.where(accepted, val, val0)
-    new_grad = np.where(accepted[:, None], grad, grad0)
-    return new_x, accepted, (new_val, new_grad)
+    return (np.where(accepted[:, None], xn, x), accepted,
+            (np.where(accepted, new[0], query[0]), np.where(accepted[:, None], new[1], query[1])))

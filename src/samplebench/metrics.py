@@ -310,14 +310,6 @@ def _canonical(x, y, min_points):
     return (y, x) if (x.shape, x.tobytes()) > (y.shape, y.tobytes()) else (x, y)
 
 
-def mmd_squared(x, y, bandwidth: Optional[float] = None) -> float:
-    """Unbiased MMD^2 estimate (may be negative) with a squared-exponential kernel."""
-    x, y = _canonical(x, y, 2)
-    top, yy = _pooled_blocks(x, y)
-    alpha = _bandwidth(top, yy, bandwidth)
-    return _mmd_squared_blocks(top, alpha, _off_diagonal_mean(_kernel(yy, alpha)))
-
-
 def _bandwidth(top, yy, bandwidth) -> float:
     """`bandwidth`, or by default the median heuristic on the pooled sample."""
     n = len(top)
@@ -355,11 +347,15 @@ def _root(sq) -> float:
 
 
 def mmd(x, y, bandwidth: Optional[float] = None) -> float:
-    """Square root of the unbiased MMD^2 estimate, clamped at 0 before the root.
+    """Square root of the unbiased MMD^2 estimate with a squared-exponential kernel,
+    clamped at 0 before the root (the estimate may be negative).
 
     The bandwidth defaults to the median heuristic on the pooled sample.
     """
-    return _root(mmd_squared(x, y, bandwidth))
+    x, y = _canonical(x, y, 2)
+    top, yy = _pooled_blocks(x, y)
+    alpha = _bandwidth(top, yy, bandwidth)
+    return _root(_mmd_squared_blocks(top, alpha, _off_diagonal_mean(_kernel(yy, alpha))))
 
 
 def _ipm_pair(x, y, max_iters: int):

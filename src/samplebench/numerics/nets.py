@@ -35,10 +35,10 @@ def sinusoidal_embedding(n_positions: int, dim: int) -> np.ndarray:
 class DriftNet:
     dim: int
     n_steps: int
-    hidden_width: int = 64
-    hidden_layers: int = 2
-    time_embedding_dim: int = 64
-    guidance: bool = True
+    hidden_width: int
+    hidden_layers: int
+    time_embedding_dim: int
+    guidance: bool
     params: dict = field(default_factory=dict)
     emb_table: np.ndarray = None
 

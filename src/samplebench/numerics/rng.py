@@ -11,30 +11,24 @@ import numpy.random  # numpy loads it lazily; import it with this module, not at
 
 
 class RngStream:
-    """One independent random stream; `counter` records how many draw calls were made."""
+    """One independent random stream."""
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self.counter = 0
         self._gen = numpy.random.Generator(numpy.random.Philox(key=[self.seed, self.stream_id]))
 
     def normal(self, size=None):
-        self.counter += 1
         return self._gen.standard_normal(size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        self.counter += 1
         return self._gen.uniform(low, high, size)
 
     def standard_t(self, df, size=None):
-        self.counter += 1
         return self._gen.standard_t(df, size)
 
     def integers(self, high, size=None):
-        self.counter += 1
         return self._gen.integers(0, high, size=size)
 
     def choice(self, n, size, p):
-        self.counter += 1
         return self._gen.choice(n, size=size, p=p, replace=True)

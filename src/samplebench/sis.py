@@ -5,8 +5,9 @@ Per temperature the sweep reweights, then (forward only) resamples when the
 ESS fraction, which lies in (0, 1], is below the threshold, so a threshold of
 0 never resamples; then it makes an MCMC move at the new temperature.  The
 particles carry the raw target query (log gamma, and its gradient for HMC)
-at their positions, as the last move left it; pi_t and its gradient follow
-from it and the analytic proposal at no NFE.  The AIS increment
+at their positions, as the last move left it: the kernels (`kernels.hmc_step`,
+`kernels.mh_step`) take it at x and return it at x'.  pi_t and its gradient
+follow from it and the analytic proposal at no NFE.  The AIS increment
 (beta_b - beta_a)(log gamma - log pi0) at x reads that query, so only the
 sweep's first temperature queries the target: it costs 1 + L queries per
 particle for L leapfrog steps or MH substeps, and each later one costs L.
@@ -32,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateWeightsError, TrainingError, UsageError
-from .kernels import (AnnealedPath, HmcConfig, MhConfig, annealed_logdensity, annealed_score,
-                      hmc_step, mh_step, target_query)
+from .kernels import (AnnealedPath, HmcConfig, MhConfig, annealed_logdensity, hmc_step, mh_step,
+                      target_query)
 from .numerics.adam import AdamState, adam_step
 from .numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
 from .numerics.rng import RngStream
@@ -100,33 +101,11 @@ def _mcmc_move(x, path, t, kernel_cfg, rng, query):
 
     Returns (x', accepted, the raw target query at x').
     """
-    beta = path.betas[t]
-    with_grad = isinstance(kernel_cfg, HmcConfig)
-    last = [None, None]  # the raw query of the latest proposal
-
-    def annealed(pts):
-        last[:] = target_query(path.target, pts, with_grad)
-        return annealed_logdensity(path, t, pts, with_grad=with_grad, query=last)
-
-    lg, gg = query
-    if with_grad:
-        # the last leapfrog query is at the proposed point, the one position whose
-        # pi_t value is built; the inner positions read the score alone
-        x, accepted, _ = hmc_step(x, annealed, kernel_cfg, rng, beta=beta,
-                                  current=annealed_logdensity(path, t, x, query=query),
-                                  score=lambda pts: annealed_score(
-                                      path, t, pts, target_query(path.target, pts, True)[1]))
-        return x, accepted, (np.where(accepted, last[0], lg),
-                             np.where(accepted[:, None], last[1], gg))
+    if isinstance(kernel_cfg, HmcConfig):
+        return hmc_step(path, t, x, query, kernel_cfg, rng)
     if isinstance(kernel_cfg, MhConfig):
-        lp = annealed_logdensity(path, t, x, with_grad=False, query=query)
-        accept_any = np.zeros(len(x), dtype=bool)
-        for _ in range(kernel_cfg.n_substeps):
-            x, accepted, lp = mh_step(x, annealed, kernel_cfg.scale(beta), rng,
-                                      current_logdensity=lp)
-            lg = np.where(accepted, last[0], lg)
-            accept_any |= accepted
-        return x, accept_any, (lg, None)
+        x, accepted, log_gamma = mh_step(path, t, x, query[0], kernel_cfg, rng)
+        return x, accepted, (log_gamma, None)
     raise UsageError(f"unknown kernel config {type(kernel_cfg).__name__}")
 
 

@@ -7,13 +7,22 @@ from samplebench.errors import UsageError
 from samplebench.kernels import (
     AnnealedPath,
     HmcConfig,
+    MhConfig,
+    _leapfrog,
     annealed_logdensity,
     hmc_step,
     mh_step,
 )
 from samplebench.metrics import mmd
 from samplebench.numerics import RngStream
-from samplebench.targets import DiagonalGaussian, make_gaussian_target, make_unnormalized_gaussian_target
+from samplebench.targets import (
+    DiagonalGaussian,
+    TargetDensity,
+    make_gaussian_target,
+    make_mog_target,
+    make_mos_target,
+    make_unnormalized_gaussian_target,
+)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -22,11 +31,6 @@ def std_path(n_steps=8, dim=1, sigma0=1.0):
     return AnnealedPath.linear(
         DiagonalGaussian.isotropic(dim, sigma0), make_gaussian_target(dim), n_steps
     )
-
-
-def gaussian_fused(x):
-    x = np.atleast_2d(x)
-    return -0.5 * np.sum(x**2, axis=1), -x
 
 
 # ------------------------------------------------------------- annealing path
@@ -86,25 +90,38 @@ def test_annealed_index_range():
 
 
 # ------------------------------------------------------------------------- mh
+def last_temperature_path(target):
+    """A one-step path, so pi_T at t = 1 is the target gamma itself."""
+    return AnnealedPath(DiagonalGaussian.isotropic(target.dim), target, np.array([0.0, 1.0]))
+
+
+def std_normal_path(dim=1):
+    return last_temperature_path(make_unnormalized_gaussian_target(dim))
+
+
+def mh_cfg(scale, n_substeps=1):
+    return MhConfig(n_substeps=n_substeps, scale_low=scale, scale_high=scale)
+
+
 def test_mh_uphill_always_accepted():
     rng = RngStream(2, 0)
-    logdensity = lambda pts: -0.5 * np.sum(pts**2, axis=1)
+    path = std_normal_path()
     # start far out: essentially every proposal toward the origin is uphill
     x = np.full((200, 1), 50.0)
-    _, accepted, _ = mh_step(x, logdensity, 0.5, rng)
+    _, accepted, _ = mh_step(path, 1, x, path.target.log_density(x), mh_cfg(0.5), rng)
     prop_uphill = accepted.mean()
     assert prop_uphill > 0.45  # about half of proposals move inward, all accepted
-    # construct explicit uphill proposals: with scale tiny acceptance is ~1 anyway
 
 
 def test_mh_tiny_scale_acceptance_near_one():
     rng = RngStream(3, 0)
-    logdensity = lambda pts: -0.5 * np.sum(pts**2, axis=1)
+    path = std_normal_path()
     x = rng.normal((100, 1))
+    log_gamma = path.target.log_density(x)
     total = 0
     accepted_count = 0
     for _ in range(100):  # 10^4 steps at scale 1e-6
-        x, accepted, _ = mh_step(x, logdensity, 1e-6, rng)
+        x, accepted, log_gamma = mh_step(path, 1, x, log_gamma, mh_cfg(1e-6), rng)
         accepted_count += accepted.sum()
         total += len(accepted)
     assert accepted_count / total > 0.999
@@ -112,11 +129,12 @@ def test_mh_tiny_scale_acceptance_near_one():
 
 def test_mh_long_run_moments():
     rng = RngStream(4, 0)
-    logdensity = lambda pts: -0.5 * np.sum(pts**2, axis=1)
+    path = std_normal_path()
     x = rng.normal((100, 1))
+    log_gamma = path.target.log_density(x)
     draws = []
     for step in range(1000):  # 10^5 total draws at the classic 2.4 scale
-        x, _, _ = mh_step(x, logdensity, 2.4, rng)
+        x, _, log_gamma = mh_step(path, 1, x, log_gamma, mh_cfg(2.4), rng)
         if step >= 100:
             draws.append(x.copy())
     pooled = np.concatenate(draws).ravel()
@@ -125,31 +143,34 @@ def test_mh_long_run_moments():
 
 
 # ------------------------------------------------------------------------ hmc
-def test_leapfrog_reversibility():
-    from samplebench.kernels import _leapfrog
+def _leapfrog_from(path, x, p, eps, n_steps):
+    """The leapfrog at pi_T from (x, p); returns (x_L, p_L, the Hamiltonian at both ends)."""
+    t = path.n_steps
+    val0, score0 = annealed_logdensity(path, t, x)
+    xn, pn, query = _leapfrog(path, t, x, p, eps, n_steps, score0)
+    val = annealed_logdensity(path, t, xn, with_grad=False, query=query)
+    return xn, pn, -val0 + 0.5 * np.sum(p**2, axis=1), -val + 0.5 * np.sum(pn**2, axis=1)
 
+
+def test_leapfrog_reversibility():
     rng = RngStream(5, 0)
+    path = std_normal_path(3)
     x0 = rng.normal((6, 3))
     p0 = rng.normal((6, 3))
-    val0, grad0 = gaussian_fused(x0)
-    x1, p1, val1, grad1 = _leapfrog(x0, p0, 0.15, 10, gaussian_fused, val0, grad0)
-    x2, p2, _, _ = _leapfrog(x1, -p1, 0.15, 10, gaussian_fused, val1, grad1)
+    x1, p1, _, _ = _leapfrog_from(path, x0, p0, 0.15, 10)
+    x2, p2, _, _ = _leapfrog_from(path, x1, -p1, 0.15, 10)
     np.testing.assert_allclose(x2, x0, atol=1e-8)
     np.testing.assert_allclose(-p2, p0, atol=1e-8)
 
 
 def test_hmc_energy_error_quarters_when_step_halved():
-    from samplebench.kernels import _leapfrog
-
     rng = RngStream(6, 0)
+    path = std_normal_path(2)
     x0 = rng.normal((2000, 2))
     p0 = rng.normal((2000, 2))
-    val0, grad0 = gaussian_fused(x0)
 
     def mean_abs_dh(eps, n_steps):
-        x1, p1, val1, _ = _leapfrog(x0, p0, eps, n_steps, gaussian_fused, val0, grad0)
-        h0 = -val0 + 0.5 * np.sum(p0**2, axis=1)
-        h1 = -val1 + 0.5 * np.sum(p1**2, axis=1)
+        _, _, h0, h1 = _leapfrog_from(path, x0, p0, eps, n_steps)
         return np.abs(h1 - h0).mean()
 
     # halve the step while doubling the count: same integration time
@@ -159,12 +180,13 @@ def test_hmc_energy_error_quarters_when_step_halved():
 
 def test_hmc_long_run_moments_d10():
     rng = RngStream(7, 0)
-    fused = gaussian_fused
+    path = std_normal_path(10)
     cfg = HmcConfig(leapfrog_steps=10, step_size_low=0.5, step_size_high=0.5)
     x = rng.normal((100, 10)) * 2.0
+    query = path.target.logdensity_and_grad(x)
     draws = []
     for step in range(1000):
-        x, _, _ = hmc_step(x, fused, cfg, rng)
+        x, _, query = hmc_step(path, 1, x, query, cfg, rng)
         if step >= 100:
             draws.append(x.copy())
     pooled = np.concatenate(draws)
@@ -173,19 +195,62 @@ def test_hmc_long_run_moments_d10():
 
 
 def test_hmc_rejects_nonfinite_energy():
-    rng = RngStream(8, 0)
-
-    def exploding(pts):
-        pts = np.atleast_2d(pts)
-        val = -0.5 * np.sum(pts**2, axis=1)
-        val = np.where(np.abs(pts[:, 0]) > 1.5, np.nan, val)
-        return val, -pts
-
-    cfg = HmcConfig(leapfrog_steps=3, step_size_low=1.0, step_size_high=1.0)
+    cfg = HmcConfig(leapfrog_steps=3, step_size_low=0.8, step_size_high=0.8)
     x = np.zeros((50, 1))
-    x2, accepted, _ = hmc_step(x, exploding, cfg, rng)
-    # trajectories that hit the nan region must be rejected in place
-    assert np.all(np.isfinite(x2))
+    for bad in (np.nan, np.inf):  # an inf value is a -inf energy, which would always accept
+
+        def exploding(pts, bad=bad):
+            val = -0.5 * np.sum(pts**2, axis=1)
+            val = np.where(np.abs(pts[:, 0]) > 1.5, bad, val)
+            return val, -pts
+
+        path = last_temperature_path(TargetDensity(1, lambda pts: exploding(pts)[0], exploding))
+        x2, accepted, (lg, gg) = hmc_step(path, 1, x, path.target.logdensity_and_grad(x), cfg,
+                                          RngStream(8, 0))
+        # trajectories that end in the non-finite region must be rejected in place
+        assert 0 < accepted.sum() < len(x)
+        assert np.all(np.abs(x2) <= 1.5) and np.all(np.isfinite(lg))
+        assert np.all(x2[~accepted] == 0.0) and np.all(gg[~accepted] == 0.0)
+
+
+# --------------------------------------------- the raw query the sweep carries
+CONTRACT_TARGETS = {
+    "mog_d2": (lambda: make_mog_target(2, seed=0), 60.0),
+    "mog_d50": (lambda: make_mog_target(50, seed=0), 60.0),
+    "mos_d2": (lambda: make_mos_target(2, seed=0), 15.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["hmc", "mh"])
+@pytest.mark.parametrize("target_name", sorted(CONTRACT_TARGETS))
+def test_kernels_return_the_fresh_query_at_x_prime_and_cost_n_times_steps(target_name, kind):
+    # the sweep reads the returned query as the target's at x': accepted rows take
+    # the proposal's, rejected rows keep x's, and one call costs n queries per step
+    make, sigma0 = CONTRACT_TARGETS[target_name]
+    target = make()
+    path = AnnealedPath.linear(DiagonalGaussian.isotropic(target.dim, sigma0), target, 4)
+    n, steps = 37, 4
+    x = path.proposal.sample(RngStream(1, 0), n)
+    if kind == "hmc":
+        query = target.logdensity_and_grad(x)
+        cfg = HmcConfig(leapfrog_steps=steps, step_size_low=2.0, step_size_high=2.0)
+        target.nfe.reset()
+        x2, accepted, new = hmc_step(path, 2, x, query, cfg, RngStream(2, 0))
+        cost = target.nfe.value
+        fresh = target.logdensity_and_grad(x2)
+    else:
+        query = (target.log_density(x),)
+        target.nfe.reset()
+        x2, accepted, log_gamma = mh_step(path, 2, x, query[0], mh_cfg(10.0, steps),
+                                          RngStream(2, 0))
+        cost = target.nfe.value
+        new, fresh = (log_gamma,), (target.log_density(x2),)
+    assert cost == n * steps
+    assert 0 < accepted.sum() < n
+    assert np.all(x2[~accepted] == x[~accepted])
+    for got, want, kept in zip(new, fresh, query):
+        assert got.tobytes() == want.tobytes()
+        assert got[~accepted].tobytes() == kept[~accepted].tobytes()
 
 
 # -------------------------------------------------- detailed-balance surrogate
@@ -197,11 +262,13 @@ def test_chain_matches_exact_draws_via_mmd_permutation(kind):
     draws = []
     # trajectory length ~ pi/2 decorrelates Gaussian phase space in one step
     cfg = HmcConfig(leapfrog_steps=5, step_size_low=0.31, step_size_high=0.31)
+    path = std_normal_path(dim)
+    log_gamma, score = path.target.logdensity_and_grad(x)
     for step in range(120):
         if kind == "mh":
-            x, _, _ = mh_step(x, lambda pts: -0.5 * np.sum(pts**2, axis=1), 1.2, rng)
+            x, _, log_gamma = mh_step(path, 1, x, log_gamma, mh_cfg(1.2), rng)
         else:
-            x, _, _ = hmc_step(x, gaussian_fused, cfg, rng)
+            x, _, (log_gamma, score) = hmc_step(path, 1, x, (log_gamma, score), cfg, rng)
         if step >= 40 and step % 5 == 0:  # thin
             draws.append(x.copy())
     chain = np.concatenate(draws)[:600]

@@ -22,7 +22,6 @@ from samplebench.metrics import (
     eubo,
     log_z_estimates,
     mmd,
-    mmd_squared,
     sinkhorn_w2,
 )
 from samplebench.numerics import RngStream
@@ -396,14 +395,16 @@ def test_mmd_permutation_invariance():
 
 
 def test_mmd_squared_matches_triple_sum_oracle():
+    # mmd is the root of the unbiased estimate clamped at 0; the first case's is negative
     rng = RngStream(12, 0)
+    signs = []
     for n, m in [(10, 10), (23, 17), (50, 50)]:
         x = rng.normal((n, 3))
         y = rng.normal((m, 3)) + 0.3
         pooled = np.concatenate([x, y])
         d2 = cdist(pooled, pooled, "sqeuclidean")
         alpha = np.median(d2[np.triu_indices(len(d2), k=1)])
-        fast = mmd_squared(x, y)
+        fast = mmd(x, y)
         a = sum(
             math.exp(-np.sum((x[i] - x[j]) ** 2) / alpha)
             for i in range(n)
@@ -419,7 +420,13 @@ def test_mmd_squared_matches_triple_sum_oracle():
         c = sum(
             math.exp(-np.sum((x[i] - y[j]) ** 2) / alpha) for i in range(n) for j in range(m)
         ) * (2.0 / (n * m))
-        assert fast == pytest.approx(a + b - c, abs=1e-12)
+        oracle = a + b - c
+        signs.append(oracle > 0)
+        if oracle > 0:
+            assert fast**2 == pytest.approx(oracle, abs=1e-12)
+        else:
+            assert fast == 0.0
+    assert signs == [False, True, True]
 
 
 def test_mmd_too_few_points():
@@ -427,7 +434,7 @@ def test_mmd_too_few_points():
         mmd(np.zeros((1, 2)), np.zeros((5, 2)))
 
 
-@pytest.mark.parametrize("criterion", [mmd, mmd_squared, sinkhorn_w2])
+@pytest.mark.parametrize("criterion", [mmd, sinkhorn_w2])
 def test_ipm_clouds_of_different_dimension_raise(criterion):
     rng = RngStream(23, 0)
     with pytest.raises(UsageError):

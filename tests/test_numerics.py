@@ -682,10 +682,3 @@ def test_rng_streams_differ():
     b = RngStream(42, 1).normal(1000)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
     assert not np.allclose(a, b)
-
-
-def test_rng_counter_tracks_draws():
-    s = RngStream(1, 0)
-    s.normal(3)
-    s.uniform(size=2)
-    assert s.counter == 2

@@ -11,8 +11,6 @@ from samplebench.kernels import (
     HmcConfig,
     MhConfig,
     annealed_logdensity,
-    hmc_step,
-    mh_step,
 )
 from samplebench.numerics import AdamState, RngStream, Tape, adam_step
 from samplebench.numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
@@ -352,20 +350,86 @@ def test_craft_non_finite_tempered_density_is_a_training_error():
 # ------------------------------------------ bit-identity with the former loops
 # The AIS loops of smc_run and backward_transport_logweights as they stood
 # before the shared sweep, kept verbatim (flow branches and the diagnostics
-# switch dropped) as references for the sweep's AIS form.
+# switch dropped) as references for the sweep's AIS form, with the generic
+# kernels they called, which took a density callable, kept verbatim below.
+def _reference_mh_step(x, logdensity, proposal_scale, rng: RngStream, current_logdensity=None):
+    """One Gaussian random-walk Metropolis step, vectorized over rows of x.
+
+    Returns (x', accepted, logdensity at x').
+    """
+    if proposal_scale <= 0:
+        raise UsageError("proposal_scale must be positive")
+    lp = logdensity(x) if current_logdensity is None else np.asarray(current_logdensity)
+    prop = x + proposal_scale * rng.normal(x.shape)
+    lp_prop = logdensity(prop)
+    log_u = np.log(rng.uniform(size=len(x)))
+    accepted = log_u < (lp_prop - lp)
+    new_x = np.where(accepted[:, None], prop, x)
+    new_lp = np.where(accepted, lp_prop, lp)
+    return new_x, accepted, new_lp
+
+
+def _reference_leapfrog(x, p, eps, n_steps, fused, val0, grad0, score=None):
+    """Leapfrog integration of H = -logdensity + |p|^2/2.
+
+    The initial (value, gradient) is supplied by the caller; fresh queries
+    happen only at the visited positions x_1..x_L.  The momentum updates at
+    x_1..x_{L-1} read the gradient alone, from `score(x)` when given; the
+    value is read only at x_L, for the Metropolis test.
+    """
+    p = p + 0.5 * eps * grad0
+    xn = x
+    for _ in range(n_steps - 1):
+        xn = xn + eps * p
+        p = p + eps * (fused(xn)[1] if score is None else score(xn))
+    xn = xn + eps * p
+    val, grad = fused(xn)
+    p = p + 0.5 * eps * grad
+    return xn, p, val, grad
+
+
+def _reference_hmc_step(x, fused_logdensity_and_grad, cfg: HmcConfig, rng: RngStream,
+                        beta: float = 1.0, current=None, score=None):
+    """One HMC step with fresh momenta and a Metropolis correction on total energy.
+
+    `current` may carry a cached (value, grad) at x to avoid re-querying, and
+    `score` a gradient-only view of the density for the leapfrog's inner
+    positions, where no value is read.
+    Returns (x', accepted, (value, grad) at x').
+    """
+    eps = cfg.step_size(beta)
+    if current is None:
+        val0, grad0 = fused_logdensity_and_grad(x)
+    else:
+        val0, grad0 = current
+    p0 = rng.normal(x.shape)
+    xn, p, val, grad = _reference_leapfrog(x, p0, eps, cfg.leapfrog_steps,
+                                           fused_logdensity_and_grad, val0, grad0, score)
+    h0 = -val0 + 0.5 * np.sum(p0**2, axis=1)
+    h1 = -val + 0.5 * np.sum(p**2, axis=1)
+    delta = h0 - h1
+    delta = np.where(np.isfinite(delta), delta, -np.inf)  # non-finite energy: reject
+    accepted = np.log(rng.uniform(size=len(x))) < delta
+    new_x = np.where(accepted[:, None], xn, x)
+    new_val = np.where(accepted, val, val0)
+    new_grad = np.where(accepted[:, None], grad, grad0)
+    return new_x, accepted, (new_val, new_grad)
+
+
 def _reference_move(x, path, t, kernel_cfg, rng, cached):
     beta = path.betas[t]
     if isinstance(kernel_cfg, HmcConfig):
         fused = lambda pts: annealed_logdensity(path, t, pts)
-        new_x, accepted, cache = hmc_step(x, fused, kernel_cfg, rng, beta=beta, current=cached)
+        new_x, accepted, cache = _reference_hmc_step(x, fused, kernel_cfg, rng, beta=beta,
+                                                     current=cached)
         return new_x, accepted, cache
     if isinstance(kernel_cfg, MhConfig):
         logdensity = lambda pts: annealed_logdensity(path, t, pts, with_grad=False)
         lp = cached[0] if cached is not None else None
         accept_any = np.zeros(len(x), dtype=bool)
         for _ in range(kernel_cfg.n_substeps):
-            x, accepted, lp = mh_step(x, logdensity, kernel_cfg.scale(beta), rng,
-                                      current_logdensity=lp)
+            x, accepted, lp = _reference_mh_step(x, logdensity, kernel_cfg.scale(beta), rng,
+                                                 current_logdensity=lp)
             accept_any |= accepted
         return x, accept_any, (lp, None)
     raise UsageError(f"unknown kernel config {type(kernel_cfg).__name__}")
@@ -435,13 +499,13 @@ def _reference_backward(path, kernel_cfg, target_samples, rng):
         # move targeting pi_{t-1}
         if isinstance(kernel_cfg, HmcConfig):
             fused = lambda pts, s=t - 1: annealed_logdensity(path, s, pts)
-            x, _, _ = hmc_step(x, fused, kernel_cfg, rng, beta=beta_prev)
+            x, _, _ = _reference_hmc_step(x, fused, kernel_cfg, rng, beta=beta_prev)
         else:
             logdensity = lambda pts, s=t - 1: annealed_logdensity(path, s, pts, with_grad=False)
             lp = None
             for _ in range(kernel_cfg.n_substeps):
-                x, _, lp = mh_step(x, logdensity, kernel_cfg.scale(beta_prev), rng,
-                                   current_logdensity=lp)
+                x, _, lp = _reference_mh_step(x, logdensity, kernel_cfg.scale(beta_prev), rng,
+                                              current_logdensity=lp)
     return log_w
 
 

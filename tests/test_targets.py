@@ -5,7 +5,7 @@ import pytest
 
 from samplebench.errors import IngestionError, UsageError
 from samplebench.harness.registry import DEFAULT_SIGMA0, TARGETS, build_target
-from samplebench.metrics import REVERSE, WeightedSamples, mmd, mmd_squared, sinkhorn_w2
+from samplebench.metrics import REVERSE, WeightedSamples, mmd, sinkhorn_w2
 from samplebench.numerics import RngStream
 from samplebench.numerics.nets import DriftNet, drift_forward
 from samplebench.targets import mixtures
@@ -84,7 +84,6 @@ def _one_dimensional_calls():
         "DiagonalGaussian.log_density": lambda: DiagonalGaussian.isotropic(2).log_density(
             np.zeros(2)),
         "WeightedSamples": lambda: WeightedSamples(x, np.zeros(4), REVERSE),
-        "mmd_squared": lambda: mmd_squared(x, y),
         "mmd": lambda: mmd(x, y),
         "sinkhorn_w2": lambda: sinkhorn_w2(x, y),
         "drift_forward": lambda: drift_forward(net, np.zeros(2), 4, np.zeros(2)),
