@@ -17,7 +17,7 @@ rng = RngStream(seed=0, stream_id=0)
 # and every point carries a mode descriptor (argmax component).
 mog = make_mog_target(dim=2, seed=0)
 x = mog.exact_sampler(rng, 5)
-vals, grads = mog.logdensity_and_grad(x)
+vals, grads, _ = mog.query(x, score=True)  # one counted query: 1 NFE per point
 print("MoG d=2:")
 for xi, v in zip(x, vals):
     print(f"  log gamma({xi.round(2)}) = {v:.3f}")
@@ -29,15 +29,16 @@ mos = make_mos_target(dim=2, seed=0)
 ray = np.linspace(1, 200, 5)[:, None] * np.ones((1, 2))
 print("\ntail decay along x = (r, r):")
 print("  r        MoG            MoS")
-for r, lg, ls in zip(ray[:, 0], mog.log_density(ray), mos.log_density(ray)):
+for r, lg, ls in zip(ray[:, 0], mog.query(ray, score=False)[0], mos.query(ray, score=False)[0]):
     print(f"  {r:6.0f} {lg:14.1f} {ls:12.1f}")
 
 # The funnel couples the first coordinate to the variance of the other nine.
 funnel = make_funnel_target()
-print(f"\nfunnel at the origin: {funnel.log_density(np.zeros((1, 10)))[0]:.4f} (= -10.2880)")
+print(f"\nfunnel at the origin: {funnel.query(np.zeros((1, 10)), score=False)[0][0]:.4f} "
+      "(= -10.2880)")
 
 # Brownian smoothing: 32 unknowns, observations frozen from a fixed seed.
 brownian = make_brownian_target()
 theta = np.zeros((1, 32))
-print(f"brownian at zero: {brownian.log_density(theta)[0]:.4f}")
+print(f"brownian at zero: {brownian.query(theta, score=False)[0][0]:.4f}")
 print(f"NFE counters so far: mog={mog.nfe.value}, brownian={brownian.nfe.value}")

@@ -283,13 +283,12 @@ class _Anchor:
 
     It queries the target only when a kernel uses the score (the Langevin
     methods, and guidance) or at the endpoint x_T, whose log gamma the weight
-    reads; only there is log gamma kept.  The query is one counted call: where
-    the score goes on the tape (x is a tape variable and the score's gradient
-    is not stopped) it is the target's fused value, score and HVP query, whose
-    `hvp` closure is the `target_score` node's VJP; elsewhere it is the fused
-    value and score.  `query`, a fused (log gamma, grad log gamma) at x already
-    made, stands in for the latter.  Each drift net runs at most once per
-    anchor, however many kernel sides use its output.
+    reads; only there is log gamma kept.  The query is one counted call of the
+    target's value and score; where the score goes on the tape (x is a tape
+    variable and the score's gradient is not stopped) it also hands back the
+    `hvp` closure, the `target_score` node's VJP.  `query`, a target query with
+    its score at x already made, stands in for it off the tape.  Each drift net
+    runs at most once per anchor, however many kernel sides use its output.
     """
 
     def __init__(self, spec, sched, target, x, index, query=None):
@@ -305,10 +304,7 @@ class _Anchor:
             return
         xv = _value(x)
         on_tape = uses_score and isinstance(x, Var) and not spec.score_stop_gradient
-        if on_tape:
-            val, grad, hvp = target.logdensity_grad_and_hvp(xv)
-        else:
-            val, grad = target.logdensity_and_grad(xv) if query is None else query
+        val, grad, hvp = target.query(xv, score=True, hvp=on_tape) if query is None else query
         if endpoint:
             self.log_gamma = _node(val, "log_gamma", (x, lambda adj: adj[:, None] * grad))
         if not uses_score:
@@ -443,8 +439,8 @@ def simulate_backward_logweights(spec: DiffusionSpec, target: TargetDensity,
                                  target_samples, rng: RngStream, query=None) -> np.ndarray:
     """Propagate exact target samples backward and accumulate the same log ratio.
 
-    `query` is the fused target query (log gamma, grad log gamma) at the
-    samples, when already made; without it the endpoint makes its own.
+    `query` is the target query with its score at the samples, when already
+    made; without it the endpoint makes its own.
     Returns per-sample extended forward log-weights for EUBO_f / ESS_f / Z_f.
     """
     sched = _resolve_schedule(spec)

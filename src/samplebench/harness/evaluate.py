@@ -31,12 +31,12 @@ from ..numerics.rng import RngStream
 class ExactDraws:
     """A seed's fixed exact target draws, and the target query at them.
 
-    `evaluate_sampler` makes the query, one fused value+score call, at the
-    first checkpoint; every later checkpoint's backward path reads it.
+    `evaluate_sampler` makes the query, one value+score call, at the first
+    checkpoint; every later checkpoint's backward path reads it.
     """
 
     points: np.ndarray
-    query: Optional[tuple] = None  # (log gamma, grad log gamma) at points
+    query: Optional[tuple] = None  # (log gamma, grad log gamma, None) at points
 
 
 def sample_criteria(x, log_w, target, target_samples, ipm_subsample: int,
@@ -82,7 +82,7 @@ def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream,
     report = sample_criteria(x, log_w, target, y, ipm_subsample, sinkhorn_iters)
     if exact is not None:
         if exact.query is None:
-            exact.query = target.logdensity_and_grad(y)
+            exact.query = target.query(y, score=True)
         log_w_f = sampler.backward_logweights(y, rng, exact.query)
         fws = WeightedSamples(y, log_w_f, FORWARD)
         report.eubo = eubo(fws)

@@ -123,7 +123,7 @@ class MfviSampler:
 
     def sample_with_logweights(self, n, rng):
         x = self.q.sample(rng, n)
-        lw = self.target.log_density(x) - self.q.log_density(x)
+        lw = self.target.query(x, score=False)[0] - self.q.log_density(x)
         return x, lw
 
     def backward_logweights(self, target_samples, rng, query):

@@ -3,10 +3,10 @@
 The annealed family is gamma_t(x) = pi0(x)^(1-beta_t) * gamma(x)^beta_t on a
 strictly increasing beta grid with endpoints exactly 0 and 1.  The kernels
 move chains (the rows of x) towards pi_t on that path.  Each is given the raw
-target query at x (log gamma, with its gradient for HMC) and returns the one
-at x', so a caller that carries the query never queries x again; pi_t and its
-score follow from it and the analytic proposal.  Each target query counts one
-NFE per point.
+target query at x, the triple `TargetDensity.query` returns (log gamma, with
+its gradient for HMC), and returns the one at x', so a caller that carries the
+query never queries x again; pi_t and its score follow from it and the
+analytic proposal.  Each target query counts one NFE per point.
 """
 
 from __future__ import annotations
@@ -42,19 +42,12 @@ class AnnealedPath:
         return len(self.betas) - 1
 
 
-def target_query(target: TargetDensity, x, with_grad: bool):
-    """The raw query (log gamma, grad log gamma or None) at x; one NFE per point."""
-    if with_grad:
-        return target.logdensity_and_grad(x)
-    return target.log_density(x), None
-
-
 def annealed_logdensity(path: AnnealedPath, t: int, x, with_grad: bool = True, query=None):
     """(1-beta_t) log pi0 + beta_t log gamma and its gradient.
 
-    `query` is a raw target query at x already made (see `target_query`); without
-    one the target is queried here, and only when beta_t > 0, so tempering at
-    the proposal endpoint is free.
+    `query` is a raw target query at x already made (`TargetDensity.query`'s
+    triple); without one the target is queried here, and only when beta_t > 0,
+    so tempering at the proposal endpoint is free.
     """
     if not 0 <= t <= path.n_steps:
         raise UsageError(f"temperature index {t} outside [0, {path.n_steps}]")
@@ -62,7 +55,7 @@ def annealed_logdensity(path: AnnealedPath, t: int, x, with_grad: bool = True, q
     lp0 = path.proposal.log_density(x)
     if beta == 0.0:
         return (lp0, path.proposal.grad_log_density(x)) if with_grad else lp0
-    lg, gg = target_query(path.target, x, with_grad) if query is None else query
+    lg, gg, _ = path.target.query(x, score=with_grad) if query is None else query
     value = (1.0 - beta) * lp0 + beta * lg
     return (value, annealed_score(path, t, x, gg)) if with_grad else value
 
@@ -101,24 +94,26 @@ class MhConfig:
         return self.scale_high if beta >= 0.5 else self.scale_low
 
 
-def mh_step(path: AnnealedPath, t: int, x, log_gamma, cfg: MhConfig, rng: RngStream):
+def mh_step(path: AnnealedPath, t: int, x, query, cfg: MhConfig, rng: RngStream):
     """`cfg.n_substeps` Gaussian random-walk Metropolis steps targeting pi_t, vectorized
-    over rows of x, given log gamma at x; each substep queries the target at its proposals.
+    over rows of x, given the raw target query at x, of which it reads log gamma;
+    each substep queries the target's value at its proposals.
 
-    Returns (x', accepted in any substep, log gamma at x').
+    Returns (x', accepted in any substep, raw target query at x', with no score).
     """
     scale = cfg.scale(path.betas[t])
-    lp = annealed_logdensity(path, t, x, with_grad=False, query=(log_gamma, None))
+    lp = annealed_logdensity(path, t, x, with_grad=False, query=query)
+    log_gamma = query[0]
     accept_any = np.zeros(len(x), dtype=bool)
     for _ in range(cfg.n_substeps):
         prop = x + scale * rng.normal(x.shape)
-        lg_prop = path.target.log_density(prop)
-        lp_prop = annealed_logdensity(path, t, prop, with_grad=False, query=(lg_prop, None))
+        new = path.target.query(prop, score=False)
+        lp_prop = annealed_logdensity(path, t, prop, with_grad=False, query=new)
         accepted = np.log(rng.uniform(size=len(x))) < (lp_prop - lp)
         x = np.where(accepted[:, None], prop, x)
-        lp, log_gamma = np.where(accepted, lp_prop, lp), np.where(accepted, lg_prop, log_gamma)
+        lp, log_gamma = np.where(accepted, lp_prop, lp), np.where(accepted, new[0], log_gamma)
         accept_any |= accepted
-    return x, accept_any, log_gamma
+    return x, accept_any, (log_gamma, None, None)
 
 
 def _leapfrog(path: AnnealedPath, t: int, x, p, eps, n_steps, score):
@@ -130,9 +125,9 @@ def _leapfrog(path: AnnealedPath, t: int, x, p, eps, n_steps, score):
     p = p + 0.5 * eps * score
     for _ in range(n_steps - 1):
         x = x + eps * p
-        p = p + eps * annealed_score(path, t, x, path.target.logdensity_and_grad(x)[1])
+        p = p + eps * annealed_score(path, t, x, path.target.query(x, score=True)[1])
     x = x + eps * p
-    query = path.target.logdensity_and_grad(x)
+    query = path.target.query(x, score=True)
     p = p + 0.5 * eps * annealed_score(path, t, x, query[1])
     return x, p, query
 
@@ -156,4 +151,5 @@ def hmc_step(path: AnnealedPath, t: int, x, query, cfg: HmcConfig, rng: RngStrea
     delta = np.where(np.isfinite(delta), delta, -np.inf)  # non-finite energy: reject
     accepted = np.log(rng.uniform(size=len(x))) < delta
     return (np.where(accepted[:, None], xn, x), accepted,
-            (np.where(accepted, new[0], query[0]), np.where(accepted[:, None], new[1], query[1])))
+            (np.where(accepted, new[0], query[0]), np.where(accepted[:, None], new[1], query[1]),
+             None))

@@ -4,13 +4,14 @@ flow training, log-Z estimation and backward transport of target samples.
 Per temperature the sweep reweights, then (forward only) resamples when the
 ESS fraction, which lies in (0, 1], is below the threshold, so a threshold of
 0 never resamples; then it makes an MCMC move at the new temperature.  The
-particles carry the raw target query (log gamma, and its gradient for HMC)
-at their positions, as the last move left it: the kernels (`kernels.hmc_step`,
-`kernels.mh_step`) take it at x and return it at x'.  pi_t and its gradient
-follow from it and the analytic proposal at no NFE.  The AIS increment
-(beta_b - beta_a)(log gamma - log pi0) at x reads that query, so only the
-sweep's first temperature queries the target: it costs 1 + L queries per
-particle for L leapfrog steps or MH substeps, and each later one costs L.
+particles carry the raw target query (`TargetDensity.query`'s triple: log
+gamma, and its gradient for HMC) at their positions, as the last move left it:
+the kernels (`kernels.hmc_step`, `kernels.mh_step`) take it at x and return it
+at x'.  pi_t and its gradient follow from it and the analytic proposal at no
+NFE.  The AIS increment (beta_b - beta_a)(log gamma - log pi0) at x reads that
+query, so only the sweep's first temperature queries the target: it costs
+1 + L queries per particle for L leapfrog steps or MH substeps, and each later
+one costs L.
 The flow (AFT/CRAFT) increment pi_b(T x) + log|det T| - pi_a(x) reads pi_a(x)
 from the query and queries only pi_b(T x), which starts the next move.
 Backward transport runs the same sweep from pi_T down to pi_0 through the
@@ -33,8 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateWeightsError, TrainingError, UsageError
-from .kernels import (AnnealedPath, HmcConfig, MhConfig, annealed_logdensity, hmc_step, mh_step,
-                      target_query)
+from .kernels import AnnealedPath, HmcConfig, MhConfig, annealed_logdensity, hmc_step, mh_step
 from .numerics.adam import AdamState, adam_step
 from .numerics.logspace import ess_fraction, log_mean_exp, log_sum_exp
 from .numerics.rng import RngStream
@@ -44,10 +44,9 @@ from .numerics.rng import RngStream
 class ParticleSystem:
     positions: np.ndarray    # (N, d)
     log_weights: np.ndarray  # (N,)
-    # the raw target query at positions, log gamma (and its gradient, HMC only),
+    # the raw target query at positions, (log gamma, its gradient (HMC only), None),
     # as the sweep last made it; None before its first query
-    log_gamma: Optional[np.ndarray] = None
-    grad_log_gamma: Optional[np.ndarray] = None
+    query: Optional[tuple] = None
 
     @property
     def n_particles(self) -> int:
@@ -83,9 +82,8 @@ def resample_multinomial(ps: ParticleSystem, rng: RngStream) -> ParticleSystem:
     probs = np.exp(lw - log_sum_exp(lw))
     probs = probs / probs.sum()
     idx = rng.choice(len(lw), size=len(lw), p=probs)
-    return ParticleSystem(ps.positions[idx], np.full(len(lw), carry),
-                          None if ps.log_gamma is None else ps.log_gamma[idx],
-                          None if ps.grad_log_gamma is None else ps.grad_log_gamma[idx])
+    query = None if ps.query is None else tuple(None if a is None else a[idx] for a in ps.query)
+    return ParticleSystem(ps.positions[idx], np.full(len(lw), carry), query)
 
 
 @dataclass
@@ -104,8 +102,7 @@ def _mcmc_move(x, path, t, kernel_cfg, rng, query):
     if isinstance(kernel_cfg, HmcConfig):
         return hmc_step(path, t, x, query, kernel_cfg, rng)
     if isinstance(kernel_cfg, MhConfig):
-        x, accepted, log_gamma = mh_step(path, t, x, query[0], kernel_cfg, rng)
-        return x, accepted, (log_gamma, None)
+        return mh_step(path, t, x, query, kernel_cfg, rng)
     raise UsageError(f"unknown kernel config {type(kernel_cfg).__name__}")
 
 
@@ -117,17 +114,15 @@ def _reweight(path, a, b, ps, flow, backward, with_grad):
     """
     x = ps.positions
     if flow is None:  # AIS: (beta_b - beta_a)(log gamma - log pi0) at x
-        if ps.log_gamma is None:
-            ps.log_gamma, ps.grad_log_gamma = target_query(path.target, x, with_grad)
-        return (path.betas[b] - path.betas[a]) * (ps.log_gamma - path.proposal.log_density(x))
+        if ps.query is None:
+            ps.query = path.target.query(x, score=with_grad)
+        return (path.betas[b] - path.betas[a]) * (ps.query[0] - path.proposal.log_density(x))
     # flow: pi_b(T x) + log|det T| - pi_a(x), T inverted backward
-    prev = annealed_logdensity(path, a, x, with_grad=False,
-                               query=None if ps.log_gamma is None else (ps.log_gamma, None))
+    prev = annealed_logdensity(path, a, x, with_grad=False, query=ps.query)
     ps.positions = flow.inverse(x) if backward else flow.apply(x)
-    ps.log_gamma, ps.grad_log_gamma = (target_query(path.target, ps.positions, with_grad)
-                                       if path.betas[b] > 0.0 else (None, None))  # pi_0 is free
-    new = annealed_logdensity(path, b, ps.positions, with_grad=False,
-                              query=(ps.log_gamma, None))
+    ps.query = (path.target.query(ps.positions, score=with_grad)
+                if path.betas[b] > 0.0 else None)  # pi_0 is free
+    new = annealed_logdensity(path, b, ps.positions, with_grad=False, query=ps.query)
     return new + (-flow.log_det if backward else flow.log_det) - prev
 
 
@@ -139,16 +134,15 @@ def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_thresh
     pi_t to pi_{t-1}, never resamples, subtracts each increment, and makes
     T - 1 moves: the weights are complete before a move towards pi_0.
     `before_reweight(t, positions)` runs at the start of each temperature.
-    `query`, a fused target query (log gamma, grad log gamma) at x already
-    made, spares the first reweight its own.
+    `query`, a raw target query at x already made, spares the first reweight
+    its own.
     """
     big_t = path.n_steps
     if flows is not None and len(flows) != big_t:
         raise UsageError("need one flow per temperature")
     with_grad = isinstance(kernel_cfg, HmcConfig)
     sign = -1.0 if backward else 1.0
-    lg, gg = (None, None) if query is None else query
-    ps = ParticleSystem(x, np.zeros(len(x)), lg, gg if with_grad else None)
+    ps = ParticleSystem(x, np.zeros(len(x)), query)
     diagnostics = []
     for t in (range(big_t, 0, -1) if backward else range(1, big_t + 1)):
         a, b = (t, t - 1) if backward else (t - 1, t)
@@ -168,8 +162,8 @@ def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_thresh
 
         if backward and b == 0:
             break
-        ps.positions, accepted, (ps.log_gamma, ps.grad_log_gamma) = _mcmc_move(
-            ps.positions, path, b, kernel_cfg, rng, (ps.log_gamma, ps.grad_log_gamma))
+        ps.positions, accepted, ps.query = _mcmc_move(ps.positions, path, b, kernel_cfg, rng,
+                                                      ps.query)
         diagnostics.append({"t": t, "ess_fraction": ess, "resampled": resampled,
                             "acceptance": float(np.mean(accepted))})
     return ps, diagnostics
@@ -194,8 +188,8 @@ def backward_transport_logweights(path: AnnealedPath, kernel_cfg, target_samples
                                   query=None) -> np.ndarray:
     """The sweep run backward from exact target samples, from pi_T down to pi_0.
 
-    `query` is the fused target query (log gamma, grad log gamma) at the
-    samples, when already made; without it the first reweight makes its own.
+    `query` is the target query with its score at the samples, when already
+    made; without it the first reweight makes its own.
     Returns the per-sample extended forward log-weights for EUBO / ESS_f / Z_f.
     """
     ps, _ = _sweep(path, kernel_cfg, target_samples, rng, flows, backward=True, query=query)

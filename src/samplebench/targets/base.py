@@ -5,20 +5,20 @@ the batch x[None, :] of shape (1, d), never a 1-D array.  A target supplies two
 batch callables over (n, d) arrays of finite points:
 
 - `log_unnorm(x) -> (n,)`: log gamma(x), the value alone;
-- `log_unnorm_and_grad(x) -> ((n,), (n, d))`: the value and the score
-  grad log gamma(x) from one pass, so that both share the work they have in
-  common (difference tensors, logits, mixture responsibilities).
+- `score_hvp(x) -> ((n,), (n, d), hvp or None)`: the value, the score
+  grad log gamma(x) and the Hessian-vector product from one pass, so that all
+  three share the work they have in common (difference tensors, logits,
+  mixture responsibilities).  `hvp(v) -> (n, d)` is the Hessian of log gamma
+  at x applied to an (n, d) batch v: a closure over the forward pass's
+  intermediates (the mixture responsibilities, the logistic sigmoid), so it
+  recomputes none of them and lets the score take part in reverse-mode
+  training.  A target without one returns None in its place.
 
-Both must return the same value.  A target may also supply the fused query
-`score_hvp(x) -> ((n,), (n, d), hvp)`: the value and score of
-`log_unnorm_and_grad`, bitwise, and `hvp(v) -> (n, d)`, the Hessian-vector
-product of log gamma at x for an (n, d) batch v.  `hvp` is a closure over the
-forward pass's intermediates (the mixture responsibilities, the logistic
-sigmoid), so it recomputes none of them; it lets the score take part in
-reverse-mode training.  The callables may assume 2-D input: the public
-methods of `TargetDensity` raise `UsageError` on any other shape or on a
-non-finite point, count one NFE per point per call (an `hvp` call counts
-none) and return the callables' output as is.
+Both must return the same value, bitwise.  The callables may assume 2-D input;
+they are read only through `TargetDensity.query`, the one counted query, which
+raises `UsageError` on any other shape or on a non-finite point, counts one
+NFE per point per call (an `hvp` call counts none) and returns the callables'
+output as is.
 
 Mode-model contract.  A target with modes supplies a `ModeModel` of M >= 2
 disjoint mode cells and `cell(x) -> (n,)`, the integer cell in [0, M) of each
@@ -31,7 +31,7 @@ EMC and EJS (`metrics.emc`, `metrics.ejs`) take these cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -75,48 +75,46 @@ class ModeModel:
 class TargetDensity:
     """Unnormalized density gamma with analytic score; batch-first evaluation.
 
-    See the module docstring for the contract of `log_unnorm`,
-    `log_unnorm_and_grad` and `score_hvp`.  `grad_log_unnorm` is not a
-    constructor argument: it is the score-only view of `log_unnorm_and_grad`,
-    and the bench's tracer (`perfbench/tracing.py`), which wraps it, is its
-    only reader.
+    See the module docstring for the contract of `log_unnorm` and `score_hvp`.
+    `grad_log_unnorm` is not a constructor argument: it is the score-only view
+    of `score_hvp`, and the bench's tracer (`perfbench/tracing.py`), which
+    wraps it, is its only reader.
     """
 
     dim: int
     log_unnorm: Callable[[np.ndarray], np.ndarray]
-    log_unnorm_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    score_hvp: Callable  # x -> ((n,), (n, d), hvp or None), hvp: v -> (n, d)
     true_log_z: Optional[float] = None
     exact_sampler: Optional[Callable] = None  # (RngStream, n) -> (n, d)
     mode_model: Optional[ModeModel] = None
-    score_hvp: Optional[Callable] = None  # x -> ((n,), (n, d), hvp), hvp: v -> (n, d)
     name: str = ""
     nfe: NfeCounter = field(default_factory=NfeCounter)
     grad_log_unnorm: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False,
                                                                 compare=False)
 
     def __post_init__(self):
-        self.grad_log_unnorm = lambda x: self.log_unnorm_and_grad(x)[1]
+        self.grad_log_unnorm = lambda x: self.score_hvp(x)[1]
 
-    def _batch(self, x) -> np.ndarray:
-        """x as an (n, dim) float batch of finite points, counted as n NFE."""
+    def query(self, x, *, score: bool, hvp: bool = False):
+        """(log gamma, grad log gamma or None, hvp closure or None) at an (n, dim) batch
+        of finite points; one NFE per point.
+
+        The value alone is `log_unnorm`'s; with `score` (which `hvp` implies) all
+        come from one `score_hvp` pass, and the closure is handed back only when
+        `hvp` asks for it, so a carried query pins none of its intermediates.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise UsageError(f"points of shape {x.shape} are not an (n, {self.dim}) batch")
         if not np.all(np.isfinite(x)):
             raise UsageError("target evaluated at non-finite point")
+        if score or hvp:
+            value, grad, closure = self.score_hvp(x)
+            if hvp and closure is None:
+                raise UsageError(f"target {self.name!r} has no score_hvp; training through "
+                                 "the score needs one (or set score_stop_gradient)")
+            out = value, grad, closure if hvp else None
+        else:
+            out = self.log_unnorm(x), None, None
         self.nfe.add(len(x))
-        return x
-
-    def log_density(self, x) -> np.ndarray:
-        return self.log_unnorm(self._batch(x))
-
-    def logdensity_and_grad(self, x):
-        """Fused value+gradient from one `log_unnorm_and_grad` pass; one NFE per point."""
-        return self.log_unnorm_and_grad(self._batch(x))
-
-    def logdensity_grad_and_hvp(self, x):
-        """Fused value, score and `hvp(v)` closure from one `score_hvp` pass; one NFE per point."""
-        if self.score_hvp is None:
-            raise UsageError(f"target {self.name!r} has no score_hvp; training through the "
-                             "score needs one (or set score_stop_gradient)")
-        return self.score_hvp(self._batch(x))
+        return out

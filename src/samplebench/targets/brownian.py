@@ -52,7 +52,7 @@ def make_brownian_target(observation_seed: int = 11) -> TargetDensity:
         return value(u_inn, u_obs, np.sum(inc**2, axis=1), np.sum(resid**2, axis=1),
                      inv_inn, inv_obs)
 
-    def log_unnorm_and_grad(theta):
+    def score_hvp(theta):
         u_inn, u_obs, inc, resid, inv_inn, inv_obs = parts(theta)
         inc_sq = np.sum(inc**2, axis=1)
         resid_sq = np.sum(resid**2, axis=1)
@@ -63,11 +63,11 @@ def make_brownian_target(observation_seed: int = 11) -> TargetDensity:
         gx[:, :-1] += inc[:, 1:] * inv_inn[:, None]
         gx[:, OBS_INDICES] -= resid * inv_obs[:, None]
         out[:, 2:] = gx
-        return value(u_inn, u_obs, inc_sq, resid_sq, inv_inn, inv_obs), out
+        return value(u_inn, u_obs, inc_sq, resid_sq, inv_inn, inv_obs), out, None  # no HVP
 
     return TargetDensity(
         dim=N_STATES + 2,
         log_unnorm=log_unnorm,
-        log_unnorm_and_grad=log_unnorm_and_grad,
+        score_hvp=score_hvp,
         name="brownian_d32",
     )

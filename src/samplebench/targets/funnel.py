@@ -19,7 +19,7 @@ def make_funnel_target(dim: int = 10, sigma_f_sq: float = 9.0) -> TargetDensity:
     def log_unnorm(x):
         return value(x[:, 0], np.sum(x[:, 1:] ** 2, axis=1), np.exp(-x[:, 0]))
 
-    def log_unnorm_and_grad(x):
+    def score_hvp(x):
         x1 = x[:, 0]
         rest = x[:, 1:]
         rest_sq = np.sum(rest**2, axis=1)
@@ -27,7 +27,7 @@ def make_funnel_target(dim: int = 10, sigma_f_sq: float = 9.0) -> TargetDensity:
         grad = np.empty_like(x)
         grad[:, 0] = -x1 / sigma_f_sq - 0.5 * k + 0.5 * rest_sq * inv_var
         grad[:, 1:] = -rest * inv_var[:, None]
-        return value(x1, rest_sq, inv_var), grad
+        return value(x1, rest_sq, inv_var), grad, None  # no HVP
 
     def sampler(rng, n):
         x1 = np.sqrt(sigma_f_sq) * rng.normal(n)
@@ -37,7 +37,7 @@ def make_funnel_target(dim: int = 10, sigma_f_sq: float = 9.0) -> TargetDensity:
     return TargetDensity(
         dim=dim,
         log_unnorm=log_unnorm,
-        log_unnorm_and_grad=log_unnorm_and_grad,
+        score_hvp=score_hvp,
         true_log_z=0.0,
         exact_sampler=sampler,
         name=f"funnel_d{dim}",

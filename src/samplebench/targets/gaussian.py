@@ -47,19 +47,15 @@ def make_gaussian_target(dim: int = 2, scale: float = 1.0, mean: float = 0.0) ->
     dist = DiagonalGaussian.isotropic(dim, scale, mean)
     var = float(scale) ** 2
 
-    def log_unnorm_and_grad(x):
-        return dist.log_density(x), dist.grad_log_density(x)
-
     def hvp(v):
         return -v / var
 
     return TargetDensity(
         dim=dim,
         log_unnorm=dist.log_density,
-        log_unnorm_and_grad=log_unnorm_and_grad,
+        score_hvp=lambda x: (dist.log_density(x), dist.grad_log_density(x), hvp),
         true_log_z=0.0,
         exact_sampler=lambda rng, n: dist.sample(rng, n),
-        score_hvp=lambda x: (*log_unnorm_and_grad(x), hvp),
         name=f"gaussian_d{dim}",
     )
 
@@ -72,9 +68,6 @@ def make_unnormalized_gaussian_target(dim: int, scale: float = 1.0) -> TargetDen
     def log_unnorm(x):
         return -0.5 * np.sum(x**2, axis=1) / var
 
-    def log_unnorm_and_grad(x):
-        return log_unnorm(x), -x / var
-
     def hvp(v):
         return -v / var
 
@@ -82,9 +75,8 @@ def make_unnormalized_gaussian_target(dim: int, scale: float = 1.0) -> TargetDen
     return TargetDensity(
         dim=dim,
         log_unnorm=log_unnorm,
-        log_unnorm_and_grad=log_unnorm_and_grad,
+        score_hvp=lambda x: (log_unnorm(x), -x / var, hvp),
         true_log_z=log_z,
         exact_sampler=lambda rng, n: dist.sample(rng, n),
-        score_hvp=lambda x: (*log_unnorm_and_grad(x), hvp),
         name=f"unnorm_gaussian_d{dim}",
     )

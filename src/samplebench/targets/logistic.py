@@ -69,28 +69,20 @@ def load_regression_target(csv_path, prior_scale: float = 1.0, add_bias: bool = 
     def log_unnorm(x):
         return value(x, x @ u.T)
 
-    def forward(x):
+    def score_hvp(x):
         # value, score, and the sigmoid the HVP reads
         logits = x @ u.T
         sig = 1.0 / (1.0 + np.exp(-logits))
-        return value(x, logits), -x / var_w + (labels - sig) @ u, sig
-
-    def log_unnorm_and_grad(x):
-        return forward(x)[:2]
-
-    def score_hvp(x):
-        val, score, sig = forward(x)
 
         def hvp(v):
             w = sig * (1.0 - sig)  # (n_points, n_data)
             return -v / var_w - (w * (v @ u.T)) @ u
 
-        return val, score, hvp
+        return value(x, logits), -x / var_w + (labels - sig) @ u, hvp
 
     return TargetDensity(
         dim=dim,
         log_unnorm=log_unnorm,
-        log_unnorm_and_grad=log_unnorm_and_grad,
         score_hvp=score_hvp,
         name=f"logistic_{Path(csv_path).stem}_d{dim}",
     )

@@ -72,7 +72,6 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
     means = spec.draw_means()
     k = spec.n_components
     log_k = np.log(k)
-    score_hvp = None
 
     if spec.kind == "gaussian":
         # log N(x | mu_k, I) = x.mu_k - |mu_k|^2/2 - |x|^2/2 - d log(2 pi)/2: the
@@ -89,16 +88,9 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
             lse, _ = _log_sum_and_resp(log_terms(x))
             return lse - 0.5 * np.sum(x * x, axis=1) - offset
 
-        def forward(x):
+        def score_hvp(x):
             # value, score = m - x with m = r.mu, and the responsibilities r the HVP reads
             lse, r = _log_sum_and_resp(log_terms(x))
-            return lse - 0.5 * np.sum(x * x, axis=1) - offset, r.T @ means - x, r
-
-        def log_unnorm_and_grad(x):
-            return forward(x)[:2]
-
-        def score_hvp(x):
-            value, score, r = forward(x)
 
             def hvp(v):
                 # Hessian of log gamma = Cov_r(mu) - I, applied as E_r[mu mu^T] v - m m^T v - v;
@@ -108,7 +100,7 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
                 rv *= r
                 return rv.T @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
 
-            return value, score, hvp
+            return lse - 0.5 * np.sum(x * x, axis=1) - offset, r.T @ means - x, hvp
 
     else:
 
@@ -119,12 +111,12 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
             lse, _ = _log_sum_and_resp(log_terms(x))
             return lse - log_k
 
-        def log_unnorm_and_grad(x):
+        def score_hvp(x):
             diff = x[None, :, :] - means[:, None, :]  # (K, n, d)
             diff_sq = diff**2
             lse, r = _log_sum_and_resp(_t2_logdensities(diff_sq))
-            # d/dx log t_2 per coordinate: -3u/(2+u^2), u = x - mu
-            return lse - log_k, np.einsum("kn,knd->nd", r, -3.0 * diff / (2.0 + diff_sq))
+            # d/dx log t_2 per coordinate: -3u/(2+u^2), u = x - mu; no HVP
+            return lse - log_k, np.einsum("kn,knd->nd", r, -3.0 * diff / (2.0 + diff_sq)), None
 
     def sampler(rng: RngStream, n: int):
         comps = rng.integers(k, size=n)
@@ -140,11 +132,10 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
     return TargetDensity(
         dim=spec.dim,
         log_unnorm=log_unnorm,
-        log_unnorm_and_grad=log_unnorm_and_grad,
+        score_hvp=score_hvp,
         true_log_z=0.0,
         exact_sampler=sampler,
         mode_model=ModeModel(k, mode_cell, np.full(k, 1.0 / k)),
-        score_hvp=score_hvp,
         name=f"{'mog' if spec.kind == 'gaussian' else 'mos'}_d{spec.dim}_k{k}",
     )
 

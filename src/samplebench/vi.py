@@ -40,7 +40,7 @@ def mfvi_train(target: TargetDensity, init_scale: float, batch_size: int, iterat
     for it in range(1, iterations + 1):
         eps = rng.normal((batch_size, target.dim))
         std = np.exp(q.log_std)
-        gamma_val, gamma_grad = target.logdensity_and_grad(q.mean + std * eps)
+        gamma_val, gamma_grad, _ = target.query(q.mean + std * eps, score=True)
         # log q at its own sample reduces to -sum(log_std) - |eps|^2/2 - const
         log_q = -np.sum(q.log_std) - 0.5 * target.dim * LOG_2PI \
             - 0.5 * float(np.mean(np.sum(eps**2, axis=1)))

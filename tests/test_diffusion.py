@@ -46,13 +46,13 @@ def zero_drift(spec):
 
 # ------------------------------------------------------------ kernel structure
 class ScoreStub:
-    """A target whose fused value+score query returns `score` at any batch."""
+    """A target whose value+score query returns `score` at any batch."""
 
     def __init__(self, score):
         self.score = score
 
-    def logdensity_and_grad(self, x):
-        return np.zeros(len(x)), self.score
+    def query(self, x, *, score, hvp=False):
+        return np.zeros(len(x)), self.score, None
 
 
 def kernel_means_at(spec, t, x, score):
@@ -309,7 +309,7 @@ def test_t1_collapse_matches_direct_densities():
     f_mean = x0 + score0 * var
     eps1 = rng2.normal((64, 1))
     x1 = f_mean + math.sqrt(var) * eps1
-    _, score1 = target.log_unnorm_and_grad(x1)  # beta_1 = 1: target score
+    _, score1, _ = target.score_hvp(x1)  # beta_1 = 1: target score
     b_mean = x1 + score1 * var
     lw = (
         target.log_unnorm(x1)
@@ -577,32 +577,36 @@ def test_training_divergence_aborts():
     spec = make_spec("mcd", dim=1, n_steps=2, guidance=True, seed=23)
     bad = make_gaussian_target(1)
     bad.log_unnorm = lambda x: np.full(len(np.atleast_2d(x)), np.nan)
-    bad.log_unnorm_and_grad = lambda x: (bad.log_unnorm(x), np.zeros_like(np.atleast_2d(x)))
-    bad.score_hvp = lambda x: (*bad.log_unnorm_and_grad(x), np.zeros_like)
+    bad.score_hvp = lambda x: (bad.log_unnorm(x), np.zeros_like(x), np.zeros_like)
     with pytest.raises(TrainingError):
         train_diffusion(spec, bad, "elbo", 10, 8, RngStream(24, 0))
+
+
+def _without_hvp(target):
+    """`target` with its fused callable's HVP dropped, as a target without one returns it."""
+    fused = target.score_hvp
+    target.score_hvp = lambda x: (*fused(x)[:2], None)
+    return target
 
 
 def test_training_without_hvp_is_rejected():
     # cmcd's forward kernel carries the drift net, so states become tape nodes
     # and the score needs curvature; mcd's trajectory is parameter-free
     spec = make_spec("cmcd", dim=1, n_steps=2, guidance=True, seed=25)
-    target = make_gaussian_target(1)
-    target.score_hvp = None
+    target = _without_hvp(make_gaussian_target(1))
     with pytest.raises(UsageError, match="has no score_hvp"):
         train_diffusion(spec, target, "elbo", 2, 8, RngStream(26, 0))
     spec.score_stop_gradient = True
     train_diffusion(spec, target, "elbo", 2, 8, RngStream(26, 0))  # now allowed
 
     mcd = make_spec("mcd", dim=1, n_steps=2, guidance=True, seed=25)
-    target2 = make_gaussian_target(1)
-    target2.score_hvp = None
+    target2 = _without_hvp(make_gaussian_target(1))
     train_diffusion(mcd, target2, "elbo", 2, 8, RngStream(26, 0))  # fine without curvature
 
 
 def test_score_stop_gradient_holds_where_the_target_has_an_hvp(monkeypatch):
     # with the flag the score is a plain array, even where score_hvp could carry
-    # it, and no anchor makes the fused HVP query; without it every anchor on
+    # it, and no anchor asks the query for the HVP; without it every anchor on
     # the tape (x_1 .. x_T) makes that one query and no other
     tapes = []
 
@@ -613,12 +617,14 @@ def test_score_stop_gradient_holds_where_the_target_has_an_hvp(monkeypatch):
 
     monkeypatch.setattr(diffusion, "Tape", KeptTape)
     target = make_gaussian_target(2)
-    assert target.score_hvp is not None
     queries = collections.Counter()
-    for name in ("logdensity_and_grad", "logdensity_grad_and_hvp"):
-        real = getattr(target, name)
-        monkeypatch.setattr(target, name,
-                            lambda x, real=real, name=name: queries.update([name]) or real(x))
+    real = target.query
+
+    def counting_query(x, *, score, hvp=False):
+        queries.update(["hvp" if hvp else "score" if score else "value"])
+        return real(x, score=score, hvp=hvp)
+
+    monkeypatch.setattr(target, "query", counting_query)
     calls = []
     for stop in (False, True):
         spec = make_spec("dds", n_steps=4, guidance=True, seed=52)
@@ -629,8 +635,7 @@ def test_score_stop_gradient_holds_where_the_target_has_an_hvp(monkeypatch):
     scores = [collections.Counter(node.op for node in tape.nodes)["target_score"]
               for tape in tapes]
     assert scores == [4, 0]
-    assert calls == [{"logdensity_and_grad": 1, "logdensity_grad_and_hvp": 4},
-                     {"logdensity_and_grad": 5}]
+    assert calls == [{"hvp": 4, "score": 1}, {"score": 5}]
 
 
 def test_train_on_gaussian_improves_elbo():

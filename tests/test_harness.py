@@ -943,9 +943,14 @@ def _scaled_target(name, params=None):
     """The shipped target with gamma scaled by e^ORACLE_LOG_Z, and its log Z to match."""
     target = build_target(name, params or {})
     assert target.true_log_z == 0.0
-    value, fused = target.log_unnorm, target.log_unnorm_and_grad
+    value, fused = target.log_unnorm, target.score_hvp
+
+    def scaled_fused(x):
+        val, score, hvp = fused(x)
+        return val + ORACLE_LOG_Z, score, hvp
+
     target.log_unnorm = lambda x: value(x) + ORACLE_LOG_Z
-    target.log_unnorm_and_grad = lambda x: (fused(x)[0] + ORACLE_LOG_Z, fused(x)[1])
+    target.score_hvp = scaled_fused
     target.true_log_z = ORACLE_LOG_Z
     return target
 
@@ -1369,7 +1374,7 @@ class _Unqueried:
     def backward_logweights(self, y, rng, _query):
         s = self.sampler
         if isinstance(s, MfviSampler):
-            return self.target.log_density(y) - s.q.log_density(y)
+            return self.target.query(y, score=False)[0] - s.q.log_density(y)
         if isinstance(s, SmcSampler):
             return backward_transport_logweights(s.path, s.kernel_cfg, y, rng, flows=s.flows)
         return simulate_backward_logweights(s.spec, s.target, y, rng)
@@ -1668,6 +1673,24 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unused == {}
 
 
+def _target_callable_calls(path):
+    """(line, name) of each call of a target callable that `TargetDensity.query` counts."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(node.lineno, node.func.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("log_unnorm", "score_hvp", "grad_log_unnorm")]
+
+
+def test_only_the_counted_query_calls_a_target_callable():
+    # TargetDensity.query is the one way into a target, so no query goes uncounted;
+    # outside targets/, no module calls the callables behind it
+    pkg = SRC / "samplebench"
+    paths = sorted(p for p in pkg.rglob("*.py") if p.parent.name != "targets")
+    assert len(paths) > 20
+    calls = {str(p.relative_to(SRC)): found for p in paths if (found := _target_callable_calls(p))}
+    assert calls == {}
+
+
 def test_harness_import_loads_no_scipy():
     # the harness, not the CLI: the CLI imports lazily, so importing it would pass vacuously
     loaded = _run_python(
@@ -1754,3 +1777,42 @@ def test_bench_instruments_wrap_mfvi_and_craft_runs():
     assert [smc["spans"][name] for name in (
         "sis.smc_run", "sis.backward_transport_logweights", "kernels.hmc_step")] == [1, 1, 3 + 2]
     assert smc["nfe_eval"] == 16 * (1 + 3 * 2) + 32 * (1 + (3 - 1) * 2)
+
+
+def test_bench_tracer_counts_every_counted_query():
+    # perfbench's tracer counts the points of the target callables it wraps; every
+    # counted query goes through one of them, so its count is the target's NFE
+    mcmc = {"name": "smc", "n_steps": 3, "particles": 16}
+    docs = {
+        "smc_hmc": tiny_config(seeds=[0], method={**mcmc, "leapfrog_steps": 2}),
+        "smc_mh": tiny_config(seeds=[0], method={**mcmc, "kernel": "mh", "mh_substeps": 2}),
+        "mfvi": tiny_config(seeds=[0]),
+        "dds": tiny_config(seeds=[0], method={"name": "dds", "iterations": 3, "n_steps": 2,
+                                              "batch_size": 8, "sigma_max": 1.0}),
+    }
+    for doc in docs.values():
+        doc["protocol"].update(n_checkpoints=2, eval_samples=32)
+    out = _run_python(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from tracing import Tracer, instrument\n"
+        "import samplebench.harness.run as run_mod\n"
+        "from samplebench.harness import parse_config, run_experiment\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer)\n"
+        "traced_build, built = run_mod.build_target, []\n"
+        "def build(*args):\n"
+        "    built.append(traced_build(*args))\n"
+        "    return built[-1]\n"
+        "run_mod.build_target = build\n"
+        "out = {}\n"
+        f"for name, doc in json.loads({json.dumps(json.dumps(docs))}).items():\n"
+        "    points, first = tracer.counts['targets.points'], len(built)\n"
+        "    record = run_experiment(parse_config(doc))\n"
+        "    assert not record.failures, record.failures\n"
+        "    out[name] = [tracer.counts['targets.points'] - points,\n"
+        "                 sum(target.nfe.value for target in built[first:])]\n"
+        "print(json.dumps(out))\n")
+    assert set(out) == set(docs)
+    for name, (points, nfe) in out.items():
+        assert nfe > 0 and points == nfe, name

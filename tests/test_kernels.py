@@ -108,7 +108,7 @@ def test_mh_uphill_always_accepted():
     path = std_normal_path()
     # start far out: essentially every proposal toward the origin is uphill
     x = np.full((200, 1), 50.0)
-    _, accepted, _ = mh_step(path, 1, x, path.target.log_density(x), mh_cfg(0.5), rng)
+    _, accepted, _ = mh_step(path, 1, x, path.target.query(x, score=False), mh_cfg(0.5), rng)
     prop_uphill = accepted.mean()
     assert prop_uphill > 0.45  # about half of proposals move inward, all accepted
 
@@ -117,11 +117,11 @@ def test_mh_tiny_scale_acceptance_near_one():
     rng = RngStream(3, 0)
     path = std_normal_path()
     x = rng.normal((100, 1))
-    log_gamma = path.target.log_density(x)
+    query = path.target.query(x, score=False)
     total = 0
     accepted_count = 0
     for _ in range(100):  # 10^4 steps at scale 1e-6
-        x, accepted, log_gamma = mh_step(path, 1, x, log_gamma, mh_cfg(1e-6), rng)
+        x, accepted, query = mh_step(path, 1, x, query, mh_cfg(1e-6), rng)
         accepted_count += accepted.sum()
         total += len(accepted)
     assert accepted_count / total > 0.999
@@ -131,10 +131,10 @@ def test_mh_long_run_moments():
     rng = RngStream(4, 0)
     path = std_normal_path()
     x = rng.normal((100, 1))
-    log_gamma = path.target.log_density(x)
+    query = path.target.query(x, score=False)
     draws = []
     for step in range(1000):  # 10^5 total draws at the classic 2.4 scale
-        x, _, log_gamma = mh_step(path, 1, x, log_gamma, mh_cfg(2.4), rng)
+        x, _, query = mh_step(path, 1, x, query, mh_cfg(2.4), rng)
         if step >= 100:
             draws.append(x.copy())
     pooled = np.concatenate(draws).ravel()
@@ -183,7 +183,7 @@ def test_hmc_long_run_moments_d10():
     path = std_normal_path(10)
     cfg = HmcConfig(leapfrog_steps=10, step_size_low=0.5, step_size_high=0.5)
     x = rng.normal((100, 10)) * 2.0
-    query = path.target.logdensity_and_grad(x)
+    query = path.target.query(x, score=True)
     draws = []
     for step in range(1000):
         x, _, query = hmc_step(path, 1, x, query, cfg, rng)
@@ -202,11 +202,11 @@ def test_hmc_rejects_nonfinite_energy():
         def exploding(pts, bad=bad):
             val = -0.5 * np.sum(pts**2, axis=1)
             val = np.where(np.abs(pts[:, 0]) > 1.5, bad, val)
-            return val, -pts
+            return val, -pts, None
 
         path = last_temperature_path(TargetDensity(1, lambda pts: exploding(pts)[0], exploding))
-        x2, accepted, (lg, gg) = hmc_step(path, 1, x, path.target.logdensity_and_grad(x), cfg,
-                                          RngStream(8, 0))
+        x2, accepted, (lg, gg, _) = hmc_step(path, 1, x, path.target.query(x, score=True), cfg,
+                                             RngStream(8, 0))
         # trajectories that end in the non-finite region must be rejected in place
         assert 0 < accepted.sum() < len(x)
         assert np.all(np.abs(x2) <= 1.5) and np.all(np.isfinite(lg))
@@ -231,24 +231,19 @@ def test_kernels_return_the_fresh_query_at_x_prime_and_cost_n_times_steps(target
     path = AnnealedPath.linear(DiagonalGaussian.isotropic(target.dim, sigma0), target, 4)
     n, steps = 37, 4
     x = path.proposal.sample(RngStream(1, 0), n)
-    if kind == "hmc":
-        query = target.logdensity_and_grad(x)
-        cfg = HmcConfig(leapfrog_steps=steps, step_size_low=2.0, step_size_high=2.0)
-        target.nfe.reset()
-        x2, accepted, new = hmc_step(path, 2, x, query, cfg, RngStream(2, 0))
-        cost = target.nfe.value
-        fresh = target.logdensity_and_grad(x2)
-    else:
-        query = (target.log_density(x),)
-        target.nfe.reset()
-        x2, accepted, log_gamma = mh_step(path, 2, x, query[0], mh_cfg(10.0, steps),
-                                          RngStream(2, 0))
-        cost = target.nfe.value
-        new, fresh = (log_gamma,), (target.log_density(x2),)
+    score = kind == "hmc"
+    step, cfg = ((hmc_step, HmcConfig(leapfrog_steps=steps, step_size_low=2.0, step_size_high=2.0))
+                 if score else (mh_step, mh_cfg(10.0, steps)))
+    query = target.query(x, score=score)
+    target.nfe.reset()
+    x2, accepted, new = step(path, 2, x, query, cfg, RngStream(2, 0))
+    cost = target.nfe.value
+    fresh = target.query(x2, score=score)
     assert cost == n * steps
     assert 0 < accepted.sum() < n
     assert np.all(x2[~accepted] == x[~accepted])
-    for got, want, kept in zip(new, fresh, query):
+    assert new[2] is None and (new[1] is None) == (not score)
+    for got, want, kept in zip(new[:2] if score else new[:1], fresh, query):
         assert got.tobytes() == want.tobytes()
         assert got[~accepted].tobytes() == kept[~accepted].tobytes()
 
@@ -263,12 +258,12 @@ def test_chain_matches_exact_draws_via_mmd_permutation(kind):
     # trajectory length ~ pi/2 decorrelates Gaussian phase space in one step
     cfg = HmcConfig(leapfrog_steps=5, step_size_low=0.31, step_size_high=0.31)
     path = std_normal_path(dim)
-    log_gamma, score = path.target.logdensity_and_grad(x)
+    query = path.target.query(x, score=kind == "hmc")
     for step in range(120):
         if kind == "mh":
-            x, _, log_gamma = mh_step(path, 1, x, log_gamma, mh_cfg(1.2), rng)
+            x, _, query = mh_step(path, 1, x, query, mh_cfg(1.2), rng)
         else:
-            x, _, (log_gamma, score) = hmc_step(path, 1, x, (log_gamma, score), cfg, rng)
+            x, _, query = hmc_step(path, 1, x, query, cfg, rng)
         if step >= 40 and step % 5 == 0:  # thin
             draws.append(x.copy())
     chain = np.concatenate(draws)[:600]

@@ -77,7 +77,7 @@ def test_shifted_exp_never_passes_exp_an_input_below_its_floor(monkeypatch):
     # the callers: the mixtures' softmax, Sinkhorn, and log_sum_exp
     target = make_mog_target(50)
     x = rng.uniform(-40.0, 40.0, (128, 50))
-    target.log_unnorm_and_grad(x)
+    target.log_unnorm(x)
     target.score_hvp(x)[2](rng.normal(x.shape))
     # Sinkhorn builds its kernel and plan through the clamped exp; one far point puts
     # the first kernel's exponents -C/eps below the floor

@@ -135,7 +135,7 @@ def test_smc_degenerate_weights_error():
     target = make_gaussian_target(1)
     bad = make_gaussian_target(1)
     bad.log_unnorm = lambda x: np.full(len(np.atleast_2d(x)), -np.inf)
-    bad.log_unnorm_and_grad = lambda x: (bad.log_unnorm(x), np.zeros_like(np.atleast_2d(x)))
+    bad.score_hvp = lambda x: (bad.log_unnorm(x), np.zeros_like(x), None)
     path = AnnealedPath.linear(DiagonalGaussian.isotropic(1), bad, 4)
     with pytest.raises(DegenerateWeightsError) as err:
         smc_run(path, hmc_cfg(), 16, RngStream(9, 0))
@@ -252,7 +252,7 @@ def test_hmc_move_builds_pi_t_only_where_the_metropolis_test_reads_it(monkeypatc
     target = make_mog_target(2, seed=0)
     path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 60.0), target, 4)
     x = path.proposal.sample(RngStream(1, 0), 8)
-    query = target.logdensity_and_grad(x)
+    query = target.query(x, score=True)
     built = []
     log_density = path.proposal.log_density
     monkeypatch.setattr(path.proposal, "log_density",
@@ -338,7 +338,7 @@ def test_craft_non_finite_tempered_density_is_a_training_error():
     # a standard normal cut off at radius 1; proposal draws at std 100 lie beyond it
     def fused(x):
         val = -0.5 * np.sum(x**2, axis=1)
-        return np.where(np.linalg.norm(x, axis=1) < 1.0, val, -np.inf), -x
+        return np.where(np.linalg.norm(x, axis=1) < 1.0, val, -np.inf), -x, None
 
     target = TargetDensity(2, lambda x: fused(x)[0], fused)
     path = AnnealedPath.linear(DiagonalGaussian.isotropic(2, 100.0), target, 4)
@@ -448,10 +448,7 @@ def _reference_smc_run(path, kernel_cfg, n_particles, rng, resample_threshold=0.
         # AIS increment (beta_t - beta_{t-1}) (log gamma - log pi0) at x_{t-1};
         # fused so the gradient doubles as the HMC initial state
         lp0 = path.proposal.log_density(x)
-        if needs_grad:
-            lg, gg = path.target.logdensity_and_grad(x)
-        else:
-            lg = path.target.log_density(x)
+        lg, gg, _ = path.target.query(x, score=needs_grad)
         log_w = log_w + (beta - beta_prev) * (lg - lp0)
         if needs_grad:
             g0 = path.proposal.grad_log_density(x)
@@ -494,7 +491,7 @@ def _reference_backward(path, kernel_cfg, target_samples, rng):
     for t in range(big_t, 0, -1):
         beta_prev, beta = path.betas[t - 1], path.betas[t]
         lp0 = path.proposal.log_density(x)
-        lg = path.target.log_density(x)
+        lg = path.target.query(x, score=False)[0]
         log_w = log_w + (beta - beta_prev) * (lg - lp0)
         # move targeting pi_{t-1}
         if isinstance(kernel_cfg, HmcConfig):
@@ -564,7 +561,7 @@ def test_backward_ais_from_a_given_query_bitwise_equals_reference_loop(target_na
     path = _reference_path(target_name)
     cfg = REFERENCE_KERNELS[kernel]
     samples = path.target.exact_sampler(RngStream(3, 0), 50)
-    query = path.target.logdensity_and_grad(samples)
+    query = path.target.query(samples, score=True)
     path.target.nfe.reset()
     lw = backward_transport_logweights(path, cfg, samples, RngStream(4, 0), query=query)
     steps = cfg.leapfrog_steps if kernel == "hmc" else cfg.n_substeps

@@ -38,7 +38,7 @@ def fd_grad(f, x, eps=1e-6):
 
 def assert_grad_matches(target, points, rtol=1e-5, atol=1e-7):
     for x in points:
-        _, grad = target.logdensity_and_grad(x[None, :])
+        _, grad, _ = target.query(x[None, :], score=True)
         fd = fd_grad(lambda p: target.log_unnorm(p[None, :])[0], x)
         np.testing.assert_allclose(grad[0], fd, rtol=rtol, atol=atol)
 
@@ -61,16 +61,42 @@ def test_gradients_match_finite_differences_at_50_points(factory, dim, scale):
 
 
 # --------------------------------------------------------------------- basics
-def test_fused_call_counts_one_nfe_per_point():
-    t = make_gaussian_target(2)
-    t.nfe.reset()
-    t.logdensity_and_grad(np.zeros((1, 2)))
-    assert t.nfe.value == 1
-    t.log_density(np.zeros((7, 2)))
-    assert t.nfe.value == 8
-    _, _, hvp = t.logdensity_grad_and_hvp(np.zeros((5, 2)))
-    hvp(np.ones((5, 2)))
-    assert t.nfe.value == 13  # the HVP closure counts none
+CONTRACT_TARGETS = [("mog", {}), ("mog", {"dim": 50}), ("mos", {}), ("funnel", {}),
+                    ("gaussian", {}), ("brownian", {}), ("logistic", None)]
+CONTRACT_IDS = [n + (f"_d{p['dim']}" if p else "") for n, p in CONTRACT_TARGETS]
+# the forms of the one counted query: value alone, value and score, and with the HVP
+QUERY_FORMS = {"value": {"score": False}, "score": {"score": True},
+               "hvp": {"score": True, "hvp": True}}
+
+
+def _contract_target(name, params, csv_path):
+    return build_target(name, {"csv_path": str(csv_path)} if params is None else params)
+
+
+def _has_hvp(target):
+    return target.score_hvp(np.zeros((1, target.dim)))[2] is not None
+
+
+def test_fused_call_counts_one_nfe_per_point(toy_csv):
+    # every form counts n and the closure none; the closure comes back only when
+    # asked for, so a carried query pins none of the forward pass, and a target
+    # without an HVP refuses that form before counting
+    for name, params in CONTRACT_TARGETS:
+        target = _contract_target(name, params, toy_csv)
+        for n, form in zip((1, 7, 5), QUERY_FORMS):
+            x = DEFAULT_SIGMA0[name] * RngStream(41, n).normal((n, target.dim))
+            target.nfe.reset()
+            if form == "hvp" and not _has_hvp(target):
+                with pytest.raises(UsageError, match="has no score_hvp"):
+                    target.query(x, **QUERY_FORMS[form])
+                assert target.nfe.value == 0, name
+                continue
+            _, score, hvp = target.query(x, **QUERY_FORMS[form])
+            assert target.nfe.value == n, (name, form)
+            assert (score is None) == (form == "value") and (hvp is None) == (form != "hvp")
+            if hvp is not None:
+                assert hvp(np.ones((n, target.dim))).shape == (n, target.dim)
+                assert target.nfe.value == n, name  # the HVP closure counts none
 
 
 def _one_dimensional_calls():
@@ -78,9 +104,8 @@ def _one_dimensional_calls():
     net = DriftNet.init(dim=2, n_steps=8, rng=RngStream(0, 0))
     x, y = np.arange(4.0), np.arange(10.0, 14.0)  # read as 4 scalar samples, their W2 is 10
     return {
-        "target.log_density": lambda: target.log_density(np.zeros(2)),
-        "target.logdensity_and_grad": lambda: target.logdensity_and_grad(np.zeros(2)),
-        "target.logdensity_grad_and_hvp": lambda: target.logdensity_grad_and_hvp(np.zeros(2)),
+        **{f"target.query-{form}": lambda kw=kw: target.query(np.zeros(2), **kw)
+           for form, kw in QUERY_FORMS.items()},
         "DiagonalGaussian.log_density": lambda: DiagonalGaussian.isotropic(2).log_density(
             np.zeros(2)),
         "WeightedSamples": lambda: WeightedSamples(x, np.zeros(4), REVERSE),
@@ -97,18 +122,15 @@ def test_one_dimensional_input_raises_at_every_public_boundary(entry):
         _one_dimensional_calls()[entry]()
 
 
-CONTRACT_TARGETS = [("mog", {}), ("mog", {"dim": 50}), ("mos", {}), ("funnel", {}),
-                    ("gaussian", {}), ("brownian", {}), ("logistic", None)]
-
-
-@pytest.mark.parametrize("name,params", CONTRACT_TARGETS,
-                         ids=[n + (f"_d{p['dim']}" if p else "") for n, p in CONTRACT_TARGETS])
+@pytest.mark.parametrize("name,params", CONTRACT_TARGETS, ids=CONTRACT_IDS)
 def test_value_alone_bitwise_equals_the_fused_value(name, params, toy_csv):
-    # the harness queries the exact draws once, fused, and hands that value to
-    # backward paths that otherwise read the value-only entry
-    target = build_target(name, {"csv_path": str(toy_csv)} if params is None else params)
+    # the harness queries the exact draws once, with the score, and hands that
+    # value to backward paths that otherwise read the value alone
+    target = _contract_target(name, params, toy_csv)
     x = DEFAULT_SIGMA0[name] * RngStream(40, target.dim).normal((64, target.dim))
-    assert target.log_unnorm(x).tobytes() == target.log_unnorm_and_grad(x)[0].tobytes()
+    forms = [f for f in QUERY_FORMS if f != "hvp" or _has_hvp(target)]
+    values = {target.query(x, **QUERY_FORMS[form])[0].tobytes() for form in forms}
+    assert len(values) == 1
 
 
 def test_contract_cases_cover_every_shipped_target():
@@ -117,21 +139,23 @@ def test_contract_cases_cover_every_shipped_target():
 
 def test_nonfinite_point_rejected():
     t = make_gaussian_target(2)
-    with pytest.raises(UsageError):
-        t.log_density(np.array([[np.nan, 0.0]]))
+    for form in QUERY_FORMS.values():
+        with pytest.raises(UsageError, match="non-finite point"):
+            t.query(np.array([[0.0, 1.0], [np.nan, 0.0]]), **form)
+    assert t.nfe.value == 0
 
 
 def test_standard_gaussian_score_is_minus_x():
     t = make_gaussian_target(4)
     x = np.array([[0.5, -1.0, 2.0, 0.0]])
-    _, g = t.logdensity_and_grad(x)
+    _, g, _ = t.query(x, score=True)
     np.testing.assert_allclose(g, -x, atol=1e-12)
 
 
 # --------------------------------------------------------------------- funnel
 def test_funnel_at_origin_matches_closed_form():
     t = make_funnel_target(10)
-    (val,) = t.log_density(np.zeros((1, 10)))
+    (val,) = t.query(np.zeros((1, 10)), score=False)[0]
     expected = -0.5 * (LOG_2PI + math.log(9.0)) + 9 * (-0.5 * LOG_2PI)
     assert val == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(-10.2880, abs=5e-4)
@@ -173,20 +197,21 @@ def test_mog_logdensity_at_isolated_mean():
     np.fill_diagonal(dists, np.inf)
     isolated = int(np.argmax(dists.min(axis=1)))
     if dists.min(axis=1)[isolated] > 20:
-        (val,) = t.log_density(means[isolated][None, :])
+        (val,) = t.query(means[isolated][None, :], score=False)[0]
         assert val == pytest.approx(-math.log(40) - LOG_2PI, abs=1e-6)
     # always check the fully controlled variant too
     spec2 = MixtureSpec(2, 2, "gaussian", -40, 40, seed=1)
     means2 = spec2.draw_means()
     if np.linalg.norm(means2[0] - means2[1]) > 20:
         t2 = make_mixture_target(spec2)
-        assert t2.log_density(means2[:1])[0] == pytest.approx(-math.log(2) - LOG_2PI, abs=1e-6)
+        (val,) = t2.query(means2[:1], score=False)[0]
+        assert val == pytest.approx(-math.log(2) - LOG_2PI, abs=1e-6)
 
 
 def test_mos_tails_are_cubic_per_coordinate():
     t = make_mos_target(1, seed=2)
     # far from all means, log gamma ~ -3 log|x| per coordinate
-    v1, v2 = t.log_density(np.array([[1e4], [1e5]]))
+    v1, v2 = t.query(np.array([[1e4], [1e5]]), score=False)[0]
     slope = (v2 - v1) / (math.log(1e5) - math.log(1e4))
     assert slope == pytest.approx(-3.0, abs=0.01)
 
@@ -294,7 +319,7 @@ def test_mog_expansion_matches_direct_form_out_to_3_sigma(dim):
     scale = np.sum(x * x, axis=1) + np.max(np.sum(means**2, axis=1))
 
     value, score, hvp = _mog_direct(means, x, v)
-    value_mm, score_mm = target.log_unnorm_and_grad(x)
+    value_mm, score_mm, _ = target.query(x, score=True)
     assert np.all(np.abs(value_mm - value) <= 1e-14 * scale)
     assert np.all(np.abs(target.log_unnorm(x) - value) <= 1e-14 * scale)
     assert np.all(np.abs(score_mm - score).max(axis=1) <= 1e-13 * scale)
@@ -350,7 +375,7 @@ def test_component_major_queries_match_direct_form_at_every_batch_size(kind, dim
         assert np.all(hvp_err <= 1e-13 * scale * np.linalg.norm(v, axis=1))
     else:
         value, score, comp = _mos_direct(means, x)
-        value_q, score_q = target.log_unnorm_and_grad(x)
+        value_q, score_q, _ = target.score_hvp(x)
     assert np.all(np.abs(value_q - value) <= 1e-14 * scale)
     assert np.all(np.abs(target.log_unnorm(x) - value) <= 1e-14 * scale)
     assert np.all(np.abs(score_q - score).max(axis=1) <= 1e-13 * scale)
@@ -380,11 +405,8 @@ def _unclamped_log_sum_and_resp(comp):
 
 
 def _mixture_queries(target, x, v):
-    out = [target.log_unnorm(x), *target.log_unnorm_and_grad(x)]
-    if target.score_hvp is None:
-        return out
     value, score, hvp = target.score_hvp(x)
-    return out + [value, score, hvp(v)]
+    return [target.log_unnorm(x), value, score] + ([] if hvp is None else [hvp(v)])
 
 
 @pytest.mark.parametrize("kind,dim,half_width", [
@@ -450,13 +472,13 @@ def test_logistic_value_at_zero(toy_csv):
     t = load_regression_target(toy_csv, prior_scale=1.0)
     n = 40
     expected = n * math.log(0.5) - (t.dim / 2) * math.log(2 * math.pi * 1.0)
-    assert t.log_density(np.zeros((1, t.dim)))[0] == pytest.approx(expected, abs=1e-9)
+    assert t.query(np.zeros((1, t.dim)), score=False)[0][0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_logistic_gradient_at_zero(toy_csv):
     t = load_regression_target(toy_csv, prior_scale=1.0)
     # read back the standardized design matrix through the gradient identity
-    (g,) = t.logdensity_and_grad(np.zeros((1, t.dim)))[1]
+    (g,) = t.query(np.zeros((1, t.dim)), score=True)[1]
     fd = fd_grad(lambda p: t.log_unnorm(p[None, :])[0], np.zeros(t.dim))
     np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
@@ -471,7 +493,7 @@ def test_logistic_separable_scan_monotone_until_prior_wins(tmp_path):
     path.write_text("f,label\n-1.0,0\n1.0,1\n")
     t = load_regression_target(path, prior_scale=1.0)
     alphas = np.linspace(0.0, 6.0, 25)
-    vals = t.log_density(alphas[:, None])
+    vals = t.query(alphas[:, None], score=False)[0]
     diffs = np.diff(vals)
     # increases along the separating direction, then the prior dominates
     assert diffs[0] > 0
@@ -558,7 +580,7 @@ def test_score_hvp_closure_matches_central_difference_symmetry_and_former_formul
     value, score, hvp = target.score_hvp(x)
     hv, hw = hvp(v), hvp(w)
     # the value and score are the fused query's, and the HVP the former formula's, bitwise
-    value_fused, score_fused = target.log_unnorm_and_grad(x)
+    value_fused, score_fused, _ = target.query(x, score=True)
     assert np.array_equal(value, value_fused) and np.array_equal(score, score_fused)
     assert np.array_equal(hv, former_hvp(x, v)) and np.array_equal(hw, former_hvp(x, w))
 
@@ -566,8 +588,8 @@ def test_score_hvp_closure_matches_central_difference_symmetry_and_former_formul
     # rounding is that of the score divided by 2h, largest at the d=50 ties, whose
     # log-terms |x.mu| ~ 1e4 make the responsibilities' rounding about 4e-6 of |Hv|
     h = 1e-5
-    fd = (target.log_unnorm_and_grad(x + h * v)[1]
-          - target.log_unnorm_and_grad(x - h * v)[1]) / (2.0 * h)
+    fd = (target.query(x + h * v, score=True)[1]
+          - target.query(x - h * v, score=True)[1]) / (2.0 * h)
     norm = np.linalg.norm
     assert np.all(norm(fd - hv, axis=1) <= 1e-5 * (norm(hv, axis=1) + norm(v, axis=1)))
 
@@ -591,9 +613,9 @@ def test_mog_hvp_closure_holds_no_n_by_d_array(name):
 
 
 def test_hvp_cases_cover_every_shipped_target_that_has_one(toy_csv):
-    with_hvp = {name for name in TARGETS
-                if build_target(name, {"csv_path": str(toy_csv)} if name == "logistic" else {})
-                .score_hvp is not None}
+    with_hvp = {name for name, params in CONTRACT_TARGETS
+                if _has_hvp(_contract_target(name, params, toy_csv))}
+    assert with_hvp == {"mog", "gaussian", "logistic"}  # ROADMAP item 7 adds the other three
     assert {name.split("_d")[0] for name in HVP_TARGETS} >= with_hvp
 
 

@@ -58,14 +58,14 @@ def test_mfvi_converges_on_standard_normal():
 def test_checkpoint_fires_at_a_mark_whose_step_is_skipped():
     # a non-finite ELBO skips the update, not the evaluation due at that iteration
     target = make_gaussian_target(1)
-    fused, calls = target.log_unnorm_and_grad, []
+    fused, calls = target.score_hvp, []
 
     def nan_on_third_call(x):
         calls.append(len(x))
-        val, grad = fused(x)
-        return (np.full_like(val, np.nan) if len(calls) == 3 else val), grad
+        val, grad, hvp = fused(x)
+        return (np.full_like(val, np.nan) if len(calls) == 3 else val), grad, hvp
 
-    target.log_unnorm_and_grad = nan_on_third_call
+    target.score_hvp = nan_on_third_call
     fired = []
     mfvi_train(target, 1.0, 8, 4, 0.05, RngStream(8, 0), checkpoints=[2, 3, 4],
                checkpoint_hook=lambda it, q: fired.append((it, q.mean.copy())))
@@ -125,7 +125,7 @@ def test_single_sample_gradient_matches_fd():
     mean = tape.leaf(mean0)
     ls = tape.leaf(ls0)
     x = mean + ls.exp() * eps
-    val, grad = target.logdensity_and_grad(x.value)
+    val, grad, _ = target.query(x.value, score=True)
     log_gamma = tape.custom(val, [x], lambda adj, g=grad: (adj[:, None] * g,), "lg")
     # single-sample ELBO: log gamma(x) - log q(x) with log q = -sum(ls) - const
     elbo_var = log_gamma.sum() + ls.sum() + (0.5 * math.log(2 * math.pi)
@@ -143,7 +143,7 @@ def _radius_target(radius):
     """A standard normal cut off at `radius`: log gamma is -inf beyond it."""
     def fused(x):
         val = -0.5 * np.sum(x**2, axis=1)
-        return np.where(np.linalg.norm(x, axis=1) < radius, val, -np.inf), -x
+        return np.where(np.linalg.norm(x, axis=1) < radius, val, -np.inf), -x, None
 
     return TargetDensity(2, lambda x: fused(x)[0], fused)
 
@@ -159,14 +159,15 @@ def test_mfvi_diverges_at_the_third_non_finite_elbo_in_a_row():
 
 def test_mfvi_finite_elbo_resets_the_divergence_streak():
     target = make_gaussian_target(2)
-    fused, calls = target.log_unnorm_and_grad, []
+    fused, calls = target.score_hvp, []
 
     def inf_on_some_calls(x):
         calls.append(len(x))
-        val, grad = fused(x)
-        return (np.full_like(val, -np.inf) if len(calls) in (1, 2, 4, 5, 7, 8, 9) else val), grad
+        val, grad, hvp = fused(x)
+        val = np.full_like(val, -np.inf) if len(calls) in (1, 2, 4, 5, 7, 8, 9) else val
+        return val, grad, hvp
 
-    target.log_unnorm_and_grad = inf_on_some_calls
+    target.score_hvp = inf_on_some_calls
     _, trace = mfvi_train(target, 1.0, 8, 8, 0.05, RngStream(8, 0))
     assert [bool(np.isfinite(e)) for e in trace.elbo] == [False, False, True, False, False,
                                                           True, False, False]
@@ -192,7 +193,7 @@ def _reference_mfvi_train(target, init_scale, batch_size, iterations, learning_r
         log_std = tape.leaf(q.log_std)
         x = mean + log_std.exp() * eps
         xv = x.value
-        gamma_val, gamma_grad = target.logdensity_and_grad(xv)
+        gamma_val, gamma_grad, _ = target.query(xv, score=True)
         log_gamma = tape.custom(
             gamma_val, [x], lambda adj, g=gamma_grad: (adj[:, None] * g,), op="log_gamma"
         )
