@@ -26,7 +26,7 @@ import numpy as np
 from .errors import TrainingError, UsageError
 from .numerics.adam import AdamState, adam_step
 from .numerics.logspace import LOG_2PI
-from .numerics.nets import DriftNet, drift_forward
+from .numerics.nets import DriftNet, drift_forward, float32_weights
 from .numerics.rng import RngStream
 from .numerics.tape import Tape, Var
 from .targets.base import TargetDensity
@@ -137,7 +137,8 @@ def _node(value, op, *inputs):
 def log_normal_diag(y, mean, var, dim):
     """log N(y; mean, var*I) for batched rows; var is a positive scalar.
 
-    Recorded as one tape node over whichever of y, mean and var are tape variables.
+    Recorded as one tape node over whichever of y, mean and var are tape variables;
+    its VJP forms the y adjoint once and gives mean its exact negation.
     """
     diff = _value(y) - _value(mean)
     var_v = np.asarray(_value(var), dtype=float)
@@ -145,13 +146,25 @@ def log_normal_diag(y, mean, var, dim):
     inv_var = 1.0 / var_v
     quad = (diff * diff).sum(axis=1)
     value = quad * (-0.5) * inv_var - 0.5 * dim * LOG_2PI - 0.5 * dim * np.log(var_v)
+    is_var = [isinstance(v, Var) for v in (y, mean, var)]
+    if not any(is_var):
+        return value
 
-    def g_y(g):
-        half = (g * inv_var * (-0.5))[:, None] * diff
-        return half + half
+    def vjp(g):
+        grads = []
+        if is_var[0] or is_var[1]:
+            half = (g * inv_var * (-0.5))[:, None] * diff
+            g_y = half + half
+            if is_var[0]:
+                grads.append(g_y)
+            if is_var[1]:
+                grads.append(-g_y)
+        if is_var[2]:
+            grads.append((g * (0.5 * quad * inv_var - 0.5 * dim)).sum() * inv_var)
+        return tuple(grads)
 
-    return _node(value, "log_normal_diag", (y, g_y), (mean, lambda g: g_y(g) * -1.0),
-                 (var, lambda g: (g * (0.5 * quad * inv_var - 0.5 * dim)).sum() * inv_var))
+    parents = [v for v, taped in zip((y, mean, var), is_var) if taped]
+    return parents[0].tape.custom(value, parents, vjp, op="log_normal_diag")
 
 
 def _draw(mean, var, eps, dim):
@@ -199,6 +212,7 @@ class _Schedule:
     betas: object            # beta_0 .. beta_T
     sigmas: list             # sigma_1 .. sigma_T
     net_params: tuple        # drift-net and backward-net parameters (None: the nets' own)
+    net_weights32: tuple     # each net's MLP weights cast to float32 once (None: no such net)
     decays: tuple = None     # per hop: the DDS decay, DIS's backward factor exp(-sigma dt)
     variances: tuple = None  # per hop: the kernels' variance (PIS's backward one scales it)
     mean: object = None      # the proposal's mean, log-std and exp(log-std); None for PIS
@@ -226,8 +240,10 @@ def _resolve_schedule(spec, params=None):
         sigma_max = float(np.exp(spec.sigma_raw))
     else:
         sigma_max = spec.sigma_max
+    net_params = (_subdict(params, "net."), _subdict(params, "bnet."))
     sched = _Schedule(betas, [spec.sigma_at(s, sigma_max) for s in range(1, spec.n_steps + 1)],
-                      (_subdict(params, "net."), _subdict(params, "bnet.")))
+                      net_params, tuple(None if net is None else float32_weights(net, p) for net, p
+                                        in zip((spec.drift_net, spec.backward_net), net_params)))
     if spec.proposal is not None:
         _resolve_proposal(spec, sched, params)
     # each hop's sigma-derived scalars, read by both of its kernel sides
@@ -324,7 +340,8 @@ class _Anchor:
             base = spec.backward_net if backward_net else spec.drift_net
             self._nets[backward_net] = drift_forward(
                 base, self.x, self.index, self.score if base.guidance else None,
-                params=sched.net_params[backward_net])
+                params=sched.net_params[backward_net],
+                weights32=sched.net_weights32[backward_net])
         return self._nets[backward_net]
 
 
@@ -520,14 +537,18 @@ def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
     """Adam training loop over the spec's trainable parameters, updated in place.
 
     `checkpoint_hook(iteration, spec)` fires after the update at each
-    iteration in `checkpoints`.  Raises `TrainingError`, naming the last three
-    losses, if the loss is non-finite three steps in a row.  Each step's tape
+    iteration in `checkpoints`.  Raises `UsageError` if the spec has nothing to
+    train, and `TrainingError`, naming the last three losses, if the loss is
+    non-finite three steps in a row.  Each step's tape
     lives only inside `_train_step`: it is gone before the update, the hook and
     the next step's recording.
     """
     if loss_kind not in ("elbo", "vargrad"):
         raise UsageError(f"unknown loss {loss_kind!r}")
     params = trainable_parameters(spec)
+    if not params:
+        raise UsageError(f"{spec.method} has nothing to train: no drift net and no "
+                         f"trainable {list(OPTIONAL_TRAINABLE)}")
     adam = AdamState.init(list(params.values()), learning_rate=learning_rate)
     trace = TrainTrace()
     bad_streak = 0

@@ -5,10 +5,13 @@ layer starts at zero and f2 is one learnable scalar per timestep initialized
 to 1, so a fresh network outputs exactly the guided score.
 
 The MLP f1 and its vector-Jacobian product compute in float32: each call casts
-x, the embedding row and the weights down, keeps the float32 input and hidden
-activations for the VJP, and casts f1 and every gradient back to float64.  The
-guidance term f2(t) * score and its gradients, the weights themselves (Adam's
-master copy), and everything outside the net stay float64.
+x and the embedding row down, keeps the float32 input and hidden activations
+for the VJP, and casts f1 and every gradient back to float64.  The MLP's
+weights are cast once per parameter value (`float32_weights`): a simulation
+makes one set and hands it to every call, whose VJPs all hold that one set,
+and a call given none casts its own.  The guidance term f2(t) * score and its
+gradients, the weights themselves (Adam's master copy), and everything outside
+the net stay float64.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class DriftNet:
     guidance: bool
     params: dict = field(default_factory=dict)
     emb_table: np.ndarray = None
+    param_names: tuple = ()  # W0, b0, ..., Wout, bout (, f2 with guidance), in call order
 
     @classmethod
     def init(cls, dim, n_steps, rng: RngStream, hidden_width=64, hidden_layers=2,
@@ -59,22 +63,31 @@ class DriftNet:
         p["bout"] = np.zeros(dim)
         p["f2"] = np.ones(n_steps + 1)
         net.params = p
+        net.param_names = tuple(name for name in p if guidance or name != "f2")
         return net
 
 
-def drift_forward(net: DriftNet, x, idx: int, score=None, params=None):
+def float32_weights(net: DriftNet, params=None) -> list:
+    """The MLP's weights (W*, b*, Wout, bout; tape variables read by value) cast to
+    float32, in `param_names` order.  Every call on the same values may share it."""
+    p = net.params if params is None else params
+    return [np.asarray(v.value if isinstance(v, Var) else v, dtype=np.float32)
+            for v in (p[name] for name in net.param_names[: 2 * net.hidden_layers + 2])]
+
+
+def drift_forward(net: DriftNet, x, idx: int, score=None, params=None, weights32=None):
     """Evaluate f1(x, t) + f2(t) * score (or f1 alone with guidance off) at the
     state index `idx` in 0..n_steps, which picks the time embedding and f2 entry.
 
-    When `x`, `score` or a parameter value is a tape variable, the whole net is
-    recorded as one tape node whose parents are exactly those variables.
+    `weights32` is `float32_weights` of the same parameters, made once by the
+    caller; without it the call casts its own.  When `x`, `score` or a parameter
+    value is a tape variable, the whole net is recorded as one tape node whose
+    parents are exactly those variables.
     """
     if not (isinstance(idx, (int, np.integer)) and 0 <= idx <= net.n_steps):
         raise UsageError(f"step index {idx!r} is not an integer in 0..{net.n_steps}")
     p = net.params if params is None else params
-    names = [f"{kind}{layer}" for layer in range(net.hidden_layers) for kind in ("W", "b")]
-    names += ["Wout", "bout"] + (["f2"] if net.guidance else [])
-    inputs = [x, score] + [p[name] for name in names]
+    inputs = [x, score] + [p[name] for name in net.param_names]
     is_var = [isinstance(v, Var) for v in inputs]
     x, score, *weights = [v.value if var else v for v, var in zip(inputs, is_var)]
     d = net.dim
@@ -88,9 +101,9 @@ def drift_forward(net: DriftNet, x, idx: int, score=None, params=None):
 
     n_layers = net.hidden_layers
     head = 2 * n_layers  # weights[head:] = Wout, bout (, f2)
-    # the MLP runs in float32 on per-call casts; f2 and the score stay float64
-    x32, emb, *mlp = (np.asarray(v, dtype=np.float32)
-                      for v in [x, net.emb_table[idx : idx + 1], *weights[: head + 2]])
+    # the MLP runs in float32 on the shared weight casts; f2 and the score stay float64
+    x32, emb = (np.asarray(v, dtype=np.float32) for v in (x, net.emb_table[idx : idx + 1]))
+    mlp = weights32 if weights32 is not None else float32_weights(net, p)
     W0, b0 = mlp[0], mlp[1]
     # split the first affine layer so the embedding term is computed once, not per
     # row; each tanh runs in place, in its pre-activation's buffer
@@ -114,10 +127,10 @@ def _drift_vjp(is_var, x32, score, f2, mlp, hidden, emb, idx):
     """Vector-Jacobian product of one drift-net call w.r.t. (x, score, *weights).
 
     The MLP's backward pass runs in float32 on the forward's float32 arrays: the
-    input `x32`, `mlp` (the W and b arrays, head included), the activations
-    `hidden` and the embedding row `emb`.  The guidance term's gradients (from
-    `score` and `f2`, None without guidance) and bout's (a column sum of the
-    adjoint) are computed in float64.  Every gradient returned is float64.
+    input `x32`, `mlp` (the W and b arrays, head included: the set every call of
+    the simulation shares), the activations `hidden` and the embedding row `emb`.
+    The guidance term's gradients (from `score` and `f2`, None without guidance)
+    and bout's (a column sum of the adjoint) are computed in float64.  Every gradient returned is float64.
     The closure holds arrays and the `is_var` mask only: a tape variable here
     would tie the tape into a reference cycle that outlives the training step.
     """

@@ -10,7 +10,8 @@ column per point, so every softmax reduction (max, sum) runs across the K rows
 of contiguous n-wide arrays rather than along each short K-wide row, which is
 numpy's slow direction.  Gaussian-mixture values, scores and HVPs are computed
 by matmul through the expansion |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2, and the
-HVP closure keeps only the query's (K, n) responsibilities; Student-t mixtures
+HVP closure keeps only the query's (K, n) responsibilities and applies the
+centred covariance without forming the mean m = r.mu; Student-t mixtures
 have no such expansion and share one (K, n, d) offset tensor between value and
 score.
 
@@ -93,12 +94,14 @@ def make_mixture_target(spec: MixtureSpec) -> TargetDensity:
             lse, r = _log_sum_and_resp(log_terms(x))
 
             def hvp(v):
-                # Hessian of log gamma = Cov_r(mu) - I, applied as E_r[mu mu^T] v - m m^T v - v;
-                # m is remade by forward's own matmul, so the closure holds no (n, d) array
-                m = r.T @ means
+                # Hessian of log gamma = Cov_r(mu) - I, applied in its centred form
+                # sum_k r_k mu_k (mu_k.v - m.v) - v: m.v = sum_k r_k mu_k.v is the column
+                # sum of r * (mu v^T), so m itself is never formed and the closure holds
+                # no (n, d) array
                 rv = means @ v.T
                 rv *= r
-                return rv.T @ means - m * np.sum(m * v, axis=1, keepdims=True) - v
+                rv -= r * rv.sum(axis=0)
+                return rv.T @ means - v
 
             return lse - 0.5 * np.sum(x * x, axis=1) - offset, r.T @ means - x, hvp
 

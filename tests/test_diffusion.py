@@ -292,6 +292,50 @@ def test_fused_log_normal_matches_op_by_op_reference(y_var, mean_var):
     assert n_nodes < ref_nodes
 
 
+@pytest.mark.parametrize("taped", [t for t in itertools.product((False, True), repeat=3)
+                                   if any(t)])
+def test_log_normal_vjp_forms_one_product_for_y_and_mean(taped):
+    # one adjoint per taped input of (y, mean, var), in that order: mean's is the
+    # exact negation of y's, and each is bitwise the former form's, where mean's
+    # side recomputed y's product and multiplied it by -1
+    rng = RngStream(47, 0)
+    y_val, mean_val, g = rng.normal((6, 3)), rng.normal((6, 3)), rng.normal(6)
+    var_val = np.array(0.37)
+    tape = Tape()
+    inputs = [tape.leaf(v) if t else v for v, t in zip((y_val, mean_val, var_val), taped)]
+    out = log_normal_diag(*inputs, 3)
+    grads = tape.nodes[out.index].vjp(g)
+
+    diff, inv_var = y_val - mean_val, 1.0 / var_val
+    quad = (diff * diff).sum(axis=1)
+
+    def former_g_y(g):
+        half = (g * inv_var * (-0.5))[:, None] * diff
+        return half + half
+
+    former = [former_g_y(g), former_g_y(g) * -1.0,
+              (g * (0.5 * quad * inv_var - 0.5 * 3)).sum() * inv_var]
+    expected = [f for f, t in zip(former, taped) if t]
+    assert len(grads) == len(expected)
+    for got, ref in zip(grads, expected):
+        assert np.array_equal(got, ref)
+    if taped[0] and taped[1]:
+        assert np.array_equal(grads[1], -grads[0])
+
+
+def test_training_a_spec_with_nothing_to_train_is_a_usage_error(monkeypatch):
+    # ULA with no optional part trainable has no drift net and no parameter: the
+    # error names the method before Adam is built or a step is recorded
+    built = []
+    monkeypatch.setattr(diffusion.AdamState, "init",
+                        classmethod(lambda cls, *a, **k: built.append(1)))
+    spec = DiffusionSpec.create("ula", 2, RngStream(0, 0), n_steps=4)
+    assert trainable_parameters(spec) == {}
+    with pytest.raises(UsageError, match="ula has nothing to train"):
+        train_diffusion(spec, make_mog_target(2), "elbo", 1, 8, RngStream(1, 0))
+    assert built == []
+
+
 # ----------------------------------------------------------- weight identities
 def test_t1_collapse_matches_direct_densities():
     spec = zero_drift(make_spec("mcd", dim=1, n_steps=1, sigma_max=1.5))

@@ -416,8 +416,10 @@ def _tanh(v):
     return v.tanh() if isinstance(v, Var) else np.tanh(v)
 
 
-def _reference_drift_forward(net: DriftNet, x, idx: int, score=None, params=None):
-    """The former float64, op-by-op recording of drift_forward, kept verbatim as a reference."""
+def _reference_drift_forward(net: DriftNet, x, idx: int, score=None, params=None,
+                             weights32=None):
+    """The former float64, op-by-op recording of drift_forward, kept verbatim as a
+    reference; it ignores the float32 weight set a simulation hands the net."""
     p = net.params if params is None else params
     single = not isinstance(x, Var) and np.ndim(x) == 1
     if single:
@@ -643,6 +645,49 @@ def test_drift_net_keeps_float32_activations_and_hands_out_float64(monkeypatch, 
     ((grads, state),) = adam_calls
     assert all(g.dtype == np.float64 for g in grads)
     assert all(m.dtype == np.float64 for m in state.first_moments + state.second_moments)
+
+
+@pytest.mark.parametrize("method", ["dds", "gbs"])
+def test_every_taped_vjp_of_a_step_holds_its_nets_one_float32_weight_set(monkeypatch, method):
+    # the simulation casts each net's MLP weights once: every drift-net VJP on the
+    # step's tape holds that net's arrays themselves, not a cast of its own
+    held = []
+    make_vjp = nets._drift_vjp
+
+    def recording_make_vjp(*args):
+        held.append(inspect.signature(make_vjp).bind(*args).arguments["mlp"])
+        return make_vjp(*args)
+
+    monkeypatch.setattr(nets, "_drift_vjp", recording_make_vjp)
+    spec = diffusion.DiffusionSpec.create(method, 2, RngStream(4, 0), n_steps=8)
+    diffusion.train_diffusion(spec, make_mog_target(2), "elbo", 1, 16, RngStream(4, 1))
+
+    n_nets = 2 if method == "gbs" else 1
+    assert len(held) == 8 * n_nets
+    sets = {id(mlp[0]): mlp for mlp in held}
+    assert len(sets) == n_nets
+    for mlp in held:
+        shared = sets[id(mlp[0])]
+        assert len(mlp) == len(shared) == 6
+        assert all(w is s and w.dtype == np.float32 for w, s in zip(mlp, shared))
+
+
+def test_training_with_one_weight_cast_per_step_equals_a_cast_per_call(monkeypatch):
+    # the shared float32 set is made afresh for each step: two iterations, where
+    # Adam moves the weights in place in between, give bitwise the parameters of
+    # the same run whose every net call casts the current weights itself
+    def trained(forward):
+        monkeypatch.setattr(diffusion, "drift_forward", forward)
+        spec = _dds_spec(5, n_steps=8)
+        diffusion.train_diffusion(spec, make_mog_target(2), "elbo", 2, 16, RngStream(5, 1),
+                                  learning_rate=1e-2)
+        return diffusion.trainable_parameters(spec)
+
+    shared = trained(drift_forward)
+    per_call = trained(lambda *args, weights32=None, **kwargs: drift_forward(*args, **kwargs))
+    assert shared.keys() == per_call.keys()
+    for name in shared:
+        assert np.array_equal(shared[name], per_call[name]), name
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

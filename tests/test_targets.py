@@ -518,7 +518,8 @@ def test_logistic_rejects_constant_column(tmp_path):
 
 # ---------------------------------------------------------------- score HVPs
 # The former `score_hvp(x, v)` formulas, each recomputing its forward pass, kept
-# as oracles: the fused query's `hvp` closure must equal them bitwise.
+# as oracles: the fused query's `hvp` closure must equal them bitwise, except the
+# MoG's, which applies the same covariance in its centred form (`_mog_hvp_rounding`).
 def _mog_hvp_oracle(means):
     half_sq_means = 0.5 * np.sum(means**2, axis=1, keepdims=True)
 
@@ -543,8 +544,28 @@ def _logistic_hvp_oracle(u, var_w):
     return hvp
 
 
+U64 = 2.0**-53  # float64's unit roundoff
+
+
+def _mog_hvp_rounding(k, d, h_norm):
+    """Entrywise bound, per unit |v| of the row, on |centred - former| of the MoG HVP.
+
+    Both forms read the same responsibilities r and the same rounded products
+    s_k = r_k (mu_k.v); every term they sum is at most M^2 |v|, M = max |mu_k|.
+    The former form sums the K terms s_k mu_k, forms m = r.mu and m.v (K and
+    K + d terms) and their product, then subtracts twice: (3K + d + 6) u M^2 |v|.
+    The centred form sums the K products s_k, subtracts r_k times that sum, sums
+    the K rows and subtracts v: (3K + 6) u M^2 |v|.  Its m.v is the sum of the
+    rounded s_k, a further (d + 1) u M^2 |v| from the exact m.v.  With
+    h_norm = M^2 + 1 >= M^2 the two forms differ by at most
+    (6K + 2d + 13) u h_norm |v|.
+    """
+    return (6 * k + 2 * d + 13) * U64 * h_norm
+
+
 def _hvp_case(name, csv_path):
-    """(target, points, former HVP, bound on the Hessian's spectral norm)."""
+    """(target, points, former HVP, bound on the Hessian's spectral norm, entrywise
+    bound per unit |v| on the closure's difference from the former HVP)."""
     rng = RngStream(60, 0)
     if name.startswith("mog"):
         dim = int(name[len("mog_d"):])
@@ -554,7 +575,8 @@ def _hvp_case(name, csv_path):
         # responsibilities turn fastest; Cov_r(mu) - I has norm <= max |mu|^2 + 1
         mid = 0.5 * (means[rng.integers(40, size=64)] + means[rng.integers(40, size=64)])
         x = np.concatenate([target.exact_sampler(rng, 64), mid])
-        return target, x, _mog_hvp_oracle(means), np.max(np.sum(means**2, axis=1)) + 1.0
+        h_norm = np.max(np.sum(means**2, axis=1)) + 1.0
+        return target, x, _mog_hvp_oracle(means), h_norm, _mog_hvp_rounding(40, dim, h_norm)
     if name == "logistic":
         target = load_regression_target(csv_path, prior_scale=1.5)
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
@@ -562,11 +584,17 @@ def _hvp_case(name, csv_path):
         u = (features - features.mean(axis=0)) / features.std(axis=0)
         # -I/var - U^T diag(s(1-s)) U, with s(1-s) <= 1/4
         return (target, 2.0 * rng.normal((64, target.dim)), _logistic_hvp_oracle(u, 2.25),
-                1.0 / 2.25 + 0.25 * np.linalg.norm(u, 2) ** 2)
+                1.0 / 2.25 + 0.25 * np.linalg.norm(u, 2) ** 2, 0.0)
     target = (make_gaussian_target(3, 2.0, 1.0) if name == "gaussian"
               else make_unnormalized_gaussian_target(3, 0.5))
     var = 4.0 if name == "gaussian" else 0.25
-    return target, 3.0 * rng.normal((64, 3)), lambda x, v: -v / var, 1.0 / var
+    return target, 3.0 * rng.normal((64, 3)), lambda x, v: -v / var, 1.0 / var, 0.0
+
+
+def _assert_matches_former(hv, former, v, rounding):
+    """`hv` equals `former` within `rounding` per unit |v| of each row; bitwise at 0."""
+    bound = rounding * np.linalg.norm(v, axis=1, keepdims=True)
+    assert np.all(np.abs(hv - former) <= bound)
 
 
 HVP_TARGETS = ["mog_d2", "mog_d50", "logistic", "gaussian", "unnorm_gaussian"]
@@ -574,15 +602,17 @@ HVP_TARGETS = ["mog_d2", "mog_d50", "logistic", "gaussian", "unnorm_gaussian"]
 
 @pytest.mark.parametrize("name", HVP_TARGETS)
 def test_score_hvp_closure_matches_central_difference_symmetry_and_former_formula(name, toy_csv):
-    target, x, former_hvp, h_norm = _hvp_case(name, toy_csv)
+    target, x, former_hvp, h_norm, rounding = _hvp_case(name, toy_csv)
     rng = RngStream(61, 0)
     v, w = rng.normal(x.shape), rng.normal(x.shape)
     value, score, hvp = target.score_hvp(x)
     hv, hw = hvp(v), hvp(w)
-    # the value and score are the fused query's, and the HVP the former formula's, bitwise
+    # the value and score are the fused query's bitwise, and the HVP the former
+    # formula's within the two forms' rounding (bitwise but for the MoG)
     value_fused, score_fused, _ = target.query(x, score=True)
     assert np.array_equal(value, value_fused) and np.array_equal(score, score_fused)
-    assert np.array_equal(hv, former_hvp(x, v)) and np.array_equal(hw, former_hvp(x, w))
+    _assert_matches_former(hv, former_hvp(x, v), v, rounding)
+    _assert_matches_former(hw, former_hvp(x, w), w, rounding)
 
     # central difference of the score along v.  Truncation is h^2 |D^3 log gamma|;
     # rounding is that of the score divided by 2h, largest at the d=50 ties, whose
@@ -600,16 +630,16 @@ def test_score_hvp_closure_matches_central_difference_symmetry_and_former_formul
 
 @pytest.mark.parametrize("name", ["mog_d2", "mog_d50"])
 def test_mog_hvp_closure_holds_no_n_by_d_array(name):
-    # the closure keeps the (K, n) responsibilities and remakes m = r.mu per call;
-    # its output stays the former formula's (m kept from the forward pass) bitwise
-    target, x, former_hvp, _ = _hvp_case(name, None)
+    # the closure keeps the (K, n) responsibilities and never forms m = r.mu; its
+    # output is the former formula's (m kept from the forward pass) within rounding
+    target, x, former_hvp, _, rounding = _hvp_case(name, None)
     n, d = x.shape
     assert n != 40
     _, _, hvp = target.score_hvp(x)
     held = [cell.cell_contents for cell in hvp.__closure__]
     assert not [a for a in held if isinstance(a, np.ndarray) and a.shape == (n, d)]
     v = RngStream(62, 0).normal(x.shape)
-    assert np.array_equal(hvp(v), former_hvp(x, v))
+    _assert_matches_former(hvp(v), former_hvp(x, v), v, rounding)
 
 
 def test_hvp_cases_cover_every_shipped_target_that_has_one(toy_csv):
