@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from samplebench.kernels import AnnealedPath, HmcConfig
+from samplebench.metrics import weight_criteria
 from samplebench.numerics import RngStream
 from samplebench.sis import smc_run
 from samplebench.targets import DiagonalGaussian, make_mog_target, make_unnormalized_gaussian_target
@@ -19,7 +20,8 @@ kernel = HmcConfig(leapfrog_steps=10, step_size_low=0.5, step_size_high=0.5)
 estimates = []
 for run in range(20):
     res = smc_run(path, kernel, n_particles=128, rng=RngStream(1, run))
-    estimates.append(math.exp(res.log_z))
+    _, _, log_z, _, _ = weight_criteria(res.particles.log_weights, False)
+    estimates.append(math.exp(log_z))
 print(f"Z estimate {np.mean(estimates):.4f} +- {np.std(estimates):.4f}"
       f"  (truth {math.sqrt(2 * math.pi):.4f})")
 
@@ -33,5 +35,6 @@ for threshold in (0.3, 0.0):  # no ESS fraction falls below 0: no resampling
                   resample_threshold=threshold)
     modes = mog.mode_model.cell(res.particles.positions)
     n_resamples = sum(d["resampled"] for d in res.diagnostics)
-    print(f"resample threshold {threshold}: ELBO {res.elbo:8.2f}  log Z {res.log_z:7.2f}  "
+    elbo, _, log_z, _, _ = weight_criteria(res.particles.log_weights, False)
+    print(f"resample threshold {threshold}: ELBO {elbo:8.2f}  log Z {log_z:7.2f}  "
           f"modes covered {len(set(modes.tolist()))}/40  resample events {n_resamples}")

@@ -4,18 +4,7 @@
 
 import numpy as np
 
-from samplebench.metrics import (
-    FORWARD,
-    REVERSE,
-    WeightedSamples,
-    ejs,
-    elbo,
-    emc,
-    ess_estimates,
-    eubo,
-    mmd,
-    sinkhorn_w2,
-)
+from samplebench.metrics import ejs, emc, mmd, sinkhorn_w2, weight_criteria
 from samplebench.numerics import RngStream
 from samplebench.targets import DiagonalGaussian, make_mog_target
 
@@ -32,11 +21,11 @@ for name, q in (("collapsed", collapsed), ("blanket", blanket)):
     x = q.sample(rng, 1000)
     lw_rev = target.query(x, score=False)[0] - q.log_density(x)
     lw_fwd = target.query(truth, score=False)[0] - q.log_density(truth)
-    rev = WeightedSamples(x, lw_rev, REVERSE)
-    fwd = WeightedSamples(truth, lw_fwd, FORWARD)
+    elbo, _, _, _, ess_rev = weight_criteria(lw_rev, False)
+    eubo, _, _, _, ess_fwd = weight_criteria(lw_fwd, True)
     w2, _ = sinkhorn_w2(x[:200], truth[:200], max_iters=200)
-    print(f"{name:9s}: ELBO {elbo(rev):8.2f}  EUBO {eubo(fwd):9.2f}  "
-          f"ESS_r {ess_estimates(rev):.3f}  ESS_f {ess_estimates(fwd):.2e}")
+    print(f"{name:9s}: ELBO {elbo:8.2f}  EUBO {eubo:9.2f}  "
+          f"ESS_r {ess_rev:.3f}  ESS_f {ess_fwd:.2e}")
     modes = target.mode_model
     cells = modes.cell(x)
     print(f"           EMC {emc(cells, modes.n_modes):.3f}  "

@@ -18,7 +18,7 @@ state's own temperature for scores and its index as the drift nets' step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -511,11 +511,6 @@ def trainable_parameters(spec: DiffusionSpec) -> dict:
     return params
 
 
-@dataclass
-class TrainTrace:
-    losses: list = field(default_factory=list)
-
-
 def _train_step(spec, target, loss_kind, params, batch_size, rng):
     """One step's (loss, gradients in `params` order), recorded on a tape of its
     own; the gradients are None when the loss is non-finite."""
@@ -533,8 +528,9 @@ def _train_step(spec, target, loss_kind, params, batch_size, rng):
 def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
                     iterations: int, batch_size: int, rng: RngStream,
                     learning_rate: float = 1e-3, checkpoints=(),
-                    checkpoint_hook=None) -> TrainTrace:
-    """Adam training loop over the spec's trainable parameters, updated in place.
+                    checkpoint_hook=None) -> list:
+    """Adam training loop over the spec's trainable parameters, updated in place;
+    returns each iteration's loss.
 
     `checkpoint_hook(iteration, spec)` fires after the update at each
     iteration in `checkpoints`.  Raises `UsageError` if the spec has nothing to
@@ -550,22 +546,22 @@ def train_diffusion(spec: DiffusionSpec, target: TargetDensity, loss_kind: str,
         raise UsageError(f"{spec.method} has nothing to train: no drift net and no "
                          f"trainable {list(OPTIONAL_TRAINABLE)}")
     adam = AdamState.init(list(params.values()), learning_rate=learning_rate)
-    trace = TrainTrace()
+    losses = []
     bad_streak = 0
 
     for it in range(1, iterations + 1):
         loss_val, grads = _train_step(spec, target, loss_kind, params, batch_size, rng)
-        trace.losses.append(loss_val)
+        losses.append(loss_val)
         if grads is None:  # skip the update; a mark still fires
             bad_streak += 1
             if bad_streak >= 3:
                 raise TrainingError(
                     f"loss non-finite for 3 consecutive steps at iteration {it}; "
-                    f"last losses {trace.losses[-3:]}"
+                    f"last losses {losses[-3:]}"
                 )
         else:
             bad_streak = 0
             adam_step(list(params.values()), grads, adam)
         if it in checkpoints:
             checkpoint_hook(it, spec)
-    return trace
+    return losses

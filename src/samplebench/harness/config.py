@@ -10,6 +10,7 @@ grid must be nonempty, each entry with the type and the range of the key it fill
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -70,7 +71,7 @@ def _one_of(*choices):
     return lambda v: v in choices, f"one of {choices}"
 
 
-_POSITIVE = (lambda v: v > 0, "greater than 0")
+_POSITIVE = (lambda v: 0 < v < math.inf, "a finite number greater than 0")
 
 # The valid values of every method and protocol key, as (test, text): a key means
 # the same for every method that declares it.

@@ -2,25 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..metrics import (
-    FORWARD,
-    REVERSE,
-    MetricReport,
-    WeightedSamples,
-    _ipm_pair,
-    ejs,
-    elbo,
-    emc,
-    ess_estimates,
-    eubo,
-    log_z_estimates,
-)
+from ..metrics import MetricReport, _ipm_pair, ejs, emc, weight_criteria
 # the cloud forms of the criteria _ipm_pair computes together; perfbench's
 # tracer looks these names up here
 from ..metrics import mmd, sinkhorn_w2  # noqa: F401
@@ -48,11 +35,8 @@ def sample_criteria(x, log_w, target, target_samples, ipm_subsample: int,
     """
     report = MetricReport()
     if log_w is not None:
-        ws = WeightedSamples(x, log_w, REVERSE)
-        report.elbo = elbo(ws)
-        report.elbo_se = float(np.std(log_w, ddof=1) / math.sqrt(len(log_w)))
-        report.log_z_rev, report.delta_log_z_rev = log_z_estimates(ws, target.true_log_z)
-        report.ess_rev = ess_estimates(ws)
+        (report.elbo, report.elbo_se, report.log_z_rev, report.delta_log_z_rev,
+         report.ess_rev) = weight_criteria(log_w, False, target.true_log_z)
 
     modes = target.mode_model
     if modes is not None:
@@ -84,10 +68,7 @@ def evaluate_sampler(sampler, target, n_samples: int, rng: RngStream,
         if exact.query is None:
             exact.query = target.query(y, score=True)
         log_w_f = sampler.backward_logweights(y, rng, exact.query)
-        fws = WeightedSamples(y, log_w_f, FORWARD)
-        report.eubo = eubo(fws)
-        report.eubo_se = float(np.std(log_w_f, ddof=1) / math.sqrt(len(log_w_f)))
-        report.log_z_fwd, report.delta_log_z_fwd = log_z_estimates(fws, target.true_log_z)
-        report.ess_fwd = ess_estimates(fws)
+        (report.eubo, report.eubo_se, report.log_z_fwd, report.delta_log_z_fwd,
+         report.ess_fwd) = weight_criteria(log_w_f, True, target.true_log_z)
     report.nfe_at_eval = target.nfe.value
     return report

@@ -11,6 +11,7 @@ criteria, given the target query at those samples.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,8 +246,10 @@ def _proposal_from_params(p, dim, sigma0):
     given = [key for key in _PROPOSAL if key in p]
     if not given:
         return DiagonalGaussian.isotropic(dim, sigma0)
-    if len(given) < len(_PROPOSAL) or any(len(p[key]) != dim for key in given):
+    if (len(given) < len(_PROPOSAL) or any(len(p[key]) != dim for key in given)
+            or not all(type(v) in (int, float) and math.isfinite(v)  # a bool is not a number
+                       for key in given for v in p[key])):
         raise ConfigError(f"a pretrained base needs both {list(_PROPOSAL)}, "
-                          f"each with the target's {dim} entries")
+                          f"each with the target's {dim} entries, all finite numbers")
     return DiagonalGaussian(np.asarray(p["proposal_mean"], dtype=float),
                             np.asarray(p["proposal_log_std"], dtype=float))

@@ -17,9 +17,6 @@ import numpy as np
 from .errors import UsageError
 from .numerics.logspace import ess_fraction, exp_clamped_inplace, log_mean_exp, log_sum_exp
 
-REVERSE = "reverse"
-FORWARD = "forward"
-
 
 def _clouds(*clouds):
     """The point clouds as 2-D float arrays of one dimension d; UsageError otherwise."""
@@ -28,23 +25,6 @@ def _clouds(*clouds):
         raise UsageError(f"point clouds of shapes {[c.shape for c in out]} are not (n, d) "
                          "batches of one d")
     return out
-
-
-@dataclass
-class WeightedSamples:
-    """n points with log importance weights and the direction they were drawn in."""
-
-    samples: np.ndarray
-    log_w: np.ndarray
-    direction: str
-
-    def __post_init__(self):
-        (self.samples,) = _clouds(self.samples)
-        self.log_w = np.asarray(self.log_w, dtype=float)
-        if len(self.samples) != len(self.log_w):
-            raise UsageError("samples and log_w length mismatch")
-        if self.direction not in (REVERSE, FORWARD):
-            raise UsageError(f"direction must be 'reverse' or 'forward', got {self.direction!r}")
 
 
 @dataclass
@@ -74,41 +54,28 @@ class MetricReport:
     )
 
 
-# ------------------------------------------------------------- bound criteria
-def elbo(ws: WeightedSamples) -> float:
-    """Mean log weight under the model: a lower bound on log Z."""
-    if ws.direction != REVERSE:
-        raise UsageError("elbo needs reverse-direction samples (drawn from the model)")
-    return float(np.mean(ws.log_w))
+# ------------------------------------------------------------- weight criteria
+def weight_criteria(log_w, forward: bool, true_log_z: Optional[float] = None):
+    """(bound, se, log Z, |log Z error|, ESS fraction) of n log importance weights.
 
-
-def eubo(ws: WeightedSamples) -> float:
-    """Mean log weight under the target: an upper bound on log Z."""
-    if ws.direction != FORWARD:
-        raise UsageError("eubo needs forward-direction samples (drawn from the target)")
-    return float(np.mean(ws.log_w))
-
-
-def log_z_estimates(ws: WeightedSamples, true_log_z: Optional[float] = None):
-    """Importance-weighted log Z estimate and |error| when the truth is known.
-
-    Reverse: log mean(w).  Forward: -log mean(1/w).
+    Reverse weights are drawn from the model: the bound is the ELBO, log Z is
+    log mean(w).  Forward weights are drawn from the target: the bound is the
+    EUBO, log Z is -log mean(1/w).  se is the bound's standard error, None
+    below two weights; the error is None when the truth is not known.
     """
-    if ws.direction == REVERSE:
-        est = log_mean_exp(ws.log_w)
+    lw = np.asarray(log_w, dtype=float)
+    n = len(lw)
+    bound = float(np.mean(lw))
+    se = float(np.std(lw, ddof=1) / math.sqrt(n)) if n >= 2 else None
+    if forward:
+        log_z = -log_mean_exp(-lw)
+        # Z_f / E_pi[w] = 1 / (mean(1/w) * mean(w)); <= 1 by Cauchy-Schwarz
+        ess = float(np.exp(2.0 * np.log(n) - log_sum_exp(-lw) - log_sum_exp(lw)))
     else:
-        est = -log_mean_exp(-ws.log_w)
-    delta = abs(true_log_z - est) if true_log_z is not None else None
-    return float(est), delta
-
-
-def ess_estimates(ws: WeightedSamples) -> float:
-    """Normalized effective sample size in (0, 1]."""
-    lw = ws.log_w
-    if ws.direction == REVERSE:
-        return ess_fraction(lw)
-    # Z_f / E_pi[w] = 1 / (mean(1/w) * mean(w)); <= 1 by Cauchy-Schwarz
-    return float(np.exp(2.0 * np.log(len(lw)) - log_sum_exp(-lw) - log_sum_exp(lw)))
+        log_z = log_mean_exp(lw)
+        ess = ess_fraction(lw)
+    delta = abs(true_log_z - log_z) if true_log_z is not None else None
+    return bound, se, float(log_z), delta, ess
 
 
 # ------------------------------------------------------------- mode coverage

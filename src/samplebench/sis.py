@@ -23,7 +23,9 @@ inner leapfrog positions read the score alone.
 Weight bookkeeping uses a carry scheme: resampling sets every log weight to
 the log-mean of the current weights, so the final log-mean-exp of the system
 is exactly the product-of-epoch-averages SMC estimator, and without
-resampling it reduces to the plain importance-sampling estimator.
+resampling it reduces to the plain importance-sampling estimator.  The sweep
+keeps only the weights: `metrics.weight_criteria(log_weights, False)` reads
+that log Z, the ELBO and the ESS off them.
 """
 
 from __future__ import annotations
@@ -89,8 +91,6 @@ def resample_multinomial(ps: ParticleSystem, rng: RngStream) -> ParticleSystem:
 @dataclass
 class SmcResult:
     particles: ParticleSystem
-    log_z: float
-    elbo: float
     diagnostics: list
 
 
@@ -172,15 +172,17 @@ def _sweep(path, kernel_cfg, x, rng, flows=None, backward=False, resample_thresh
 def smc_run(path: AnnealedPath, kernel_cfg, n_particles: int, rng: RngStream,
             resample_threshold: float = 0.3, flows: Optional[list] = None) -> SmcResult:
     """The forward sweep from proposal draws, in the AIS form or, with flows given
-    (one AffineFlow per temperature, index 1..T), the flow form."""
+    (one AffineFlow per temperature, index 1..T), the flow form.
+
+    Returns the final particles and the per-temperature diagnostics; the
+    estimates are `metrics.weight_criteria(result.particles.log_weights, False)`.
+    """
     if n_particles < 2:
         raise UsageError("need at least 2 particles")
     x = path.proposal.sample(rng, n_particles)
     ps, diagnostics = _sweep(path, kernel_cfg, x, rng, flows,
                              resample_threshold=resample_threshold)
-    log_w = ps.log_weights
-    return SmcResult(ps, float(log_mean_exp(log_w)), float(np.mean(log_w[np.isfinite(log_w)])),
-                     diagnostics)
+    return SmcResult(ps, diagnostics)
 
 
 def backward_transport_logweights(path: AnnealedPath, kernel_cfg, target_samples,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import TrainingError
@@ -12,11 +10,6 @@ from .numerics.logspace import LOG_2PI
 from .numerics.rng import RngStream
 from .targets.base import TargetDensity
 from .targets.gaussian import DiagonalGaussian
-
-
-@dataclass
-class MfviTrace:
-    elbo: list = field(default_factory=list)
 
 
 def mfvi_train(target: TargetDensity, init_scale: float, batch_size: int, iterations: int,
@@ -28,13 +21,14 @@ def mfvi_train(target: TargetDensity, init_scale: float, batch_size: int, iterat
     reparameterized gradient sum_i w_i in the mean and
     -1 + sum_i (w_i * eps_i) * std in log_std, where w_i = -grad log gamma(x_i) / n.
     q starts at mean 0 with every std `init_scale`, and Adam updates its mean and
-    log_std arrays in place.  Returns (q, trace), q a DiagonalGaussian.
+    log_std arrays in place.  Returns (q, elbo_trace): q a DiagonalGaussian, and
+    each iteration's ELBO estimate.
     `checkpoint_hook(iteration, q)` fires after the update at each iteration in
     `checkpoints`.
     """
     q = DiagonalGaussian.isotropic(target.dim, init_scale)
     adam = AdamState.init([q.mean, q.log_std], learning_rate=learning_rate)
-    trace = MfviTrace()
+    elbo_trace = []
     bad_streak = 0
 
     for it in range(1, iterations + 1):
@@ -45,7 +39,7 @@ def mfvi_train(target: TargetDensity, init_scale: float, batch_size: int, iterat
         log_q = -np.sum(q.log_std) - 0.5 * target.dim * LOG_2PI \
             - 0.5 * float(np.mean(np.sum(eps**2, axis=1)))
         elbo_est = float(np.sum(gamma_val) * (1.0 / batch_size) - log_q)
-        trace.elbo.append(elbo_est)
+        elbo_trace.append(elbo_est)
         if not np.isfinite(elbo_est):  # skip the update; a mark still fires
             bad_streak += 1
             if bad_streak >= 3:
@@ -57,4 +51,4 @@ def mfvi_train(target: TargetDensity, init_scale: float, batch_size: int, iterat
             adam_step([q.mean, q.log_std], [g_mean, g_ls], adam)
         if it in checkpoints:
             checkpoint_hook(it, q)
-    return q, trace
+    return q, elbo_trace

@@ -196,7 +196,7 @@ RANGE_CASES = {
     **dict.fromkeys(("particles", "eval_samples"), ([1], [2])),
     "ipm_subsample": ([1, -2], [0, 2]),
     **dict.fromkeys(("sigma0", "sigma_max", "learning_rate", "step_size_low", "step_size_high",
-                     "scale_low", "scale_high"), ([0.0, -1.0], [1e-6])),
+                     "scale_low", "scale_high"), ([0.0, -1.0, float("inf")], [1e-6])),
     "resample_threshold": ([-0.1, 1.1], [0.0, 1.0]),
     "kernel": (["gibbs"], ["hmc", "mh"]),
     "sigma_schedule": (["linear"], ["cosine", "constant"]),
@@ -251,6 +251,7 @@ def test_every_numeric_or_string_key_has_a_range():
 GRIDS_OUT_OF_RANGE = [
     ("dds", "num_steps", {"n_steps_grid": [4, 2.7]}),  # before: ran n_steps = int(2.7)
     ("dds", "init_support", {"sigma0_grid": [1.0, 0.0]}),
+    ("mfvi", "init_support", {"sigma0_grid": [1.0, float("inf")]}),  # before: accepted
     ("mfvi", "init_support", {"sigma0_grid": [1.0, "2"]}),
     ("mfvi", "batchsize", {"batch_grid": [16, 0]}),
     ("smc", "num_steps", {"n_steps_grid": [4, 0]}),  # before: ran the first cell
@@ -551,13 +552,19 @@ def test_sampler_values_out_of_range_are_config_errors(tmp_path, method, values)
     {"proposal_mean": [0.0, 0.0]},
     {"proposal_log_std": [0.0, 0.0]},
     {"proposal_mean": [0.0], "proposal_log_std": [0.0]},  # the target has d = 2
+    # before, these failed every seed at run time (exit 3, output written)
+    {"proposal_mean": ["a", "b"], "proposal_log_std": [0.0, 0.0]},
+    {"name": "craft", "proposal_mean": [float("nan"), 0.0], "proposal_log_std": [0.0, 0.0]},
+    {"proposal_mean": [0.0, 0.0], "proposal_log_std": [float("inf"), 0.0]},
+    {"proposal_mean": [True, False], "proposal_log_std": [0.0, 0.0]},  # before: ran as [1, 0]
 ])
 def test_bad_proposal_vectors_are_config_errors(tmp_path, vectors):
     from samplebench.cli import main
 
-    doc = tiny_config(target={"name": "gaussian", "dim": 2},
-                      method={"name": "dds", "iterations": 2, "batch_size": 8, "n_steps": 4,
-                              "sigma_max": 1.0, **vectors},
+    method = {"name": "dds", "iterations": 2, "batch_size": 8, "n_steps": 4, "sigma_max": 1.0}
+    if vectors.get("name") == "craft":
+        method = {"name": "craft", "iterations": 2, "particles": 8, "n_steps": 4}
+    doc = tiny_config(target={"name": "gaussian", "dim": 2}, method={**method, **vectors},
                       output_dir=str(tmp_path / "out"))
     with pytest.raises(ConfigError, match="proposal_mean"):
         run_experiment(parse_config(doc), clock=FakeClock())
@@ -1521,6 +1528,12 @@ def test_cli_metrics_subcommand(tmp_path, capsys):
     assert 0.9 < report["emc"] <= 1.0  # exact samples cover the modes
     assert report["w2"] > 0.0
     assert isinstance(report["w2_converged"], bool)
+    # one row has no standard error; before, computing it anyway printed numpy's
+    # "Degrees of freedom <= 0" warning
+    path.write_text("x_1,x_2,log_w\n1.0,2.0,-3.0\n")
+    assert main(["metrics", "--samples", str(path), "--target", "mog", "--dim", "2"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["elbo"] == -3.0
 
 
 @pytest.mark.parametrize("ipm_samples, code", [("1", 2), ("-3", 2), ("0", 0), ("2", 0)])
