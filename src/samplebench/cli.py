@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -97,13 +96,14 @@ def _load_samples_csv(path, weights_col):
     import numpy as np
 
     from .errors import IngestionError
+    from .targets.logistic import csv_row
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
         w_cols = [header.index(weights_col)] if weights_col in header else []
-        rows = [_csv_row(path, reader.line_num, header, row, x_cols + w_cols)
+        rows = [csv_row(path, reader.line_num, header, row, x_cols + w_cols)
                 for row in reader if row]
     if not rows:
         raise IngestionError(f"{path}: no data rows")
@@ -111,30 +111,6 @@ def _load_samples_csv(path, weights_col):
         raise ValueError("samples CSV needs x_1..x_d columns")
     data = np.asarray(rows, dtype=float)
     return data[:, : len(x_cols)], (data[:, -1] if w_cols else None)
-
-
-def _csv_row(path, line, header, row, cols):
-    """The row's cells in columns `cols` as finite floats; IngestionError naming
-    the line and column of a missing or extra cell, or of a read cell that is
-    not a finite number.  Columns outside `cols` are never parsed."""
-    from .errors import IngestionError
-
-    if len(row) < len(header):
-        col = len(row)
-        raise IngestionError(f"{path}: line {line}, column {col + 1} ({header[col]}) is missing")
-    if len(row) > len(header):
-        raise IngestionError(f"{path}: line {line}, column {len(header) + 1} has no header")
-    values = []
-    for col in cols:
-        where = f"{path}: line {line}, column {col + 1} ({header[col]}) is"
-        try:
-            value = float(row[col])
-        except ValueError:
-            raise IngestionError(f"{where} {row[col]!r}, not a number") from None
-        if not math.isfinite(value):
-            raise IngestionError(f"{where} {value}, not a finite number")
-        values.append(value)
-    return values
 
 
 def _cmd_metrics(args) -> int:

@@ -13,57 +13,26 @@ from ..metrics import MetricReport
 from ..numerics.rng import RngStream
 from .config import ExperimentConfig, check_pairings
 from .emit import _atomic_write, format_cell
-from .registry import (ABLATION_GRIDS, ABLATION_KINDS, build_target, grid_fills,
-                       resolve_method_params)
+from .registry import ABLATIONS, build_target, grid_fills, resolve_method_params
 from .run import run_experiment
 
 
-def _grid(key: str, config: ExperimentConfig) -> list:
-    return config.method_params.get(key, ABLATION_GRIDS[key][1])
-
-
 def ablation_cells(kind: str, config: ExperimentConfig) -> list:
-    """(label, method_param overrides) pairs for the requested grid.
-
-    The pretrain_base grid's `pretrain_base` override is no method key: it asks
-    `run_ablation` to fit the cell's proposal first.
-    """
-    if kind not in ABLATION_KINDS:
-        raise ConfigError(f"unknown ablation kind {kind!r}; valid: {sorted(ABLATION_KINDS)}")
-    if config.method_name not in ABLATION_KINDS[kind]:
-        raise ConfigError(
-            f"ablation {kind!r} does not apply to method {config.method_name!r}; "
-            f"valid methods: {ABLATION_KINDS[kind]}"
-        )
-    if kind == "smc_choices":
-        return [
-            (f"kernel={k},resampling={r}", {"kernel": k, "resampling": r})
-            for k in ("mh", "hmc")
-            for r in (False, True)
-        ]
-    if kind == "init_support":
-        scales = _grid("sigma0_grid", config)
-        return [(f"sigma0={s:g}", {"sigma0": float(s)}) for s in scales]
-    if kind == "langevin_choices":
-        cells = []
-        for sig in (False, True):
-            for bet in (False, True):
-                for prop in (False, True):
-                    label = f"sigma={int(sig)},betas={int(bet)},proposal={int(prop)}"
-                    cells.append((label, {"trainable_sigma": sig, "trainable_betas": bet,
-                                          "trainable_proposal": prop}))
+    """(label, method_param overrides) pairs: the kind's fixed cells, or one per
+    entry of its grid, the config's or the default."""
+    if kind not in ABLATIONS:
+        raise ConfigError(f"unknown ablation kind {kind!r}; valid: {sorted(ABLATIONS)}")
+    methods, grid, cells = ABLATIONS[kind]
+    if config.method_name not in methods:
+        raise ConfigError(f"ablation {kind!r} does not apply to method "
+                          f"{config.method_name!r}; valid methods: {methods}")
+    if grid is None:
         return cells
-    if kind in ("num_steps", "batchsize"):
-        grid = "n_steps_grid" if kind == "num_steps" else "batch_grid"
-        key = grid_fills(grid, config.method_name)
-        return [(f"{key}={v}", {key: v}) for v in _grid(grid, config)]
-    if kind == "grad_network":
-        return [("guidance=0", {"guidance": False}), ("guidance=1", {"guidance": True})]
-    if kind == "loss_fn":
-        return [("loss=elbo", {"loss": "elbo"}), ("loss=vargrad", {"loss": "vargrad"})]
-    if kind == "pretrain_base":
-        return [("pretrained=0", {}), ("pretrained=1", {"pretrain_base": True})]
-    raise AssertionError(kind)
+    key = grid_fills(grid, config.method_name)
+    entries = config.method_params.get(grid, cells)
+    if key == "sigma0":  # a float key: an int entry fills it as a float
+        return [(f"sigma0={s:g}", {"sigma0": float(s)}) for s in entries]
+    return [(f"{key}={v}", {key: v}) for v in entries]
 
 
 def _pretrain_proposal(config: ExperimentConfig):

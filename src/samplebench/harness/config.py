@@ -3,8 +3,9 @@
 A target section sets its builder's parameters and a method section the keys of
 its `registry.METHOD_PARAMS` entry, plus the grids of the ablations that apply
 to the method. Each value must have the type of its key's default, and each
-method and protocol value must lie in its key's range in `RANGES`; an ablation
-grid must be nonempty, each entry with the type and the range of the key it fills.
+target, method and protocol value must lie in its key's range in `RANGES`; an
+ablation grid must be nonempty with distinct entries, each with the type and the
+range of the key it fills.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
-from .registry import (ABLATION_GRIDS, ABLATION_KINDS, METHOD_PARAMS, TARGETS, grid_fills,
-                       target_params)
+from .registry import ABLATIONS, METHOD_PARAMS, TARGETS, grid_fills, target_params
 
 SCHEMA_VERSION = 1
 
@@ -73,15 +73,17 @@ def _one_of(*choices):
 
 _POSITIVE = (lambda v: 0 < v < math.inf, "a finite number greater than 0")
 
-# The valid values of every method and protocol key, as (test, text): a key means
-# the same for every method that declares it.
+# The valid values of every target, method and protocol key, as (test, text): a key
+# means the same for every target or method that declares it. A seed takes any int.
 RANGES = {
     **dict.fromkeys(("iterations", "batch_size", "n_steps", "leapfrog_steps", "mh_substeps",
-                     "n_checkpoints", "running_avg_len", "sinkhorn_iters"), _at_least(1)),
-    **dict.fromkeys(("particles", "eval_samples"), _at_least(2)),
+                     "n_checkpoints", "running_avg_len", "sinkhorn_iters", "dim"), _at_least(1)),
+    **dict.fromkeys(("particles", "eval_samples", "n_components"), _at_least(2)),
     "ipm_subsample": (lambda v: v == 0 or v >= 2, "0 (no MMD or W2) or at least 2"),
     **dict.fromkeys(("sigma0", "sigma_max", "learning_rate", "step_size_low", "step_size_high",
-                     "scale_low", "scale_high"), _POSITIVE),
+                     "scale_low", "scale_high", "sigma_f_sq", "scale", "prior_scale"),
+                    _POSITIVE),
+    "mean": (math.isfinite, "a finite number"),
     "resample_threshold": (lambda v: 0 <= v <= 1, "between 0 and 1"),
     "kernel": _one_of("hmc", "mh"),
     "sigma_schedule": _one_of("cosine", "constant"),
@@ -97,16 +99,21 @@ def check_ranges(section: dict, where: str):
 
 
 def check_pairings(method: str, params: dict, where: str):
-    """Reject in-range values that do not go together: VarGrad needs a batch of 2 or more."""
+    """Reject in-range values that do not go together: VarGrad needs a batch of 2 or
+    more, and a cell that pretrains its base (`pretrain_base`) cannot be given one."""
     p = {**METHOD_PARAMS[method], **params}
     if p.get("loss") == "vargrad" and p["batch_size"] < 2:
         raise ConfigError(f"{where}: loss 'vargrad' needs batch_size at least 2")
+    if params.get("pretrain_base") and {"proposal_mean", "proposal_log_std"} & params.keys():
+        raise ConfigError(f"{where}: pretrain_base fits the base, so the config must set "
+                          "neither proposal_mean nor proposal_log_std")
 
 
 def check_target(name: str, params: dict):
     if name not in TARGETS:
         raise ConfigError(f"unknown target {name!r}; expected one of {tuple(TARGETS)}")
     check_params(params, target_params(name), f"target {name!r}")
+    check_ranges(params, "target")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -131,8 +138,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown method {method_name!r}; "
                           f"expected one of {tuple(METHOD_PARAMS)}")
     method_params = {k: v for k, v in doc["method"].items() if k != "name"}
-    grids = {key: list for key, (kind, _) in ABLATION_GRIDS.items()
-             if method_name in ABLATION_KINDS[kind]}
+    grids = {grid: list for methods, grid, _ in ABLATIONS.values()
+             if grid and method_name in methods}
     check_params(method_params, {**METHOD_PARAMS[method_name], **grids},
                  f"method {method_name!r}")
     check_ranges(method_params, "method")
@@ -145,6 +152,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
             check_params({key: entry}, METHOD_PARAMS[method_name],
                          f"{grid} entry: method {method_name!r}")
             check_ranges({key: entry}, f"{grid} entry: method")
+        if len(set(method_params[grid])) < len(method_params[grid]):  # one cell per label
+            raise ConfigError(f"method key {grid!r} must have distinct entries, "
+                              f"got {method_params[grid]!r}")
 
     protocol = doc.get("protocol", {})
     check_params(protocol, asdict(Protocol()), "protocol")

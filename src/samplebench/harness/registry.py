@@ -67,23 +67,31 @@ METHOD_PARAMS = {
        for m in DIFFUSION_METHODS},
 }
 
-# the methods each ablation applies to
-ABLATION_KINDS = {
-    "smc_choices": ("smc",),
-    "init_support": ("smc", "craft") + tuple(m for m in DIFFUSION_METHODS
-                                             if "proposal" in METHOD_PARTS[m]) + ("mfvi",),
-    "langevin_choices": ("mcd", "cmcd"),
-    "num_steps": ("smc", "craft") + DIFFUSION_METHODS,
-    "batchsize": ("mfvi", "craft") + tuple(m for m in DIFFUSION_METHODS if m != "ula"),
-    "grad_network": ("dds", "pis", "dis", "gbs"),
-    "loss_fn": tuple(m for m in DIFFUSION_METHODS if m != "ula"),
-    "pretrain_base": ("mcd", "cmcd", "craft"),
+# Each ablation kind: (the methods it applies to, its grid key or None, and the
+# grid's default entries or the kind's fixed (label, method_param overrides)
+# cells). The `pretrain_base` override is no method key: it asks `run_ablation`
+# to fit the cell's proposal first.
+ABLATIONS = {
+    "smc_choices": (("smc",), None,
+                    [(f"kernel={k},resampling={r}", {"kernel": k, "resampling": r})
+                     for k in ("mh", "hmc") for r in (False, True)]),
+    "init_support": (("smc", "craft") + tuple(m for m in DIFFUSION_METHODS
+                                              if "proposal" in METHOD_PARTS[m]) + ("mfvi",),
+                     "sigma0_grid", [1.0, 10.0, 30.0, 60.0]),
+    "langevin_choices": (("mcd", "cmcd"), None,
+                         [(f"sigma={int(s)},betas={int(b)},proposal={int(p)}",
+                           {"trainable_sigma": s, "trainable_betas": b, "trainable_proposal": p})
+                          for s in (False, True) for b in (False, True) for p in (False, True)]),
+    "num_steps": (("smc", "craft") + DIFFUSION_METHODS, "n_steps_grid", [8, 32, 128]),
+    "batchsize": (("mfvi", "craft") + tuple(m for m in DIFFUSION_METHODS if m != "ula"),
+                  "batch_grid", [64, 128, 512]),
+    "grad_network": (("dds", "pis", "dis", "gbs"), None,
+                     [("guidance=0", {"guidance": False}), ("guidance=1", {"guidance": True})]),
+    "loss_fn": (tuple(m for m in DIFFUSION_METHODS if m != "ula"), None,
+                [("loss=elbo", {"loss": "elbo"}), ("loss=vargrad", {"loss": "vargrad"})]),
+    "pretrain_base": (("mcd", "cmcd", "craft"), None,
+                      [("pretrained=0", {}), ("pretrained=1", {"pretrain_base": True})]),
 }
-
-# method keys that only `ablate` reads: key -> (ablation kind, default grid)
-ABLATION_GRIDS = {"sigma0_grid": ("init_support", [1.0, 10.0, 30.0, 60.0]),
-                  "n_steps_grid": ("num_steps", [8, 32, 128]),
-                  "batch_grid": ("batchsize", [64, 128, 512])}
 
 
 def grid_fills(grid: str, method: str) -> str:

@@ -1,13 +1,14 @@
 """Bayesian logistic regression target built from a CSV dataset.
 
 Expected file layout: comma-separated, UTF-8, one header row, feature columns
-followed by a final binary {0,1} label column.  Features are standardized
+followed by a final binary {0,1} label column, every cell a finite number.  Features are standardized
 column-wise in memory; the file is never modified.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,28 @@ import numpy as np
 from ..errors import IngestionError
 from ..numerics.logspace import LOG_2PI
 from .base import TargetDensity
+
+
+def csv_row(path, line, header, row, cols):
+    """The row's cells in columns `cols` as finite floats; IngestionError naming
+    the line and column of a missing or extra cell, or of a read cell that is
+    not a finite number.  Columns outside `cols` are never parsed."""
+    if len(row) < len(header):
+        col = len(row)
+        raise IngestionError(f"{path}: line {line}, column {col + 1} ({header[col]}) is missing")
+    if len(row) > len(header):
+        raise IngestionError(f"{path}: line {line}, column {len(header) + 1} has no header")
+    values = []
+    for col in cols:
+        where = f"{path}: line {line}, column {col + 1} ({header[col]}) is"
+        try:
+            value = float(row[col])
+        except ValueError:
+            raise IngestionError(f"{where} {row[col]!r}, not a number") from None
+        if not math.isfinite(value):
+            raise IngestionError(f"{where} {value}, not a finite number")
+        values.append(value)
+    return values
 
 
 def _read_csv(csv_path):
@@ -26,20 +49,13 @@ def _read_csv(csv_path):
         header = next(reader, None)
         if header is None:
             raise IngestionError(f"{path}: empty file")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{line_no}: non-numeric cell ({exc})") from exc
+        if len(header) < 2:
+            raise IngestionError(f"{path}: need at least one feature column plus a label column")
+        rows = [csv_row(path, reader.line_num, header, row, range(len(header)))
+                for row in reader if row]
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    if data.shape[1] < 2:
-        raise IngestionError(f"{path}: need at least one feature column plus a label column")
-    return header, data
+    return header, np.asarray(rows, dtype=float)
 
 
 def load_regression_target(csv_path, prior_scale: float = 1.0, add_bias: bool = False) -> TargetDensity:

@@ -32,7 +32,7 @@ from samplebench.harness.ablate import ablation_cells
 from samplebench.harness.emit import render_checkpoint_csv
 from samplebench.harness.evaluate import evaluate_sampler
 from samplebench.harness.registry import (METHOD_PARAMS, TARGETS, MethodDriver, MfviSampler,
-                                          SmcSampler, build_target)
+                                          SmcSampler, build_target, target_params)
 from samplebench.harness.run import smooth_reports
 from samplebench.kernels import AnnealedPath, HmcConfig, MhConfig
 from samplebench.metrics import MetricReport
@@ -198,41 +198,65 @@ RANGE_CASES = {
     **dict.fromkeys(("sigma0", "sigma_max", "learning_rate", "step_size_low", "step_size_high",
                      "scale_low", "scale_high"), ([0.0, -1.0, float("inf")], [1e-6])),
     "resample_threshold": ([-0.1, 1.1], [0.0, 1.0]),
+    "dim": ([0, -1], [1]),
+    "n_components": ([1, 0], [2]),
+    **dict.fromkeys(("sigma_f_sq", "scale", "prior_scale"), ([0.0, -1.0, float("inf")], [1e-6])),
+    "mean": ([float("inf"), float("-inf")], [-3.5]),
     "kernel": (["gibbs"], ["hmc", "mh"]),
     "sigma_schedule": (["linear"], ["cosine", "constant"]),
     "loss": (["kl"], ["elbo", "vargrad"]),
 }
+# the keys a target, method or protocol takes with any value of the key's type:
+# a seed takes any int, and csv_path must name an existing file instead
+FREE_KEYS = {"seed", "observation_seed", "csv_path"}
 RANGED_KEYS = ([(method, "method", key) for method, declared in METHOD_PARAMS.items()
                 for key in declared if key in RANGE_CASES]
-               + [("mfvi", "protocol", key) for key in vars(Protocol())])
+               + [("mfvi", "protocol", key) for key in vars(Protocol())]
+               + [(target, "target", key) for target in TARGETS
+                  for key in target_params(target) if key in RANGE_CASES])
 
 
-def _range_doc(method, section, key, value, out):
+def _toy_logistic_csv(path):
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(20, 2))
+    labels = (x[:, 0] + 0.5 * rng.normal(size=20) > 0).astype(int)
+    path.write_text("a,b,y\n" + "".join(f"{a},{b},{y}\n" for (a, b), y in zip(x, labels)))
+    return str(path)
+
+
+def _range_doc(name, section, key, value, out):
+    # `name` is the method, or the target of a target key
     if section == "protocol":
         return tiny_config(protocol={key: value}, output_dir=str(out))
-    budget = {k: v for k, v in DRIVER_BUDGET.items() if k in METHOD_PARAMS[method]}
-    return tiny_config(method={"name": method, **budget, key: value}, seeds=[0],
+    if section == "target":
+        csv = {"csv_path": _toy_logistic_csv(out.parent / "data.csv")} if name == "logistic" else {}
+        return tiny_config(target={"name": name, **csv, key: value}, seeds=[0],
+                           output_dir=str(out))
+    budget = {k: v for k, v in DRIVER_BUDGET.items() if k in METHOD_PARAMS[name]}
+    return tiny_config(method={"name": name, **budget, key: value}, seeds=[0],
                        output_dir=str(out))
 
 
-@pytest.mark.parametrize("method, section, key", RANGED_KEYS,
-                         ids=[f"{m}-{s}-{k}" for m, s, k in RANGED_KEYS])
-def test_value_outside_its_range_exits_2_before_anything_runs(tmp_path, capsys, method,
+@pytest.mark.parametrize("name, section, key", RANGED_KEYS,
+                         ids=[f"{n}-{s}-{k}" for n, s, k in RANGED_KEYS])
+def test_value_outside_its_range_exits_2_before_anything_runs(tmp_path, capsys, name,
                                                               section, key):
     # before, most of these failed every seed (exit 3) or ran to a meaningless
-    # exit 0, for example DDS sigma_schedule "linear", which ran as cosine
+    # exit 0, for example DDS sigma_schedule "linear", which ran as cosine, and
+    # MoG dim 0, n_components 1 and funnel sigma_f_sq -1, which failed every seed
     from samplebench.cli import main
 
     outside, edges = RANGE_CASES[key]
     for value in outside:
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(_range_doc(method, section, key, value, tmp_path / "out")))
+        cfg_path.write_text(json.dumps(_range_doc(name, section, key, value, tmp_path / "out")))
         assert main(["run", "--config", str(cfg_path)]) == 2, value
         assert f"{section} key {key!r} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
     for value in edges:
-        config = parse_config(_range_doc(method, section, key, value, tmp_path / "out"))
-        params = config.method_params if section == "method" else vars(config.protocol)
+        config = parse_config(_range_doc(name, section, key, value, tmp_path / "out"))
+        params = {"method": config.method_params, "target": config.target_params,
+                  "protocol": vars(config.protocol)}[section]
         assert params[key] == value
 
 
@@ -244,8 +268,10 @@ def test_every_numeric_or_string_key_has_a_range():
         return {key for key, default in declared.items()
                 if (default if isinstance(default, type) else type(default)) in (int, float, str)}
 
-    keys = set().union(*map(ranged, METHOD_PARAMS.values()), ranged(vars(Protocol())))
-    assert keys == RANGES.keys() == RANGE_CASES.keys()
+    keys = set().union(*map(ranged, METHOD_PARAMS.values()), ranged(vars(Protocol())),
+                       *(ranged(target_params(name)) for name in TARGETS))
+    assert keys - FREE_KEYS == RANGES.keys() == RANGE_CASES.keys()
+    assert FREE_KEYS <= keys
 
 
 GRIDS_OUT_OF_RANGE = [
@@ -302,6 +328,33 @@ def test_empty_ablation_grid_exits_2_with_nothing_written(tmp_path, capsys, monk
                                                output_dir=str(tmp_path / "out"))))
     assert main(["ablate", "--config", str(cfg_path), "--kind", kind]) == 2
     assert f"{grid!r} must have at least one entry" in capsys.readouterr().err
+    assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
+REPEATED_GRIDS = [
+    ("mfvi", "init_support", {"sigma0_grid": [1, 1.0, 2]}),  # before: two cells sigma0=1
+    ("dds", "num_steps", {"n_steps_grid": [8, 32, 8]}),
+    ("craft", "batchsize", {"batch_grid": [16, 16]}),
+]
+
+
+@pytest.mark.parametrize("method, kind, grid", REPEATED_GRIDS,
+                         ids=[list(g)[0] for _, _, g in REPEATED_GRIDS])
+def test_ablation_grid_with_a_repeated_entry_exits_2_before_any_cell(tmp_path, capsys,
+                                                                    monkeypatch, method, kind,
+                                                                    grid):
+    # before, every cell ran, and the summary JSON kept one of two cells with the
+    # same label, dropping the other's results and failures without a warning
+    from samplebench.cli import main
+
+    trained = []
+    monkeypatch.setattr(MethodDriver, "train", lambda *args: trained.append(args))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(method={"name": method, **grid},
+                                               output_dir=str(tmp_path / "out"))))
+    assert main(["ablate", "--config", str(cfg_path), "--kind", kind]) == 2
+    assert f"{list(grid)[0]!r} must have distinct entries" in capsys.readouterr().err
     assert trained == []
     assert not (tmp_path / "out").exists()
 
@@ -384,6 +437,21 @@ def test_readme_config_example_parses():
     assert (config.target_name, config.method_name) == ("mog", "dds")
 
 
+def test_readme_ablation_kinds_are_the_table_and_its_example_yields_cells():
+    # the README lists exactly the kinds `registry.ABLATIONS` declares, in its order,
+    # and its `ablate` example names a kind that applies to the config's method
+    from samplebench.harness import ABLATIONS
+
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    listed = re.search(r"Ablation kinds, as `harness\.registry\.ABLATIONS` declares them: "
+                       r"(.*?)\.", readme).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(ABLATIONS)
+    examples = re.findall(r"samplebench ablate --kind (\w+) --config (\S+)", readme)
+    assert examples == [("smc_choices", "configs/smc_mog50.json")]
+    for kind, path in examples:
+        assert ablation_cells(kind, load_config(ROOT / path))
+
+
 def test_wrong_schema_version_rejected():
     with pytest.raises(ConfigError, match="schema_version"):
         parse_config(tiny_config(schema_version=7))
@@ -404,6 +472,24 @@ def test_duplicate_seeds_rejected():
 def test_logistic_requires_existing_csv():
     with pytest.raises(ConfigError, match="csv_path"):
         parse_config(tiny_config(target={"name": "logistic", "csv_path": "/nope.csv"}))
+
+
+@pytest.mark.parametrize("bad_row", ["0.5,1", "nan,0.5,1"], ids=["short", "nan"])
+def test_cli_run_logistic_dataset_with_a_bad_row_exits_2_with_nothing_written(tmp_path,
+                                                                              capsys, bad_row):
+    # before, the short row exited 2 naming no line, and the nan feature failed
+    # every seed (exit 3) with the outputs written
+    from samplebench.cli import main
+
+    data = tmp_path / "data.csv"
+    _toy_logistic_csv(data)
+    data.write_text(data.read_text() + bad_row + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(target={"name": "logistic", "csv_path": str(data)},
+                                               seeds=[0], output_dir=str(tmp_path / "out"))))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert f"{data}: line 22, column " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -903,12 +989,7 @@ def test_every_method_runs_on_every_target(tmp_path, method, target, n_steps, ca
     # two iterations of batch 16 (16 particles), two checkpoints, one seed
     params = dict(MATRIX_TARGETS[target])
     if target == "logistic":
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(20, 2))
-        labels = (x[:, 0] + 0.5 * rng.normal(size=20) > 0).astype(int)
-        params["csv_path"] = str(tmp_path / "data.csv")
-        Path(params["csv_path"]).write_text(
-            "a,b,y\n" + "".join(f"{a},{b},{y}\n" for (a, b), y in zip(x, labels)))
+        params["csv_path"] = _toy_logistic_csv(tmp_path / "data.csv")
     budget = {"iterations": 2, "batch_size": 16, "particles": 16, "n_steps": n_steps}
     config = parse_config(tiny_config(
         target={"name": target, **params},
@@ -1426,6 +1507,84 @@ def test_ablation_grid_shapes():
     assert len(ablation_cells("grad_network", parse_config(doc2))) == 2
 
 
+# Each ablation kind's methods, and each kind's cells with no grid set and with
+# the user grids of `PIN_GRIDS`, written out as the oracle of `ablation_cells`.
+PIN_METHODS = ("mfvi", "smc", "craft", "ula", "mcd", "cmcd", "dds", "pis", "dis", "gbs")
+PIN_KIND_METHODS = {
+    "smc_choices": ("smc",),
+    "init_support": ("smc", "craft", "ula", "mcd", "cmcd", "dds", "dis", "gbs", "mfvi"),
+    "langevin_choices": ("mcd", "cmcd"),
+    "num_steps": ("smc", "craft", "ula", "mcd", "cmcd", "dds", "pis", "dis", "gbs"),
+    "batchsize": ("mfvi", "craft", "mcd", "cmcd", "dds", "pis", "dis", "gbs"),
+    "grad_network": ("dds", "pis", "dis", "gbs"),
+    "loss_fn": ("mcd", "cmcd", "dds", "pis", "dis", "gbs"),
+    "pretrain_base": ("mcd", "cmcd", "craft"),
+}
+PIN_GRIDS = {"sigma0_grid": ("init_support", [2, 0.5, 1e-06]),
+             "n_steps_grid": ("num_steps", [4, 16]),
+             "batch_grid": ("batchsize", [16, 8])}
+PIN_FIXED_CELLS = {
+    "smc_choices": [
+        ("kernel=mh,resampling=False", {"kernel": "mh", "resampling": False}),
+        ("kernel=mh,resampling=True", {"kernel": "mh", "resampling": True}),
+        ("kernel=hmc,resampling=False", {"kernel": "hmc", "resampling": False}),
+        ("kernel=hmc,resampling=True", {"kernel": "hmc", "resampling": True}),
+    ],
+    "langevin_choices": [
+        (f"sigma={s},betas={b},proposal={p}",
+         {"trainable_sigma": bool(s), "trainable_betas": bool(b), "trainable_proposal": bool(p)})
+        for s, b, p in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+                        (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
+    ],
+    "grad_network": [("guidance=0", {"guidance": False}), ("guidance=1", {"guidance": True})],
+    "loss_fn": [("loss=elbo", {"loss": "elbo"}), ("loss=vargrad", {"loss": "vargrad"})],
+    "pretrain_base": [("pretrained=0", {}), ("pretrained=1", {"pretrain_base": True})],
+}
+
+
+def _pinned_grid_cells(kind, method, grid):
+    """A grid kind's cells: the user entries when `grid` is its key, else its defaults."""
+    if kind == "init_support":
+        if grid == "sigma0_grid":
+            return [("sigma0=2", {"sigma0": 2.0}), ("sigma0=0.5", {"sigma0": 0.5}),
+                    ("sigma0=1e-06", {"sigma0": 1e-06})]
+        return [("sigma0=1", {"sigma0": 1.0}), ("sigma0=10", {"sigma0": 10.0}),
+                ("sigma0=30", {"sigma0": 30.0}), ("sigma0=60", {"sigma0": 60.0})]
+    if kind == "num_steps":
+        entries = [4, 16] if grid == "n_steps_grid" else [8, 32, 128]
+        return [(f"n_steps={n}", {"n_steps": n}) for n in entries]
+    key = "particles" if method in ("smc", "craft") else "batch_size"
+    entries = [16, 8] if grid == "batch_grid" else [64, 128, 512]
+    return [(f"{key}={b}", {key: b}) for b in entries]
+
+
+@pytest.mark.parametrize("grid", [None, *PIN_GRIDS])
+@pytest.mark.parametrize("method", PIN_METHODS)
+def test_ablation_cells_pinned_for_every_kind_method_and_grid(method, grid):
+    # every kind (and an unknown one) against every method, with no grid and with
+    # each user grid: the full cell lists, types included, and every error text
+    doc = tiny_config(method={"name": method, **({grid: PIN_GRIDS[grid][1]} if grid else {})})
+    if grid and method not in PIN_KIND_METHODS[PIN_GRIDS[grid][0]]:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value) == f"unknown key(s) [{grid!r}] in method {method!r}"
+        return
+    config = parse_config(doc)
+    with pytest.raises(ConfigError) as exc:
+        ablation_cells("unknown_kind", config)
+    assert str(exc.value) == ("unknown ablation kind 'unknown_kind'; valid: "
+                              f"{sorted(PIN_KIND_METHODS)}")
+    for kind, methods in PIN_KIND_METHODS.items():
+        if method not in methods:
+            with pytest.raises(ConfigError) as exc:
+                ablation_cells(kind, config)
+            assert str(exc.value) == (f"ablation {kind!r} does not apply to method {method!r}; "
+                                      f"valid methods: {methods}")
+            continue
+        expected = PIN_FIXED_CELLS.get(kind) or _pinned_grid_cells(kind, method, grid)
+        assert repr(ablation_cells(kind, config)) == repr(expected), kind
+
+
 def test_ablation_runs_and_emits(tmp_path):
     doc = tiny_config(
         target={"name": "gaussian", "dim": 1},
@@ -1465,6 +1624,30 @@ def test_pretrain_base_ablation_pretrains_only_its_cell(monkeypatch):
     assert (pretrained["proposal_mean"], pretrained["proposal_log_std"]) == ([0.5], [-0.25])
     assert "pretrain_base" not in pretrained
     assert all(not run.failures for _, _, run in record.cells)
+
+
+@pytest.mark.parametrize("base", [{"proposal_mean": [3, -3], "proposal_log_std": [0, 0]},
+                                  {"proposal_log_std": [0, 0]}], ids=["both", "one"])
+def test_pretrain_base_ablation_with_a_given_base_exits_2_before_any_cell(tmp_path, capsys,
+                                                                         monkeypatch, base):
+    # before, the pretrained=0 cell ran on the config's base, so both cells had one
+    from samplebench.cli import main
+    from samplebench.harness import ablate
+
+    calls = []
+    monkeypatch.setattr(MethodDriver, "train", lambda *args: calls.append(args))
+    monkeypatch.setattr(ablate, "_pretrain_proposal", lambda config: calls.append(config))
+    doc = tiny_config(target={"name": "gaussian", "dim": 2},
+                      method={"name": "craft", "iterations": 2, "particles": 8, "n_steps": 2,
+                              **base}, output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="pretrain_base fits the base"):
+        run_ablation("pretrain_base", parse_config(doc), clock=FakeClock())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["ablate", "--config", str(cfg_path), "--kind", "pretrain_base"]) == 2
+    assert "cell pretrained=1: pretrain_base fits the base" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------------------- cli

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -512,6 +513,21 @@ def test_logistic_rejects_constant_column(tmp_path):
     path = tmp_path / "const.csv"
     path.write_text("f1,f2,label\n1.0,0.3,0\n1.0,0.9,1\n")
     with pytest.raises(IngestionError, match="f1"):
+        load_regression_target(path)
+
+
+@pytest.mark.parametrize("rows, error", [
+    ("0.1,0.3,0\n0.2,1\n", "line 3, column 3 (label) is missing"),  # before: no line named
+    ("0.1,0.3,0\n0.2,0.4,1,7\n", "line 3, column 4 has no header"),
+    ("0.1,nan,0\n0.2,0.4,1\n", "line 2, column 2 (f2) is nan, not a finite number"),
+    ("0.1,0.3,0\n-inf,0.4,1\n", "line 3, column 1 (f1) is -inf, not a finite number"),
+    ("0.1,0.3,0\n0.2,x,1\n", "line 3, column 2 (f2) is 'x', not a number"),
+], ids=["short", "long", "nan", "inf", "text"])
+def test_logistic_names_the_line_and_column_of_a_bad_row(tmp_path, rows, error):
+    # before, a nan or inf feature was accepted, and every seed's MFVI diverged
+    path = tmp_path / "bad.csv"
+    path.write_text("f1,f2,label\n" + rows)
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: {error}")):
         load_regression_target(path)
 
 
